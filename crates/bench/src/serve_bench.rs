@@ -210,13 +210,14 @@ fn timed_serve(inst: &Instance, cell: &ServeCell) -> Result<(f64, u64), String> 
     } else {
         None
     };
+    let handle = pool.handle();
     let start = Instant::now();
     if cell.per_event {
         while let Some(spec) = src.next_arrival() {
-            pool.offer(spec).map_err(|e| e.to_string())?;
+            handle.offer(spec).map_err(|e| e.to_string())?;
         }
     } else {
-        pool.run_source(&mut src).map_err(|e| e.to_string())?;
+        handle.run_source(&mut src).map_err(|e| e.to_string())?;
     }
     if let Some((_, addr)) = &endpoint {
         // The mid-run scrape: ingest is done but the pool has not been

@@ -114,7 +114,7 @@ pub fn run_submit(args: &[String]) -> Result<(), String> {
     let mut batch = 32usize;
     let mut drain = false;
     let mut client_name = "flowtree-submit".to_string();
-    let mut codec = WireCodec::Json;
+    let mut codec = WireCodec::Binary;
     let mut window: u64 = 1;
     let mut skip = 0usize;
     let mut take = usize::MAX;
@@ -123,7 +123,7 @@ pub fn run_submit(args: &[String]) -> Result<(), String> {
         args,
         false,
         " --addr HOST:PORT [--replay FILE] [--rate R] [--batch N] [--client NAME] \
-         [--codec json|bin] [--window N] [--skip N] [--take N] [--drain]",
+         [--codec bin|json] [--window N] [--skip N] [--take N] [--drain]",
         &mut |flag, it| {
             match flag {
                 "--addr" => addr = Some(it.next().ok_or("--addr needs HOST:PORT")?.clone()),
@@ -134,7 +134,7 @@ pub fn run_submit(args: &[String]) -> Result<(), String> {
                     client_name = it.next().ok_or("--client needs a name")?.clone();
                 }
                 "--codec" => {
-                    let name = it.next().ok_or("--codec needs json|bin")?;
+                    let name = it.next().ok_or("--codec needs bin|json")?;
                     codec = WireCodec::parse(name)?;
                 }
                 "--window" => window = parse_num(it, "--window")?,

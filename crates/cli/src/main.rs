@@ -47,7 +47,7 @@ fn usage() -> &'static str {
      \u{20}                           [--metrics-addr HOST:PORT] [--flight FILE]\n\
      \u{20}      flowtree-repro gateway <scenario> --addr HOST:PORT [serve flags]\n\
      \u{20}      flowtree-repro submit <scenario> --addr HOST:PORT [--replay FILE]\n\
-     \u{20}                            [--codec json|bin] [--window N] [--drain]\n\
+     \u{20}                            [--codec bin|json] [--window N] [--drain]\n\
      \u{20}      flowtree-repro store ls DIR\n\
      \u{20}      flowtree-repro store gc DIR [--max-age DAYS] [--max-bytes N] [--dry-run]\n\
      \u{20}      flowtree-repro metrics ADDR [--raw] [--check] [--retry N]\n\

@@ -249,11 +249,11 @@ fn serve(
     }
     {
         let beat_handle = handle.clone();
-        pool.run_source_with(source.as_mut(), s.stats_every, &mut |snap| {
+        handle.run_source_with(source.as_mut(), s.stats_every, &mut |snap| {
             heartbeat(&format!("{} {}", snap.line(), latency_suffix(&beat_handle)))
         })?;
     }
-    let ingest = pool.ingest();
+    let ingest = handle.ingest();
     heartbeat(&format!(
         "stream ended: offered={} delivered={} dropped={} redirected={} staged={} — \
          draining {} shard(s)",
@@ -261,7 +261,7 @@ fn serve(
         ingest.delivered,
         ingest.dropped,
         ingest.redirected,
-        pool.snapshot().in_flight(),
+        handle.snapshot().in_flight(),
         s.shards
     ));
     let drained = pool.drain();

@@ -105,13 +105,6 @@ impl SchedulerSpec {
         })
     }
 
-    /// Deprecated alias of [`SchedulerSpec::from_name_with_half`].
-    #[deprecated(note = "use `name.parse::<SchedulerSpec>()` or \
-                         `SchedulerSpec::from_name_with_half`")]
-    pub fn parse(name: &str, half: Time) -> Result<Self, String> {
-        Self::from_name_with_half(name, half)
-    }
-
     /// Every registry entry, in [`SCHEDULER_NAMES`] order.
     pub fn all(half: Time) -> Vec<SchedulerSpec> {
         SCHEDULER_NAMES
@@ -240,12 +233,6 @@ mod tests {
             "algo-a".parse::<SchedulerSpec>(),
             Ok(SchedulerSpec::AlgoA { alpha: 4, half: DEFAULT_HALF })
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parse_shim_still_works() {
-        assert_eq!(SchedulerSpec::parse("lpf", 1), Ok(SchedulerSpec::Lpf));
     }
 
     #[test]

@@ -42,11 +42,17 @@ pub struct ClientOptions {
     pub window: u64,
 }
 
+/// Binary hot messages, stop-and-wait: a client that does not choose a
+/// codec sends its submits in the cheap one (every gateway accepts both).
 impl Default for ClientOptions {
     fn default() -> Self {
-        ClientOptions { codec: WireCodec::Json, window: 1 }
+        ClientOptions { codec: WireCodec::Binary, window: 1 }
     }
 }
+
+/// What a connection speaks until the welcome grants more: what every
+/// gateway speaks (JSON, stop-and-wait).
+const PRE_WELCOME: ClientOptions = ClientOptions { codec: WireCodec::Json, window: 1 };
 
 /// A client-side failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,7 +138,7 @@ pub struct GatewayClient {
     name: String,
     opts: ClientOptions,
     /// What the gateway granted on the *current* connection (reset to the
-    /// conservative defaults on every redial until the welcome arrives).
+    /// JSON, stop-and-wait on every redial until the welcome arrives).
     granted: ClientOptions,
     conn: Option<TcpStream>,
     dials: u64,
@@ -163,7 +169,7 @@ impl GatewayClient {
             addr: addr.to_string(),
             name: name.to_string(),
             opts,
-            granted: ClientOptions::default(),
+            granted: PRE_WELCOME,
             conn: None,
             dials: 0,
             sbuf: Vec::new(),
@@ -173,8 +179,8 @@ impl GatewayClient {
         Ok(c)
     }
 
-    /// What the current connection negotiated (the conservative defaults
-    /// until a welcome has granted more).
+    /// What the current connection negotiated (JSON, stop-and-wait until a
+    /// welcome has granted more).
     pub fn granted(&self) -> ClientOptions {
         self.granted
     }
@@ -200,7 +206,7 @@ impl GatewayClient {
         self.conn = Some(stream);
         // Until the welcome says otherwise, speak the lowest common
         // denominator (JSON, stop-and-wait).
-        self.granted = ClientOptions::default();
+        self.granted = PRE_WELCOME;
         let hello = Request::Hello {
             proto: PROTOCOL_VERSION,
             client: self.name.clone(),
@@ -412,5 +418,27 @@ impl GatewayClient {
         let out = self.call_expect_ack(&Request::Drain).map(|_| ());
         self.disconnect();
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Gateway, GatewayConfig};
+    use flowtree_core::SchedulerSpec;
+    use flowtree_serve::{ServeConfig, ShardPool};
+
+    #[test]
+    fn default_client_negotiates_binary_stop_and_wait() {
+        let spec = SchedulerSpec::from_name_with_half("fifo", 1).expect("registry name");
+        let pool = ShardPool::launch(ServeConfig::builder(spec, 2).build().expect("config"))
+            .expect("launch");
+        let gw = Gateway::launch("127.0.0.1:0", pool.handle(), GatewayConfig::default())
+            .expect("gateway up");
+        let client = GatewayClient::connect(&gw.addr().to_string()).expect("connect");
+        assert_eq!(client.granted(), ClientOptions { codec: WireCodec::Binary, window: 1 });
+        drop(client);
+        gw.shutdown();
+        pool.drain().expect("drain");
     }
 }

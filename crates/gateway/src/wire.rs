@@ -54,7 +54,11 @@ const OP_BUSY: u8 = 4;
 /// [`Request::Hello`]. Control messages are always JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireCodec {
-    /// UTF-8 JSON payloads (the default; every peer speaks it).
+    /// UTF-8 JSON payloads (the protocol default: what a hello without a
+    /// codec gets; every peer speaks it). [`ClientOptions`] asks for
+    /// binary unless told otherwise.
+    ///
+    /// [`ClientOptions`]: crate::ClientOptions
     #[default]
     Json,
     /// Fixed-layout little-endian payloads for the hot messages.
@@ -247,7 +251,15 @@ fn read_exact_patient<R: Read>(
 /// convenience form; hot paths use [`encode_request_into`] /
 /// [`encode_reply_into`] with a reused buffer).
 pub fn encode<T: serde::Serialize>(msg: &T) -> Vec<u8> {
-    serde_json::to_string(msg).expect("wire messages serialize").into_bytes()
+    let mut out = Vec::new();
+    encode_json_into(msg, &mut out);
+    out
+}
+
+/// Append `msg`'s JSON payload to `out` (the `*_into` encoders clear it
+/// first, so a reused buffer keeps its capacity).
+fn encode_json_into<T: serde::Serialize>(msg: &T, out: &mut Vec<u8>) {
+    serde_json::to_writer(out, msg).expect("wire messages serialize");
 }
 
 /// Parse a JSON frame payload into a wire message. The error string is
@@ -408,6 +420,16 @@ fn field_or<T: serde::Deserialize>(v: &Value, name: &str, default: T) -> Result<
     }
 }
 
+/// A submit batch over a borrowed job slice: serializes exactly like
+/// [`Request::SubmitBatch`] without first cloning the jobs into one.
+struct SubmitBatchRef<'a>(&'a [JobSpec]);
+
+impl serde::Serialize for SubmitBatchRef<'_> {
+    fn to_value(&self) -> Value {
+        tagged("submit-batch", vec![("jobs", serde::Serialize::to_value(self.0))])
+    }
+}
+
 impl serde::Serialize for Request {
     fn to_value(&self) -> Value {
         match self {
@@ -421,9 +443,7 @@ impl serde::Serialize for Request {
                 ],
             ),
             Request::Submit { job } => tagged("submit", vec![("job", job.to_value())]),
-            Request::SubmitBatch { jobs } => {
-                tagged("submit-batch", vec![("jobs", jobs.to_value())])
-            }
+            Request::SubmitBatch { jobs } => SubmitBatchRef(jobs).to_value(),
             Request::Watermark { t } => tagged("watermark", vec![("t", t.to_value())]),
             Request::Swap { shard, at, spec } => tagged(
                 "swap",
@@ -541,82 +561,6 @@ impl serde::Deserialize for Reply {
     }
 }
 
-// --------------------------------------------------------- JSON (fast path)
-//
-// Hand-written writers for the hot messages, emitting the exact bytes the
-// Value-tree path produces (pinned by `fast_json_matches_value_tree`) —
-// but with zero intermediate allocation: no Value tree, no per-field key
-// `String`s, no `to_string` per number. Tags are borrowed `&'static str`s
-// and everything lands in the caller's reused buffer.
-
-fn push_u64(out: &mut Vec<u8>, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&buf[i..]);
-}
-
-fn push_job_json(out: &mut Vec<u8>, job: &JobSpec) {
-    out.extend_from_slice(b"{\"graph\":{\"n\":");
-    push_u64(out, job.graph.n() as u64);
-    out.extend_from_slice(b",\"edges\":[");
-    let mut first = true;
-    for v in 0..job.graph.n() as u32 {
-        for &c in job.graph.children(NodeId(v)) {
-            if !first {
-                out.push(b',');
-            }
-            first = false;
-            out.push(b'[');
-            push_u64(out, v as u64);
-            out.push(b',');
-            push_u64(out, c as u64);
-            out.push(b']');
-        }
-    }
-    out.extend_from_slice(b"]},\"release\":");
-    push_u64(out, job.release);
-    out.push(b'}');
-}
-
-fn push_jobs_json(out: &mut Vec<u8>, tag: &'static [u8], jobs: &[JobSpec]) {
-    out.extend_from_slice(tag);
-    for (i, job) in jobs.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        push_job_json(out, job);
-    }
-    out.extend_from_slice(b"]}");
-}
-
-fn push_delta_json(out: &mut Vec<u8>, d: &IngestStats) {
-    out.extend_from_slice(b"{\"offered\":");
-    push_u64(out, d.offered);
-    out.extend_from_slice(b",\"delivered\":");
-    push_u64(out, d.delivered);
-    out.extend_from_slice(b",\"dropped\":");
-    push_u64(out, d.dropped);
-    out.extend_from_slice(b",\"redirected\":");
-    push_u64(out, d.redirected);
-    out.extend_from_slice(b",\"reordered\":");
-    push_u64(out, d.reordered);
-    out.extend_from_slice(b",\"stolen_in\":");
-    push_u64(out, d.stolen_in);
-    out.extend_from_slice(b",\"stolen_out\":");
-    push_u64(out, d.stolen_out);
-    out.extend_from_slice(b",\"wm_skipped\":");
-    push_u64(out, d.wm_skipped);
-    out.push(b'}');
-}
-
 // ------------------------------------------------------------- binary codec
 
 fn push_u32_le(out: &mut Vec<u8>, v: u32) {
@@ -727,8 +671,8 @@ fn read_submit_batch_binary(
 // ---------------------------------------------------------- encode / decode
 
 /// Encode `req` into `out` (cleared first, capacity kept). Hot messages
-/// honor `codec`; control messages are always JSON. Under JSON the hot
-/// messages take the allocation-free fast path.
+/// honor `codec`; control messages, and every message under JSON, go
+/// through the one JSON encoder ([`encode`]).
 pub fn encode_request_into(req: &Request, codec: WireCodec, out: &mut Vec<u8>) {
     out.clear();
     match (req, codec) {
@@ -741,20 +685,7 @@ pub fn encode_request_into(req: &Request, codec: WireCodec, out: &mut Vec<u8>) {
             out.push(OP_WATERMARK);
             push_u64_le(out, *t);
         }
-        (Request::Submit { job }, WireCodec::Json) => {
-            out.extend_from_slice(b"{\"type\":\"submit\",\"job\":");
-            push_job_json(out, job);
-            out.push(b'}');
-        }
-        (Request::SubmitBatch { jobs }, WireCodec::Json) => {
-            push_jobs_json(out, b"{\"type\":\"submit-batch\",\"jobs\":[", jobs)
-        }
-        (Request::Watermark { t }, WireCodec::Json) => {
-            out.extend_from_slice(b"{\"type\":\"watermark\",\"t\":");
-            push_u64(out, *t);
-            out.push(b'}');
-        }
-        (other, _) => out.extend_from_slice(&encode(other)),
+        (other, _) => encode_json_into(other, out),
     }
 }
 
@@ -764,13 +695,13 @@ pub fn encode_submit_batch_into(jobs: &[JobSpec], codec: WireCodec, out: &mut Ve
     out.clear();
     match codec {
         WireCodec::Binary => push_submit_batch_binary(out, jobs),
-        WireCodec::Json => push_jobs_json(out, b"{\"type\":\"submit-batch\",\"jobs\":[", jobs),
+        WireCodec::Json => encode_json_into(&SubmitBatchRef(jobs), out),
     }
 }
 
 /// Encode `reply` into `out` (cleared first, capacity kept). Hot replies
-/// honor `codec`; control replies are always JSON. Under JSON the hot
-/// replies take the allocation-free fast path.
+/// honor `codec`; control replies, and every reply under JSON, go through
+/// the one JSON encoder ([`encode`]).
 pub fn encode_reply_into(reply: &Reply, codec: WireCodec, out: &mut Vec<u8>) {
     out.clear();
     match (reply, codec) {
@@ -798,23 +729,7 @@ pub fn encode_reply_into(reply: &Reply, codec: WireCodec, out: &mut Vec<u8>) {
             push_u64_le(out, *retry_after_ms);
             push_u64_le(out, *frames);
         }
-        (Reply::Ack { seq, delta, frames }, WireCodec::Json) => {
-            out.extend_from_slice(b"{\"type\":\"ack\",\"seq\":");
-            push_u64(out, *seq);
-            out.extend_from_slice(b",\"delta\":");
-            push_delta_json(out, delta);
-            out.extend_from_slice(b",\"frames\":");
-            push_u64(out, *frames);
-            out.push(b'}');
-        }
-        (Reply::Busy { retry_after_ms, frames }, WireCodec::Json) => {
-            out.extend_from_slice(b"{\"type\":\"busy\",\"retry_after_ms\":");
-            push_u64(out, *retry_after_ms);
-            out.extend_from_slice(b",\"frames\":");
-            push_u64(out, *frames);
-            out.push(b'}');
-        }
-        (other, _) => out.extend_from_slice(&encode(other)),
+        (other, _) => encode_json_into(other, out),
     }
 }
 
@@ -1034,7 +949,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_json_matches_value_tree_byte_for_byte() {
+    fn json_encode_into_matches_encode() {
         let jobs = sample_jobs();
         let mut buf = Vec::new();
         let reqs = vec![
@@ -1046,7 +961,12 @@ mod tests {
         ];
         for req in &reqs {
             encode_request_into(req, WireCodec::Json, &mut buf);
-            assert_eq!(buf, encode(req), "fast JSON diverged for {req:?}");
+            assert_eq!(buf, encode(req), "JSON diverged for {req:?}");
+        }
+        for batch in [&jobs[..], &jobs[..1], &[]] {
+            encode_submit_batch_into(batch, WireCodec::Json, &mut buf);
+            let req = Request::SubmitBatch { jobs: batch.to_vec() };
+            assert_eq!(buf, encode(&req), "JSON diverged for {req:?}");
         }
         let replies = vec![
             Reply::Ack {
@@ -1068,7 +988,7 @@ mod tests {
         ];
         for reply in &replies {
             encode_reply_into(reply, WireCodec::Json, &mut buf);
-            assert_eq!(buf, encode(reply), "fast JSON diverged for {reply:?}");
+            assert_eq!(buf, encode(reply), "JSON diverged for {reply:?}");
         }
     }
 

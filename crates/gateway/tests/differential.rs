@@ -59,7 +59,7 @@ fn remote_replay_matches_in_process_serve_byte_for_byte() {
     // In-process twin: offer the arrivals directly.
     let twin = ShardPool::launch(pool_config(shards)).expect("launch twin");
     let mut jobs = inst.jobs().to_vec();
-    twin.offer_batch(&mut jobs).expect("offer");
+    twin.handle().offer_batch(&mut jobs).expect("offer");
     let twin_lines = drained_record_lines(twin, shards);
 
     // Remote: same arrivals through a socket. Placement is a pure
@@ -87,7 +87,7 @@ fn binary_pipelined_replay_matches_in_process_serve_byte_for_byte() {
 
     let twin = ShardPool::launch(pool_config(shards)).expect("launch twin");
     let mut jobs = inst.jobs().to_vec();
-    twin.offer_batch(&mut jobs).expect("offer");
+    twin.handle().offer_batch(&mut jobs).expect("offer");
     let twin_lines = drained_record_lines(twin, shards);
 
     // Remote: binary codec, 8 submit frames in flight, coalesced acks.
@@ -118,7 +118,7 @@ fn mixed_codec_clients_share_a_gateway_and_match_the_twin() {
 
     let twin = ShardPool::launch(pool_config(shards)).expect("launch twin");
     let mut jobs = inst.jobs().to_vec();
-    twin.offer_batch(&mut jobs).expect("offer");
+    twin.handle().offer_batch(&mut jobs).expect("offer");
     let twin_lines = drained_record_lines(twin, shards);
 
     // Two clients with both connections open at once, one per codec; they
@@ -232,13 +232,13 @@ fn full_blocking_pool_answers_busy_without_touching_the_ledger() {
     let mut client =
         GatewayClient::with_name(&gw.addr().to_string(), "busy-test").expect("connect");
 
-    let before = pool.ingest();
+    let before = pool.handle().ingest();
     let jobs = service_instance(3, 5).jobs().to_vec();
     match client.submit_batch(jobs).expect("exchange") {
         SubmitOutcome::Busy { retry_after_ms } => assert!(retry_after_ms > 0),
         other => panic!("expected Busy from a full blocking pool, got {other:?}"),
     }
-    assert_eq!(pool.ingest(), before, "a refused batch must not touch the ledger");
+    assert_eq!(pool.handle().ingest(), before, "a refused batch must not touch the ledger");
     assert_eq!(gw.stats().busy_replies.load(std::sync::atomic::Ordering::SeqCst), 1);
 
     // The shed is visible on the network edge of the flight recorder,
@@ -289,7 +289,7 @@ fn binary_client_resumes_mid_stream_and_still_matches_the_twin() {
 
     let twin = ShardPool::launch(pool_config(shards)).expect("launch twin");
     let mut jobs = inst.jobs().to_vec();
-    twin.offer_batch(&mut jobs).expect("offer");
+    twin.handle().offer_batch(&mut jobs).expect("offer");
     let twin_lines = drained_record_lines(twin, shards);
 
     // A pipelined binary client loses its connection partway through the

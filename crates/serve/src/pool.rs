@@ -122,12 +122,6 @@ impl OverloadPolicy {
             OverloadPolicy::Redirect => "redirect",
         }
     }
-
-    /// Parse a CLI name.
-    #[deprecated(note = "use `name.parse::<OverloadPolicy>()`")]
-    pub fn parse(name: &str) -> Result<Self, String> {
-        name.parse()
-    }
 }
 
 impl std::str::FromStr for OverloadPolicy {
@@ -174,12 +168,6 @@ impl Routing {
             Routing::Hash => "hash",
             Routing::LeastLoaded => "least-loaded",
         }
-    }
-
-    /// Parse a CLI name.
-    #[deprecated(note = "use `name.parse::<Routing>()`")]
-    pub fn parse(name: &str) -> Result<Self, String> {
-        name.parse()
     }
 }
 
@@ -1181,11 +1169,10 @@ impl PoolHandle {
 
 /// A running pool of engine shards consuming an arrival stream.
 ///
-/// Feed it with [`offer`](Self::offer) (or [`run_source`](Self::run_source)
-/// to pump an [`ArrivalSource`] dry), watch it with
-/// [`snapshot`](Self::snapshot), control it through a cloned
-/// [`handle`](Self::handle), and finish with [`drain`](Self::drain), which
-/// returns one [`ShardResult`] per shard.
+/// A pool is [`launch`](Self::launch)ed, fed, watched and controlled
+/// through a cloneable [`handle`](Self::handle) (offers, sources,
+/// snapshots, swaps — see [`PoolHandle`]), and finished with
+/// [`drain`](Self::drain), which returns one [`ShardResult`] per shard.
 #[derive(Debug)]
 pub struct ShardPool {
     handle: PoolHandle,
@@ -1243,57 +1230,6 @@ impl ShardPool {
     /// A cloneable runtime-control handle onto this pool.
     pub fn handle(&self) -> PoolHandle {
         self.handle.clone()
-    }
-
-    /// The pool's configuration.
-    pub fn config(&self) -> &ServeConfig {
-        self.handle.config()
-    }
-
-    /// Ingest counters so far.
-    pub fn ingest(&self) -> IngestStats {
-        self.handle.ingest()
-    }
-
-    /// Route one arrival (see [`PoolHandle::offer`]).
-    pub fn offer(&self, spec: JobSpec) -> Result<(), ServeError> {
-        self.handle.offer(spec)
-    }
-
-    /// Route a whole ingest batch (see [`PoolHandle::offer_batch`]).
-    pub fn offer_batch(&self, specs: &mut Vec<JobSpec>) -> Result<(), ServeError> {
-        self.handle.offer_batch(specs)
-    }
-
-    /// Pump `source` dry with progress reporting (see
-    /// [`PoolHandle::run_source_with`]).
-    pub fn run_source_with(
-        &self,
-        source: &mut dyn ArrivalSource,
-        every: u64,
-        progress: &mut dyn FnMut(&PoolSnapshot),
-    ) -> Result<u64, ServeError> {
-        self.handle.run_source_with(source, every, progress)
-    }
-
-    /// Pump `source` dry (see [`PoolHandle::run_source`]).
-    pub fn run_source(&self, source: &mut dyn ArrivalSource) -> Result<u64, ServeError> {
-        self.handle.run_source(source)
-    }
-
-    /// Request a scheduler hot-swap (see [`PoolHandle::swap`]).
-    pub fn swap(
-        &self,
-        shard: Option<usize>,
-        at: Time,
-        spec: SchedulerSpec,
-    ) -> Result<(), ServeError> {
-        self.handle.swap(shard, at, spec)
-    }
-
-    /// A point-in-time view of every shard plus ingest counters.
-    pub fn snapshot(&self) -> PoolSnapshot {
-        self.handle.snapshot()
     }
 
     /// Graceful shutdown: flush staged work, tell every shard to run dry,
@@ -1354,13 +1290,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_parse_shims_still_work() {
-        assert_eq!(OverloadPolicy::parse("drop"), Ok(OverloadPolicy::DropNewest));
-        assert_eq!(Routing::parse("least-loaded"), Ok(Routing::LeastLoaded));
-    }
-
-    #[test]
     fn builder_validates_configuration() {
         assert!(ServeConfig::builder(fifo(), 2).shards(2).queue_cap(8).build().is_ok());
         for bad in [
@@ -1396,9 +1325,10 @@ mod tests {
             .build()
             .expect("valid config");
         let pool = ShardPool::launch(cfg).expect("launch");
-        pool.offer(JobSpec { graph: chain(2), release: 5 }).expect("offer");
-        pool.offer(JobSpec { graph: star(2), release: 3 }).expect("offer"); // late straggler
-        assert_eq!(pool.ingest().reordered, 1);
+        let handle = pool.handle();
+        handle.offer(JobSpec { graph: chain(2), release: 5 }).expect("offer");
+        handle.offer(JobSpec { graph: star(2), release: 3 }).expect("offer"); // late straggler
+        assert_eq!(handle.ingest().reordered, 1);
         let results = pool.drain().expect("drain");
         assert_eq!(results[0].summary.jobs, 2);
         // Both jobs run with release 5 after the clamp.
@@ -1428,10 +1358,11 @@ mod tests {
     fn snapshot_reports_progress_and_queues() {
         let cfg = ServeConfig::builder(fifo(), 2).shards(2).build().expect("valid config");
         let pool = ShardPool::launch(cfg).expect("launch");
+        let handle = pool.handle();
         for t in 0..6 {
-            pool.offer(JobSpec { graph: chain(3), release: t }).expect("offer");
+            handle.offer(JobSpec { graph: chain(3), release: t }).expect("offer");
         }
-        let snap = pool.snapshot();
+        let snap = handle.snapshot();
         assert_eq!(snap.shards.len(), 2);
         assert_eq!(snap.ingest.offered, 6);
         assert_eq!(snap.ingest.delivered, 6);
@@ -1451,7 +1382,7 @@ mod tests {
         let handle = pool.handle();
         handle.swap(None, 4, "lpf".parse().expect("lpf parses")).expect("swap queued");
         for t in 0..8 {
-            pool.offer(JobSpec { graph: chain(3), release: t }).expect("offer");
+            handle.offer(JobSpec { graph: chain(3), release: t }).expect("offer");
         }
         let results = pool.drain().expect("drain");
         assert_eq!(results[0].summary.jobs, 8);
@@ -1466,7 +1397,7 @@ mod tests {
     #[test]
     fn swap_on_out_of_range_shard_is_rejected() {
         let pool = ShardPool::launch(ServeConfig::new(fifo(), 1)).expect("launch");
-        let err = pool.swap(Some(7), 0, fifo()).expect_err("out of range");
+        let err = pool.handle().swap(Some(7), 0, fifo()).expect_err("out of range");
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
         pool.drain().expect("drain");
     }
@@ -1476,7 +1407,7 @@ mod tests {
         // Bypass the router and donate out-of-order releases directly: the
         // shard must clamp them forward instead of panicking.
         let pool = ShardPool::launch(ServeConfig::new(fifo(), 1)).expect("launch");
-        pool.offer(JobSpec { graph: chain(2), release: 9 }).expect("offer");
+        pool.handle().offer(JobSpec { graph: chain(2), release: 9 }).expect("offer");
         let donated: Vec<Arrival> = vec![
             JobSpec { graph: chain(2), release: 3 }.into(),
             JobSpec { graph: star(2), release: 1 }.into(),
@@ -1499,10 +1430,11 @@ mod tests {
             .build()
             .expect("valid config");
         let pool = ShardPool::launch(cfg).expect("launch");
+        let handle = pool.handle();
         let total = 64usize;
         for t in 0..total {
-            pool.offer(JobSpec { graph: chain(4), release: t as Time }).expect("offer");
-            let snap = pool.snapshot();
+            handle.offer(JobSpec { graph: chain(4), release: t as Time }).expect("offer");
+            let snap = handle.snapshot();
             assert!(snap.accounting_balanced(), "mid-stream books: {:?}", snap.ingest);
         }
         let results = pool.drain().expect("drain");
@@ -1517,10 +1449,11 @@ mod tests {
     fn quiesce_settles_all_shards_to_the_watermark() {
         let cfg = ServeConfig::builder(fifo(), 2).shards(2).build().expect("valid");
         let pool = ShardPool::launch(cfg).expect("launch");
+        let handle = pool.handle();
         for t in 0..10 {
-            pool.offer(JobSpec { graph: chain(2), release: t }).expect("offer");
+            handle.offer(JobSpec { graph: chain(2), release: t }).expect("offer");
         }
-        let settled = pool.handle().quiesce().expect("quiesce");
+        let settled = handle.quiesce().expect("quiesce");
         assert_eq!(settled.len(), 2);
         let admitted: usize = settled.iter().map(|s| s.admitted).sum();
         assert_eq!(admitted, 10, "quiesce replies before processing the backlog");
@@ -1551,7 +1484,7 @@ mod tests {
         let handle = pool.handle();
         handle.advance_frontier(50).expect("advance");
         handle.advance_frontier(10).expect("monotone no-op");
-        pool.offer(JobSpec { graph: chain(2), release: 20 }).expect("offer");
+        handle.offer(JobSpec { graph: chain(2), release: 20 }).expect("offer");
         assert_eq!(handle.ingest().reordered, 1, "pre-frontier release clamps forward");
         let results = pool.drain().expect("drain");
         assert_eq!(results[0].instance.last_release(), 50);

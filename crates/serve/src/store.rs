@@ -597,7 +597,8 @@ mod tests {
         use crate::pool::{ServeConfig, ShardPool};
         let pool = ShardPool::launch(ServeConfig::new("fifo".parse().expect("fifo parses"), 1))
             .expect("launch");
-        pool.offer(flowtree_sim::JobSpec { graph: flowtree_dag::builder::chain(2), release: 0 })
+        pool.handle()
+            .offer(flowtree_sim::JobSpec { graph: flowtree_dag::builder::chain(2), release: 0 })
             .expect("offer");
         pool.drain().expect("drain").remove(0).summary
     }

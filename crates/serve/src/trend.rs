@@ -156,7 +156,8 @@ mod tests {
     fn record(git: &str, ratio: f64) -> StoreRecord {
         let pool = ShardPool::launch(ServeConfig::new("fifo".parse().expect("fifo parses"), 1))
             .expect("launch");
-        pool.offer(flowtree_sim::JobSpec { graph: flowtree_dag::builder::chain(2), release: 0 })
+        pool.handle()
+            .offer(flowtree_sim::JobSpec { graph: flowtree_dag::builder::chain(2), release: 0 })
             .expect("offer");
         let mut summary = pool.drain().expect("drain").remove(0).summary;
         summary.ratio = ratio;

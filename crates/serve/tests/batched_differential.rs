@@ -82,16 +82,17 @@ fn run_pool(
     swap_at: Option<Time>,
 ) -> Vec<ShardResult> {
     let pool = ShardPool::launch(cfg).expect("launch");
+    let handle = pool.handle();
     if let Some(at) = swap_at {
         let lpf = SchedulerSpec::from_name_with_half("lpf", 1).unwrap();
-        pool.swap(None, at, lpf).expect("swap accepted");
+        handle.swap(None, at, lpf).expect("swap accepted");
     }
     if batched {
         let mut src = ReplaySource::from_instance(&Instance::new(jobs.to_vec()));
-        pool.run_source(&mut src).expect("stream");
+        handle.run_source(&mut src).expect("stream");
     } else {
         for job in jobs {
-            pool.offer(job.clone()).expect("offer");
+            handle.offer(job.clone()).expect("offer");
         }
     }
     pool.drain().expect("drain")

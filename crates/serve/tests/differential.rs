@@ -43,7 +43,7 @@ fn one_shard_replay_is_bit_for_bit_identical_to_batch() {
     let cfg = ServeConfig::builder(fifo, m).scenario("service").build().expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
     let mut src = ReplaySource::from_instance(&inst);
-    assert_eq!(pool.run_source(&mut src).expect("stream"), 24);
+    assert_eq!(pool.handle().run_source(&mut src).expect("stream"), 24);
     let results = pool.drain().expect("drain");
     assert_eq!(results.len(), 1);
 
@@ -75,8 +75,10 @@ fn swap_at_zero_is_bit_for_bit_identical_to_batch_under_the_new_scheduler() {
         .build()
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
-    pool.swap(None, 0, lpf).expect("queue swap before arrivals");
-    pool.run_source(&mut ReplaySource::from_instance(&inst)).expect("stream");
+    pool.handle().swap(None, 0, lpf).expect("queue swap before arrivals");
+    pool.handle()
+        .run_source(&mut ReplaySource::from_instance(&inst))
+        .expect("stream");
     let results = pool.drain().expect("drain");
 
     let streamed = &results[0];
@@ -98,9 +100,12 @@ fn mid_stream_swap_accounts_for_every_job_and_stays_feasible() {
         .build()
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
-    pool.swap(None, mid, spec("lpf")).expect("queue swap");
-    let offered = pool.run_source(&mut ReplaySource::from_instance(&inst)).expect("stream");
-    let ingest = pool.ingest();
+    pool.handle().swap(None, mid, spec("lpf")).expect("queue swap");
+    let offered = pool
+        .handle()
+        .run_source(&mut ReplaySource::from_instance(&inst))
+        .expect("stream");
+    let ingest = pool.handle().ingest();
     let results = pool.drain().expect("drain");
 
     let admitted: u64 = results.iter().map(|r| r.summary.jobs as u64).sum();
@@ -129,13 +134,13 @@ fn stealing_pool_wide_books_balance_and_no_job_is_lost() {
         .build()
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
-    let offered = pool.run_source(&mut src).expect("stream");
+    let offered = pool.handle().run_source(&mut src).expect("stream");
     assert_eq!(offered, 80);
 
-    let snap = pool.snapshot();
+    let snap = pool.handle().snapshot();
     assert!(snap.accounting_balanced(), "mid-stream ledger: {:?}", snap.ingest);
 
-    let ingest = pool.ingest();
+    let ingest = pool.handle().ingest();
     assert_eq!(ingest.stolen_in, ingest.stolen_out, "every stolen job lands exactly once");
 
     let results = pool.drain().expect("drain");
@@ -156,7 +161,9 @@ fn one_shard_replay_matches_batch_for_every_matrix_scheduler() {
         let batch = summarize("analytics", &inst, m, s).expect("batch run");
         let cfg = ServeConfig::builder(s, m).scenario("analytics").build().expect("valid config");
         let pool = ShardPool::launch(cfg).expect("launch");
-        pool.run_source(&mut ReplaySource::from_instance(&inst)).expect("stream");
+        pool.handle()
+            .run_source(&mut ReplaySource::from_instance(&inst))
+            .expect("stream");
         let results = pool.drain().expect("drain");
         assert_eq!(results[0].summary, batch, "{} diverges from batch", s.name());
     }
@@ -176,10 +183,10 @@ fn multi_shard_overload_backpressure_loses_nothing_and_conserves_work() {
         .build()
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
-    let offered = pool.run_source(&mut src).expect("stream");
+    let offered = pool.handle().run_source(&mut src).expect("stream");
     assert_eq!(offered, 60);
 
-    let snap = pool.snapshot();
+    let snap = pool.handle().snapshot();
     assert_eq!(snap.ingest.offered, 60);
     assert_eq!(snap.ingest.delivered, 60);
     assert_eq!(snap.ingest.dropped, 0);
@@ -209,8 +216,8 @@ fn drop_newest_accounts_for_every_offered_job() {
         .build()
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
-    let offered = pool.run_source(&mut src).expect("stream");
-    let ingest = pool.ingest();
+    let offered = pool.handle().run_source(&mut src).expect("stream");
+    let ingest = pool.handle().ingest();
     let results = pool.drain().expect("drain");
     let admitted: u64 = results.iter().map(|r| r.summary.jobs as u64).sum();
     assert_eq!(ingest.delivered, admitted);
@@ -232,7 +239,7 @@ fn redirect_policy_never_loses_jobs() {
         .build()
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
-    let offered = pool.run_source(&mut src).expect("stream");
+    let offered = pool.handle().run_source(&mut src).expect("stream");
     let results = pool.drain().expect("drain");
     let admitted: u64 = results.iter().map(|r| r.summary.jobs as u64).sum();
     assert_eq!(admitted, offered, "redirect degrades to backpressure, never loss");
@@ -254,7 +261,7 @@ fn channel_source_serves_an_external_producer_to_drain() {
         .build()
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
-    let n = pool.run_source(&mut src).expect("stream");
+    let n = pool.handle().run_source(&mut src).expect("stream");
     producer.join().expect("producer thread");
     assert_eq!(n, 10);
     let results = pool.drain().expect("drain");
@@ -313,7 +320,9 @@ fn serve_results_persist_and_reload_through_the_store() {
         .build()
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
-    pool.run_source(&mut ReplaySource::from_instance(&inst)).expect("stream");
+    pool.handle()
+        .run_source(&mut ReplaySource::from_instance(&inst))
+        .expect("stream");
     let results = pool.drain().expect("drain");
     let shards = results.len();
     for r in &results {

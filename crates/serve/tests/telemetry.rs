@@ -70,7 +70,7 @@ fn metrics_endpoint_is_a_pure_observer_of_the_run() {
         let server = with_endpoint
             .then(|| serve_metrics("127.0.0.1:0", pool.handle()).expect("bind endpoint"));
         let mut src = ReplaySource::from_instance(&inst);
-        pool.run_source(&mut src).expect("stream");
+        pool.handle().run_source(&mut src).expect("stream");
         if let Some(server) = &server {
             let body = scrape_metrics(&server.addr().to_string()).expect("scrape mid-run");
             assert!(body.contains("flowtree_ingest_offered_total 40"), "{body}");
@@ -102,7 +102,7 @@ fn metrics_snapshot_accounts_are_consistent_and_latencies_populate() {
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
     let handle = pool.handle();
-    pool.run_source(&mut ReplaySource::from_instance(&inst)).expect("stream");
+    handle.run_source(&mut ReplaySource::from_instance(&inst)).expect("stream");
     pool.drain().expect("drain");
 
     let m = handle.metrics();
@@ -138,8 +138,8 @@ fn flight_recorder_swap_events_mirror_the_swap_ledger() {
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
     let handle = pool.handle();
-    pool.swap(None, mid, spec("lpf")).expect("queue swap");
-    pool.run_source(&mut ReplaySource::from_instance(&inst)).expect("stream");
+    handle.swap(None, mid, spec("lpf")).expect("queue swap");
+    handle.run_source(&mut ReplaySource::from_instance(&inst)).expect("stream");
     let results = pool.drain().expect("drain");
 
     let flight = handle.flight();
@@ -182,8 +182,8 @@ fn flight_recorder_steal_events_balance_the_steal_ledger() {
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
     let handle = pool.handle();
-    pool.run_source(&mut src).expect("stream");
-    let ingest = pool.ingest();
+    handle.run_source(&mut src).expect("stream");
+    let ingest = handle.ingest();
     pool.drain().expect("drain");
 
     let flight = handle.flight();

@@ -162,77 +162,154 @@ impl<P: Probe> Engine<P> {
         instance: &Instance,
         scheduler: &mut dyn OnlineScheduler,
     ) -> Result<RunReport, EngineError> {
-        let clair = scheduler.clairvoyance();
         let horizon = self.max_horizon.unwrap_or_else(|| {
             instance.last_release() + instance.total_work() + instance.max_span() + 4
         });
+        let mut core = Core::new(self.m, instance);
+        core.start(&mut self.probe, instance.num_jobs());
+        core.run_until(instance, &mut self.probe, scheduler, Time::MAX, horizon)?;
+        Ok(core.finish(&mut self.probe))
+    }
+}
 
-        let mut state = SimState::new(instance);
-        let mut schedule = Schedule::new(self.m);
-        let mut counters = Counters::default();
+/// The per-run step state and the one step loop behind both
+/// [`Engine::run`] and [`Session`](crate::Session).
+///
+/// The core borrows its [`Instance`] and probe per call instead of owning
+/// them: the engine runs over a caller's instance, while a session owns the
+/// instance it materializes from admissions and only appends to it between
+/// calls (each append followed by [`push_job`](Self::push_job)).
+#[derive(Debug)]
+pub(crate) struct Core {
+    pub(crate) m: usize,
+    pub(crate) state: SimState,
+    schedule: Schedule,
+    pub(crate) counters: Counters,
+    /// Stamp arrays for O(1)-per-pick validation and completion firing.
+    /// `node_off` maps a job to its slice of the flat node array; a stamp
+    /// equal to `t + 1` marks "seen during step t" (stamps are strictly
+    /// increasing across steps, so no clearing between steps is needed).
+    node_off: Vec<usize>,
+    node_stamp: Vec<Time>,
+    job_stamp: Vec<Time>,
+    sel: Selection,
+    pub(crate) t: Time,
+}
 
-        // Stamp arrays for O(1)-per-pick validation and completion firing.
-        // `node_off` maps a job to its slice of the flat node array; a stamp
-        // equal to `t + 1` marks "seen during step t" (stamps are strictly
-        // increasing across steps, so no clearing between steps is needed).
+impl Core {
+    /// A core at `t = 0` sized for every job already in `instance`.
+    pub(crate) fn new(m: usize, instance: &Instance) -> Self {
         let mut node_off: Vec<usize> = Vec::with_capacity(instance.num_jobs() + 1);
         node_off.push(0);
         for spec in instance.jobs() {
             node_off.push(node_off.last().unwrap() + spec.graph.n());
         }
-        let mut node_stamp: Vec<Time> = vec![0; *node_off.last().unwrap()];
-        let mut job_stamp: Vec<Time> = vec![0; instance.num_jobs()];
+        Core {
+            m,
+            state: SimState::new(instance),
+            schedule: Schedule::new(m),
+            counters: Counters::default(),
+            node_stamp: vec![0; *node_off.last().unwrap()],
+            job_stamp: vec![0; instance.num_jobs()],
+            node_off,
+            sel: Selection::new(m),
+            t: 0,
+        }
+    }
 
-        let mut sel = Selection::new(self.m);
-        let mut t: Time = 0;
+    /// Reserve room for `jobs` more jobs with `nodes` subjobs in total.
+    pub(crate) fn reserve(&mut self, jobs: usize, nodes: usize) {
+        self.node_off.reserve(jobs);
+        self.node_stamp.reserve(nodes);
+        self.job_stamp.reserve(jobs);
+    }
 
-        counters.on_start(self.m, instance.num_jobs());
-        self.probe.on_start(self.m, instance.num_jobs());
+    /// Register the job just appended to `instance` (see
+    /// [`SimState::push_job`]).
+    pub(crate) fn push_job(&mut self, instance: &Instance) {
+        self.state.push_job(instance);
+        let n = instance.jobs()[self.job_stamp.len()].graph.n();
+        self.node_off.push(self.node_off.last().unwrap() + n);
+        self.node_stamp.resize(self.node_stamp.len() + n, 0);
+        self.job_stamp.push(0);
+    }
 
-        while !state.all_done() {
+    /// Fire `on_start` with the job count known up front.
+    pub(crate) fn start<P: Probe>(&mut self, probe: &mut P, jobs: usize) {
+        self.counters.on_start(self.m, jobs);
+        probe.on_start(self.m, jobs);
+    }
+
+    /// Simulate until `t_end`, or until every job of `instance` has
+    /// finished, whichever comes first; `horizon` is the safety cap.
+    pub(crate) fn run_until<P: Probe>(
+        &mut self,
+        instance: &Instance,
+        probe: &mut P,
+        scheduler: &mut dyn OnlineScheduler,
+        t_end: Time,
+        horizon: Time,
+    ) -> Result<(), EngineError> {
+        let clair = scheduler.clairvoyance();
+        let Core {
+            m,
+            state,
+            schedule,
+            counters,
+            node_off,
+            node_stamp,
+            job_stamp,
+            sel,
+            t: now,
+        } = self;
+        let m = *m;
+        while *now < t_end && !state.all_done() {
+            let t = *now;
             if t > horizon {
                 return Err(EngineError::HorizonExceeded { horizon });
             }
 
             while let Some(job) = state.release_one(instance, t) {
                 counters.on_release(t, job);
-                self.probe.on_release(t, job);
-                let view = SimView::new(instance, &state, self.m, clair);
+                probe.on_release(t, job);
+                let view = SimView::new(instance, state, m, clair);
                 scheduler.on_arrival(t, job, &view);
             }
 
             // Idle-gap fast-forward: no alive job means nothing is ready and
             // no non-empty selection could be valid, so jump to the next
-            // release. The gap is capped at `horizon + 1` so a release
-            // beyond the safety cap still surfaces as `HorizonExceeded`
-            // (with the same probe events the stepwise loop emitted first).
+            // release. The gap is capped at `t_end` and at `horizon + 1`, so
+            // a release beyond the safety cap still surfaces as
+            // `HorizonExceeded` (with the same probe events the stepwise loop
+            // emitted first). A gap split across `run_until` calls replays as
+            // the same stepwise event stream, so probes cannot tell it from a
+            // single-call gap.
             if state.alive().is_empty() {
                 let next = state
                     .next_release_time(instance)
                     .expect("no job alive and none pending, yet not all done");
                 debug_assert!(next > t, "a release due now was not applied");
-                let end = next.min(horizon + 1);
+                let end = next.min(t_end).min(horizon + 1);
                 let gap = end - t;
-                counters.on_idle_gap(t, gap, self.m);
-                self.probe.on_idle_gap(t, gap, self.m);
+                counters.on_idle_gap(t, gap, m);
+                probe.on_idle_gap(t, gap, m);
                 schedule.push_empty_steps(gap);
-                t = end;
+                *now = end;
                 continue;
             }
 
             let ready_depth = state.total_ready();
             sel.clear();
             {
-                let view = SimView::new(instance, &state, self.m, clair);
-                scheduler.select(t, &view, &mut sel);
+                let view = SimView::new(instance, state, m, clair);
+                scheduler.select(t, &view, sel);
             }
             let picks = sel.picks();
 
             // Validate: in-bounds, pairwise distinct, ready. The stamp
             // catches duplicates in O(1) per pick; readiness in SimState is
             // only cleared on completion and completions apply after this
-            // loop, so `is_ready` is checked against the start-of-step state
-            // exactly as the pre-stamp quadratic scan did.
+            // loop, so `is_ready` is checked against the start-of-step state.
             let stamp = t + 1; // nonzero, unique per step
             for &(j, v) in picks {
                 if j.index() >= instance.num_jobs() || v.index() >= instance.graph(j).n() {
@@ -249,30 +326,29 @@ impl<P: Probe> Engine<P> {
             }
 
             counters.on_select(t, picks);
-            self.probe.on_select(t, picks);
+            probe.on_select(t, picks);
             for &(j, v) in picks {
-                self.probe.on_dispatch(t, j, v);
+                probe.on_dispatch(t, j, v);
                 state.complete(instance, j, v, t + 1);
             }
 
             let stat = StepStat {
                 scheduled: picks.len(),
-                idle_procs: self.m - picks.len(),
+                idle_procs: m - picks.len(),
                 ready_depth,
             };
             counters.on_step(t, stat);
-            self.probe.on_step(t, stat);
+            probe.on_step(t, stat);
 
             // A job completes at t+1 when this step ran its last subjob.
-            // Fire once per job — the job stamp replaces the old quadratic
-            // "first pick of this job?" rescan.
+            // Fire once per job: the job stamp marks "already fired".
             let mut any_finished = false;
             for &(j, _) in picks {
                 if state.unfinished(j) == 0 && job_stamp[j.index()] != stamp {
                     job_stamp[j.index()] = stamp;
                     any_finished = true;
                     counters.on_complete(t + 1, j);
-                    self.probe.on_complete(t + 1, j);
+                    probe.on_complete(t + 1, j);
                 }
             }
 
@@ -280,17 +356,18 @@ impl<P: Probe> Engine<P> {
                 state.prune_alive();
             }
             schedule.extend_step(picks);
-            t += 1;
+            *now = t + 1;
         }
+        Ok(())
+    }
 
-        counters.on_finish(t);
-        self.probe.on_finish(t);
-
-        // O(jobs), from the counters alone — no second pass over the
-        // schedule, so an uninstrumented run costs the same as returning the
-        // bare schedule did.
-        let stats = counters.flow_stats();
-        Ok(RunReport { schedule, stats, counters })
+    /// Fire `on_finish` and bundle the report. Flow statistics come from the
+    /// counters alone in O(jobs), with no second pass over the schedule.
+    pub(crate) fn finish<P: Probe>(mut self, probe: &mut P) -> RunReport {
+        self.counters.on_finish(self.t);
+        probe.on_finish(self.t);
+        let stats = self.counters.flow_stats();
+        RunReport { schedule: self.schedule, stats, counters: self.counters }
     }
 }
 

@@ -4,12 +4,12 @@
 //! front; a [`Session`] instead accepts jobs one at a time via
 //! [`admit`](Session::admit) and simulates on demand via
 //! [`run_until`](Session::run_until), so a long-running service can feed
-//! arrivals as they happen. The step loop mirrors the engine's exactly —
-//! same release order, same idle-gap fast-forward, same stamp-based
-//! selection validation, same probe event stream — so a session that admits
-//! every job of an instance before its release time produces a
-//! [`RunReport`] *identical* to the batch engine's (the differential tests
-//! in `flowtree-serve` pin this bit-for-bit).
+//! arrivals as they happen. The step loop is the engine's loop — one
+//! crate-private core runs both, with the same release order, idle-gap
+//! fast-forward, stamp-based selection validation and probe event stream —
+//! so a session that admits every job of an instance before its release
+//! time produces a [`RunReport`] *identical* to the batch engine's (the
+//! differential tests in `flowtree-serve` pin this bit-for-bit).
 //!
 //! The contract that makes this work: a job may only be admitted with
 //! `release >= now()`, and admissions must have nondecreasing release
@@ -17,12 +17,10 @@
 //! event-time watermark (see `flowtree-serve`): simulate step `t` only once
 //! every arrival with release `<= t` has been admitted.
 
-use crate::engine::{EngineError, RunReport};
+use crate::engine::{Core, EngineError, RunReport};
 use crate::instance::{Instance, JobSpec};
-use crate::probe::{Counters, NullProbe, Probe, StepStat};
-use crate::schedule::Schedule;
-use crate::scheduler::{OnlineScheduler, Selection, SimView};
-use crate::state::SimState;
+use crate::probe::{Counters, NullProbe, Probe};
+use crate::scheduler::{OnlineScheduler, SimView};
 use flowtree_dag::{JobId, Time};
 
 /// Errors from [`Session::admit`].
@@ -92,19 +90,10 @@ const DEFAULT_HORIZON: Time = Time::MAX / 4;
 /// ```
 #[derive(Debug)]
 pub struct Session<P: Probe = NullProbe> {
-    m: usize,
-    max_horizon: Time,
-    probe: P,
     instance: Instance,
-    state: SimState,
-    schedule: Schedule,
-    counters: Counters,
-    /// Flat node-array offsets per job (see `Engine::run`).
-    node_off: Vec<usize>,
-    node_stamp: Vec<Time>,
-    job_stamp: Vec<Time>,
-    sel: Selection,
-    t: Time,
+    core: Core,
+    probe: P,
+    max_horizon: Time,
     started: bool,
 }
 
@@ -113,20 +102,12 @@ impl Session<NullProbe> {
     pub fn new(m: usize) -> Self {
         assert!(m >= 1, "need at least one processor");
         let instance = Instance::empty();
-        let state = SimState::new(&instance);
+        let core = Core::new(m, &instance);
         Session {
-            m,
-            max_horizon: DEFAULT_HORIZON,
-            probe: NullProbe,
             instance,
-            state,
-            schedule: Schedule::new(m),
-            counters: Counters::default(),
-            node_off: vec![0],
-            node_stamp: Vec::new(),
-            job_stamp: Vec::new(),
-            sel: Selection::new(m),
-            t: 0,
+            core,
+            probe: NullProbe,
+            max_horizon: DEFAULT_HORIZON,
             started: false,
         }
     }
@@ -139,18 +120,10 @@ impl<P: Probe> Session<P> {
     pub fn with_probe<Q: Probe>(self, probe: Q) -> Session<Q> {
         assert!(!self.started, "attach probes before the session starts");
         Session {
-            m: self.m,
-            max_horizon: self.max_horizon,
-            probe,
             instance: self.instance,
-            state: self.state,
-            schedule: self.schedule,
-            counters: self.counters,
-            node_off: self.node_off,
-            node_stamp: self.node_stamp,
-            job_stamp: self.job_stamp,
-            sel: self.sel,
-            t: self.t,
+            core: self.core,
+            probe,
+            max_horizon: self.max_horizon,
             started: self.started,
         }
     }
@@ -164,12 +137,12 @@ impl<P: Probe> Session<P> {
 
     /// Machine size.
     pub fn m(&self) -> usize {
-        self.m
+        self.core.m
     }
 
     /// Current simulated time.
     pub fn now(&self) -> Time {
-        self.t
+        self.core.t
     }
 
     /// Jobs admitted so far.
@@ -184,7 +157,7 @@ impl<P: Probe> Session<P> {
 
     /// The engine-maintained counters (live snapshot).
     pub fn counters(&self) -> &Counters {
-        &self.counters
+        &self.core.counters
     }
 
     /// The attached probe (live snapshot — e.g. per-shard monitors).
@@ -202,16 +175,23 @@ impl<P: Probe> Session<P> {
 
     /// Have all admitted jobs finished (vacuously true before any admit)?
     pub fn is_drained(&self) -> bool {
-        self.state.all_done()
+        self.core.state.all_done()
     }
 
     fn ensure_started(&mut self) {
         if !self.started {
             self.started = true;
             // A streaming run starts with zero known jobs; probes grow.
-            self.counters.on_start(self.m, 0);
-            self.probe.on_start(self.m, 0);
+            self.core.start(&mut self.probe, 0);
         }
+    }
+
+    /// Append an already-validated job to the instance and the core.
+    fn push_job(&mut self, spec: JobSpec) -> JobId {
+        let id = self.instance.push_job(spec);
+        self.core.push_job(&self.instance);
+        self.probe.on_admit(self.core.t, id, self.instance.graph(id));
+        id
     }
 
     /// Admit one job. Its release must be `>= now()` and `>=` every earlier
@@ -219,21 +199,15 @@ impl<P: Probe> Session<P> {
     /// once simulation reaches its release time.
     pub fn admit(&mut self, spec: JobSpec) -> Result<JobId, SessionError> {
         self.ensure_started();
-        if spec.release < self.t {
-            return Err(SessionError::ReleaseInPast { release: spec.release, now: self.t });
+        let now = self.core.t;
+        if spec.release < now {
+            return Err(SessionError::ReleaseInPast { release: spec.release, now });
         }
         let last = self.instance.last_release();
         if self.instance.num_jobs() > 0 && spec.release < last {
             return Err(SessionError::ReleaseOutOfOrder { release: spec.release, last });
         }
-        let n = spec.graph.n();
-        let id = self.instance.push_job(spec);
-        self.state.push_job(&self.instance);
-        self.node_off.push(self.node_off.last().unwrap() + n);
-        self.node_stamp.resize(self.node_stamp.len() + n, 0);
-        self.job_stamp.push(0);
-        self.probe.on_admit(self.t, id, self.instance.graph(id));
-        Ok(id)
+        Ok(self.push_job(spec))
     }
 
     /// Admit a whole batch of jobs in one call. The batch is validated
@@ -246,6 +220,7 @@ impl<P: Probe> Session<P> {
     /// admissions.
     pub fn admit_batch(&mut self, specs: Vec<JobSpec>) -> Result<(), SessionError> {
         self.ensure_started();
+        let now = self.core.t;
         let mut last = if self.instance.num_jobs() > 0 {
             Some(self.instance.last_release())
         } else {
@@ -253,8 +228,8 @@ impl<P: Probe> Session<P> {
         };
         let mut total_nodes = 0usize;
         for spec in &specs {
-            if spec.release < self.t {
-                return Err(SessionError::ReleaseInPast { release: spec.release, now: self.t });
+            if spec.release < now {
+                return Err(SessionError::ReleaseInPast { release: spec.release, now });
             }
             if let Some(last) = last {
                 if spec.release < last {
@@ -264,17 +239,9 @@ impl<P: Probe> Session<P> {
             last = Some(spec.release);
             total_nodes += spec.graph.n();
         }
-        self.node_off.reserve(specs.len());
-        self.node_stamp.reserve(total_nodes);
-        self.job_stamp.reserve(specs.len());
+        self.core.reserve(specs.len(), total_nodes);
         for spec in specs {
-            let n = spec.graph.n();
-            let id = self.instance.push_job(spec);
-            self.state.push_job(&self.instance);
-            self.node_off.push(self.node_off.last().unwrap() + n);
-            self.node_stamp.resize(self.node_stamp.len() + n, 0);
-            self.job_stamp.push(0);
-            self.probe.on_admit(self.t, id, self.instance.graph(id));
+            self.push_job(spec);
         }
         Ok(())
     }
@@ -292,116 +259,26 @@ impl<P: Probe> Session<P> {
     pub fn prime_scheduler(&mut self, scheduler: &mut dyn OnlineScheduler) {
         self.ensure_started();
         let clair = scheduler.clairvoyance();
-        let view = SimView::new(&self.instance, &self.state, self.m, clair);
-        for &job in self.state.alive() {
-            scheduler.on_arrival(self.t, job, &view);
+        let view = SimView::new(&self.instance, &self.core.state, self.core.m, clair);
+        for &job in self.core.state.alive() {
+            scheduler.on_arrival(self.core.t, job, &view);
         }
     }
 
     /// Simulate until `t_end`, or until the session runs dry (every admitted
-    /// job finished and none pending), whichever comes first. Semantics per
-    /// step are identical to [`Engine::run`](crate::Engine::run): due
-    /// releases fire (with `on_arrival`), all-idle stretches fast-forward,
-    /// selections are validated. Callers feeding from concurrent sources
-    /// must only pass a `t_end` no later than their arrival watermark.
+    /// job finished and none pending), whichever comes first. This is the
+    /// loop of [`Engine::run`](crate::Engine::run): due releases fire (with
+    /// `on_arrival`), all-idle stretches fast-forward, selections are
+    /// validated. Callers feeding from concurrent sources must only pass a
+    /// `t_end` no later than their arrival watermark.
     pub fn run_until(
         &mut self,
         t_end: Time,
         scheduler: &mut dyn OnlineScheduler,
     ) -> Result<(), EngineError> {
         self.ensure_started();
-        let clair = scheduler.clairvoyance();
-        while self.t < t_end {
-            if self.state.all_done() {
-                break;
-            }
-            if self.t > self.max_horizon {
-                return Err(EngineError::HorizonExceeded { horizon: self.max_horizon });
-            }
-
-            while let Some(job) = self.state.release_one(&self.instance, self.t) {
-                self.counters.on_release(self.t, job);
-                self.probe.on_release(self.t, job);
-                let view = SimView::new(&self.instance, &self.state, self.m, clair);
-                scheduler.on_arrival(self.t, job, &view);
-            }
-
-            // Idle-gap fast-forward, capped additionally at `t_end`. A gap
-            // split across `run_until` calls replays as the same stepwise
-            // event stream, so probes cannot tell it from the engine's
-            // single-call gap.
-            if self.state.alive().is_empty() {
-                let next = self
-                    .state
-                    .next_release_time(&self.instance)
-                    .expect("no job alive and none pending, yet not all done");
-                debug_assert!(next > self.t, "a release due now was not applied");
-                let end = next.min(t_end).min(self.max_horizon + 1);
-                let gap = end - self.t;
-                self.counters.on_idle_gap(self.t, gap, self.m);
-                self.probe.on_idle_gap(self.t, gap, self.m);
-                self.schedule.push_empty_steps(gap);
-                self.t = end;
-                continue;
-            }
-
-            let ready_depth = self.state.total_ready();
-            self.sel.clear();
-            {
-                let view = SimView::new(&self.instance, &self.state, self.m, clair);
-                scheduler.select(self.t, &view, &mut self.sel);
-            }
-            let picks = self.sel.picks();
-
-            // Stamp validation, exactly as in `Engine::run`.
-            let stamp = self.t + 1;
-            for &(j, v) in picks {
-                if j.index() >= self.instance.num_jobs() || v.index() >= self.instance.graph(j).n()
-                {
-                    return Err(EngineError::NotReady { t: self.t, job: j, node: v });
-                }
-                let slot = &mut self.node_stamp[self.node_off[j.index()] + v.index()];
-                if *slot == stamp {
-                    return Err(EngineError::DuplicateSelection { t: self.t, job: j, node: v });
-                }
-                *slot = stamp;
-                if !self.state.is_ready(j, v) {
-                    return Err(EngineError::NotReady { t: self.t, job: j, node: v });
-                }
-            }
-
-            self.counters.on_select(self.t, picks);
-            self.probe.on_select(self.t, picks);
-            for &(j, v) in picks {
-                self.probe.on_dispatch(self.t, j, v);
-                self.state.complete(&self.instance, j, v, self.t + 1);
-            }
-
-            let stat = StepStat {
-                scheduled: picks.len(),
-                idle_procs: self.m - picks.len(),
-                ready_depth,
-            };
-            self.counters.on_step(self.t, stat);
-            self.probe.on_step(self.t, stat);
-
-            let mut any_finished = false;
-            for &(j, _) in picks {
-                if self.state.unfinished(j) == 0 && self.job_stamp[j.index()] != stamp {
-                    self.job_stamp[j.index()] = stamp;
-                    any_finished = true;
-                    self.counters.on_complete(self.t + 1, j);
-                    self.probe.on_complete(self.t + 1, j);
-                }
-            }
-
-            if any_finished {
-                self.state.prune_alive();
-            }
-            self.schedule.extend_step(picks);
-            self.t += 1;
-        }
-        Ok(())
+        self.core
+            .run_until(&self.instance, &mut self.probe, scheduler, t_end, self.max_horizon)
     }
 
     /// Finish the session: fire `on_finish`, compute flow statistics, and
@@ -412,13 +289,7 @@ impl<P: Probe> Session<P> {
     /// [`run_until`](Self::run_until)`(Time::MAX, …)` first.
     pub fn finish(mut self) -> (RunReport, Instance) {
         self.ensure_started();
-        self.counters.on_finish(self.t);
-        self.probe.on_finish(self.t);
-        let stats = self.counters.flow_stats();
-        (
-            RunReport { schedule: self.schedule, stats, counters: self.counters },
-            self.instance,
-        )
+        (self.core.finish(&mut self.probe), self.instance)
     }
 }
 
@@ -427,7 +298,7 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::probe::JsonlTrace;
-    use crate::scheduler::Clairvoyance;
+    use crate::scheduler::{Clairvoyance, Selection};
     use flowtree_dag::builder::{chain, star};
     use flowtree_dag::NodeId;
 

@@ -12,11 +12,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (default-members: the whole workspace)"
 cargo test -q
 
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+echo "==> flowbench tests (the benchmark package builds against the current API)"
+cargo test --offline -q --manifest-path flowbench/Cargo.toml
 
 echo "==> bench regression gate (--quick --check vs committed baseline)"
 cargo run --release -p flowtree-cli -- bench --quick --check BENCH_engine.json \
