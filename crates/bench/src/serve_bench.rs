@@ -7,9 +7,10 @@
 //! plus **subjobs/sec** (dispatched work over wall time, the number the
 //! regression gate compares, consistent with the engine matrix). The sweep
 //! covers shard counts × routing × overload policy × stealing, plus one
-//! `per-event` cell that drives [`PoolHandle::offer`] one arrival at a time
-//! so the unbatched ingest path stays perf-tracked next to the batched
-//! [`run_source`](flowtree_serve::ShardPool::run_source) default.
+//! `per-event` cell that drives [`PoolHandle::offer`] one arrival at a time:
+//! each offer is a one-job batch through the same router as the batched
+//! [`run_source`](flowtree_serve::ShardPool::run_source) default, so the
+//! cell tracks the fixed cost of one router call per job.
 //!
 //! Jobs are deliberately small (16-subjob trees in bursts of 8): in this
 //! regime ingest overhead — channel ops, watermark fan-out, router locking —

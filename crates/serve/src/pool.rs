@@ -3,33 +3,32 @@
 //! work stealing, explicit overload behavior, and graceful drain.
 //!
 //! Each shard is a worker thread (see [`crate::shard`]) behind a bounded
-//! channel of [`ShardCmd`]s. The router serializes arrivals: it clamps the
-//! rare out-of-order release from a misbehaving source (counting it in
-//! [`IngestStats::reordered`]), picks a shard ([`Routing`]) per job, and
-//! delivers under the configured [`OverloadPolicy`]. The hot path is
-//! batched: [`PoolHandle::offer_batch`] takes the router lock **once** per
-//! ingest batch, routes every job, coalesces same-shard placements into
-//! one [`ShardCmd::AdmitBatch`] (one queue slot, one channel op), and
-//! flushes event time at the batch boundary. Sources feed batches through
-//! [`PoolHandle::run_source`] via
-//! [`ArrivalSource::next_batch`], bounded by
-//! [`ServeConfig::ingest_batch`] jobs and a release-span flush rule tied to
-//! [`ServeConfig::watermark_stride`], so batching never changes event-time
-//! semantics — only how many channel ops they cost.
+//! channel of [`ShardCmd`]s. Every offer — one job through
+//! [`PoolHandle::offer`] or a batch through [`PoolHandle::offer_batch`] —
+//! runs the same routing loop under **one** router lock acquisition: it
+//! clamps the rare out-of-order release from a misbehaving source
+//! (counting it in [`IngestStats::reordered`]), picks a shard
+//! ([`Routing`]) per job, and delivers under the configured
+//! [`OverloadPolicy`]. Under [`OverloadPolicy::Block`] same-shard
+//! placements coalesce into one command per shard (a lone arrival as
+//! [`ShardCmd::Admit`], more as one [`ShardCmd::AdmitBatch`]: one queue
+//! slot, one channel op); drop and redirect decide per arrival. Sources
+//! feed batches through [`PoolHandle::run_source`] via
+//! [`ArrivalSource::next_batch`], bounded by [`ServeConfig::ingest_batch`]
+//! jobs and a release span of [`ServeConfig::watermark_stride`], so
+//! batching never changes event-time semantics — only how many channel
+//! ops they cost.
 //!
-//! Event time propagates to the other shards as *watermarks*, amortized two
-//! ways: the router remembers the highest watermark each shard is known to
-//! have (never re-sending a value that cannot advance it), and
-//! [`ServeConfig::watermark_stride`] suppresses per-arrival broadcasts
-//! until the frontier has advanced at least that far. Batch boundaries,
-//! [`quiesce`](PoolHandle::quiesce), and drain always flush regardless, so
-//! a shard's safe time lags the frontier by less than one stride while
-//! arrivals flow, and not at all at synchronization points. Broadcasts use
-//! `try_send` and skip full queues (counted in [`IngestStats::wm_skipped`],
-//! surfaced in the CLI drain table): a full queue already holds a command
-//! whose eventual processing advances that shard at least as far, so
-//! skipping cannot deadlock or stall a shard forever — and the dedup
-//! ledger retries the skipped value on the next broadcast anyway.
+//! Event time propagates to the other shards as *watermarks*, flushed at
+//! the end of every offer, [`quiesce`](PoolHandle::quiesce), and drain.
+//! The router remembers the highest watermark each shard is known to have
+//! (an admit carries its release for free) and never re-sends a value that
+//! cannot advance it. Broadcasts use `try_send` and skip full queues
+//! (counted in [`IngestStats::wm_skipped`], surfaced in the CLI drain
+//! table): a full queue already holds a command whose eventual processing
+//! advances that shard at least as far, so skipping cannot deadlock or
+//! stall a shard forever — and the dedup ledger retries the skipped value
+//! on the next broadcast anyway.
 //!
 //! With stealing enabled ([`StealConfig`]), an arrival whose target queue
 //! is full is *staged* router-side instead of blocking the ingest thread.
@@ -236,12 +235,12 @@ pub struct ServeConfig {
     /// [`offer_batch`](PoolHandle::offer_batch)); 1 degenerates to
     /// per-event ingest.
     pub ingest_batch: usize,
-    /// Watermark granularity. While arrivals flow, a shard is only told
-    /// about frontier advances of at least this much (0 = every advance);
-    /// the same value bounds how much event time one ingest batch may span.
-    /// Batch boundaries, quiesce, and drain flush the exact frontier
-    /// regardless, and watermarks never affect final results — only how
-    /// eagerly shards may simulate ahead.
+    /// Most event time one ingest batch from
+    /// [`run_source`](PoolHandle::run_source) may span past its first
+    /// release (0 = only same-release bursts coalesce). Every offer ends
+    /// by flushing the exact frontier, so the stride only sizes batches;
+    /// watermarks never affect final results — only how eagerly shards may
+    /// simulate ahead.
     pub watermark_stride: Time,
     /// Capacity of each shard's control-plane flight ring (structured
     /// swap/steal/overload events kept for diagnosis; oldest evicted when
@@ -376,7 +375,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Watermark granularity (see [`ServeConfig::watermark_stride`]).
+    /// Ingest-batch release span (see [`ServeConfig::watermark_stride`]).
     pub fn watermark_stride(mut self, stride: Time) -> Self {
         self.cfg.watermark_stride = stride;
         self
@@ -515,6 +514,10 @@ struct Router {
     ingest: IngestStats,
     /// Per-shard arrivals accepted but not yet delivered (steal mode only).
     staged: Vec<VecDeque<Arrival>>,
+    /// Per-shard scratch for one `route` call's placements under
+    /// [`OverloadPolicy::Block`], kept across calls so that offers reuse
+    /// its capacity instead of allocating.
+    buckets: Vec<Vec<Arrival>>,
     /// Highest watermark each shard is known to have seen (via an admit or
     /// an accepted broadcast). A broadcast that cannot advance a shard past
     /// this value is skipped — it would be a no-op channel op.
@@ -652,127 +655,172 @@ impl PoolHandle {
         Ok(())
     }
 
-    /// Route one arrival under the configured policy, updating the load and
-    /// watermark ledgers. Returns the shard the job was delivered to
-    /// (`None` if it was staged or dropped). Callers broadcast the frontier
-    /// afterwards, so the router lock is held across a whole batch.
-    fn route_one(&self, r: &mut Router, mut arrival: Arrival) -> Result<Option<usize>, ServeError> {
-        r.ingest.offered += 1;
-        if arrival.spec.release < r.last_release {
-            arrival.spec.release = r.last_release;
-            r.ingest.reordered += 1;
+    /// Deliver the arrivals bucketed for shard `i` by one [`route`](Self::route)
+    /// call (already credited in the load ledger) as one command:
+    /// [`ShardCmd::Admit`] for a lone arrival — so a one-job offer
+    /// allocates nothing — and [`ShardCmd::AdmitBatch`] otherwise. Blocks
+    /// under backpressure; with stealing enabled it stages the bucket
+    /// behind the shard's backlog instead.
+    fn deliver(&self, r: &mut Router, i: usize) -> Result<(), ServeError> {
+        let count = r.buckets[i].len() as u64;
+        let last = r.buckets[i].last().expect("nonempty bucket").spec.release;
+        let stealing = self.core.cfg.steal.is_some();
+        if stealing {
+            // Never block ingest, and keep per-shard FIFO: the whole bucket
+            // stages if anything for this shard is already staged.
+            self.pump_shard(r, i)?;
+            if !r.staged[i].is_empty() {
+                r.staged[i].extend(r.buckets[i].drain(..));
+                return Ok(());
+            }
         }
-        r.last_release = arrival.spec.release;
-        let release = arrival.spec.release;
-        let target = self.pick_shard(r);
-        r.seq = r.seq.wrapping_add(1);
-
-        let mut delivered_to = None;
-        if self.core.cfg.steal.is_some() {
-            // Staging path: never block ingest; preserve per-shard FIFO by
-            // staging behind any jobs already waiting for this shard. The
-            // load ledger credits the routed shard now; rebalance moves the
-            // credit if the job is later stolen.
-            r.assigned[target] += 1;
-            self.pump_shard(r, target)?;
-            if r.staged[target].is_empty() {
-                match self.core.txs[target].try_send(ShardCmd::Admit(arrival)) {
-                    Ok(()) => {
-                        delivered_to = Some(target);
-                        r.ingest.delivered += 1;
-                    }
-                    Err(TrySendError::Full(ShardCmd::Admit(arrival))) => {
-                        r.staged[target].push_back(arrival);
-                    }
-                    Err(TrySendError::Full(_)) => unreachable!("offered a non-admit command"),
-                    Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
+        let cmd = match r.buckets[i].len() {
+            1 => ShardCmd::Admit(r.buckets[i].pop().expect("one arrival")),
+            _ => ShardCmd::AdmitBatch(r.buckets[i].drain(..).collect()),
+        };
+        if stealing {
+            match self.core.txs[i].try_send(cmd) {
+                Ok(()) => {}
+                Err(TrySendError::Full(ShardCmd::Admit(arrival))) => {
+                    r.staged[i].push_back(arrival);
+                    return Ok(());
                 }
-            } else {
-                r.staged[target].push_back(arrival);
+                Err(TrySendError::Full(ShardCmd::AdmitBatch(jobs))) => {
+                    r.staged[i].extend(jobs);
+                    return Ok(());
+                }
+                Err(TrySendError::Full(_)) => unreachable!("offered a non-admit command"),
+                Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
             }
         } else {
-            match self.core.cfg.policy {
-                OverloadPolicy::Block => {
-                    self.core.txs[target]
-                        .send(ShardCmd::Admit(arrival))
-                        .map_err(|_| ServeError::PoolClosed)?;
-                    delivered_to = Some(target);
+            self.core.txs[i].send(cmd).map_err(|_| ServeError::PoolClosed)?;
+        }
+        r.ingest.delivered += count;
+        // The admit itself carries the release: once the shard processes
+        // it, its safe time is at least this far along.
+        r.wm_known[i] = r.wm_known[i].max(last);
+        Ok(())
+    }
+
+    /// Deliver one arrival routed to `target` under
+    /// [`OverloadPolicy::DropNewest`] or [`OverloadPolicy::Redirect`]. Both
+    /// decide from the room in each queue at this moment, so they are never
+    /// coalesced: doing so would change what gets shed or moved.
+    fn deliver_one(
+        &self,
+        r: &mut Router,
+        target: usize,
+        arrival: Arrival,
+    ) -> Result<(), ServeError> {
+        let release = arrival.spec.release;
+        let mut delivered_to = None;
+        if self.core.cfg.policy == OverloadPolicy::DropNewest {
+            match self.core.txs[target].try_send(ShardCmd::Admit(arrival)) {
+                Ok(()) => delivered_to = Some(target),
+                Err(TrySendError::Full(_)) => {
+                    r.ingest.dropped += 1;
+                    self.core.tel.shard(target).flight.record(FlightEvent {
+                        us: self.core.tel.now_us(),
+                        shard: target,
+                        kind: FlightKind::Drop,
+                        t: release,
+                        detail: String::new(),
+                    });
                 }
-                OverloadPolicy::DropNewest => {
-                    match self.core.txs[target].try_send(ShardCmd::Admit(arrival)) {
-                        Ok(()) => delivered_to = Some(target),
-                        Err(TrySendError::Full(_)) => {
-                            r.ingest.dropped += 1;
-                            self.core.tel.shard(target).flight.record(FlightEvent {
-                                us: self.core.tel.now_us(),
-                                shard: target,
-                                kind: FlightKind::Drop,
-                                t: release,
-                                detail: String::new(),
-                            });
-                        }
-                        Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
+                Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
+            }
+        } else {
+            let mut order: Vec<usize> = (0..self.core.txs.len()).collect();
+            order.sort_by_key(|&i| (i != target, self.core.txs[i].len()));
+            let mut cmd = Some(ShardCmd::Admit(arrival));
+            for &i in &order {
+                match self.core.txs[i].try_send(cmd.take().expect("command pending")) {
+                    Ok(()) => {
+                        delivered_to = Some(i);
+                        break;
                     }
-                }
-                OverloadPolicy::Redirect => {
-                    let mut order: Vec<usize> = (0..self.core.txs.len()).collect();
-                    order.sort_by_key(|&i| (i != target, self.core.txs[i].len()));
-                    let mut cmd = Some(ShardCmd::Admit(arrival));
-                    for &i in &order {
-                        match self.core.txs[i].try_send(cmd.take().expect("command pending")) {
-                            Ok(()) => {
-                                delivered_to = Some(i);
-                                break;
-                            }
-                            Err(TrySendError::Full(back)) => cmd = Some(back),
-                            Err(TrySendError::Disconnected(_)) => {
-                                return Err(ServeError::PoolClosed)
-                            }
-                        }
-                    }
-                    if let Some(cmd) = cmd {
-                        // Everyone is full: fall back to backpressure.
-                        self.core.txs[target].send(cmd).map_err(|_| ServeError::PoolClosed)?;
-                        delivered_to = Some(target);
-                    }
-                    if delivered_to != Some(target) {
-                        r.ingest.redirected += 1;
-                        self.core.tel.shard(target).flight.record(FlightEvent {
-                            us: self.core.tel.now_us(),
-                            shard: target,
-                            kind: FlightKind::Redirect,
-                            t: release,
-                            detail: format!(
-                                "{target}→{}",
-                                delivered_to.expect("redirect delivered somewhere")
-                            ),
-                        });
-                    }
+                    Err(TrySendError::Full(back)) => cmd = Some(back),
+                    Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
                 }
             }
-            if let Some(i) = delivered_to {
-                r.ingest.delivered += 1;
-                r.assigned[i] += 1;
+            if let Some(cmd) = cmd {
+                // Everyone is full: fall back to backpressure.
+                self.core.txs[target].send(cmd).map_err(|_| ServeError::PoolClosed)?;
+                delivered_to = Some(target);
+            }
+            if delivered_to != Some(target) {
+                r.ingest.redirected += 1;
+                self.core.tel.shard(target).flight.record(FlightEvent {
+                    us: self.core.tel.now_us(),
+                    shard: target,
+                    kind: FlightKind::Redirect,
+                    t: release,
+                    detail: format!(
+                        "{target}→{}",
+                        delivered_to.expect("redirect delivered somewhere")
+                    ),
+                });
             }
         }
         if let Some(i) = delivered_to {
-            // The admit itself carries the release: once the shard processes
-            // it, its safe time is at least this far along.
-            if release > r.wm_known[i] {
-                r.wm_known[i] = release;
-            }
+            r.ingest.delivered += 1;
+            r.assigned[i] += 1;
+            r.wm_known[i] = r.wm_known[i].max(release);
         }
-        Ok(delivered_to)
+        Ok(())
     }
 
-    /// Send frontier watermarks to shards that need them. `force` flushes
-    /// every advance (batch boundaries, quiesce); otherwise
-    /// [`ServeConfig::watermark_stride`] suppresses a broadcast until the
-    /// frontier has advanced at least one stride past what the shard is
-    /// known to have seen.
-    fn broadcast_frontier(&self, r: &mut Router, force: bool) {
+    /// The one routing loop behind every offer. Under one router lock it
+    /// clamps each arrival into nondecreasing release order (counting
+    /// stragglers in [`IngestStats::reordered`]), picks its shard, and
+    /// delivers it: [`OverloadPolicy::Block`] buckets the batch per shard
+    /// and sends one command per bucket, the other policies deliver each
+    /// arrival as it is placed. The frontier is flushed once at the end.
+    /// Returns the exact ledger delta of this call.
+    fn route(
+        &self,
+        specs: impl Iterator<Item = JobSpec>,
+        offered_us: u64,
+    ) -> Result<IngestStats, ServeError> {
+        let r = &mut *self.router();
+        let before = r.ingest;
+        // Validation ties stealing to Block, so this also covers staging.
+        let coalesce = self.core.cfg.policy == OverloadPolicy::Block;
+        for mut spec in specs {
+            r.ingest.offered += 1;
+            if spec.release < r.last_release {
+                spec.release = r.last_release;
+                r.ingest.reordered += 1;
+            }
+            r.last_release = spec.release;
+            let target = self.pick_shard(r);
+            r.seq = r.seq.wrapping_add(1);
+            let arrival = Arrival { spec, offered_us };
+            if coalesce {
+                // With stealing, rebalance moves the credit if the job is
+                // later stolen.
+                r.assigned[target] += 1;
+                r.buckets[target].push(arrival);
+            } else {
+                self.deliver_one(r, target, arrival)?;
+            }
+        }
+        for i in 0..self.core.txs.len() {
+            if !r.buckets[i].is_empty() {
+                self.deliver(r, i)?;
+            }
+        }
+        if self.core.cfg.steal.is_some() {
+            self.rebalance(r)?;
+        }
+        self.broadcast_frontier(r);
+        Ok(r.ingest.delta_since(&before))
+    }
+
+    /// Send frontier watermarks to shards that need them: every advance
+    /// past what a shard is known to have seen, once per offer.
+    fn broadcast_frontier(&self, r: &mut Router) {
         let frontier = r.last_release;
-        let stride = self.core.cfg.watermark_stride;
         for (i, tx) in self.core.txs.iter().enumerate() {
             // A shard with staged jobs must not outrun its own backlog, so
             // its watermark is capped at the staged front's release.
@@ -781,9 +829,6 @@ impl PoolHandle {
                 None => frontier,
             };
             if w <= r.wm_known[i] {
-                continue;
-            }
-            if !force && w < r.wm_known[i].saturating_add(stride) {
                 continue;
             }
             match tx.try_send(ShardCmd::Watermark(w)) {
@@ -822,24 +867,19 @@ impl PoolHandle {
         }
     }
 
-    /// Route one arrival. A release earlier than the last offered one is
-    /// clamped forward (counted in [`IngestStats::reordered`]) so shard
-    /// sessions always see admissible order.
+    /// Route one arrival: a one-job batch through the same router as
+    /// [`offer_batch`](Self::offer_batch). A release earlier than the last
+    /// offered one is clamped forward (counted in
+    /// [`IngestStats::reordered`]) so shard sessions always see admissible
+    /// order.
     pub fn offer(&self, spec: JobSpec) -> Result<(), ServeError> {
-        let offered_us = self.core.tel.now_us();
-        let r = &mut *self.router();
-        self.route_one(r, Arrival { spec, offered_us })?;
-        if self.core.cfg.steal.is_some() {
-            self.rebalance(r)?;
-        }
-        self.broadcast_frontier(r, false);
-        Ok(())
+        self.route(std::iter::once(spec), self.core.tel.now_us()).map(|_| ())
     }
 
-    /// Route a whole ingest batch under one router lock. Same-shard
-    /// placements coalesce into a single [`ShardCmd::AdmitBatch`] — one
-    /// queue slot, one channel op — and the event-time frontier is flushed
-    /// at the batch boundary. Drains `specs` so the caller can reuse the
+    /// Route a whole ingest batch under one router lock. Under
+    /// [`OverloadPolicy::Block`] same-shard placements coalesce into a
+    /// single command — one queue slot, one channel op — and the
+    /// event-time frontier is flushed at the batch boundary. Drains `specs` so the caller can reuse the
     /// buffer. Placement is identical to offering the same jobs one at a
     /// time; only the channel traffic differs.
     pub fn offer_batch(&self, specs: &mut Vec<JobSpec>) -> Result<(), ServeError> {
@@ -860,82 +900,7 @@ impl PoolHandle {
         if specs.is_empty() {
             return Ok(IngestStats::default());
         }
-        let r = &mut *self.router();
-        let before = r.ingest;
-        let stealing = self.core.cfg.steal.is_some();
-        if stealing || self.core.cfg.policy == OverloadPolicy::Block {
-            // Coalescing path: place every arrival first, then deliver one
-            // command per shard.
-            let n = self.core.txs.len();
-            let mut buckets: Vec<Vec<Arrival>> = (0..n).map(|_| Vec::new()).collect();
-            for mut spec in specs.drain(..) {
-                r.ingest.offered += 1;
-                if spec.release < r.last_release {
-                    spec.release = r.last_release;
-                    r.ingest.reordered += 1;
-                }
-                r.last_release = spec.release;
-                let target = self.pick_shard(r);
-                r.seq = r.seq.wrapping_add(1);
-                r.assigned[target] += 1;
-                buckets[target].push(Arrival { spec, offered_us });
-            }
-            for (i, bucket) in buckets.into_iter().enumerate() {
-                if bucket.is_empty() {
-                    continue;
-                }
-                let count = bucket.len() as u64;
-                let last = bucket.last().expect("nonempty bucket").spec.release;
-                if stealing {
-                    // Same non-blocking discipline as route_one, batch-wide:
-                    // FIFO order demands the whole bucket stages if anything
-                    // for this shard is already staged.
-                    self.pump_shard(r, i)?;
-                    if r.staged[i].is_empty() {
-                        match self.core.txs[i].try_send(ShardCmd::AdmitBatch(bucket)) {
-                            Ok(()) => {
-                                r.ingest.delivered += count;
-                                if last > r.wm_known[i] {
-                                    r.wm_known[i] = last;
-                                }
-                            }
-                            Err(TrySendError::Full(ShardCmd::AdmitBatch(jobs))) => {
-                                r.staged[i].extend(jobs);
-                            }
-                            Err(TrySendError::Full(_)) => {
-                                unreachable!("offered a non-admit command")
-                            }
-                            Err(TrySendError::Disconnected(_)) => {
-                                return Err(ServeError::PoolClosed)
-                            }
-                        }
-                    } else {
-                        r.staged[i].extend(bucket);
-                    }
-                } else {
-                    self.core.txs[i]
-                        .send(ShardCmd::AdmitBatch(bucket))
-                        .map_err(|_| ServeError::PoolClosed)?;
-                    r.ingest.delivered += count;
-                    if last > r.wm_known[i] {
-                        r.wm_known[i] = last;
-                    }
-                }
-            }
-        } else {
-            // Drop and redirect decide per arrival from instantaneous queue
-            // room; coalescing those decisions away would change what gets
-            // shed or moved. They keep per-job channel ops but still share
-            // one lock acquisition and one frontier flush per batch.
-            for spec in specs.drain(..) {
-                self.route_one(r, Arrival { spec, offered_us })?;
-            }
-        }
-        if stealing {
-            self.rebalance(r)?;
-        }
-        self.broadcast_frontier(r, true);
-        Ok(r.ingest.delta_since(&before))
+        self.route(specs.drain(..), offered_us)
     }
 
     /// Microseconds since the pool launched — the clock every telemetry
@@ -974,7 +939,7 @@ impl PoolHandle {
         let before = r.ingest;
         if t > r.last_release {
             r.last_release = t;
-            self.broadcast_frontier(r, true);
+            self.broadcast_frontier(r);
         }
         Ok(r.ingest.delta_since(&before))
     }
@@ -1093,8 +1058,9 @@ impl PoolHandle {
     /// shard order.
     pub fn quiesce(&self) -> Result<Vec<ShardSnapshot>, ServeError> {
         {
-            // Flush the exact frontier first: a shard must not settle short
-            // of event time just because strided broadcasts lagged behind.
+            // Flush the exact frontier first, blocking: a shard must not
+            // settle short of event time because a broadcast found its
+            // queue full.
             let r = &mut *self.router();
             let frontier = r.last_release;
             for (i, tx) in self.core.txs.iter().enumerate() {
@@ -1126,12 +1092,15 @@ impl PoolHandle {
     pub fn request_drain(&self) -> Result<(), ServeError> {
         let r = &mut *self.router();
         for i in 0..self.core.txs.len() {
-            while let Some(arrival) = r.staged[i].pop_front() {
-                self.core.txs[i]
-                    .send(ShardCmd::Admit(arrival))
-                    .map_err(|_| ServeError::PoolClosed)?;
-                r.ingest.delivered += 1;
+            if r.staged[i].is_empty() {
+                continue;
             }
+            let jobs: Vec<Arrival> = r.staged[i].drain(..).collect();
+            let count = jobs.len() as u64;
+            self.core.txs[i]
+                .send(ShardCmd::AdmitBatch(jobs))
+                .map_err(|_| ServeError::PoolClosed)?;
+            r.ingest.delivered += count;
         }
         for tx in &self.core.txs {
             tx.send(ShardCmd::Drain).map_err(|_| ServeError::PoolClosed)?;
@@ -1219,6 +1188,7 @@ impl ShardPool {
                 last_release: 0,
                 ingest: IngestStats::default(),
                 staged: (0..shards).map(|_| VecDeque::new()).collect(),
+                buckets: (0..shards).map(|_| Vec::new()).collect(),
                 wm_known: vec![0; shards],
                 wm_skip: vec![false; shards],
                 assigned: vec![0; shards],

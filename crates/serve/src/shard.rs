@@ -8,10 +8,11 @@
 //! [`summarize`](flowtree_analysis::summarize) path. Commands arrive on a
 //! bounded channel:
 //!
-//! * [`ShardCmd::Admit`] admits an arrival and advances the shard's *safe*
-//!   time to the job's release — once the router has shown us release `r`,
-//!   the global nondecreasing-release contract guarantees no later arrival
-//!   can land before `r`, so every step `t < r` may be simulated.
+//! * [`ShardCmd::Admit`] admits a lone arrival and advances the shard's
+//!   *safe* time to the job's release — once the router has shown us
+//!   release `r`, the global nondecreasing-release contract guarantees no
+//!   later arrival can land before `r`, so every step `t < r` may be
+//!   simulated.
 //! * [`ShardCmd::AdmitBatch`] admits a router-coalesced batch in one queue
 //!   slot and one [`Session::admit_batch`] call; the batch's last release
 //!   implies the watermark. Because placement is per job and the admitted
@@ -21,11 +22,14 @@
 //!   suite).
 //! * [`ShardCmd::Watermark`] advances safe time without a job (the arrival
 //!   went to a different shard, was dropped, or is staged behind this
-//!   shard's own backlog).
+//!   shard's own backlog). The router sends one at the end of every offer;
+//!   [`ServeConfig::watermark_stride`](crate::ServeConfig::watermark_stride)
+//!   only bounds how much release time one ingest batch may span.
 //! * [`ShardCmd::Donate`] admits jobs migrated from another shard's ingress
-//!   backlog (work stealing). A donated job's release is clamped forward to
-//!   this shard's event time — migration re-releases it here — so the
-//!   session's nondecreasing-admission contract survives the move.
+//!   backlog (work stealing) as one batch. A donated job's release is
+//!   clamped forward to this shard's event time — migration re-releases it
+//!   here — so the session's nondecreasing-admission contract survives the
+//!   move.
 //! * [`ShardCmd::Swap`] requests a **live scheduler hot-swap** at an event
 //!   time: the shard quiesces there (finishes every whole subjob step up to
 //!   the swap point; sessions never split a step), rebuilds the scheduler
@@ -35,8 +39,6 @@
 //! * [`ShardCmd::Quiesce`] finishes all in-flight work up to the current
 //!   watermark, then replies with a fresh [`ShardSnapshot`] — a synchronous
 //!   barrier for callers that need a settled view.
-//! * [`ShardCmd::Snapshot`] replies immediately with the shard's current
-//!   view, without forcing simulation.
 //! * [`ShardCmd::Drain`] (or a closed channel) lifts the watermark limit
 //!   entirely: the session runs dry, and the worker returns a
 //!   [`ShardResult`] carrying the [`RunReport`], the materialized
@@ -94,8 +96,6 @@ pub enum ShardCmd {
     /// Finish in-flight work up to the current watermark, then reply with a
     /// settled snapshot.
     Quiesce(Sender<ShardSnapshot>),
-    /// Reply with the current snapshot without forcing simulation.
-    Snapshot(Sender<ShardSnapshot>),
     /// No further arrivals follow: run dry and report.
     Drain,
 }
@@ -135,8 +135,8 @@ impl std::fmt::Display for SwapEvent {
 /// without ever blocking the hot loop. Individual fields are each exact;
 /// a multi-field read may straddle a publication (e.g. `dispatched` one
 /// loop ahead of `now`) — callers that need a settled, mutually consistent
-/// view use [`ShardCmd::Quiesce`] or [`ShardCmd::Snapshot`], whose replies
-/// are built synchronously by the worker.
+/// view use [`ShardCmd::Quiesce`], whose reply is built synchronously by
+/// the worker.
 #[derive(Debug, Default)]
 pub(crate) struct ShardStats {
     now: AtomicU64,
@@ -303,34 +303,26 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
                     if let Some(last) = arrivals.last() {
                         safe = safe.max(last.spec.release);
                     }
-                    let base = session.num_admitted();
-                    let stamps: Vec<u64> = arrivals.iter().map(|a| a.offered_us).collect();
-                    session
-                        .admit_batch(arrivals.into_iter().map(|a| a.spec).collect())
-                        .expect("router delivers batches in nondecreasing release order");
-                    let now_us = tel.now_us();
-                    for (k, &offered_us) in stamps.iter().enumerate() {
-                        session.probe_mut().3.stamp(JobId((base + k) as u32), offered_us, now_us);
-                    }
+                    admit(&mut session, &tel, arrivals);
                 }
                 ShardCmd::Watermark(w) => safe = safe.max(w),
-                ShardCmd::Donate(arrivals) => {
+                ShardCmd::Donate(mut arrivals) => {
                     let count = arrivals.len();
-                    for mut a in arrivals {
-                        // Migration re-releases the job at this shard's
-                        // event time: never earlier than the clock or the
-                        // latest admission, so the session contract holds.
-                        a.spec.release = a.spec.release.max(session.now());
-                        if session.num_admitted() > 0 {
-                            a.spec.release = a.spec.release.max(session.instance().last_release());
-                        }
-                        safe = safe.max(a.spec.release);
-                        let id =
-                            session.admit(a.spec).expect("donated releases are clamped admissible");
-                        let now_us = tel.now_us();
-                        session.probe_mut().3.stamp(id, a.offered_us, now_us);
-                        donated += 1;
+                    // Migration re-releases each job at this shard's event
+                    // time: never earlier than the clock, the latest
+                    // admission, or the donated job before it, so the
+                    // session contract holds.
+                    let mut floor = session.now();
+                    if session.num_admitted() > 0 {
+                        floor = floor.max(session.instance().last_release());
                     }
+                    for a in &mut arrivals {
+                        a.spec.release = a.spec.release.max(floor);
+                        floor = a.spec.release;
+                    }
+                    safe = safe.max(floor);
+                    admit(&mut session, &tel, arrivals);
+                    donated += count as u64;
                     tel.flight.record(FlightEvent {
                         us: tel.now_us(),
                         shard,
@@ -344,9 +336,6 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
                     pending_swaps.sort_by_key(|d| d.at);
                 }
                 ShardCmd::Quiesce(reply) => quiesce_replies.push(reply),
-                ShardCmd::Snapshot(reply) => {
-                    let _ = reply.send(snapshot_of(&session, swaps.len() as u64, donated));
-                }
                 ShardCmd::Drain => {
                     draining = true;
                     tel.flight.record(FlightEvent {
@@ -427,6 +416,20 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
     let summary =
         summary_from_parts(&scenario, spec.name(), &instance, m, &report, &lb, &inv, &histos);
     ShardResult { shard, summary, report, instance, swaps }
+}
+
+/// Admit `arrivals` (releases nondecreasing, the first admissible) in one
+/// [`Session::admit_batch`] call and stamp each job's offer→admit latency.
+fn admit(session: &mut Session<ShardProbe<'_>>, tel: &ShardTelemetry, arrivals: Vec<Arrival>) {
+    let base = session.num_admitted();
+    let stamps: Vec<u64> = arrivals.iter().map(|a| a.offered_us).collect();
+    session
+        .admit_batch(arrivals.into_iter().map(|a| a.spec).collect())
+        .expect("router delivers batches in nondecreasing release order");
+    let now_us = tel.now_us();
+    for (k, &offered_us) in stamps.iter().enumerate() {
+        session.probe_mut().3.stamp(JobId((base + k) as u32), offered_us, now_us);
+    }
 }
 
 /// Leave a trace of an imminent worker panic in the flight ring (the ring

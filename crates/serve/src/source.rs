@@ -33,9 +33,9 @@ pub trait ArrivalSource: Send {
 
     /// Append the next ingest batch to `out` (callers pass it empty): up to
     /// `max` arrivals whose releases stay within `span` of the first one.
-    /// Returns how many were appended; 0 ends the stream. The span rule
-    /// keeps batching from changing event-time semantics — a batch never
-    /// spans more frontier than one watermark stride would. The default
+    /// Returns how many were appended; 0 ends the stream. The frontier is
+    /// flushed at the end of each batch, so the span rule bounds how much
+    /// event time a batch can hold that flush back. The default
     /// forwards a single [`next_arrival`](Self::next_arrival); sources
     /// override it to hand over bursts without per-job dispatch.
     fn next_batch(&mut self, max: usize, span: Time, out: &mut Vec<JobSpec>) -> usize {

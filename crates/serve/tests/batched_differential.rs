@@ -6,6 +6,11 @@
 //! shard count, routing mode, steal setting, batch bound, and stride, the
 //! drained [`ShardResult`]s must be identical, hot-swaps included.
 //!
+//! Both pools run the same router, so agreeing with each other alone
+//! cannot catch a routing bug they share. Without a hot-swap each shard's
+//! report is therefore also checked against the batch [`Engine`] run on
+//! that shard's materialized instance, an oracle outside the serve crate.
+//!
 //! Queue capacity is kept generous so backpressure staging never triggers:
 //! staging timing is load-dependent (a per-event pool fills queues in a
 //! different rhythm than a batched one), so it is exercised by the soak
@@ -16,7 +21,7 @@ use flowtree_dag::{GraphBuilder, JobGraph, Time};
 use flowtree_serve::{
     OverloadPolicy, ReplaySource, Routing, ServeConfig, ShardPool, ShardResult, StealConfig,
 };
-use flowtree_sim::{Instance, JobSpec};
+use flowtree_sim::{Engine, Instance, JobSpec};
 use proptest::prelude::*;
 
 /// Random out-tree via the recursive-attachment process.
@@ -131,6 +136,21 @@ proptest! {
         prop_assert_eq!(reference.len(), batched.len());
         for (a, b) in reference.iter().zip(&batched) {
             prop_assert_eq!(a, b, "shard {} diverged under batching", a.shard);
+        }
+        if swap.is_none() {
+            for shard in &batched {
+                let mut fifo = SchedulerSpec::from_name_with_half("fifo", 1).unwrap().build();
+                let oracle = Engine::new(4)
+                    .with_max_horizon(100_000_000)
+                    .run(&shard.instance, fifo.as_mut())
+                    .expect("batch engine run");
+                prop_assert_eq!(
+                    &shard.report,
+                    &oracle,
+                    "shard {} diverged from the engine",
+                    shard.shard
+                );
+            }
         }
     }
 }

@@ -204,45 +204,60 @@ fn multi_shard_overload_backpressure_loses_nothing_and_conserves_work() {
     }
 }
 
+/// Drop and redirect deliver per arrival whether the router was handed a
+/// one-job batch or a coalesced one; both batch sizes must keep the books.
 #[test]
 fn drop_newest_accounts_for_every_offered_job() {
-    let scenario = Scenario::analytics(1);
-    let mut src = GeneratorSource::new(&scenario, 4.0, 40, 3);
-    let cfg = ServeConfig::builder(spec("fifo"), 2)
-        .shards(2)
-        .queue_cap(1)
-        .policy(OverloadPolicy::DropNewest)
-        .scenario("shed")
-        .build()
-        .expect("valid config");
-    let pool = ShardPool::launch(cfg).expect("launch");
-    let offered = pool.handle().run_source(&mut src).expect("stream");
-    let ingest = pool.handle().ingest();
-    let results = pool.drain().expect("drain");
-    let admitted: u64 = results.iter().map(|r| r.summary.jobs as u64).sum();
-    assert_eq!(ingest.delivered, admitted);
-    assert_eq!(admitted + ingest.dropped, offered, "every offer is admitted or counted dropped");
-    for r in &results {
-        assert!(r.summary.invariants_clean);
+    for ingest_batch in [1, 32] {
+        let scenario = Scenario::analytics(1);
+        let mut src = GeneratorSource::new(&scenario, 4.0, 40, 3);
+        let cfg = ServeConfig::builder(spec("fifo"), 2)
+            .shards(2)
+            .queue_cap(1)
+            .policy(OverloadPolicy::DropNewest)
+            .ingest_batch(ingest_batch)
+            .scenario("shed")
+            .build()
+            .expect("valid config");
+        let pool = ShardPool::launch(cfg).expect("launch");
+        let offered = pool.handle().run_source(&mut src).expect("stream");
+        let ingest = pool.handle().ingest();
+        let results = pool.drain().expect("drain");
+        let admitted: u64 = results.iter().map(|r| r.summary.jobs as u64).sum();
+        assert_eq!(ingest.delivered, admitted);
+        assert_eq!(
+            admitted + ingest.dropped,
+            offered,
+            "every offer is admitted or counted dropped (batch {ingest_batch})"
+        );
+        for r in &results {
+            assert!(r.summary.invariants_clean);
+        }
     }
 }
 
 #[test]
 fn redirect_policy_never_loses_jobs() {
-    let scenario = Scenario::service(1);
-    let mut src = GeneratorSource::new(&scenario, 3.0, 30, 5);
-    let cfg = ServeConfig::builder(spec("fifo"), 2)
-        .shards(2)
-        .queue_cap(1)
-        .policy(OverloadPolicy::Redirect)
-        .scenario("redirect")
-        .build()
-        .expect("valid config");
-    let pool = ShardPool::launch(cfg).expect("launch");
-    let offered = pool.handle().run_source(&mut src).expect("stream");
-    let results = pool.drain().expect("drain");
-    let admitted: u64 = results.iter().map(|r| r.summary.jobs as u64).sum();
-    assert_eq!(admitted, offered, "redirect degrades to backpressure, never loss");
+    for ingest_batch in [1, 32] {
+        let scenario = Scenario::service(1);
+        let mut src = GeneratorSource::new(&scenario, 3.0, 30, 5);
+        let cfg = ServeConfig::builder(spec("fifo"), 2)
+            .shards(2)
+            .queue_cap(1)
+            .policy(OverloadPolicy::Redirect)
+            .ingest_batch(ingest_batch)
+            .scenario("redirect")
+            .build()
+            .expect("valid config");
+        let pool = ShardPool::launch(cfg).expect("launch");
+        let offered = pool.handle().run_source(&mut src).expect("stream");
+        let results = pool.drain().expect("drain");
+        let admitted: u64 = results.iter().map(|r| r.summary.jobs as u64).sum();
+        assert_eq!(
+            admitted, offered,
+            "redirect degrades to backpressure, never loss (batch {ingest_batch})"
+        );
+    }
 }
 
 #[test]

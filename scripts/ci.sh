@@ -28,6 +28,12 @@ cargo run --release -p flowtree-cli -- bench --serve --quick --check BENCH_serve
     -o /tmp/flowtree_serve_bench_smoke.json >/dev/null
 rm -f /tmp/flowtree_serve_bench_smoke.json
 
+echo "==> full serve matrix (work-conservation assert on every no-loss cell, no gate)"
+# Every ingest path (per-event, drop, redirect, steal) runs here; the bench
+# asserts dispatched == total work for each cell that cannot shed jobs.
+cargo run --release -p flowtree-cli -- bench --serve -o /tmp/flowtree_serve_full.json >/dev/null
+rm -f /tmp/flowtree_serve_full.json
+
 echo "==> gateway bench regression gate (--gateway --quick --check vs committed baseline)"
 cargo run --release -p flowtree-cli -- bench --gateway --quick --check BENCH_gateway.json \
     -o /tmp/flowtree_gateway_bench_smoke.json >/dev/null
