@@ -22,6 +22,12 @@
 //!
 //! With [`AlgoA::with_batching`], arrivals at arbitrary times are deferred to
 //! the next block boundary (the Section 5.4 reduction, costing a factor ≤ 2).
+//!
+//! A group is never materialized as one graph. `S` comes from
+//! [`lpf_levels_forest`] over the members' own graphs (with their
+//! guess-and-double masks), and the tail replay gets the forest as a parent
+//! array ([`McReplay::with_parents`]); the group numbers its nodes by
+//! concatenating the members' node ids.
 
 use crate::lpf::lpf_levels_forest;
 use crate::mc::McReplay;
@@ -41,11 +47,12 @@ pub(crate) struct PendingJob {
 struct Group {
     /// Block boundary at which the group started executing.
     start: Time,
-    /// Union node -> (job, original node).
+    /// Group node -> (job, original node).
     origin: Vec<(JobId, u32)>,
-    /// The union out-forest (over remaining nodes only).
-    union: JobGraph,
-    /// `S` = LPF(union, m/α): levels of union-node ids.
+    /// Parent of each group node (`u32::MAX` for a root): the group's
+    /// out-forest, handed to the tail replay (then left empty).
+    parent: Vec<u32>,
+    /// `S` = LPF(group, m/α): levels of group-node ids.
     levels: Vec<Vec<u32>>,
     /// Tail replay, created when the group leaves the head phase.
     mc: Option<McReplay>,
@@ -120,52 +127,46 @@ impl AlgoA {
     }
 
     /// Form a group from all pending jobs at boundary `t`.
+    ///
+    /// The group is one out-forest, but it is never built as one graph: the
+    /// members' graphs and guess-and-double masks go to
+    /// [`lpf_levels_forest`] as they are. A member's node `v` has the group
+    /// id `offset + v`, where `offset` counts the nodes of the members
+    /// before it (masked-out nodes keep their ids and simply appear in no
+    /// level, which MC reads as already executed).
     fn form_group(&mut self, t: Time, view: &SimView<'_>) {
         if self.pending.is_empty() {
             return;
         }
         let p = self.slice(view.m());
         let pending = std::mem::take(&mut self.pending);
+        let parts: Vec<(&JobGraph, Option<&[bool]>)> =
+            pending.iter().map(|pj| (view.graph(pj.job), pj.remaining.as_deref())).collect();
 
-        // Build the union of (remaining portions of) member graphs.
-        let mut parts: Vec<JobGraph> = Vec::with_capacity(pending.len());
-        let mut part_origin: Vec<Vec<(JobId, u32)>> = Vec::with_capacity(pending.len());
-        for pj in &pending {
-            let g = view.graph(pj.job);
-            match &pj.remaining {
-                None => {
-                    parts.push(g.clone());
-                    part_origin.push((0..g.n() as u32).map(|v| (pj.job, v)).collect());
-                }
-                Some(mask) => {
-                    debug_assert!(
-                        crate::lpf::descendant_closed(g, mask),
-                        "remaining set must be descendant-closed"
-                    );
-                    let (sub, old) = g.induced_subgraph(mask);
-                    part_origin.push(old.iter().map(|&v| (pj.job, v)).collect());
-                    parts.push(sub);
-                }
-            }
-        }
-        let refs: Vec<&JobGraph> = parts.iter().collect();
-        let (union, offsets) = JobGraph::disjoint_union(&refs);
-        let mut origin = vec![(JobId(0), 0u32); union.n()];
-        for (pi, po) in part_origin.iter().enumerate() {
-            for (local, &orig) in po.iter().enumerate() {
-                origin[offsets[pi] as usize + local] = orig;
+        // One pass over the members: group ids to (job, node), each node's
+        // parent in group ids, and the out-forest shape MC relies on.
+        let mut offsets = Vec::with_capacity(parts.len());
+        let total: usize = parts.iter().map(|(g, _)| g.n()).sum();
+        let mut origin = Vec::with_capacity(total);
+        let mut parent = Vec::with_capacity(total);
+        for (pj, &(g, _)) in pending.iter().zip(&parts) {
+            let off = origin.len() as u32;
+            offsets.push(off);
+            for v in g.nodes() {
+                let ps = g.parents(v);
+                assert!(ps.len() <= 1, "Algorithm A requires out-forest jobs");
+                origin.push((pj.job, v.0));
+                parent.push(ps.first().map_or(u32::MAX, |&u| off + u));
             }
         }
 
-        // S = LPF(union, m/alpha). (Computed via the forest entry point so a
-        // future optimization could skip the materialized union.)
-        let levels_pairs = lpf_levels_forest(&[(&union, None)], p);
-        let levels: Vec<Vec<u32>> = levels_pairs
+        // S = LPF(group, m/alpha), in group ids.
+        let levels: Vec<Vec<u32>> = lpf_levels_forest(&parts, p)
             .into_iter()
-            .map(|l| l.into_iter().map(|(_, v)| v).collect())
+            .map(|l| l.into_iter().map(|(pi, v)| offsets[pi as usize] + v).collect())
             .collect();
 
-        self.groups.push(Group { start: t, origin, union, levels, mc: None });
+        self.groups.push(Group { start: t, origin, parent, levels, mc: None });
     }
 }
 
@@ -206,7 +207,7 @@ impl OnlineScheduler for AlgoA {
                     // the resulting slow progress is what triggers the next
                     // doubling. So no rectangularity assertion here — the
                     // property is validated where it is guaranteed (E2/E7).
-                    g.mc = Some(McReplay::new(&g.union, tail));
+                    g.mc = Some(McReplay::with_parents(std::mem::take(&mut g.parent), tail));
                 }
             }
             // New group from everything pending.
@@ -469,6 +470,15 @@ mod tests {
     fn name_reports_parameters() {
         assert_eq!(AlgoA::semi_batched(4, 7).name(), "AlgoA[alpha=4,half=7]");
         assert_eq!(AlgoA::with_batching(8, 3).name(), "AlgoA[alpha=8,half=3,batched]");
+    }
+
+    #[test]
+    #[should_panic(expected = "Algorithm A requires out-forest jobs")]
+    fn jobs_with_joins_are_rejected_when_grouped() {
+        let mut b = flowtree_dag::GraphBuilder::new(3);
+        b.edge(0, 2).edge(1, 2);
+        let inst = Instance::single(b.build().unwrap());
+        let _ = Engine::new(4).run(&inst, &mut AlgoA::semi_batched(4, 8));
     }
 
     #[test]

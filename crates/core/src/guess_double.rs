@@ -84,8 +84,7 @@ impl GuessDoubleA {
         self.inner = AlgoA::with_batching(self.alpha, self.aopt);
         for &job in view.alive() {
             let g = view.graph(job);
-            let remaining: Vec<bool> =
-                g.nodes().map(|v| view.completion(job, v).is_none()).collect();
+            let remaining: Vec<bool> = g.nodes().map(|v| !view.is_complete(job, v)).collect();
             debug_assert!(remaining.iter().any(|&r| r), "alive job with nothing left");
             self.inner.enqueue(job, Some(remaining));
             self.virtual_release[job.index()] = t;

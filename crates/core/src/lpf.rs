@@ -68,62 +68,75 @@ pub fn lpf_levels_forest(parts: &[(&JobGraph, Option<&[bool]>)], p: usize) -> Ve
 
     let included = |pi: usize, v: u32| -> bool { parts[pi].1.is_none_or(|m| m[v as usize]) };
 
-    // Heights per part (restricted heights == full heights on a
-    // descendant-closed set).
-    let heights: Vec<Vec<u32>> = parts.iter().map(|(g, _)| g.heights()).collect();
-    let max_h = heights.iter().flat_map(|h| h.iter().copied()).max().unwrap_or(0) as usize;
+    // Per-node state of all parts in one array each: part `pi`'s node `v`
+    // sits at `start[pi] + v`. Heights are full-graph heights (restricted
+    // heights equal them on a descendant-closed set).
+    let mut start = Vec::with_capacity(parts.len());
+    let mut heights: Vec<u32> = Vec::new();
+    let mut part_heights = Vec::new();
+    for (g, _) in parts {
+        start.push(heights.len());
+        g.heights_into(&mut part_heights);
+        heights.extend_from_slice(&part_heights);
+    }
+    let max_h = heights.iter().copied().max().unwrap_or(0) as usize;
 
-    // Buckets of ready nodes by height; cur scans downward. General DAGs
-    // are supported: a node becomes ready when its *last* included parent
+    // Buckets of ready nodes by height, each a FIFO queue whose taken
+    // prefix ends at `head[h]`; cur scans downward. General DAGs are
+    // supported: a node becomes ready when its *last* included parent
     // completes (indegree countdown), which degenerates to the single-parent
     // rule on out-forests.
     let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); max_h + 1];
-    let mut indeg: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
+    let mut head = vec![0usize; max_h + 1];
+    let mut indeg = vec![0u32; heights.len()];
     let mut total_remaining = 0usize;
     for (pi, (g, _)) in parts.iter().enumerate() {
-        let mut part_indeg = vec![0u32; g.n()];
         for v in 0..g.n() as u32 {
             if !included(pi, v) {
                 continue;
             }
             total_remaining += 1;
-            let unfinished_parents =
+            let i = start[pi] + v as usize;
+            indeg[i] =
                 g.parents(flowtree_dag::NodeId(v)).iter().filter(|&&u| included(pi, u)).count()
                     as u32;
-            part_indeg[v as usize] = unfinished_parents;
-            if unfinished_parents == 0 {
-                buckets[heights[pi][v as usize] as usize].push((pi as u32, v));
+            if indeg[i] == 0 {
+                buckets[heights[i] as usize].push((pi as u32, v));
             }
         }
-        indeg.push(part_indeg);
     }
 
     let mut levels: Vec<Vec<(u32, u32)>> = Vec::new();
+    let mut newly_ready: Vec<(u32, u32)> = Vec::new();
     let mut cur = max_h;
     while total_remaining > 0 {
         let mut step: Vec<(u32, u32)> = Vec::with_capacity(p);
         while step.len() < p {
-            while cur > 0 && buckets[cur].is_empty() {
+            while cur > 0 && head[cur] == buckets[cur].len() {
+                // Exhausted: reset the queue so its space is reused.
+                buckets[cur].clear();
+                head[cur] = 0;
                 cur -= 1;
             }
             if cur == 0 {
                 break;
             }
             // Take from the tallest bucket, oldest-inserted first.
-            let bucket = &mut buckets[cur];
-            let take = (p - step.len()).min(bucket.len());
-            step.extend(bucket.drain(..take));
+            let (bucket, h) = (&buckets[cur], head[cur]);
+            let take = (p - step.len()).min(bucket.len() - h);
+            step.extend_from_slice(&bucket[h..h + take]);
+            head[cur] += take;
         }
         debug_assert!(!step.is_empty(), "no ready node but work remains");
         total_remaining -= step.len();
         // Enable children only after the step is closed (same-step children
         // must not be picked).
-        let mut newly_ready: Vec<(u32, u32)> = Vec::new();
+        newly_ready.clear();
         for &(pi, v) in &step {
-            let g = parts[pi as usize].0;
+            let (g, base) = (parts[pi as usize].0, start[pi as usize]);
             for &c in g.children(flowtree_dag::NodeId(v)) {
                 if included(pi as usize, c) {
-                    let d = &mut indeg[pi as usize][c as usize];
+                    let d = &mut indeg[base + c as usize];
                     *d -= 1;
                     if *d == 0 {
                         newly_ready.push((pi, c));
@@ -131,8 +144,8 @@ pub fn lpf_levels_forest(parts: &[(&JobGraph, Option<&[bool]>)], p: usize) -> Ve
                 }
             }
         }
-        for (pi, c) in newly_ready {
-            let h = heights[pi as usize][c as usize] as usize;
+        for &(pi, c) in &newly_ready {
+            let h = heights[start[pi as usize] + c as usize] as usize;
             buckets[h].push((pi, c));
             if h > cur {
                 cur = h;

@@ -14,6 +14,9 @@
 
 use flowtree_dag::JobGraph;
 
+/// The `parent` entry of a root.
+const NO_PARENT: u32 = u32::MAX;
+
 /// Replays a level schedule under fluctuating processor grants.
 #[derive(Debug, Clone)]
 pub struct McReplay {
@@ -30,7 +33,7 @@ pub struct McReplay {
     /// checks); usize::MAX = unprocessed.
     processed_step: Vec<usize>,
     remaining_in_level: Vec<usize>,
-    /// Parent of each node (u32::MAX for roots) — out-forest structure.
+    /// Parent of each node ([`NO_PARENT`] for roots) — out-forest structure.
     parent: Vec<u32>,
     /// Total unprocessed nodes.
     remaining: usize,
@@ -45,7 +48,23 @@ impl McReplay {
     /// will run; nodes of `graph` absent from `levels` are treated as
     /// already executed.
     pub fn new(graph: &JobGraph, levels: Vec<Vec<u32>>) -> Self {
-        let n = graph.n();
+        let parent = graph
+            .nodes()
+            .map(|v| {
+                let ps = graph.parents(v);
+                assert!(ps.len() <= 1, "MC replay requires an out-forest");
+                ps.first().copied().unwrap_or(NO_PARENT)
+            })
+            .collect();
+        Self::with_parents(parent, levels)
+    }
+
+    /// [`new`](Self::new) over an out-forest given by its parent array
+    /// (`parent[v]` is `v`'s only parent, `u32::MAX` for a root), so a
+    /// caller holding a forest as several graphs need not build the union
+    /// graph. Nodes absent from `levels` count as already executed.
+    pub fn with_parents(parent: Vec<u32>, levels: Vec<Vec<u32>>) -> Self {
+        let n = parent.len();
         let mut level_of = vec![usize::MAX; n];
         for (li, level) in levels.iter().enumerate() {
             for &v in level {
@@ -55,18 +74,15 @@ impl McReplay {
         }
         // children-in-next-level counts.
         let mut next_children = vec![0u32; n];
-        let mut parent = vec![u32::MAX; n];
-        for v in graph.nodes() {
-            let ps = graph.parents(v);
-            assert!(ps.len() <= 1, "MC replay requires an out-forest");
-            if let Some(&p) = ps.first() {
-                parent[v.index()] = p;
-                let (lv, lp) = (level_of[v.index()], level_of[p as usize]);
-                if lv != usize::MAX && lp != usize::MAX {
-                    assert!(lp < lv, "levels violate precedence for v{}", v.0);
-                    if lv == lp + 1 {
-                        next_children[p as usize] += 1;
-                    }
+        for (v, &p) in parent.iter().enumerate() {
+            if p == NO_PARENT {
+                continue;
+            }
+            let (lv, lp) = (level_of[v], level_of[p as usize]);
+            if lv != usize::MAX && lp != usize::MAX {
+                assert!(lp < lv, "levels violate precedence for v{v}");
+                if lv == lp + 1 {
+                    next_children[p as usize] += 1;
                 }
             }
         }
@@ -146,7 +162,7 @@ impl McReplay {
                     continue;
                 }
                 let p = self.parent[v as usize];
-                let ready = p == u32::MAX
+                let ready = p == NO_PARENT
                     || (self.processed[p as usize] && self.processed_step[p as usize] < step);
                 if ready {
                     self.processed[v as usize] = true;

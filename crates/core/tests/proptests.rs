@@ -1,7 +1,7 @@
 //! Property tests for the paper's algorithms: the theorems' inequalities
 //! must hold on randomized instances, not just hand-picked ones.
 
-use flowtree_core::lpf::{lpf_levels, lpf_levels_restricted, RectangleTail};
+use flowtree_core::lpf::{lpf_levels, lpf_levels_forest, lpf_levels_restricted, RectangleTail};
 use flowtree_core::{AlgoA, Fifo, GuessDoubleA, Lpf, McReplay, TieBreak};
 use flowtree_dag::{DepthProfile, GraphBuilder, JobGraph, NodeId};
 use flowtree_sim::metrics::flow_stats;
@@ -16,6 +16,26 @@ fn arb_tree(max_n: usize) -> impl Strategy<Value = JobGraph> {
                 b.edge((c % (i + 1)) as u32, (i + 1) as u32);
             }
             b.build().unwrap()
+        })
+    })
+}
+
+/// A tree plus an optional guess-and-double mask: `executed` flags are
+/// kept only where the parent (lower id, as `arb_tree` builds) is also
+/// executed, so the remaining set is descendant-closed. A mask that would
+/// leave nothing remaining becomes `None`.
+fn arb_masked_tree(max_n: usize) -> impl Strategy<Value = (JobGraph, Option<Vec<bool>>)> {
+    arb_tree(max_n).prop_flat_map(|g| {
+        let n = g.n();
+        (Just(g), 0u8..2, proptest::collection::vec(0u8..2, n)).prop_map(|(g, masked, flips)| {
+            let mut executed = vec![false; g.n()];
+            for v in g.nodes() {
+                let parent_done = g.parents(v).iter().all(|&u| executed[u as usize]);
+                executed[v.index()] = flips[v.index()] == 1 && parent_done;
+            }
+            let remaining: Vec<bool> = executed.iter().map(|&e| !e).collect();
+            let mask = (masked == 1 && remaining.contains(&true)).then_some(remaining);
+            (g, mask)
         })
     })
 }
@@ -132,6 +152,68 @@ proptest! {
             b.sort_unstable();
             prop_assert_eq!(a, b);
         }
+    }
+
+    /// Algorithm 𝒜's group formation without a union graph: LPF over the
+    /// members' graphs and masks, and MC over a parent array in
+    /// concatenated ids, pick exactly what the materialized route picks
+    /// (induced subgraphs, their disjoint union, LPF on the union, MC on
+    /// the union), level for level and step for step.
+    #[test]
+    fn group_levels_and_tail_match_the_union_route(
+        members in proptest::collection::vec(arb_masked_tree(30), 1..=4),
+        p in 1usize..5,
+        cut in 0usize..40,
+        grants in proptest::collection::vec(1usize..5, 1..400),
+    ) {
+        // Parts route: group id of member i's node v is offset_i + v.
+        let parts: Vec<(&JobGraph, Option<&[bool]>)> =
+            members.iter().map(|(g, m)| (g, m.as_deref())).collect();
+        let mut offsets = Vec::new();
+        let mut parent = Vec::new();
+        for (g, _) in &parts {
+            let off = parent.len() as u32;
+            offsets.push(off);
+            parent.extend(g.nodes().map(|v| g.parents(v).first().map_or(u32::MAX, |&u| off + u)));
+        }
+        let forest: Vec<Vec<u32>> = lpf_levels_forest(&parts, p)
+            .into_iter()
+            .map(|l| l.into_iter().map(|(pi, v)| offsets[pi as usize] + v).collect())
+            .collect();
+
+        // Union route, mapped back to the parts route's ids.
+        let mut subs = Vec::new();
+        let mut to_group = Vec::new();
+        for (i, (g, mask)) in members.iter().enumerate() {
+            let (sub, old) = match mask {
+                Some(m) => g.induced_subgraph(m),
+                None => (g.clone(), (0..g.n() as u32).collect()),
+            };
+            to_group.extend(old.iter().map(|&v| offsets[i] + v));
+            subs.push(sub);
+        }
+        let refs: Vec<&JobGraph> = subs.iter().collect();
+        let (union, _) = JobGraph::disjoint_union(&refs);
+        let union_levels = lpf_levels(&union, p);
+        let mapped: Vec<Vec<u32>> = union_levels
+            .iter()
+            .map(|l| l.iter().map(|&u| to_group[u as usize]).collect())
+            .collect();
+        prop_assert_eq!(&forest, &mapped);
+
+        // The tail after `cut` levels, replayed under the same grants.
+        let cut = cut.min(forest.len());
+        let mut by_parents = McReplay::with_parents(parent, forest[cut..].to_vec());
+        let mut by_union = McReplay::new(&union, union_levels[cut..].to_vec());
+        for &m_t in &grants {
+            let a = by_parents.next(m_t);
+            let b: Vec<u32> = by_union.next(m_t).iter().map(|&u| to_group[u as usize]).collect();
+            prop_assert_eq!(a, b);
+            if by_parents.is_done() {
+                break;
+            }
+        }
+        prop_assert_eq!(by_parents.remaining(), by_union.remaining());
     }
 
     /// FIFO invariant on random instances: whenever fewer than m subjobs

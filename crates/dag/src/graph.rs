@@ -162,15 +162,24 @@ impl JobGraph {
     /// directed path from `v` to a sink, so a sink has height 1
     /// (paper, Section 5). Heights drive the Longest-Path-First priority.
     pub fn heights(&self) -> Vec<u32> {
-        let mut h = vec![1u32; self.n()];
+        let mut h = Vec::new();
+        self.heights_into(&mut h);
+        h
+    }
+
+    /// [`heights`](Self::heights) into a caller-owned buffer, so schedulers
+    /// that keep per-job priorities can recycle the buffers of finished
+    /// jobs. `out` is cleared and refilled; its capacity is kept.
+    pub fn heights_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.resize(self.n(), 1);
         // Walk the topological order backwards: children are finalized first.
         for &v in self.topo.iter().rev() {
             let vi = v as usize;
             for &c in self.children(NodeId(v)) {
-                h[vi] = h[vi].max(h[c as usize] + 1);
+                out[vi] = out[vi].max(out[c as usize] + 1);
             }
         }
-        h
     }
 
     /// Per-node **depth** `D(v)`: the number of nodes on the longest directed
@@ -218,10 +227,12 @@ impl JobGraph {
     /// re-labelling. Returns the subgraph and the map from new node ids to
     /// original ids. Panics if no node is kept.
     ///
-    /// Used by the guess-and-double wrapper (paper Section 5.4), which
-    /// restarts Algorithm 𝒜 on the *unexecuted* portion of each job; since
-    /// executed sets are ancestor-closed, the kept set is descendant-closed
-    /// and the subgraph of an out-forest is again an out-forest.
+    /// The guess-and-double wrapper (paper Section 5.4) restarts
+    /// Algorithm 𝒜 on the *unexecuted* portion of each job; since executed
+    /// sets are ancestor-closed, the kept set is descendant-closed and the
+    /// subgraph of an out-forest is again an out-forest. The scheduler
+    /// passes such sets as masks instead of building the subgraph; tests
+    /// use this materialized form as their reference.
     pub fn induced_subgraph(&self, keep: &[bool]) -> (JobGraph, Vec<u32>) {
         assert_eq!(keep.len(), self.n(), "keep mask length mismatch");
         let mut new_id = vec![u32::MAX; self.n()];

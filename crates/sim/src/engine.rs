@@ -27,7 +27,7 @@ use crate::metrics::FlowStats;
 use crate::probe::{Counters, NullProbe, Probe, StepStat};
 use crate::schedule::Schedule;
 use crate::scheduler::{OnlineScheduler, Selection, SimView};
-use crate::state::SimState;
+use crate::state::{Refusal, SimState};
 use flowtree_dag::{JobId, NodeId, Time};
 
 /// Errors raised while driving a scheduler.
@@ -152,8 +152,10 @@ impl<P: Probe> Engine<P> {
     /// The loop allocates nothing per step: one [`Selection`] scratch buffer
     /// is cleared and reused, its picks are copied straight into the CSR
     /// [`Schedule`], releases are peeked one at a time, and selection
-    /// validation uses per-run stamp arrays (O(picks) per step rather than
-    /// O(picks²)). When no job is alive the engine fast-forwards to the next
+    /// validation stamps each pick's own slot (O(picks) per step rather
+    /// than O(picks²)). Per-node state exists only for alive jobs: a job's
+    /// slots are filled at release from buffers that finished jobs
+    /// returned. When no job is alive the engine fast-forwards to the next
     /// release, emitting a [`Probe::on_idle_gap`] that is observationally
     /// equivalent to stepwise idling; `select` is *not* called during such
     /// gaps (nothing is ready, so only an empty selection could be valid).
@@ -178,60 +180,31 @@ impl<P: Probe> Engine<P> {
 /// The core borrows its [`Instance`] and probe per call instead of owning
 /// them: the engine runs over a caller's instance, while a session owns the
 /// instance it materializes from admissions and only appends to it between
-/// calls (each append followed by [`push_job`](Self::push_job)).
+/// calls (each append followed by [`SimState::push_job`]).
 #[derive(Debug)]
 pub(crate) struct Core {
     pub(crate) m: usize,
     pub(crate) state: SimState,
     schedule: Schedule,
     pub(crate) counters: Counters,
-    /// Stamp arrays for O(1)-per-pick validation and completion firing.
-    /// `node_off` maps a job to its slice of the flat node array; a stamp
-    /// equal to `t + 1` marks "seen during step t" (stamps are strictly
-    /// increasing across steps, so no clearing between steps is needed).
-    node_off: Vec<usize>,
-    node_stamp: Vec<Time>,
-    job_stamp: Vec<Time>,
     sel: Selection,
+    /// Jobs whose completion fired this step (scratch, cleared per step).
+    finished: Vec<JobId>,
     pub(crate) t: Time,
 }
 
 impl Core {
     /// A core at `t = 0` sized for every job already in `instance`.
     pub(crate) fn new(m: usize, instance: &Instance) -> Self {
-        let mut node_off: Vec<usize> = Vec::with_capacity(instance.num_jobs() + 1);
-        node_off.push(0);
-        for spec in instance.jobs() {
-            node_off.push(node_off.last().unwrap() + spec.graph.n());
-        }
         Core {
             m,
             state: SimState::new(instance),
             schedule: Schedule::new(m),
             counters: Counters::default(),
-            node_stamp: vec![0; *node_off.last().unwrap()],
-            job_stamp: vec![0; instance.num_jobs()],
-            node_off,
             sel: Selection::new(m),
+            finished: Vec::new(),
             t: 0,
         }
-    }
-
-    /// Reserve room for `jobs` more jobs with `nodes` subjobs in total.
-    pub(crate) fn reserve(&mut self, jobs: usize, nodes: usize) {
-        self.node_off.reserve(jobs);
-        self.node_stamp.reserve(nodes);
-        self.job_stamp.reserve(jobs);
-    }
-
-    /// Register the job just appended to `instance` (see
-    /// [`SimState::push_job`]).
-    pub(crate) fn push_job(&mut self, instance: &Instance) {
-        self.state.push_job(instance);
-        let n = instance.jobs()[self.job_stamp.len()].graph.n();
-        self.node_off.push(self.node_off.last().unwrap() + n);
-        self.node_stamp.resize(self.node_stamp.len() + n, 0);
-        self.job_stamp.push(0);
     }
 
     /// Fire `on_start` with the job count known up front.
@@ -251,17 +224,7 @@ impl Core {
         horizon: Time,
     ) -> Result<(), EngineError> {
         let clair = scheduler.clairvoyance();
-        let Core {
-            m,
-            state,
-            schedule,
-            counters,
-            node_off,
-            node_stamp,
-            job_stamp,
-            sel,
-            t: now,
-        } = self;
+        let Core { m, state, schedule, counters, sel, finished, t: now } = self;
         let m = *m;
         while *now < t_end && !state.all_done() {
             let t = *now;
@@ -306,22 +269,18 @@ impl Core {
             }
             let picks = sel.picks();
 
-            // Validate: in-bounds, pairwise distinct, ready. The stamp
-            // catches duplicates in O(1) per pick; readiness in SimState is
-            // only cleared on completion and completions apply after this
-            // loop, so `is_ready` is checked against the start-of-step state.
+            // Validate: in-bounds, pairwise distinct, ready — O(1) per
+            // pick against the pick's own slot (see `SimState::claim`).
             let stamp = t + 1; // nonzero, unique per step
             for &(j, v) in picks {
-                if j.index() >= instance.num_jobs() || v.index() >= instance.graph(j).n() {
-                    return Err(EngineError::NotReady { t, job: j, node: v });
-                }
-                let slot = &mut node_stamp[node_off[j.index()] + v.index()];
-                if *slot == stamp {
-                    return Err(EngineError::DuplicateSelection { t, job: j, node: v });
-                }
-                *slot = stamp;
-                if !state.is_ready(j, v) {
-                    return Err(EngineError::NotReady { t, job: j, node: v });
+                match state.claim(j, v, stamp) {
+                    Ok(()) => {}
+                    Err(Refusal::NotReady) => {
+                        return Err(EngineError::NotReady { t, job: j, node: v });
+                    }
+                    Err(Refusal::Duplicate) => {
+                        return Err(EngineError::DuplicateSelection { t, job: j, node: v });
+                    }
                 }
             }
 
@@ -341,18 +300,18 @@ impl Core {
             probe.on_step(t, stat);
 
             // A job completes at t+1 when this step ran its last subjob.
-            // Fire once per job: the job stamp marks "already fired".
-            let mut any_finished = false;
+            // Fire once per job, in the order of its first pick; only the
+            // few jobs finishing this step are ever searched.
+            finished.clear();
             for &(j, _) in picks {
-                if state.unfinished(j) == 0 && job_stamp[j.index()] != stamp {
-                    job_stamp[j.index()] = stamp;
-                    any_finished = true;
+                if state.unfinished(j) == 0 && !finished.contains(&j) {
+                    finished.push(j);
                     counters.on_complete(t + 1, j);
                     probe.on_complete(t + 1, j);
                 }
             }
 
-            if any_finished {
+            if !finished.is_empty() {
                 state.prune_alive();
             }
             schedule.extend_step(picks);
@@ -442,6 +401,73 @@ mod tests {
             JobSpec { graph: chain(3), release: 0 },
             JobSpec { graph: star(3), release: 1 },
         ])
+    }
+
+    /// A buggy scheduler: greedy, except at its scripted steps, where it
+    /// pushes exactly the scripted `(job, node)` picks.
+    struct Scripted(Vec<(Time, Vec<(u32, u32)>)>);
+    impl OnlineScheduler for Scripted {
+        fn clairvoyance(&self) -> Clairvoyance {
+            Clairvoyance::NonClairvoyant
+        }
+        fn select(&mut self, t: Time, view: &SimView<'_>, sel: &mut Selection) {
+            match self.0.iter().find(|(at, _)| *at == t) {
+                Some((_, picks)) => {
+                    for &(j, v) in picks {
+                        sel.push(JobId(j), NodeId(v));
+                    }
+                }
+                None => Greedy.select(t, view, sel),
+            }
+        }
+    }
+
+    /// Job 0 finishes at t=1, and job 1, released at t=1, refills the slot
+    /// buffers job 0 returned.
+    fn recycling_instance() -> Instance {
+        Instance::new(vec![
+            JobSpec { graph: chain(1), release: 0 },
+            JobSpec { graph: star(2), release: 1 },
+        ])
+    }
+
+    #[test]
+    fn repick_of_a_finished_job_is_not_ready_after_its_slots_are_recycled() {
+        for picks in [vec![(0, 0)], vec![(1, 0), (0, 0)]] {
+            let mut sched = Scripted(vec![(1, picks)]);
+            let err = Engine::new(2).run(&recycling_instance(), &mut sched).unwrap_err();
+            assert_eq!(err, EngineError::NotReady { t: 1, job: JobId(0), node: NodeId(0) });
+        }
+    }
+
+    #[test]
+    fn pick_of_an_unreleased_job_is_not_ready() {
+        let inst = Instance::new(vec![
+            JobSpec { graph: chain(1), release: 0 },
+            JobSpec { graph: chain(3), release: 0 },
+            JobSpec { graph: star(2), release: 5 },
+        ]);
+        // Before any job finished, and again once job 0 returned its slots.
+        for t in [0, 1] {
+            let mut sched = Scripted(vec![(t, vec![(2, 0)])]);
+            let err = Engine::new(2).run(&inst, &mut sched).unwrap_err();
+            assert_eq!(err, EngineError::NotReady { t, job: JobId(2), node: NodeId(0) });
+        }
+    }
+
+    #[test]
+    fn duplicate_pick_on_a_recycled_slot_is_rejected() {
+        let mut sched = Scripted(vec![(1, vec![(1, 0), (1, 0)])]);
+        let err = Engine::new(2).run(&recycling_instance(), &mut sched).unwrap_err();
+        assert_eq!(err, EngineError::DuplicateSelection { t: 1, job: JobId(1), node: NodeId(0) });
+        // Node 0 of job 0 was picked at t=0 in the same slot; a pick of the
+        // recycled slot's new owner at t=1 is fine.
+        let mut sched = Scripted(vec![(1, vec![(1, 0)])]);
+        Engine::new(2)
+            .run(&recycling_instance(), &mut sched)
+            .unwrap()
+            .verify(&recycling_instance())
+            .unwrap();
     }
 
     #[test]

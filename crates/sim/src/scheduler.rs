@@ -66,13 +66,15 @@ impl<'a> SimView<'a> {
         self.state.ready(job)
     }
 
-    /// Global became-ready stamp of a node (smaller = became ready earlier;
-    /// unique across the simulation).
+    /// Global became-ready stamp of a node of an alive job (smaller =
+    /// became ready earlier; unique across the simulation; 0 for a node not
+    /// yet ready and for any node of a job that is not alive).
     pub fn ready_seq(&self, job: JobId, node: NodeId) -> u64 {
         self.state.ready_seq(job, node)
     }
 
-    /// Is this specific subjob ready?
+    /// Is this specific subjob ready? False for any subjob of a job that is
+    /// not alive.
     pub fn is_ready(&self, job: JobId, node: NodeId) -> bool {
         self.state.is_ready(job, node)
     }
@@ -82,9 +84,12 @@ impl<'a> SimView<'a> {
         self.state.unfinished(job)
     }
 
-    /// Completion time of a subjob, if complete.
-    pub fn completion(&self, job: JobId, node: NodeId) -> Option<Time> {
-        self.state.completion(job, node)
+    /// Has this subjob completed? False for every subjob of an unreleased
+    /// job and true for every subjob of a finished one. Completion times
+    /// are not part of the view: the engine's recorded
+    /// [`Schedule`](crate::Schedule) holds them.
+    pub fn is_complete(&self, job: JobId, node: NodeId) -> bool {
+        self.state.is_complete(job, node)
     }
 
     /// Release time of a *released* job (FIFO needs arrival order, which is

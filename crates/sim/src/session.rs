@@ -186,10 +186,11 @@ impl<P: Probe> Session<P> {
         }
     }
 
-    /// Append an already-validated job to the instance and the core.
+    /// Append an already-validated job to the instance and the simulation
+    /// state.
     fn push_job(&mut self, spec: JobSpec) -> JobId {
         let id = self.instance.push_job(spec);
-        self.core.push_job(&self.instance);
+        self.core.state.push_job(&self.instance);
         self.probe.on_admit(self.core.t, id, self.instance.graph(id));
         id
     }
@@ -214,10 +215,8 @@ impl<P: Probe> Session<P> {
     /// up front — releases must be nondecreasing within the batch, and the
     /// first must satisfy the same `>= now()` / `>=` last-admission rules as
     /// [`admit`](Self::admit) — so the call is all-or-nothing: on error
-    /// nothing was admitted. Capacity for the session's flat per-node
-    /// arrays is reserved once for the whole batch, which is what makes
-    /// batched ingest (see `flowtree-serve`) cheaper than a loop of single
-    /// admissions.
+    /// nothing was admitted. Per-node state is built only when each job is
+    /// released, so an admit costs O(1) beyond the probes' `on_admit`.
     pub fn admit_batch(&mut self, specs: Vec<JobSpec>) -> Result<(), SessionError> {
         self.ensure_started();
         let now = self.core.t;
@@ -226,7 +225,6 @@ impl<P: Probe> Session<P> {
         } else {
             None
         };
-        let mut total_nodes = 0usize;
         for spec in &specs {
             if spec.release < now {
                 return Err(SessionError::ReleaseInPast { release: spec.release, now });
@@ -237,9 +235,7 @@ impl<P: Probe> Session<P> {
                 }
             }
             last = Some(spec.release);
-            total_nodes += spec.graph.n();
         }
-        self.core.reserve(specs.len(), total_nodes);
         for spec in specs {
             self.push_job(spec);
         }

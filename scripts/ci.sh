@@ -15,8 +15,17 @@ cargo build --release --workspace
 echo "==> cargo test -q (default-members: the whole workspace)"
 cargo test -q
 
+echo "==> sim + core tests in release (step validation holds without debug assertions)"
+cargo test --release -q -p flowtree-sim -p flowtree-core
+
 echo "==> flowbench tests (the benchmark package builds against the current API)"
 cargo test --offline -q --manifest-path flowbench/Cargo.toml
+
+echo "==> flowbench engine-batch smoke (verify, invariants, determinism; no number gated)"
+# Exits 1 when any correctness check of the run fails; the metrics it
+# prints are not compared against anything here.
+cargo run --release --quiet --offline --manifest-path flowbench/Cargo.toml -- \
+    --workload engine-batch --seed 1 --seconds 1 --trace 0 >/dev/null
 
 echo "==> bench regression gate (--quick --check vs committed baseline)"
 cargo run --release -p flowtree-cli -- bench --quick --check BENCH_engine.json \
