@@ -1,7 +1,7 @@
 //! # flowtree-bench — the committed-throughput benchmark harness
 //!
-//! Two baselines guard this workspace's performance, both produced here and
-//! both committed at the repo root so successive PRs can diff them:
+//! Three baselines guard this workspace's performance, all produced here and
+//! all committed at the repo root so successive PRs can diff them:
 //!
 //! * **`BENCH_engine.json`** — batch [`Engine`](flowtree_sim::Engine)
 //!   throughput (subjobs/sec per workload × scheduler × m), produced by
@@ -17,8 +17,7 @@
 //!
 //! The CLI's `bench` subcommand is a thin argument parser over this crate;
 //! `scripts/bench.sh` regenerates the baselines and `scripts/ci.sh` runs
-//! the `--quick` subset under the [`check_regressions`] gate. The criterion
-//! benches under `benches/` reuse the same workload shapes for profiling.
+//! the `--quick` subset under the [`check_regressions`] gate.
 //!
 //! All documents share the `flowtree-bench-v1` schema: a cell is
 //! identified by `(workload, scheduler, m, total_subjobs)` — serve cells
@@ -38,7 +37,7 @@ pub use serve_bench::run_serve_matrix;
 
 use serde::Value;
 
-/// Knobs shared by both matrices (parsed by the CLI).
+/// Knobs shared by the three matrices (parsed by the CLI).
 #[derive(Debug, Clone)]
 pub struct BenchOpts {
     /// Run only the mini workloads (CI smoke).
@@ -51,8 +50,7 @@ pub struct BenchOpts {
 }
 
 /// Seed for every benchmark workload generator — fixed so trajectories
-/// compare the same instances across PRs (matches the criterion bench's
-/// stream).
+/// compare the same instances across PRs.
 pub const SEED: u64 = 11;
 
 /// Best-effort short git revision for provenance (benches run from a

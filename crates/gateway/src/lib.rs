@@ -33,7 +33,7 @@ pub mod wire;
 pub use client::{
     ClientError, ClientOptions, ClientRunStats, GatewayClient, RemoteSnapshot, SubmitOutcome,
 };
-pub use server::{Gateway, GatewayConfig, GatewayStats};
+pub use server::{Gateway, GatewayConfig, GatewayStats, MAX_WINDOW};
 pub use wire::{
     decode, decode_reply, decode_request, decode_submit_into, encode, encode_reply_into,
     encode_request_into, encode_submit_batch_into, read_frame, read_frame_into, read_frame_patient,

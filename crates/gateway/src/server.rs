@@ -60,27 +60,23 @@ const READ_CHUNK: usize = 16 << 10;
 /// Compact a buffer once this many consumed bytes sit in front of it.
 const COMPACT_AT: usize = 64 << 10;
 
-/// Gateway tuning knobs.
+/// Ceiling on the ack window a client may negotiate in its hello; a
+/// request outside `1..=MAX_WINDOW` is clamped into it.
+pub const MAX_WINDOW: u64 = 256;
+
+/// Gateway tuning knobs. The gateway runs `min(cores, 4)` event-loop
+/// workers.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Per-frame payload ceiling (bytes).
     pub max_frame: usize,
     /// Back-off suggested in [`Reply::Busy`].
     pub retry_after_ms: u64,
-    /// Event-loop worker threads; `0` picks `min(cores, 4)`.
-    pub workers: usize,
-    /// Ceiling on the ack window a client may negotiate in its hello.
-    pub max_window: u64,
 }
 
 impl Default for GatewayConfig {
     fn default() -> Self {
-        GatewayConfig {
-            max_frame: MAX_FRAME,
-            retry_after_ms: 50,
-            workers: 0,
-            max_window: 256,
-        }
+        GatewayConfig { max_frame: MAX_FRAME, retry_after_ms: 50 }
     }
 }
 
@@ -168,11 +164,7 @@ impl Gateway {
         let stats = Arc::new(GatewayStats::default());
         let (drain_tx, drain_rx) = mpsc::channel();
 
-        let nworkers = if cfg.workers == 0 {
-            thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4)
-        } else {
-            cfg.workers
-        };
+        let nworkers = thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4);
         let mut workers = Vec::with_capacity(nworkers);
         let mut conn_txs = Vec::with_capacity(nworkers);
         for w in 0..nworkers {
@@ -655,7 +647,7 @@ fn hello(
     conn.hello = true;
     conn.client = client;
     conn.codec = codec;
-    conn.window = window.clamp(1, ctx.cfg.max_window.max(1));
+    conn.window = window.clamp(1, MAX_WINDOW);
     let pool = ctx.handle.config();
     ctx.queue_reply(
         conn,
@@ -740,4 +732,41 @@ fn flush_group(conn: &mut Conn, ctx: &mut WorkerCtx<'_>) {
     }
     conn.pending.clear();
     conn.pending_lens.clear();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{decode, encode, read_frame, write_frame};
+    use flowtree_serve::{ServeConfig, ShardPool};
+
+    /// The window a raw hello asking for `window` is granted.
+    fn granted_window(gw: &Gateway, window: u64) -> u64 {
+        let stream = TcpStream::connect(gw.addr()).expect("dial");
+        let hello = Request::Hello {
+            proto: PROTOCOL_VERSION,
+            client: "clamp".to_string(),
+            codec: WireCodec::Json,
+            window,
+        };
+        write_frame(&mut &stream, &encode(&hello)).expect("send hello");
+        let payload = read_frame(&mut &stream, 1 << 20).expect("reply").expect("frame");
+        match decode::<Reply>(&payload).expect("parse") {
+            Reply::Welcome { window, .. } => window,
+            other => panic!("expected welcome, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hello_window_is_clamped_into_one_to_max_window() {
+        let spec = SchedulerSpec::from_name_with_half("fifo", 1).expect("registry name");
+        let pool = ShardPool::launch(ServeConfig::new(spec, 2)).expect("launch");
+        let gw = Gateway::launch("127.0.0.1:0", pool.handle(), GatewayConfig::default())
+            .expect("gateway up");
+        assert_eq!(granted_window(&gw, 0), 1);
+        assert_eq!(granted_window(&gw, 8), 8);
+        assert_eq!(granted_window(&gw, 10_000), 256);
+        gw.shutdown();
+        pool.drain().expect("drain");
+    }
 }

@@ -175,8 +175,10 @@ pub fn read_frame_into<R: Read>(
 /// times out (`WouldBlock`/`TimedOut`), `keep_waiting` is consulted. While
 /// it returns `true` the read retries; once it returns `false` the call
 /// resolves — `Ok(None)` if no byte of the frame had arrived yet,
-/// [`FrameError::Truncated`] if one had. This is how a gateway handler
-/// blocks on an idle client yet still notices a shutdown flag.
+/// [`FrameError::Truncated`] if one had. This lets a blocking reader wait
+/// on an idle peer yet still notice a shutdown flag; the gateway server
+/// does not use it, since it parses frames from its own nonblocking
+/// buffers.
 pub fn read_frame_patient<R: Read>(
     r: &mut R,
     max: usize,

@@ -59,6 +59,11 @@ use crate::shard::{
 use crate::source::ArrivalSource;
 use crate::telemetry::{FlightEvent, FlightKind, MetricsSnapshot, Telemetry};
 
+/// Capacity of each shard's control-plane flight ring (structured
+/// swap/steal/overload events kept for diagnosis; oldest evicted when
+/// full).
+const FLIGHT_CAPACITY: usize = 256;
+
 /// Everything that can go wrong launching or driving a pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
@@ -242,10 +247,6 @@ pub struct ServeConfig {
     /// watermarks never affect final results — only how eagerly shards may
     /// simulate ahead.
     pub watermark_stride: Time,
-    /// Capacity of each shard's control-plane flight ring (structured
-    /// swap/steal/overload events kept for diagnosis; oldest evicted when
-    /// full).
-    pub flight_capacity: usize,
 }
 
 impl ServeConfig {
@@ -264,7 +265,6 @@ impl ServeConfig {
             steal: None,
             ingest_batch: 32,
             watermark_stride: 0,
-            flight_capacity: 256,
         }
     }
 
@@ -286,11 +286,6 @@ impl ServeConfig {
         if self.ingest_batch < 1 {
             return Err(ServeError::InvalidConfig(
                 "ingest batches must carry at least one arrival".into(),
-            ));
-        }
-        if self.flight_capacity < 1 {
-            return Err(ServeError::InvalidConfig(
-                "flight rings must hold at least one event".into(),
             ));
         }
         if self.max_horizon < 1 || self.max_horizon >= Time::MAX / 2 {
@@ -378,12 +373,6 @@ impl ServeConfigBuilder {
     /// Ingest-batch release span (see [`ServeConfig::watermark_stride`]).
     pub fn watermark_stride(mut self, stride: Time) -> Self {
         self.cfg.watermark_stride = stride;
-        self
-    }
-
-    /// Per-shard flight-ring capacity (see [`ServeConfig::flight_capacity`]).
-    pub fn flight_capacity(mut self, cap: usize) -> Self {
-        self.cfg.flight_capacity = cap;
         self
     }
 
@@ -1153,7 +1142,7 @@ impl ShardPool {
     /// for arrivals.
     pub fn launch(cfg: ServeConfig) -> Result<Self, ServeError> {
         cfg.validate()?;
-        let tel = Arc::new(Telemetry::new(cfg.shards, cfg.flight_capacity));
+        let tel = Arc::new(Telemetry::new(cfg.shards, FLIGHT_CAPACITY));
         let mut txs = Vec::with_capacity(cfg.shards);
         let mut handles = Vec::with_capacity(cfg.shards);
         let mut stats = Vec::with_capacity(cfg.shards);
@@ -1472,6 +1461,19 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, FlightKind::ConnOpen);
         assert_eq!(events[0].detail, "127.0.0.1:9");
+        pool.drain().expect("drain");
+    }
+
+    #[test]
+    fn flight_ring_holds_flight_capacity_events() {
+        let pool = ShardPool::launch(ServeConfig::new(fifo(), 1)).expect("launch");
+        let handle = pool.handle();
+        for i in 0..300 {
+            handle.record_flight(0, FlightKind::ConnOpen, i, String::new()).expect("record");
+        }
+        let shard = &handle.metrics().telemetry[0];
+        assert_eq!(shard.flight_len, 256);
+        assert!(shard.flight_dropped >= 300 - 256, "dropped {}", shard.flight_dropped);
         pool.drain().expect("drain");
     }
 

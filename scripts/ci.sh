@@ -27,6 +27,13 @@ echo "==> flowbench engine-batch smoke (verify, invariants, determinism; no numb
 cargo run --release --quiet --offline --manifest-path flowbench/Cargo.toml -- \
     --workload engine-batch --seed 1 --seconds 1 --trace 0 >/dev/null
 
+echo "==> flowbench gateway-open traced smoke (checks + every per-layer metric finite; no number gated)"
+# Runs the real gateway with tracing on: exits 1 if a correctness check
+# fails or a declared per-layer metric is missing or non-finite. This is
+# the contract a rewrite of the gateway's event loop has to keep.
+cargo run --release --quiet --offline --manifest-path flowbench/Cargo.toml -- \
+    --workload gateway-open --seed 1 --seconds 1 --trace 1 >/dev/null
+
 echo "==> bench regression gate (--quick --check vs committed baseline)"
 cargo run --release -p flowtree-cli -- bench --quick --check BENCH_engine.json \
     -o /tmp/flowtree_bench_smoke.json >/dev/null
