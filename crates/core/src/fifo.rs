@@ -17,7 +17,7 @@
 
 use flowtree_dag::{JobId, NodeId, Time};
 use flowtree_sim::{Clairvoyance, OnlineScheduler, Selection, SimView};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
 
 /// Intra-job policy used when a job is granted fewer processors than it has
 /// ready subjobs.
@@ -98,16 +98,6 @@ impl SplitMix64 {
 /// ```
 pub struct Fifo {
     tie: TieBreak,
-    /// Per-job node priorities for clairvoyant tie-breaks (heights or child
-    /// counts), populated at arrival: `priority[i]` belongs to job
-    /// `first + i` (an empty entry: no priorities). Each `select` frees the
-    /// entries of jobs older than the oldest alive job, so the queue spans
-    /// the alive jobs, not every job ever released.
-    priority: VecDeque<Vec<u32>>,
-    /// Job index of `priority[0]`.
-    first: usize,
-    /// Freed priority buffers, refilled by the next arrivals.
-    spare: Vec<Vec<u32>>,
     rng: SplitMix64,
     /// Scratch buffer reused across steps (allocation-free steady state).
     scratch: Vec<u32>,
@@ -126,9 +116,6 @@ impl Fifo {
         };
         Fifo {
             tie,
-            priority: VecDeque::new(),
-            first: 0,
-            spare: Vec::new(),
             rng: SplitMix64(seed ^ 0xD1B54A32D192ED03),
             scratch: Vec::new(),
             keyed: Vec::new(),
@@ -138,42 +125,6 @@ impl Fifo {
     /// Plain FIFO with the became-ready ("arbitrary") tie-break.
     pub fn arbitrary() -> Self {
         Fifo::new(TieBreak::BecameReady)
-    }
-
-    /// The priority entry of `job`, growing the queue to cover it.
-    fn entry(&mut self, job: JobId) -> &mut Vec<u32> {
-        if self.priority.is_empty() {
-            self.first = job.index();
-        }
-        let i = job
-            .index()
-            .checked_sub(self.first)
-            .expect("jobs arrive in id order, after every job already freed");
-        if self.priority.len() <= i {
-            self.priority.resize_with(i + 1, Vec::new);
-        }
-        &mut self.priority[i]
-    }
-
-    /// Free the priorities of every job older than `oldest`. Jobs are
-    /// released in id order and `alive` is in id order, so every job below
-    /// the oldest alive one has finished.
-    fn free_before(&mut self, oldest: JobId) {
-        while self.first < oldest.index() {
-            let Some(buf) = self.priority.pop_front() else {
-                break;
-            };
-            self.first += 1;
-            if buf.capacity() > 0 {
-                self.spare.push(buf);
-            }
-        }
-    }
-
-    /// Priority buffers held: live entries plus spares.
-    #[cfg(test)]
-    fn retained(&self) -> usize {
-        self.priority.iter().filter(|p| p.capacity() > 0).count() + self.spare.len()
     }
 
     /// Pick `k` of the job's ready nodes into `sel` according to the
@@ -234,16 +185,18 @@ impl Fifo {
                 }
             }
             TieBreak::HighestHeight | TieBreak::MostChildren => {
-                let prio = job
-                    .index()
-                    .checked_sub(self.first)
-                    .and_then(|i| self.priority.get(i))
-                    .filter(|p| !p.is_empty())
-                    .expect("clairvoyant tie-break without arrival priorities");
+                // The graph holds its heights and child lists, so nothing
+                // is kept per job here.
+                let g = view.graph(job);
                 self.scratch.clear();
                 self.scratch.extend_from_slice(ready);
-                // Stable sort: priority desc, became-ready order among ties.
-                self.scratch.sort_by(|&a, &b| prio[b as usize].cmp(&prio[a as usize]));
+                // Stable sorts: priority desc, became-ready order among ties.
+                if self.tie == TieBreak::HighestHeight {
+                    let h = g.heights();
+                    self.scratch.sort_by_key(|&v| Reverse(h[v as usize]));
+                } else {
+                    self.scratch.sort_by_key(|&v| Reverse(g.out_degree(NodeId(v))));
+                }
                 for &v in &self.scratch[..k] {
                     sel.push(job, NodeId(v));
                 }
@@ -257,29 +210,7 @@ impl OnlineScheduler for Fifo {
         self.tie.clairvoyance()
     }
 
-    fn on_arrival(&mut self, _t: Time, job: JobId, view: &SimView<'_>) {
-        if self.tie.clairvoyance() == Clairvoyance::Clairvoyant {
-            let g = view.graph(job);
-            let mut buf = self.spare.pop().unwrap_or_default();
-            match self.tie {
-                TieBreak::HighestHeight => g.heights_into(&mut buf),
-                TieBreak::MostChildren => {
-                    buf.clear();
-                    buf.extend(g.nodes().map(|v| g.out_degree(v) as u32));
-                }
-                _ => unreachable!(),
-            }
-            let old = std::mem::replace(self.entry(job), buf);
-            if old.capacity() > 0 {
-                self.spare.push(old);
-            }
-        }
-    }
-
     fn select(&mut self, _t: Time, view: &SimView<'_>, sel: &mut Selection) {
-        if let Some(&oldest) = view.alive().first() {
-            self.free_before(oldest);
-        }
         // `alive()` is in arrival order — exactly FIFO's job priority.
         for i in 0..view.alive().len() {
             let job = view.alive()[i];
@@ -321,7 +252,7 @@ impl OnlineScheduler for Fifo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowtree_dag::builder::{caterpillar, chain, complete_kary, star};
+    use flowtree_dag::builder::{caterpillar, chain, star};
     use flowtree_sim::metrics::flow_stats;
     use flowtree_sim::{Engine, Instance, JobSpec};
 
@@ -462,72 +393,6 @@ mod tests {
             }
             st.prune_alive();
         }
-    }
-
-    /// Clairvoyant priorities of finished jobs are freed and their buffers
-    /// refilled by later arrivals. A stream holds at most as many priority
-    /// arrays as the widest span of job ids from the oldest alive job to
-    /// the newest arrival (at least the peak alive count, more when a
-    /// younger job finishes first), and that number does not grow with the
-    /// length of the stream.
-    #[test]
-    fn lpf_priorities_of_finished_jobs_are_recycled() {
-        struct Watch {
-            inner: Fifo,
-            /// Oldest alive job at the last `select`.
-            oldest: usize,
-            peak_alive: usize,
-            peak_span: usize,
-        }
-        impl OnlineScheduler for Watch {
-            fn clairvoyance(&self) -> Clairvoyance {
-                Clairvoyance::Clairvoyant
-            }
-            fn on_arrival(&mut self, t: Time, job: JobId, view: &SimView<'_>) {
-                self.peak_span = self.peak_span.max(job.index() + 1 - self.oldest);
-                self.inner.on_arrival(t, job, view);
-            }
-            fn select(&mut self, t: Time, view: &SimView<'_>, sel: &mut Selection) {
-                self.inner.select(t, view, sel);
-                self.oldest = view.alive()[0].index();
-                self.peak_alive = self.peak_alive.max(view.alive().len());
-                assert!(self.inner.retained() <= self.peak_span);
-            }
-        }
-        // Bursts of six jobs every 14 ticks on m = 4 (load 45/56): a long
-        // chain sits beside wide jobs that finish before it.
-        let shapes = [
-            chain(9),
-            star(6),
-            caterpillar(4, &[2, 0, 1, 0]),
-            star(3),
-            complete_kary(2, 3),
-            chain(3),
-        ];
-        let stream = |jobs: usize| {
-            let inst = Instance::new(
-                (0..jobs)
-                    .map(|i| JobSpec {
-                        graph: shapes[i % shapes.len()].clone(),
-                        release: 14 * (i / shapes.len()) as Time,
-                    })
-                    .collect(),
-            );
-            let mut watch = Watch {
-                inner: Fifo::new(TieBreak::HighestHeight),
-                oldest: 0,
-                peak_alive: 0,
-                peak_span: 0,
-            };
-            Engine::new(4).run(&inst, &mut watch).unwrap().verify(&inst).unwrap();
-            watch
-        };
-        let short = stream(600);
-        let long = stream(6000);
-        assert!(long.inner.retained() <= long.peak_span);
-        assert!(long.peak_alive <= long.peak_span);
-        assert_eq!(long.inner.retained(), short.inner.retained(), "grows with the stream");
-        assert!(long.peak_span < 16, "span {}", long.peak_span);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! across jobs, LPF within a job) used as a strong clairvoyant baseline.
 
 use crate::fifo::{Fifo, TieBreak};
-use flowtree_dag::{JobGraph, JobId, Time};
+use flowtree_dag::{JobGraph, Time};
 use flowtree_sim::{Clairvoyance, OnlineScheduler, Selection, SimView};
 
 /// Materialized single-job LPF schedule on `p` processors: `levels[t]` are
@@ -69,17 +69,16 @@ pub fn lpf_levels_forest(parts: &[(&JobGraph, Option<&[bool]>)], p: usize) -> Ve
     let included = |pi: usize, v: u32| -> bool { parts[pi].1.is_none_or(|m| m[v as usize]) };
 
     // Per-node state of all parts in one array each: part `pi`'s node `v`
-    // sits at `start[pi] + v`. Heights are full-graph heights (restricted
-    // heights equal them on a descendant-closed set).
+    // sits at `start[pi] + v`. Heights are read from each part's graph:
+    // full-graph heights, which equal restricted heights on a
+    // descendant-closed set.
     let mut start = Vec::with_capacity(parts.len());
-    let mut heights: Vec<u32> = Vec::new();
-    let mut part_heights = Vec::new();
+    let mut total = 0;
     for (g, _) in parts {
-        start.push(heights.len());
-        g.heights_into(&mut part_heights);
-        heights.extend_from_slice(&part_heights);
+        start.push(total);
+        total += g.n();
     }
-    let max_h = heights.iter().copied().max().unwrap_or(0) as usize;
+    let max_h = parts.iter().map(|(g, _)| g.span()).max().unwrap_or(0) as usize;
 
     // Buckets of ready nodes by height, each a FIFO queue whose taken
     // prefix ends at `head[h]`; cur scans downward. General DAGs are
@@ -88,9 +87,10 @@ pub fn lpf_levels_forest(parts: &[(&JobGraph, Option<&[bool]>)], p: usize) -> Ve
     // rule on out-forests.
     let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); max_h + 1];
     let mut head = vec![0usize; max_h + 1];
-    let mut indeg = vec![0u32; heights.len()];
+    let mut indeg = vec![0u32; total];
     let mut total_remaining = 0usize;
     for (pi, (g, _)) in parts.iter().enumerate() {
+        let heights = g.heights();
         for v in 0..g.n() as u32 {
             if !included(pi, v) {
                 continue;
@@ -101,7 +101,7 @@ pub fn lpf_levels_forest(parts: &[(&JobGraph, Option<&[bool]>)], p: usize) -> Ve
                 g.parents(flowtree_dag::NodeId(v)).iter().filter(|&&u| included(pi, u)).count()
                     as u32;
             if indeg[i] == 0 {
-                buckets[heights[i] as usize].push((pi as u32, v));
+                buckets[heights[v as usize] as usize].push((pi as u32, v));
             }
         }
     }
@@ -145,7 +145,7 @@ pub fn lpf_levels_forest(parts: &[(&JobGraph, Option<&[bool]>)], p: usize) -> Ve
             }
         }
         for &(pi, c) in &newly_ready {
-            let h = heights[start[pi as usize] + c as usize] as usize;
+            let h = parts[pi as usize].0.heights()[c as usize] as usize;
             buckets[h].push((pi, c));
             if h > cur {
                 cur = h;
@@ -231,9 +231,6 @@ impl OnlineScheduler for Lpf {
     fn clairvoyance(&self) -> Clairvoyance {
         Clairvoyance::Clairvoyant
     }
-    fn on_arrival(&mut self, t: Time, job: JobId, view: &SimView<'_>) {
-        self.inner.on_arrival(t, job, view);
-    }
     fn select(&mut self, t: Time, view: &SimView<'_>, sel: &mut Selection) {
         self.inner.select(t, view, sel);
     }
@@ -246,7 +243,7 @@ impl OnlineScheduler for Lpf {
 mod tests {
     use super::*;
     use flowtree_dag::builder::{caterpillar, chain, complete_kary, star};
-    use flowtree_dag::DepthProfile;
+    use flowtree_dag::{DepthProfile, JobId};
     use flowtree_sim::{Engine, Instance};
 
     /// Replay materialized levels as a schedule to verify feasibility.

@@ -88,7 +88,7 @@ pub fn num_components(g: &JobGraph) -> usize {
 pub fn out_forest_roots(g: &JobGraph) -> Vec<u32> {
     assert!(is_out_forest(g), "out_forest_roots requires an out-forest");
     let mut root = vec![u32::MAX; g.n()];
-    for &v in g.topo_order() {
+    for v in g.topo_order() {
         let p = g.parents(NodeId(v));
         root[v as usize] = if p.is_empty() { v } else { root[p[0] as usize] };
     }

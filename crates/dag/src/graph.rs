@@ -1,9 +1,10 @@
 //! Compact DAG representation of a single job.
 //!
-//! A [`JobGraph`] stores the precedence DAG of one job in CSR form:
-//! children and parents adjacency, plus a cached topological order. The
-//! representation is immutable after construction via [`GraphBuilder`],
-//! which validates acyclicity.
+//! A [`JobGraph`] stores the precedence DAG of one job in one buffer: the
+//! children and parents adjacency in CSR form, each node's height, and the
+//! number of nodes at each depth. The representation is immutable after
+//! construction via [`GraphBuilder`], which validates acyclicity and
+//! computes the heights and depth counts once.
 
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
@@ -67,28 +68,34 @@ impl std::fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// An immutable DAG of unit-time subjobs, in CSR (compressed sparse row)
-/// layout with a cached topological order.
+/// An immutable DAG of unit-time subjobs, with its structure computed once.
 ///
-/// Construction goes through [`GraphBuilder`], which checks acyclicity; a
-/// `JobGraph` therefore always satisfies its invariants:
+/// [`GraphBuilder::build`] validates the edge list and fills one buffer of
+/// `u32`s, laid out as
+///
+/// ```text
+/// child offsets (n+1) | children (e) | parent offsets (n+1) | parents (e)
+///   | heights (n) | depth counts (span)
+/// ```
+///
+/// The offsets index the buffer itself, so a child or parent list is one
+/// slice. Both lists of every node are in ascending id order. The height
+/// and depth-count parts are what LPF (heights, Section 5.1) and the
+/// Lemma 5.1 bound (the depth profile `W(d)`) read on every run; here they
+/// are a slice away instead of a graph walk. A `JobGraph` therefore always
+/// satisfies:
 ///
 /// * `n() >= 1`;
 /// * children/parents adjacency are mutually consistent;
-/// * `topo_order()` is a valid topological order of all nodes.
+/// * heights strictly decrease along every edge, so ordering nodes by
+///   decreasing height is a topological order ([`topo_order`](Self::topo_order)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobGraph {
     n: u32,
-    /// CSR offsets into `children`, length `n + 1`.
-    child_start: Vec<u32>,
-    /// Concatenated child lists.
-    children: Vec<u32>,
-    /// CSR offsets into `parents`, length `n + 1`.
-    parent_start: Vec<u32>,
-    /// Concatenated parent lists.
-    parents: Vec<u32>,
-    /// A topological order (every edge goes forward in this order).
-    topo: Vec<u32>,
+    /// Number of edges.
+    e: u32,
+    /// The layout above. Its length is `3n + 2 + 2e + span`.
+    data: Vec<u32>,
 }
 
 impl JobGraph {
@@ -108,21 +115,37 @@ impl JobGraph {
     /// Number of precedence edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.children.len()
+        self.e as usize
     }
 
-    /// Children (immediate successors) of `v`.
+    /// Start of the parent offsets in `data`.
+    #[inline]
+    fn parent_base(&self) -> usize {
+        self.n as usize + 1 + self.e as usize
+    }
+
+    /// Start of the heights in `data`.
+    #[inline]
+    fn height_base(&self) -> usize {
+        2 * (self.n as usize + 1 + self.e as usize)
+    }
+
+    /// The adjacency list whose offsets sit at `data[at]` and `data[at + 1]`.
+    #[inline]
+    fn list(&self, at: usize) -> &[u32] {
+        &self.data[self.data[at] as usize..self.data[at + 1] as usize]
+    }
+
+    /// Children (immediate successors) of `v`, in ascending id order.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[u32] {
-        let i = v.index();
-        &self.children[self.child_start[i] as usize..self.child_start[i + 1] as usize]
+        self.list(v.index())
     }
 
-    /// Parents (immediate predecessors) of `v`.
+    /// Parents (immediate predecessors) of `v`, in ascending id order.
     #[inline]
     pub fn parents(&self, v: NodeId) -> &[u32] {
-        let i = v.index();
-        &self.parents[self.parent_start[i] as usize..self.parent_start[i + 1] as usize]
+        self.list(self.parent_base() + v.index())
     }
 
     /// Out-degree of `v`.
@@ -142,10 +165,14 @@ impl JobGraph {
         (0..self.n).map(NodeId)
     }
 
-    /// A topological order of the nodes (sources first).
-    #[inline]
-    pub fn topo_order(&self) -> &[u32] {
-        &self.topo
+    /// A topological order of the nodes: decreasing height, ties by id.
+    /// Heights strictly decrease along every edge, so every edge goes
+    /// forward in this order. It is sorted on each call, not stored.
+    pub fn topo_order(&self) -> Vec<u32> {
+        let h = self.heights();
+        let mut order: Vec<u32> = (0..self.n).collect();
+        order.sort_by_key(|&v| std::cmp::Reverse(h[v as usize]));
+        order
     }
 
     /// Source nodes (in-degree 0). For an out-tree this is the single root.
@@ -161,58 +188,46 @@ impl JobGraph {
     /// Per-node **height** `H(v)`: the number of nodes on the longest
     /// directed path from `v` to a sink, so a sink has height 1
     /// (paper, Section 5). Heights drive the Longest-Path-First priority.
-    pub fn heights(&self) -> Vec<u32> {
-        let mut h = Vec::new();
-        self.heights_into(&mut h);
-        h
+    /// Computed once by [`GraphBuilder::build`]; this is a slice of it.
+    #[inline]
+    pub fn heights(&self) -> &[u32] {
+        let at = self.height_base();
+        &self.data[at..at + self.n as usize]
     }
 
-    /// [`heights`](Self::heights) into a caller-owned buffer, so schedulers
-    /// that keep per-job priorities can recycle the buffers of finished
-    /// jobs. `out` is cleared and refilled; its capacity is kept.
-    pub fn heights_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.resize(self.n(), 1);
-        // Walk the topological order backwards: children are finalized first.
-        for &v in self.topo.iter().rev() {
-            let vi = v as usize;
-            for &c in self.children(NodeId(v)) {
-                out[vi] = out[vi].max(out[c as usize] + 1);
-            }
-        }
+    /// `depth_counts()[d - 1]` is the number of nodes of depth exactly `d`,
+    /// for `d` in `1..=span`: the depth profile the paper's Lemma 5.1 reads
+    /// (see [`DepthProfile`](crate::DepthProfile)). Computed once by
+    /// [`GraphBuilder::build`]; this is a slice of it.
+    #[inline]
+    pub fn depth_counts(&self) -> &[u32] {
+        &self.data[self.height_base() + self.n as usize..]
     }
 
     /// Per-node **depth** `D(v)`: the number of nodes on the longest directed
     /// path from a source to `v`, so a source has depth 1 (paper, Section 5;
-    /// for out-trees this is the usual root distance + 1).
+    /// for out-trees this is the usual root distance + 1). Only the count of
+    /// nodes per depth is stored ([`depth_counts`](Self::depth_counts)); this
+    /// walks the graph.
     pub fn depths(&self) -> Vec<u32> {
-        let mut d = Vec::new();
-        self.depths_into(&mut d);
+        let mut d = vec![1u32; self.n()];
+        for v in self.topo_order() {
+            for &p in self.parents(NodeId(v)) {
+                d[v as usize] = d[v as usize].max(d[p as usize] + 1);
+            }
+        }
         d
     }
 
-    /// [`depths`](Self::depths) into a caller-owned buffer, so hot paths
-    /// that profile many graphs (streaming admission) can reuse one
-    /// allocation. `out` is cleared and refilled; its capacity is kept.
-    pub fn depths_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.resize(self.n(), 1);
-        for &v in &self.topo {
-            let dv = out[v as usize];
-            for &c in self.children(NodeId(v)) {
-                let ci = c as usize;
-                out[ci] = out[ci].max(dv + 1);
-            }
-        }
-    }
-
     /// The job's **span** `P`: the number of nodes on the longest directed
-    /// path. The span lower-bounds the job's flow in *any* schedule.
+    /// path. The span lower-bounds the job's flow in *any* schedule. It is
+    /// the length of [`depth_counts`](Self::depth_counts), so O(1).
+    #[inline]
     pub fn span(&self) -> u64 {
-        self.heights().iter().copied().max().unwrap_or(0) as u64
+        self.depth_counts().len() as u64
     }
 
-    /// Collect all edges `(u, v)` in an unspecified but deterministic order.
+    /// Collect all edges `(u, v)`, in ascending order.
     pub fn edges(&self) -> Vec<(u32, u32)> {
         let mut e = Vec::with_capacity(self.num_edges());
         for v in 0..self.n {
@@ -333,15 +348,34 @@ impl GraphBuilder {
 
     /// Validate and freeze into a [`JobGraph`].
     ///
-    /// Checks: non-empty, ids in range, no self-loops, no duplicate edges,
-    /// acyclic (Kahn's algorithm; the resulting peel order becomes the cached
-    /// topological order).
+    /// Checks, in this order: non-empty; then each edge in insertion order
+    /// for ids in range and no self-loop; then no duplicate edge (the
+    /// smallest duplicated `(u, v)` is reported); then acyclicity (Kahn's
+    /// algorithm). The same pass computes every node's height and the
+    /// number of nodes at each depth, so a graph's consumers never walk it
+    /// for them.
     pub fn build(&self) -> Result<JobGraph, GraphError> {
         let n = self.n;
         if n == 0 {
             return Err(GraphError::Empty);
         }
         let n32 = u32::try_from(n).expect("graph too large for u32 node ids");
+        let e = self.edges.len();
+        // Layout of `data` (see `JobGraph`). The depth counts come last and
+        // number `span <= n`, so reserving `n` for them means the buffer is
+        // never moved while they are appended; the unused `n - span` is
+        // handed back at the end.
+        let children_at = n + 1;
+        let parent_base = children_at + e;
+        let parents_at = parent_base + n + 1;
+        let height_base = parents_at + e;
+        let counts_at = height_base + n;
+        assert!(counts_at + n <= u32::MAX as usize, "graph too large for u32 offsets");
+        let mut data = Vec::with_capacity(counts_at + n);
+        data.resize(height_base, 0u32);
+        data.resize(counts_at, 1u32);
+
+        // Validate, and count each node's children and parents.
         for &(u, v) in &self.edges {
             if u >= n32 {
                 return Err(GraphError::NodeOutOfRange { node: u, n: n32 });
@@ -352,64 +386,109 @@ impl GraphBuilder {
             if u == v {
                 return Err(GraphError::SelfLoop(u));
             }
+            data[u as usize] += 1;
+            data[parent_base + v as usize] += 1;
         }
-        // Duplicate detection without hashing: sort a copy.
-        let mut sorted = self.edges.clone();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                return Err(GraphError::DuplicateEdge(w[0].0, w[0].1));
-            }
+        // Counts to list *ends*; placing an entry decrements its node's
+        // end, which leaves the offset at the list's start.
+        let mut end = children_at as u32;
+        for c in &mut data[..n] {
+            end += *c;
+            *c = end;
         }
+        data[n] = end;
+        let mut end = parents_at as u32;
+        for c in &mut data[parent_base..parent_base + n] {
+            end += *c;
+            *c = end;
+        }
+        data[parent_base + n] = end;
 
-        // CSR for children from the sorted edge list (sorted by source).
-        let mut child_start = vec![0u32; n + 1];
-        for &(u, _) in &sorted {
-            child_start[u as usize + 1] += 1;
+        // Child lists by counting sort: placing the edges back to front
+        // keeps each list in insertion order, which builders usually emit
+        // ascending already. Only out-of-order lists are sorted.
+        for &(u, v) in self.edges.iter().rev() {
+            data[u as usize] -= 1;
+            let slot = data[u as usize] as usize;
+            data[slot] = v;
         }
-        for i in 0..n {
-            child_start[i + 1] += child_start[i];
-        }
-        let children: Vec<u32> = sorted.iter().map(|&(_, v)| v).collect();
-
-        // CSR for parents: counting sort by target.
-        let mut parent_start = vec![0u32; n + 1];
-        for &(_, v) in &sorted {
-            parent_start[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            parent_start[i + 1] += parent_start[i];
-        }
-        let mut cursor = parent_start.clone();
-        let mut parents = vec![0u32; sorted.len()];
-        for &(u, v) in &sorted {
-            let slot = cursor[v as usize] as usize;
-            parents[slot] = u;
-            cursor[v as usize] += 1;
-        }
-
-        // Kahn's algorithm for acyclicity + topological order.
-        let mut indeg: Vec<u32> = (0..n).map(|i| parent_start[i + 1] - parent_start[i]).collect();
-        let mut queue: Vec<u32> = (0..n32).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut topo = Vec::with_capacity(n);
-        let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
-            head += 1;
-            topo.push(v);
-            let (s, e) = (child_start[v as usize], child_start[v as usize + 1]);
-            for &c in &children[s as usize..e as usize] {
-                indeg[c as usize] -= 1;
-                if indeg[c as usize] == 0 {
-                    queue.push(c);
+        for u in 0..n {
+            let (lo, hi) = (data[u] as usize, data[u + 1] as usize);
+            let list = &mut data[lo..hi];
+            if !list.windows(2).all(|w| w[0] < w[1]) {
+                list.sort_unstable();
+                if let Some(w) = list.windows(2).find(|w| w[0] == w[1]) {
+                    return Err(GraphError::DuplicateEdge(u as u32, w[0]));
                 }
             }
         }
-        if topo.len() != n {
+        // Parent lists from the sorted child lists, back to front, so each
+        // comes out ascending.
+        for u in (0..n).rev() {
+            for i in (data[u] as usize..data[u + 1] as usize).rev() {
+                let v = data[i] as usize;
+                data[parent_base + v] -= 1;
+                let slot = data[parent_base + v] as usize;
+                data[slot] = u as u32;
+            }
+        }
+
+        // Kahn's algorithm: `order` receives the nodes in peel order.
+        let mut scratch = vec![0u32; 2 * n];
+        let (indeg, order) = scratch.split_at_mut(n);
+        let mut len = 0;
+        for v in 0..n {
+            indeg[v] = data[parent_base + v + 1] - data[parent_base + v];
+            if indeg[v] == 0 {
+                order[len] = v as u32;
+                len += 1;
+            }
+        }
+        let mut head = 0;
+        while head < len {
+            let v = order[head] as usize;
+            head += 1;
+            for &c in &data[data[v] as usize..data[v + 1] as usize] {
+                indeg[c as usize] -= 1;
+                if indeg[c as usize] == 0 {
+                    order[len] = c;
+                    len += 1;
+                }
+            }
+        }
+        if len != n {
             return Err(GraphError::Cyclic);
         }
 
-        Ok(JobGraph { n: n32, child_start, children, parent_start, parents, topo })
+        // Heights in reverse peel order, pushed from each node to its
+        // parents (an out-forest node has at most one, so the inner loop
+        // barely branches). The heights start at 1 from the resize above.
+        let mut span = 1;
+        for &v in order.iter().rev() {
+            let v = v as usize;
+            let hv = data[height_base + v];
+            span = span.max(hv);
+            for i in data[parent_base + v] as usize..data[parent_base + v + 1] as usize {
+                let p = height_base + data[i] as usize;
+                data[p] = data[p].max(hv + 1);
+            }
+        }
+        // Depths in peel order, pulled from each node's parents into the
+        // spent in-degree array, and counted per depth.
+        data.resize(counts_at + span as usize, 0);
+        let depth = indeg;
+        for &v in order.iter() {
+            let v = v as usize;
+            let mut d = 1;
+            for i in data[parent_base + v] as usize..data[parent_base + v + 1] as usize {
+                d = d.max(depth[data[i] as usize] + 1);
+            }
+            depth[v] = d;
+            data[counts_at + d as usize - 1] += 1;
+        }
+
+        data.shrink_to_fit();
+        Ok(JobGraph { n: n32, e: e as u32, data })
     }
 }
 
@@ -495,6 +574,7 @@ mod tests {
         assert_eq!(g.span(), 3);
         assert_eq!(g.heights(), vec![3, 2, 2, 1]);
         assert_eq!(g.depths(), vec![1, 2, 2, 3]);
+        assert_eq!(g.depth_counts(), &[1, 2, 1]);
         assert_eq!(g.sources(), vec![NodeId(0)]);
         assert_eq!(g.sinks(), vec![NodeId(3)]);
     }

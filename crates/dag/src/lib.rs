@@ -14,7 +14,8 @@
 //!   parallel-for); the paper's introduction motivates the model with these.
 //!
 //! The central type is [`JobGraph`], a compact CSR (compressed sparse row)
-//! representation with precomputed topological order. On top of it this crate
+//! representation that also holds each node's height and the number of
+//! nodes at each depth, computed once when the graph is built. On top of it this crate
 //! provides:
 //!
 //! * structural metrics — [`JobGraph::work`], [`JobGraph::span`], per-node
@@ -38,7 +39,7 @@ pub mod render;
 pub mod sp;
 
 pub use graph::{GraphBuilder, GraphError, JobGraph, NodeId};
-pub use profile::{DepthProfile, DepthScratch};
+pub use profile::DepthProfile;
 
 /// Discrete simulation time. Subjobs occupy unit intervals; a subjob
 /// scheduled "at time `t`" runs during `(t-1, t]` in the paper's convention.

@@ -8,13 +8,6 @@
 
 use crate::graph::JobGraph;
 
-/// Reusable working memory for [`DepthProfile::opt_single_job_in`].
-#[derive(Debug, Clone, Default)]
-pub struct DepthScratch {
-    depths: Vec<u32>,
-    count: Vec<u64>,
-}
-
 /// Precomputed per-depth statistics of one job.
 ///
 /// ```
@@ -37,9 +30,10 @@ pub struct DepthProfile {
 }
 
 impl DepthProfile {
-    /// Build the profile of `g` (O(n) after the depth computation).
+    /// Build the profile of `g` from its cached depth counts (O(span), no
+    /// graph walk).
     pub fn new(g: &JobGraph) -> Self {
-        Self::from_depths(&g.depths())
+        Self::from_counts(g.depth_counts().iter().map(|&c| c as u64).collect())
     }
 
     /// Build from an explicit per-node depth array (depths are 1-based).
@@ -50,6 +44,12 @@ impl DepthProfile {
             debug_assert!(d >= 1, "depths are 1-based");
             count[(d - 1) as usize] += 1;
         }
+        Self::from_counts(count)
+    }
+
+    /// Build from `count[d - 1]` = number of nodes at depth exactly `d`.
+    fn from_counts(count: Vec<u64>) -> Self {
+        let max_depth = count.len();
         // suffix[d] = sum of count[d..] = #nodes with depth > d.
         let mut suffix = vec![0u64; max_depth + 1];
         for d in (0..max_depth).rev() {
@@ -96,39 +96,14 @@ impl DepthProfile {
     /// *exactly* the optimal maximum flow of the job (out-forests) released
     /// alone at time 0.
     pub fn opt_single_job(&self, m: u64) -> u64 {
-        assert!(m >= 1, "need at least one processor");
-        let mut best = 0u64;
-        for d in 0..=self.max_depth() {
-            let w = self.work_below(d);
-            best = best.max(d + w.div_ceil(m));
-        }
-        best
+        lemma_5_1(&self.count, m)
     }
 
-    /// [`opt_single_job`](Self::opt_single_job) of `g` without building (or
-    /// allocating) a profile: the counting buffers live in `scratch` and are
-    /// reused across calls. Streaming admission paths call this once per
-    /// arriving job, so the per-job cost is one depth pass and zero
-    /// allocations after warm-up.
-    pub fn opt_single_job_in(g: &JobGraph, m: u64, scratch: &mut DepthScratch) -> u64 {
-        assert!(m >= 1, "need at least one processor");
-        g.depths_into(&mut scratch.depths);
-        let max_depth = scratch.depths.iter().copied().max().unwrap_or(0) as usize;
-        scratch.count.clear();
-        scratch.count.resize(max_depth, 0);
-        for &d in &scratch.depths {
-            debug_assert!(d >= 1, "depths are 1-based");
-            scratch.count[(d - 1) as usize] += 1;
-        }
-        // Walk depths high-to-low, accumulating W(d) = #nodes deeper than d
-        // (count[d] holds the nodes at depth d + 1, i.e. strictly below d).
-        let mut best = max_depth as u64;
-        let mut w = 0u64;
-        for d in (0..max_depth).rev() {
-            w += scratch.count[d];
-            best = best.max(d as u64 + w.div_ceil(m));
-        }
-        best
+    /// [`opt_single_job`](Self::opt_single_job) of `g` without building a
+    /// profile: it reads `g`'s cached depth counts and allocates nothing.
+    /// Streaming admission calls this once per arriving job.
+    pub fn opt_single_job_of(g: &JobGraph, m: u64) -> u64 {
+        lemma_5_1(g.depth_counts(), m)
     }
 
     /// The widest depth level — an upper bound on how many processors the
@@ -161,6 +136,20 @@ impl DepthProfile {
         }
         arg
     }
+}
+
+/// `max over d in [0, D] of (d + ceil(W(d)/m))` from the per-depth counts
+/// (`count[d]` holds the nodes at depth `d + 1`): walk the depths high to
+/// low, accumulating `W(d)`, the number of nodes strictly deeper than `d`.
+fn lemma_5_1<C: Copy + Into<u64>>(count: &[C], m: u64) -> u64 {
+    assert!(m >= 1, "need at least one processor");
+    let mut best = count.len() as u64;
+    let mut w = 0u64;
+    for d in (0..count.len()).rev() {
+        w += count[d].into();
+        best = best.max(d as u64 + w.div_ceil(m));
+    }
+    best
 }
 
 #[cfg(test)]
@@ -199,17 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn scratch_opt_matches_profile_opt() {
-        let mut scratch = DepthScratch::default();
+    fn graph_opt_matches_profile_opt() {
         use crate::builder::complete_kary;
         for g in [chain(1), chain(7), star(6), complete_kary(2, 4), complete_kary(3, 3)] {
             let p = DepthProfile::new(&g);
             for m in 1..=9 {
-                assert_eq!(
-                    DepthProfile::opt_single_job_in(&g, m, &mut scratch),
-                    p.opt_single_job(m),
-                    "m={m}"
-                );
+                assert_eq!(DepthProfile::opt_single_job_of(&g, m), p.opt_single_job(m), "m={m}");
             }
         }
     }

@@ -2,7 +2,7 @@
 
 use flowtree_dag::builder::{caterpillar, complete_kary, quicksort_tree};
 use flowtree_dag::classify;
-use flowtree_dag::graph::{GraphBuilder, JobGraph, NodeId};
+use flowtree_dag::graph::{GraphBuilder, GraphError, JobGraph, NodeId};
 use flowtree_dag::profile::DepthProfile;
 use proptest::prelude::*;
 
@@ -37,7 +37,118 @@ fn arb_out_tree(max_n: usize) -> impl Strategy<Value = JobGraph> {
     })
 }
 
+/// Strategy: an [`arb_dag`] with its node ids relabelled by a random
+/// permutation and its edges added in a random order. Edges no longer run
+/// from low to high ids, so Kahn's peel order differs from id order, and
+/// child lists arrive unsorted. Yields the node count, the edge list as
+/// added, and the built graph.
+fn arb_relabelled_dag(max_n: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>, JobGraph)> {
+    arb_dag(max_n)
+        .prop_flat_map(|g| {
+            let keys = |len: usize| proptest::collection::vec(0..u64::MAX, len);
+            (keys(g.n()), keys(g.num_edges()), Just(g))
+        })
+        .prop_map(|(node_keys, edge_keys, g)| {
+            // Sorting by random keys gives a random permutation.
+            let mut perm: Vec<u32> = (0..g.n() as u32).collect();
+            perm.sort_by_key(|&v| node_keys[v as usize]);
+            let mut order: Vec<usize> = (0..g.num_edges()).collect();
+            order.sort_by_key(|&i| edge_keys[i]);
+            let old = g.edges();
+            let edges: Vec<(u32, u32)> = order
+                .iter()
+                .map(|&i| (perm[old[i].0 as usize], perm[old[i].1 as usize]))
+                .collect();
+            let mut b = GraphBuilder::new(g.n());
+            for &(u, v) in &edges {
+                b.edge(u, v);
+            }
+            (g.n(), edges, b.build().expect("a relabelled DAG is a DAG"))
+        })
+}
+
+/// Reference heights: relax `h(u) >= h(v) + 1` over every edge until
+/// nothing changes.
+fn reference_heights(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
+    let mut h = vec![1u32; n];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &(u, v) in edges {
+            if h[u as usize] < h[v as usize] + 1 {
+                h[u as usize] = h[v as usize] + 1;
+                changed = true;
+            }
+        }
+    }
+    h
+}
+
+/// Reference depths: relax `d(v) >= d(u) + 1` over every edge until
+/// nothing changes.
+fn reference_depths(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
+    let mut d = vec![1u32; n];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &(u, v) in edges {
+            if d[v as usize] < d[u as usize] + 1 {
+                d[v as usize] = d[u as usize] + 1;
+                changed = true;
+            }
+        }
+    }
+    d
+}
+
 proptest! {
+    /// The structure `build` caches agrees with plain walks over the edge
+    /// list, whatever the labelling and the order the edges came in.
+    #[test]
+    fn cached_structure_matches_reference_walks(case in arb_relabelled_dag(40)) {
+        let (n, edges, g) = case;
+        let h = reference_heights(n, &edges);
+        let d = reference_depths(n, &edges);
+        prop_assert_eq!(g.heights(), &h[..]);
+        let span = *d.iter().max().unwrap();
+        let mut counts = vec![0u32; span as usize];
+        for &x in &d {
+            counts[x as usize - 1] += 1;
+        }
+        prop_assert_eq!(g.depth_counts(), &counts[..]);
+        prop_assert_eq!(g.span(), span as u64);
+        prop_assert_eq!(*h.iter().max().unwrap(), span);
+        prop_assert_eq!(g.depths(), d.clone());
+        prop_assert_eq!(DepthProfile::new(&g), DepthProfile::from_depths(&d));
+
+        let order = g.topo_order();
+        let mut pos = vec![usize::MAX; n];
+        for (i, &v) in order.iter().enumerate() {
+            pos[v as usize] = i;
+        }
+        prop_assert!(pos.iter().all(|&p| p != usize::MAX), "topo_order misses a node");
+        for &(u, v) in &edges {
+            prop_assert!(pos[u as usize] < pos[v as usize]);
+        }
+
+        let mut sorted = edges.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(g.edges(), sorted.clone());
+        prop_assert_eq!(g.num_edges(), edges.len());
+        let mut from_parents = Vec::new();
+        for v in g.nodes() {
+            prop_assert!(g.children(v).windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(g.parents(v).windows(2).all(|w| w[0] < w[1]));
+            from_parents.extend(g.parents(v).iter().map(|&u| (u, v.0)));
+        }
+        from_parents.sort_unstable();
+        prop_assert_eq!(from_parents, sorted);
+
+        let json = serde_json::to_string(&g).unwrap();
+        let back: JobGraph = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(back, g);
+    }
+
     #[test]
     fn topo_order_valid_for_random_dags(g in arb_dag(40)) {
         let mut pos = vec![0usize; g.n()];
@@ -141,6 +252,40 @@ proptest! {
         prop_assert_eq!(u.span(), g.span().max(h.span()));
         prop_assert_eq!(offsets, vec![0, g.n() as u32]);
         prop_assert!(classify::is_out_forest(&u));
+    }
+}
+
+/// Which error a bad edge list gets: each edge in insertion order is
+/// checked for range and then self-loop; duplicates are checked after every
+/// edge passed those, smallest `(u, v)` first; a cycle is reported last.
+#[test]
+fn builder_error_precedence() {
+    use GraphError::*;
+    type Case = (usize, &'static [(u32, u32)], GraphError);
+    let table: &[Case] = &[
+        (0, &[], Empty),
+        // One edge both out of range and a self-loop: range wins.
+        (2, &[(2, 2)], NodeOutOfRange { node: 2, n: 2 }),
+        (2, &[(0, 5)], NodeOutOfRange { node: 5, n: 2 }),
+        (2, &[(7, 9)], NodeOutOfRange { node: 7, n: 2 }),
+        // A later out-of-range edge beats an earlier duplicate.
+        (3, &[(0, 1), (0, 1), (1, 3)], NodeOutOfRange { node: 3, n: 3 }),
+        // Self-loop before duplicate, and before cycle.
+        (3, &[(0, 1), (0, 1), (2, 2)], SelfLoop(2)),
+        (3, &[(0, 1), (1, 0), (1, 1)], SelfLoop(1)),
+        // Duplicate before cycle.
+        (3, &[(0, 1), (1, 0), (0, 1)], DuplicateEdge(0, 1)),
+        // Two duplicates: the smaller (u, v) is reported, whatever the order.
+        (4, &[(2, 3), (2, 3), (0, 2), (0, 2)], DuplicateEdge(0, 2)),
+        (4, &[(1, 3), (1, 2), (1, 3), (1, 2)], DuplicateEdge(1, 2)),
+        (3, &[(0, 1), (1, 2), (2, 0)], Cyclic),
+    ];
+    for (n, edges, want) in table {
+        let mut b = GraphBuilder::new(*n);
+        for &(u, v) in *edges {
+            b.edge(u, v);
+        }
+        assert_eq!(b.build().unwrap_err(), *want, "n = {n}, edges = {edges:?}");
     }
 }
 

@@ -37,6 +37,12 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// refuses it before reserving memory.
 pub const MAX_FRAME: usize = 4 << 20;
 
+/// Ceiling on the subjobs one submit frame may declare, summed over its
+/// jobs: `MAX_FRAME / 4` = 1,048,576. A node count costs 4 bytes on the
+/// wire but a graph's worth of memory to build, so both codecs check a
+/// frame's total against it before they build any graph.
+const FRAME_NODE_BUDGET: u64 = (MAX_FRAME / 4) as u64;
+
 /// First payload byte of every binary-codec message. `0x00` can never open
 /// a JSON document, so a decoder distinguishes the codecs per frame.
 pub const BINARY_MARKER: u8 = 0x00;
@@ -461,6 +467,7 @@ impl serde::Serialize for Request {
 impl serde::Deserialize for Request {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let tag: String = field(v, "type")?;
+        check_json_node_budget(v).map_err(serde::Error::custom)?;
         Ok(match tag.as_str() {
             "hello" => Request::Hello {
                 proto: field(v, "proto")?,
@@ -597,6 +604,7 @@ fn push_submit_batch_binary(out: &mut Vec<u8>, jobs: &[JobSpec]) {
 /// Little-endian cursor over a binary payload; every read is
 /// bounds-checked so hostile bytes surface as `Err(String)`, never a
 /// panic.
+#[derive(Clone)]
 struct BinReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -650,14 +658,25 @@ fn read_submit_batch_binary(
     if count.saturating_mul(16) > r.buf.len() {
         return Err("binary job count exceeds payload".to_string());
     }
+    // Walk the job headers first, so the frame's node total is checked
+    // before any graph is built.
+    let mut scan = r.clone();
+    let mut nodes = 0u64;
+    for _ in 0..count {
+        scan.u64()?;
+        nodes += u64::from(scan.u32()?);
+        let edges = scan.u32()? as usize;
+        if edges.saturating_mul(8) > scan.buf.len() - scan.pos {
+            return Err("binary edge count exceeds payload".to_string());
+        }
+        scan.pos += edges * 8;
+    }
+    check_node_budget(nodes)?;
     out.reserve(count);
     for _ in 0..count {
         let release = r.u64()?;
         let n = r.u32()? as usize;
         let edges = r.u32()? as usize;
-        if edges.saturating_mul(8) > r.buf.len() - r.pos {
-            return Err("binary edge count exceeds payload".to_string());
-        }
         let mut b = GraphBuilder::new(n);
         for _ in 0..edges {
             let u = r.u32()?;
@@ -668,6 +687,31 @@ fn read_submit_batch_binary(
         out.push(JobSpec { graph, release });
     }
     Ok(count)
+}
+
+/// Refuse a frame whose jobs declare more than [`FRAME_NODE_BUDGET`]
+/// subjobs in total.
+fn check_node_budget(nodes: u64) -> Result<(), String> {
+    if nodes > FRAME_NODE_BUDGET {
+        return Err(format!(
+            "frame declares {nodes} subjobs, over the budget of {FRAME_NODE_BUDGET} per frame"
+        ));
+    }
+    Ok(())
+}
+
+/// The JSON counterpart of the binary header walk: sums the node counts
+/// (`graph.n`) that the jobs of a `submit` (`job`) or `submit-batch`
+/// (`jobs`) message declare and checks them against the budget, before
+/// any job is decoded. Other messages carry no jobs and pass; a job
+/// without a readable count adds nothing here and fails its own decode.
+fn check_json_node_budget(msg: &Value) -> Result<(), String> {
+    let jobs = msg.get("job").into_iter();
+    let jobs = jobs.chain(msg.get("jobs").and_then(Value::as_array).into_iter().flatten());
+    check_node_budget(
+        jobs.filter_map(|j| j.get("graph")?.get("n")?.as_u64())
+            .fold(0, u64::saturating_add),
+    )
 }
 
 // ---------------------------------------------------------- encode / decode
@@ -776,6 +820,7 @@ pub fn decode_submit_into(payload: &[u8], out: &mut Vec<JobSpec>) -> Result<Opti
         std::str::from_utf8(payload).map_err(|_| "frame payload is not UTF-8".to_string())?;
     let v: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
     let tag: String = field(&v, "type").map_err(|e| e.to_string())?;
+    check_json_node_budget(&v)?;
     match tag.as_str() {
         "submit" => {
             let job: JobSpec = field(&v, "job").map_err(|e| e.to_string())?;

@@ -144,6 +144,44 @@ fn truncated_frames_close_the_connection_without_panicking_a_shard() {
     assert!(results.iter().all(|r| r.summary.invariants_clean));
 }
 
+/// A frame is a few bytes, but the node count it declares is a graph's
+/// worth of memory: a submit whose jobs declare more subjobs than the
+/// per-frame budget is rejected before any graph is built, in either
+/// codec, and the connection lives on.
+#[test]
+fn frames_declaring_too_many_subjobs_are_rejected_before_building() {
+    let (pool, gw) = launch();
+    let stream = dial(&gw);
+    hello(&stream);
+
+    // Binary: marker, submit-batch opcode, one job with release 0,
+    // n = u32::MAX and no edges — 22 bytes.
+    let mut bin = vec![0x00, 0x01];
+    bin.extend_from_slice(&1u32.to_le_bytes());
+    bin.extend_from_slice(&0u64.to_le_bytes());
+    bin.extend_from_slice(&u32::MAX.to_le_bytes());
+    bin.extend_from_slice(&0u32.to_le_bytes());
+    assert_eq!(bin.len(), 22);
+    write_frame(&mut &stream, &bin).expect("send");
+    expect_reject(&stream, "budget");
+
+    let json = format!(
+        "{{\"type\":\"submit-batch\",\"jobs\":[{{\"graph\":{{\"n\":{},\"edges\":[]}},\"release\":0}}]}}",
+        u32::MAX
+    );
+    write_frame(&mut &stream, json.as_bytes()).expect("send");
+    expect_reject(&stream, "budget");
+
+    // The same connection still works after both rejects.
+    write_frame(&mut &stream, &encode(&Request::Watermark { t: 5 })).expect("send");
+    let payload = read_frame(&mut &stream, 1 << 20).expect("reply").expect("frame");
+    assert!(matches!(decode::<Reply>(&payload).expect("parse"), Reply::Ack { .. }));
+
+    assert_pool_alive(&gw);
+    gw.shutdown();
+    pool.drain().expect("drain");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

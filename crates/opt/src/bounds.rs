@@ -12,7 +12,7 @@ use flowtree_sim::Instance;
 /// `max_d (d + ceil(W(d)/m))`, which dominates both the span bound
 /// (`d = D, W = 0`) and the work bound (`d = 0`).
 pub fn job_lower_bound(g: &JobGraph, m: u64) -> u64 {
-    DepthProfile::new(g).opt_single_job(m)
+    DepthProfile::opt_single_job_of(g, m)
 }
 
 /// The best per-job bound over the whole instance: any schedule must give

@@ -13,7 +13,7 @@ use flowtree_sim::Instance;
 /// Exact OPT for a single out-forest (or any collection of graphs released
 /// simultaneously, passed as one union graph).
 pub fn single_job_opt(g: &JobGraph, m: u64) -> u64 {
-    DepthProfile::new(g).opt_single_job(m)
+    DepthProfile::opt_single_job_of(g, m)
 }
 
 /// Exact OPT for an instance in which *all jobs share one release time*

@@ -144,7 +144,7 @@ impl Instance {
     pub fn per_job_lower_bound(&self, m: u64) -> u64 {
         self.jobs
             .iter()
-            .map(|j| DepthProfile::new(&j.graph).opt_single_job(m))
+            .map(|j| DepthProfile::opt_single_job_of(&j.graph, m))
             .max()
             .unwrap_or(0)
     }

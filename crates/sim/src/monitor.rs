@@ -20,14 +20,16 @@
 
 use crate::instance::Instance;
 use crate::probe::{Probe, StepStat};
-use flowtree_dag::{DepthProfile, DepthScratch, JobGraph, JobId, NodeId, Time};
+use flowtree_dag::{DepthProfile, JobGraph, JobId, NodeId, Time};
 use std::collections::BTreeMap;
 
 /// Live Lemma 5.1 lower-bound tracker.
 ///
-/// Per-job profiles are precomputed from the instance at construction; the
-/// per-job bounds `max_d (d + ⌈W_i(d)/m⌉)` are evaluated once `m` is known
-/// (at [`Probe::on_start`]). The running lower bound is the max over
+/// Per-job profiles are copied from each graph's cached depth counts at
+/// construction (no graph walk; a streaming tracker reads the counts of
+/// each admitted graph instead); the per-job bounds
+/// `max_d (d + ⌈W_i(d)/m⌉)` are evaluated once `m` is known (at
+/// [`Probe::on_start`]). The running lower bound is the max over
 /// *released* jobs — each job must individually be scheduled within its own
 /// single-job optimum, whatever else is in the system — and the running
 /// `max_flow` is the max over *completed* jobs, so
@@ -47,13 +49,11 @@ pub struct LowerBound {
     m: u64,
     lb: Time,
     max_flow: Option<Time>,
-    /// Reused working memory for streaming per-admit bound evaluation, so
-    /// the serve admit path allocates nothing per job.
-    scratch: DepthScratch,
 }
 
 impl LowerBound {
-    /// Precompute depth profiles for every job of `instance`.
+    /// Depth profiles for every job of `instance`, from the graphs' cached
+    /// depth counts.
     pub fn new(instance: &Instance) -> Self {
         let profiles =
             instance.jobs().iter().map(|j| DepthProfile::new(&j.graph)).collect::<Vec<_>>();
@@ -65,7 +65,6 @@ impl LowerBound {
             m: 0,
             lb: 0,
             max_flow: None,
-            scratch: DepthScratch::default(),
         }
     }
 
@@ -80,7 +79,6 @@ impl LowerBound {
             m: 0,
             lb: 0,
             max_flow: None,
-            scratch: DepthScratch::default(),
         }
     }
 
@@ -129,11 +127,10 @@ impl Probe for LowerBound {
             self.bounds.len(),
             "streaming admits must arrive in job-id order"
         );
-        // One depth pass over the arriving graph, no allocation: the serve
-        // admit path runs this per job, so the profile itself is never
-        // materialized (only the bound matters once the job is in).
-        self.bounds
-            .push(DepthProfile::opt_single_job_in(graph, self.m.max(1), &mut self.scratch));
+        // The bound reads the graph's cached depth counts: no graph walk
+        // and no allocation on the serve admit path, and the profile itself
+        // is never materialized (only the bound matters once the job is in).
+        self.bounds.push(DepthProfile::opt_single_job_of(graph, self.m.max(1)));
         self.releases.push(None);
     }
 

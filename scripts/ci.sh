@@ -15,8 +15,8 @@ cargo build --release --workspace
 echo "==> cargo test -q (default-members: the whole workspace)"
 cargo test -q
 
-echo "==> sim + core tests in release (step validation holds without debug assertions)"
-cargo test --release -q -p flowtree-sim -p flowtree-core
+echo "==> dag + sim + core tests in release (graph build and step validation hold without debug assertions)"
+cargo test --release -q -p flowtree-dag -p flowtree-sim -p flowtree-core
 
 echo "==> flowbench tests (the benchmark package builds against the current API)"
 cargo test --offline -q --manifest-path flowbench/Cargo.toml
@@ -26,6 +26,12 @@ echo "==> flowbench engine-batch smoke (verify, invariants, determinism; no numb
 # prints are not compared against anything here.
 cargo run --release --quiet --offline --manifest-path flowbench/Cargo.toml -- \
     --workload engine-batch --seed 1 --seconds 1 --trace 0 >/dev/null
+
+echo "==> flowbench serve-flood smoke (verify, ledger, determinism; no number gated)"
+# The serve path's correctness checks on the graphs it decodes and
+# retains; only the exit status counts.
+cargo run --release --quiet --offline --manifest-path flowbench/Cargo.toml -- \
+    --workload serve-flood --seed 1 --seconds 1 --trace 0 >/dev/null
 
 echo "==> flowbench gateway-open traced smoke (checks + every per-layer metric finite; no number gated)"
 # Runs the real gateway with tracing on: exits 1 if a correctness check
