@@ -1,6 +1,6 @@
 //! E13 — Extension: **speed augmentation hides the Section 4 hardness**.
 //!
-//! Prior work (reference [4] of the paper) shows FIFO is (1+ε)-speed
+//! Prior work (reference \[4\] of the paper) shows FIFO is (1+ε)-speed
 //! O(1)-competitive for maximum flow; the paper's whole point is to drop
 //! that assumption and ask what happens at speed 1. This experiment makes
 //! the contrast concrete: the very instances on which 1-speed FIFO's ratio

@@ -14,7 +14,7 @@
 //! | E10 | Theorem 6.1 (FIFO batched upper bound) | [`e10_fifo_batched`] |
 //! | E11 | Ablation: FIFO intra-job tie-breaks | [`e11_tiebreak_ablation`] |
 //! | E12 | Ablation: α/β choices in 𝒜 | [`e12_alpha_ablation`] |
-//! | E13 | Extension: speed augmentation (context of [4]) | [`e13_speed_augmentation`] |
+//! | E13 | Extension: speed augmentation (context of \[4\]) | [`e13_speed_augmentation`] |
 //! | E14 | Extension: Section 6 invariants measured live | [`e14_section6_invariants`] |
 //! | E15 | Extension: LPF suboptimality witnesses on DAGs | [`e15_dag_lpf_gap`] |
 //! | E16 | Extension: scheduler × scenario matrix | [`e16_scheduler_matrix`] |

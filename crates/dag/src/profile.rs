@@ -101,7 +101,7 @@ impl DepthProfile {
 
     /// [`opt_single_job`](Self::opt_single_job) of `g` without building a
     /// profile: it reads `g`'s cached depth counts and allocates nothing.
-    /// Streaming admission calls this once per arriving job.
+    /// The simulator's `LowerBound` probe calls this once per released job.
     pub fn opt_single_job_of(g: &JobGraph, m: u64) -> u64 {
         lemma_5_1(g.depth_counts(), m)
     }

@@ -1,7 +1,7 @@
 //! # flowtree-serve — sharded online simulation service
 //!
-//! Everything else in the workspace simulates a *known* [`Instance`]
-//! (flowtree_sim::Instance) from `t = 0`; this crate runs the simulator as
+//! Everything else in the workspace simulates a *known*
+//! [`Instance`](flowtree_sim::Instance) from `t = 0`; this crate runs the simulator as
 //! a *service*: arrivals stream in asynchronously, get routed across a pool
 //! of engine shards, and every drained shard persists its certified
 //! [`RunSummary`](flowtree_analysis::RunSummary) into an append-only results
@@ -10,9 +10,9 @@
 //! The pieces, bottom-up:
 //!
 //! * [`source`] — where arrivals come from: replayed traces
-//!   ([`ReplaySource`]), lazily sampled workload scenarios
-//!   ([`GeneratorSource`]), or an external thread feeding a channel
-//!   ([`ChannelSource`]).
+//!   ([`ReplaySource`]) or lazily sampled workload scenarios
+//!   ([`GeneratorSource`]); external producers offer through a
+//!   [`PoolHandle`].
 //! * [`shard`] — one worker thread per shard driving a streaming
 //!   [`Session`](flowtree_sim::Session) with the live monitor stack
 //!   (`LowerBound` + `InvariantMonitor` + `RunHistograms`) attached as a
@@ -60,7 +60,7 @@ pub use pool::{
     ServeConfigBuilder, ServeError, ShardPool, StealConfig,
 };
 pub use shard::{Arrival, ShardResult, ShardSnapshot, SwapEvent};
-pub use source::{channel_source, ArrivalSource, ChannelSource, GeneratorSource, ReplaySource};
+pub use source::{ArrivalSource, GeneratorSource, ReplaySource};
 pub use store::{
     gc_store, git_describe, load_records, ls_store, prune_history, run_id, GcFileReport, GcReport,
     LsFileReport, LsReport, PruneLimits, PruneReport, ResultsStore, StoreRecord, HISTORY_FILE,

@@ -259,16 +259,12 @@ pub(crate) struct ShardCtx {
 pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
     let ShardCtx { shard, m, mut spec, scenario, max_horizon, stats, tel } = ctx;
     let mut sched: Box<dyn OnlineScheduler + Send> = spec.build();
-    let mut lb = LowerBound::streaming();
-    let mut inv = InvariantMonitor::streaming(spec.invariants());
+    let session = Session::new(m).with_max_horizon(max_horizon);
+    let mut lb = LowerBound::new(session.instance());
+    let mut inv = InvariantMonitor::new(session.instance(), spec.invariants());
     let mut histos = RunHistograms::new();
     let mut lat = LatencyProbe::new(Arc::clone(&tel));
-    let mut session = Session::new(m).with_max_horizon(max_horizon).with_probe((
-        &mut lb,
-        &mut inv,
-        &mut histos,
-        &mut lat,
-    ));
+    let mut session = session.with_probe((&mut lb, &mut inv, &mut histos, &mut lat));
 
     let mut safe: Time = 0;
     let mut draining = false;

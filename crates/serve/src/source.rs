@@ -2,10 +2,11 @@
 //!
 //! An [`ArrivalSource`] yields [`JobSpec`]s one at a time in nondecreasing
 //! release order — the same contract [`Session::admit`](flowtree_sim::Session)
-//! enforces. Three implementations cover the serving use cases: replaying a
-//! recorded trace ([`ReplaySource`]), sampling a workload scenario lazily at
-//! a target arrival rate ([`GeneratorSource`]), and pulling from a channel
-//! fed by another thread ([`ChannelSource`]).
+//! enforces. Two implementations cover the serving use cases: replaying a
+//! recorded trace ([`ReplaySource`]) and sampling a workload scenario lazily
+//! at a target arrival rate ([`GeneratorSource`]). A producer on another
+//! thread (such as the gateway) offers jobs through
+//! [`PoolHandle::offer_batch`](crate::PoolHandle::offer_batch) instead.
 //!
 //! The nondecreasing-release contract holds at the *source*; downstream the
 //! pool may reorder per shard. In particular a stealing pool re-releases
@@ -15,7 +16,6 @@
 
 use std::collections::VecDeque;
 
-use crossbeam::channel;
 use flowtree_dag::{JobGraph, Time};
 use flowtree_sim::{Instance, JobSpec};
 use flowtree_workloads::mix::{Scenario, Shape};
@@ -27,8 +27,7 @@ use rand::Rng as _;
 /// `None` ends the stream; a pool reading the source then drains its shards.
 /// Sources must be `Send` so a caller may pump one from a dedicated thread.
 pub trait ArrivalSource: Send {
-    /// The next arrival, or `None` when the stream is exhausted. May block
-    /// (e.g. [`ChannelSource`] waits for its producer).
+    /// The next arrival, or `None` when the stream is exhausted. May block.
     fn next_arrival(&mut self) -> Option<JobSpec>;
 
     /// Append the next ingest batch to `out` (callers pass it empty): up to
@@ -233,54 +232,6 @@ impl ArrivalSource for GeneratorSource {
     }
 }
 
-/// Pulls arrivals from a channel fed by an external producer thread; the
-/// stream ends when every [`Sender`](channel::Sender) is dropped.
-#[derive(Debug)]
-pub struct ChannelSource {
-    rx: channel::Receiver<JobSpec>,
-    /// An arrival pulled while batching that fell outside the batch's
-    /// release span; it leads the next batch instead.
-    lookahead: Option<JobSpec>,
-}
-
-/// An unbounded arrival channel: feed [`JobSpec`]s through the sender (from
-/// any thread) and hand the [`ChannelSource`] to a
-/// [`ShardPool`](crate::ShardPool). Senders are responsible for
-/// nondecreasing release order; the pool clamps stragglers (counting them)
-/// rather than erroring.
-pub fn channel_source() -> (channel::Sender<JobSpec>, ChannelSource) {
-    let (tx, rx) = channel::unbounded();
-    (tx, ChannelSource { rx, lookahead: None })
-}
-
-impl ArrivalSource for ChannelSource {
-    fn next_arrival(&mut self) -> Option<JobSpec> {
-        self.lookahead.take().or_else(|| self.rx.recv().ok())
-    }
-
-    fn next_batch(&mut self, max: usize, span: Time, out: &mut Vec<JobSpec>) -> usize {
-        // Block for the batch's first arrival, then absorb whatever the
-        // producer already queued — never wait for a batch to fill.
-        let Some(first) = self.next_arrival() else {
-            return 0;
-        };
-        let cutoff = first.release.saturating_add(span);
-        out.push(first);
-        while out.len() < max {
-            let Some(job) = self.rx.try_recv() else {
-                break;
-            };
-            if job.release <= cutoff {
-                out.push(job);
-            } else {
-                self.lookahead = Some(job);
-                break;
-            }
-        }
-        out.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,34 +351,5 @@ mod tests {
             batched.append(&mut out);
         }
         assert_eq!(batched, single);
-    }
-
-    #[test]
-    fn channel_batches_never_block_and_keep_stragglers() {
-        let (tx, mut src) = channel_source();
-        for release in [1, 1, 4] {
-            tx.send(JobSpec { graph: chain(2), release }).unwrap();
-        }
-        let mut out = Vec::new();
-        // Span 0 stops at release 4, which becomes the lookahead...
-        assert_eq!(src.next_batch(8, 0, &mut out), 2);
-        out.clear();
-        // ...and leads the next batch even with the producer idle.
-        assert_eq!(src.next_batch(8, 0, &mut out), 1);
-        assert_eq!(out[0].release, 4);
-        out.clear();
-        drop(tx);
-        assert_eq!(src.next_batch(8, 0, &mut out), 0);
-    }
-
-    #[test]
-    fn channel_source_drains_then_ends() {
-        let (tx, mut src) = channel_source();
-        tx.send(JobSpec { graph: chain(2), release: 0 }).unwrap();
-        tx.send(JobSpec { graph: chain(2), release: 1 }).unwrap();
-        drop(tx);
-        assert_eq!(src.next_arrival().unwrap().release, 0);
-        assert_eq!(src.next_arrival().unwrap().release, 1);
-        assert!(src.next_arrival().is_none());
     }
 }

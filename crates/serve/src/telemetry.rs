@@ -423,7 +423,7 @@ impl Probe for LatencyProbe {
     }
 
     #[inline]
-    fn on_complete(&mut self, _t: Time, job: JobId) {
+    fn on_complete(&mut self, _t: Time, job: JobId, _release: Time) {
         let i = job.index();
         if i < self.offered_us.len() {
             let now = self.tel.now_us();
@@ -928,7 +928,7 @@ mod tests {
         probe.stamp(JobId(0), 0, 10);
         probe.on_dispatch(0, JobId(0), NodeId(0));
         probe.on_dispatch(0, JobId(0), NodeId(1)); // second dispatch: no-op
-        probe.on_complete(1, JobId(0));
+        probe.on_complete(1, JobId(0), 0);
         assert_eq!(tel.arrival_to_admit.snapshot().count(), 1);
         assert_eq!(tel.arrival_to_admit.snapshot().max(), 10);
         assert_eq!(tel.admit_to_first_dispatch.snapshot().count(), 1);

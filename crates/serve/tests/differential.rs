@@ -12,12 +12,11 @@
 
 use flowtree_analysis::summarize;
 use flowtree_core::SchedulerSpec;
-use flowtree_dag::builder::chain;
 use flowtree_serve::{
-    channel_source, GeneratorSource, OverloadPolicy, ReplaySource, ResultsStore, Routing,
-    ServeConfig, ShardPool, StealConfig, StoreRecord,
+    GeneratorSource, OverloadPolicy, ReplaySource, ResultsStore, Routing, ServeConfig, ShardPool,
+    StealConfig, StoreRecord,
 };
-use flowtree_sim::{Engine, JobSpec};
+use flowtree_sim::Engine;
 use flowtree_workloads::mix::Scenario;
 
 fn spec(name: &str) -> SchedulerSpec {
@@ -258,29 +257,6 @@ fn redirect_policy_never_loses_jobs() {
             "redirect degrades to backpressure, never loss (batch {ingest_batch})"
         );
     }
-}
-
-#[test]
-fn channel_source_serves_an_external_producer_to_drain() {
-    let (tx, mut src) = channel_source();
-    let producer = std::thread::spawn(move || {
-        for t in 0..10u64 {
-            tx.send(JobSpec { graph: chain(3), release: t })
-                .expect("pool outlives producer");
-        }
-        // Dropping the sender ends the stream.
-    });
-    let cfg = ServeConfig::builder(spec("fifo-lpf"), 2)
-        .shards(2)
-        .scenario("channel")
-        .build()
-        .expect("valid config");
-    let pool = ShardPool::launch(cfg).expect("launch");
-    let n = pool.handle().run_source(&mut src).expect("stream");
-    producer.join().expect("producer thread");
-    assert_eq!(n, 10);
-    let results = pool.drain().expect("drain");
-    assert_eq!(results.iter().map(|r| r.summary.jobs).sum::<usize>(), 10);
 }
 
 #[test]

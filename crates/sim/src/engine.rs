@@ -233,8 +233,9 @@ impl Core {
             }
 
             while let Some(job) = state.release_one(instance, t) {
-                counters.on_release(t, job);
-                probe.on_release(t, job);
+                let graph = instance.graph(job);
+                counters.on_release(t, job, graph);
+                probe.on_release(t, job, graph);
                 let view = SimView::new(instance, state, m, clair);
                 scheduler.on_arrival(t, job, &view);
             }
@@ -306,8 +307,9 @@ impl Core {
             for &(j, _) in picks {
                 if state.unfinished(j) == 0 && !finished.contains(&j) {
                     finished.push(j);
-                    counters.on_complete(t + 1, j);
-                    probe.on_complete(t + 1, j);
+                    let release = instance.release(j);
+                    counters.on_complete(t + 1, j, release);
+                    probe.on_complete(t + 1, j, release);
                 }
             }
 

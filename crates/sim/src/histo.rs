@@ -286,7 +286,8 @@ impl TimeSeries {
 
 /// Probe recording run-shape distributions: per-job flow, per-step
 /// ready-depth and scheduled-width histograms, plus downsampled ready-depth
-/// and utilization time series. All state is O(jobs + resolution).
+/// and utilization time series. All state is O(resolution): flows are
+/// recorded at completion from the release time the hook passes.
 #[derive(Debug, Clone, Default)]
 pub struct RunHistograms {
     /// Per-job flow `C_i - r_i` distribution (one observation per job).
@@ -299,7 +300,6 @@ pub struct RunHistograms {
     pub ready_series: TimeSeries,
     /// Downsampled scheduled-width over time.
     pub scheduled_series: TimeSeries,
-    releases: Vec<Option<Time>>,
 }
 
 impl RunHistograms {
@@ -310,22 +310,12 @@ impl RunHistograms {
 }
 
 impl Probe for RunHistograms {
-    fn on_start(&mut self, _m: usize, num_jobs: usize) {
-        *self = RunHistograms { releases: vec![None; num_jobs], ..RunHistograms::default() };
+    fn on_start(&mut self, _m: usize, _num_jobs: usize) {
+        *self = RunHistograms::default();
     }
 
-    fn on_release(&mut self, t: Time, job: JobId) {
-        // Grow on demand: streaming sessions admit jobs after `on_start`.
-        if job.index() >= self.releases.len() {
-            self.releases.resize(job.index() + 1, None);
-        }
-        self.releases[job.index()] = Some(t);
-    }
-
-    fn on_complete(&mut self, t: Time, job: JobId) {
-        if let Some(r) = self.releases[job.index()] {
-            self.flow.record(t - r);
-        }
+    fn on_complete(&mut self, t: Time, _job: JobId, release: Time) {
+        self.flow.record(t - release);
     }
 
     fn on_step(&mut self, _t: Time, stat: StepStat) {

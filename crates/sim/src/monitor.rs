@@ -25,73 +25,36 @@ use std::collections::BTreeMap;
 
 /// Live Lemma 5.1 lower-bound tracker.
 ///
-/// Per-job profiles are copied from each graph's cached depth counts at
-/// construction (no graph walk; a streaming tracker reads the counts of
-/// each admitted graph instead); the per-job bounds
-/// `max_d (d + ⌈W_i(d)/m⌉)` are evaluated once `m` is known (at
-/// [`Probe::on_start`]). The running lower bound is the max over
-/// *released* jobs — each job must individually be scheduled within its own
-/// single-job optimum, whatever else is in the system — and the running
-/// `max_flow` is the max over *completed* jobs, so
-/// [`ratio`](LowerBound::ratio) is a certified competitive-ratio bound at
-/// every point of the run and exact for single out-forests at the end.
+/// Each job's bound `max_d (d + ⌈W_i(d)/m⌉)` is read from its graph's
+/// cached depth counts at [`Probe::on_release`] (no graph walk, no
+/// allocation). The running lower bound is the max over *released* jobs —
+/// each job must individually be scheduled within its own single-job
+/// optimum, whatever else is in the system — and the running `max_flow` is
+/// the max over *completed* jobs, so [`ratio`](LowerBound::ratio) is a
+/// certified competitive-ratio bound at every point of the run and exact
+/// for single out-forests at the end. The tracker keeps no per-job state,
+/// so batch runs and streaming sessions build it the same way.
 #[derive(Debug, Clone)]
 pub struct LowerBound {
-    /// Batch-mode profiles (empty for streaming trackers: an admitted job's
-    /// bound is evaluated on arrival and the profile is never needed again).
-    profiles: Vec<DepthProfile>,
-    /// Per-job Lemma 5.1 bounds on the run's machine size (filled at
-    /// `on_start`, or per job at `on_admit` for streaming sessions).
-    bounds: Vec<Time>,
-    releases: Vec<Option<Time>>,
-    /// Machine size (recorded at `on_start`; streaming admits need it to
-    /// evaluate per-job bounds as graphs arrive).
+    /// Machine size (recorded at `on_start`).
     m: u64,
     lb: Time,
     max_flow: Option<Time>,
 }
 
 impl LowerBound {
-    /// Depth profiles for every job of `instance`, from the graphs' cached
-    /// depth counts.
-    pub fn new(instance: &Instance) -> Self {
-        let profiles =
-            instance.jobs().iter().map(|j| DepthProfile::new(&j.graph)).collect::<Vec<_>>();
-        let n = profiles.len();
-        LowerBound {
-            profiles,
-            bounds: Vec::new(),
-            releases: vec![None; n],
-            m: 0,
-            lb: 0,
-            max_flow: None,
-        }
-    }
-
-    /// A tracker for a streaming [`Session`](crate::Session), which starts
-    /// with zero jobs: profiles and bounds are computed incrementally as the
-    /// session emits [`Probe::on_admit`] for each arriving job.
-    pub fn streaming() -> Self {
-        LowerBound {
-            profiles: Vec::new(),
-            bounds: Vec::new(),
-            releases: Vec::new(),
-            m: 0,
-            lb: 0,
-            max_flow: None,
-        }
+    /// A tracker for a run of `instance` (or of a
+    /// [`Session`](crate::Session), starting from its empty instance).
+    /// Bounds are evaluated per job as jobs release, so the instance itself
+    /// is not read.
+    pub fn new(_instance: &Instance) -> Self {
+        LowerBound { m: 1, lb: 0, max_flow: None }
     }
 
     /// Current certified lower bound on the optimal max flow: the max
     /// Lemma 5.1 bound over released jobs (0 before any release).
     pub fn lower_bound(&self) -> Time {
         self.lb
-    }
-
-    /// The Lemma 5.1 bound of one job on this run's machine size.
-    /// Panics before `on_start` (the bounds need `m`).
-    pub fn job_bound(&self, job: JobId) -> Time {
-        self.bounds[job.index()]
     }
 
     /// Maximum flow over completed jobs (`None` until a job completes).
@@ -108,42 +71,17 @@ impl LowerBound {
 }
 
 impl Probe for LowerBound {
-    fn on_start(&mut self, m: usize, num_jobs: usize) {
-        assert_eq!(
-            num_jobs,
-            self.profiles.len(),
-            "LowerBound monitor built from a different instance"
-        );
-        self.m = (m as u64).max(1);
-        self.bounds = self.profiles.iter().map(|p| p.opt_single_job(self.m)).collect();
-        self.releases = vec![None; num_jobs];
-        self.lb = 0;
-        self.max_flow = None;
+    fn on_start(&mut self, m: usize, _num_jobs: usize) {
+        *self = LowerBound { m: (m as u64).max(1), lb: 0, max_flow: None };
     }
 
-    fn on_admit(&mut self, _t: Time, job: JobId, graph: &JobGraph) {
-        debug_assert_eq!(
-            job.index(),
-            self.bounds.len(),
-            "streaming admits must arrive in job-id order"
-        );
-        // The bound reads the graph's cached depth counts: no graph walk
-        // and no allocation on the serve admit path, and the profile itself
-        // is never materialized (only the bound matters once the job is in).
-        self.bounds.push(DepthProfile::opt_single_job_of(graph, self.m.max(1)));
-        self.releases.push(None);
+    fn on_release(&mut self, _t: Time, _job: JobId, graph: &JobGraph) {
+        self.lb = self.lb.max(DepthProfile::opt_single_job_of(graph, self.m));
     }
 
-    fn on_release(&mut self, t: Time, job: JobId) {
-        self.releases[job.index()] = Some(t);
-        self.lb = self.lb.max(self.bounds[job.index()]);
-    }
-
-    fn on_complete(&mut self, t: Time, job: JobId) {
-        if let Some(r) = self.releases[job.index()] {
-            let flow = t - r;
-            self.max_flow = Some(self.max_flow.map_or(flow, |f| f.max(flow)));
-        }
+    fn on_complete(&mut self, t: Time, _job: JobId, release: Time) {
+        let flow = t - release;
+        self.max_flow = Some(self.max_flow.map_or(flow, |f| f.max(flow)));
     }
 }
 
@@ -292,19 +230,20 @@ struct GroupTrack {
 #[derive(Debug, Clone)]
 pub struct InvariantMonitor {
     checks: InvariantChecks,
-    /// Depth profile of the single job (`None` on multi-job instances —
-    /// the rectangle-tail lemma is single-job only).
-    profile: Option<DepthProfile>,
     m: usize,
-    /// `release + OPT(alpha * m)` — first tail step (rectangle check only).
+    /// Did `on_start` announce a single-job run? The rectangle-tail lemma
+    /// is single-job only; a session announces 0 jobs and never arms it.
+    single: bool,
+    /// `release + OPT(alpha * m)` — first tail step (rectangle check only;
+    /// set when the single job releases).
     tail_start: Option<Time>,
-    release: Time,
     /// Most recent narrow tail step, not yet known to be non-final.
     pending_narrow: Option<(Time, usize)>,
     done: bool,
-    /// Per-job release times (grown on release). Always maintained — cheap,
-    /// and it lets [`set_checks`](Self::set_checks) arm the head/tail group
-    /// check mid-run by rebuilding the grouping from history.
+    /// Per-job release times (grown on release). Always maintained: picks
+    /// are attributed to groups by them, and they let
+    /// [`set_checks`](Self::set_checks) arm the head/tail group check
+    /// mid-run by rebuilding the grouping from history.
     releases: Vec<Option<Time>>,
     /// Per-job completion flags (same lifecycle as `releases`).
     completed: Vec<bool>,
@@ -329,42 +268,16 @@ impl InvariantMonitor {
     /// broken scheduler on a long horizon cannot exhaust memory.
     pub const MAX_RECORDED: usize = 64;
 
-    /// Monitor a streaming [`Session`](crate::Session) against `checks`.
-    /// Sessions are inherently multi-job, so the single-job rectangle-tail
-    /// check is never armed (matching [`new`](Self::new) on a multi-job
-    /// instance); work conservation is checked per step as usual.
-    pub fn streaming(checks: InvariantChecks) -> Self {
+    /// Monitor a run of `instance` (or of a [`Session`](crate::Session),
+    /// starting from its empty instance) against `checks`. The monitor
+    /// learns the job count at `on_start` and each graph at release, so the
+    /// instance itself is not read.
+    pub fn new(_instance: &Instance, checks: InvariantChecks) -> Self {
         InvariantMonitor {
             checks,
-            profile: None,
             m: 0,
+            single: false,
             tail_start: None,
-            release: 0,
-            pending_narrow: None,
-            done: false,
-            releases: Vec::new(),
-            completed: Vec::new(),
-            groups: BTreeMap::new(),
-            touched: Vec::new(),
-            violations: Vec::new(),
-            total: 0,
-        }
-    }
-
-    /// Monitor a run of the given instance against `checks`.
-    pub fn new(instance: &Instance, checks: InvariantChecks) -> Self {
-        let single = instance.num_jobs() == 1;
-        InvariantMonitor {
-            checks,
-            profile: (single && checks.rectangle_tail_alpha.is_some())
-                .then(|| DepthProfile::new(instance.graph(JobId(0)))),
-            m: 0,
-            tail_start: None,
-            release: if single {
-                instance.release(JobId(0))
-            } else {
-                0
-            },
             pending_narrow: None,
             done: false,
             releases: Vec::new(),
@@ -379,10 +292,10 @@ impl InvariantMonitor {
     /// Switch the enforced checks mid-run — the probe half of a live
     /// scheduler hot-swap: steps from here on are judged against the *new*
     /// scheduler's invariants, while violations already recorded stand.
-    /// Disabling the rectangle-tail check discards its pending state;
-    /// enabling it mid-run arms only if a single-job depth profile was built
-    /// at construction (streaming monitors never have one, matching
-    /// [`streaming`](Self::streaming)'s multi-job semantics).
+    /// Disabling the rectangle-tail check discards its pending state.
+    /// Enabling it after the single job has released arms nothing, because
+    /// the tail start is computed at that release; sessions announce 0 jobs
+    /// and never arm it.
     ///
     /// A head/tail group check is re-armed from the recorded release
     /// history, with `strict` demoted: a hot-swapped Algorithm 𝒜 regroups
@@ -480,12 +393,10 @@ impl InvariantMonitor {
 }
 
 impl Probe for InvariantMonitor {
-    fn on_start(&mut self, m: usize, _num_jobs: usize) {
+    fn on_start(&mut self, m: usize, num_jobs: usize) {
         self.m = m;
-        self.tail_start = self.checks.rectangle_tail_alpha.and_then(|alpha| {
-            let p = self.profile.as_ref()?;
-            Some(self.release + p.opt_single_job((alpha.max(1) * m.max(1)) as u64))
-        });
+        self.single = num_jobs == 1;
+        self.tail_start = None;
         self.pending_narrow = None;
         self.done = false;
         self.releases.clear();
@@ -496,7 +407,11 @@ impl Probe for InvariantMonitor {
         self.total = 0;
     }
 
-    fn on_release(&mut self, t: Time, job: JobId) {
+    fn on_release(&mut self, t: Time, job: JobId, graph: &JobGraph) {
+        if let (true, Some(alpha)) = (self.single, self.checks.rectangle_tail_alpha) {
+            let p = (alpha.max(1) * self.m.max(1)) as u64;
+            self.tail_start = Some(t + DepthProfile::opt_single_job_of(graph, p));
+        }
         if job.index() >= self.releases.len() {
             self.releases.resize(job.index() + 1, None);
             self.completed.resize(job.index() + 1, false);
@@ -563,25 +478,21 @@ impl Probe for InvariantMonitor {
         }
     }
 
-    fn on_complete(&mut self, _t: Time, job: JobId) {
+    fn on_complete(&mut self, _t: Time, job: JobId, release: Time) {
         // Single-job instance: the run's last productive step has happened;
         // a pending narrow step was the final one, which Lemma 5.2 exempts.
         self.done = true;
         self.pending_narrow = None;
-        if job.index() < self.completed.len() {
-            self.completed[job.index()] = true;
-            if let (Some(ht), Some(Some(r))) =
-                (self.checks.head_tail, self.releases.get(job.index()))
-            {
-                let b = group_boundary(*r, ht.half);
-                if let Some(g) = self.groups.get_mut(&b) {
-                    g.completed += 1;
-                    if g.completed >= g.members {
-                        // Every member done: the group retires, and with it
-                        // any exhausted-rectangle state (a short final step
-                        // is the expected rectangle shape, not a breach).
-                        self.groups.remove(&b);
-                    }
+        self.completed[job.index()] = true;
+        if let Some(ht) = self.checks.head_tail {
+            let b = group_boundary(release, ht.half);
+            if let Some(g) = self.groups.get_mut(&b) {
+                g.completed += 1;
+                if g.completed >= g.members {
+                    // Every member done: the group retires, and with it any
+                    // exhausted-rectangle state (a short final step is the
+                    // expected rectangle shape, not a breach).
+                    self.groups.remove(&b);
                 }
             }
         }
@@ -646,7 +557,6 @@ mod tests {
         let mut lb = LowerBound::new(&inst);
         let report = Engine::new(3).with_probe(&mut lb).run(&inst, &mut Greedy).unwrap();
         assert_eq!(lb.lower_bound(), 3);
-        assert_eq!(lb.job_bound(JobId(0)), 3);
         assert_eq!(lb.max_flow(), Some(report.stats.max_flow));
         assert_eq!(lb.ratio(), Some(report.stats.max_flow as f64 / 3.0));
         assert!(lb.ratio().unwrap() >= 1.0);
@@ -691,11 +601,11 @@ mod tests {
         // Drive the probe by hand: star(8) on m=4 has OPT = 3, so the tail
         // starts at t=3.
         mon.on_start(4, 1);
-        mon.on_release(0, JobId(0));
+        mon.on_release(0, JobId(0), inst.graph(JobId(0)));
         for (t, scheduled) in [(0u64, 1usize), (1, 4), (2, 4), (3, 4), (4, 2), (5, 1)] {
             mon.on_step(t, StepStat { scheduled, idle_procs: 4 - scheduled, ready_depth: 9 });
         }
-        mon.on_complete(6, JobId(0));
+        mon.on_complete(6, JobId(0), 0);
         mon.on_finish(6);
         // t=4 ran 2 < 4 and was followed by t=5, so it is a violation;
         // t=5 was the final step and is exempt.
@@ -711,12 +621,13 @@ mod tests {
             rectangle_tail_alpha: None,
             head_tail: Some(HeadTailChecks { alpha: 4, half: 2, strict: true }),
         };
-        let mut mon = InvariantMonitor::streaming(checks);
+        let mut mon = InvariantMonitor::new(&Instance::empty(), checks);
         mon.on_start(8, 0); // slice p = 2, head length opt = 4
-        mon.on_release(0, JobId(0));
-        mon.on_release(0, JobId(1)); // group@0 with jobs 0, 1
-        mon.on_release(3, JobId(2)); // group@4
-                                     // Head step within the cap: clean.
+        let g = chain(8);
+        mon.on_release(0, JobId(0), &g);
+        mon.on_release(0, JobId(1), &g); // group@0 with jobs 0, 1
+        mon.on_release(3, JobId(2), &g); // group@4
+                                         // Head step within the cap: clean.
         mon.on_select(0, &[(JobId(0), NodeId(0)), (JobId(1), NodeId(0))]);
         assert!(mon.is_clean());
         // Width breach: 3 picks for group@0 against slice 2.
@@ -740,27 +651,29 @@ mod tests {
             rectangle_tail_alpha: None,
             head_tail: Some(HeadTailChecks { alpha: 4, half: 2, strict: true }),
         };
-        let mut mon = InvariantMonitor::streaming(checks);
+        let mut mon = InvariantMonitor::new(&Instance::empty(), checks);
         mon.on_start(8, 0);
-        mon.on_release(0, JobId(0));
-        mon.on_release(0, JobId(1));
+        let g = chain(8);
+        mon.on_release(0, JobId(0), &g);
+        mon.on_release(0, JobId(1), &g);
         // Short tail step, then both members complete: the short step was
         // the group's (exempt) rectangle end, not a violation.
         mon.on_select(4, &[(JobId(0), NodeId(0)), (JobId(1), NodeId(0))]);
         mon.on_select(5, &[(JobId(0), NodeId(1))]);
-        mon.on_complete(5, JobId(0));
-        mon.on_complete(5, JobId(1));
+        mon.on_complete(5, JobId(0), 0);
+        mon.on_complete(5, JobId(1), 0);
         mon.on_finish(5);
         assert!(mon.is_clean(), "{:?}", mon.violations());
     }
 
     #[test]
     fn set_checks_rearms_head_tail_from_history_without_strict() {
-        let mut mon = InvariantMonitor::streaming(InvariantChecks::NONE);
+        let mut mon = InvariantMonitor::new(&Instance::empty(), InvariantChecks::NONE);
         mon.on_start(8, 0);
-        mon.on_release(0, JobId(0));
-        mon.on_release(1, JobId(1));
-        mon.on_complete(2, JobId(0)); // done before the swap: not regrouped
+        let g = chain(8);
+        mon.on_release(0, JobId(0), &g);
+        mon.on_release(1, JobId(1), &g);
+        mon.on_complete(2, JobId(0), 0); // done before the swap: not regrouped
         mon.set_checks(InvariantChecks {
             work_conserving: false,
             rectangle_tail_alpha: None,

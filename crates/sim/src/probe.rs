@@ -12,6 +12,14 @@
 //! replays the per-step events verbatim — probes that don't override it
 //! cannot tell a fast-forwarded gap from stepwise idling.
 //!
+//! A probe learns about a job from two hooks: `on_release` passes the
+//! job's [`JobGraph`], and `on_complete` passes its release time, so the
+//! flow `C_i - r_i` needs no per-job state. An [`Engine`](crate::Engine)
+//! run and a streaming [`Session`](crate::Session) fire the same hooks with
+//! the same arguments. The one difference is `on_start`'s job count, which
+//! a session reports as 0 because jobs arrive later. A probe therefore has
+//! one code path for both kinds of run.
+//!
 //! The default probe is [`NullProbe`], whose empty inlined hooks compile
 //! away entirely — an uninstrumented `Engine::new(m)` pays nothing. The
 //! engine additionally maintains its own internal [`Counters`] (a handful of
@@ -75,21 +83,12 @@ pub trait Probe {
         let _ = (m, num_jobs);
     }
 
-    /// `job` was admitted to a streaming [`Session`](crate::Session) at
-    /// wall-clock time `t`, ahead of its release firing. Batch
-    /// [`Engine`](crate::Engine) runs never emit this (the whole instance is
-    /// known at `on_start`); streaming-capable probes use it to learn a
-    /// job's graph incrementally (see
-    /// [`LowerBound::streaming`](crate::monitor::LowerBound::streaming)).
+    /// `job`, whose graph is `graph`, was released at time `t`. This is
+    /// the one point where a probe sees a job's structure: anything it
+    /// needs from the graph (a Lemma 5.1 bound, depth counts) is read here.
     #[inline]
-    fn on_admit(&mut self, t: Time, job: JobId, graph: &JobGraph) {
+    fn on_release(&mut self, t: Time, job: JobId, graph: &JobGraph) {
         let _ = (t, job, graph);
-    }
-
-    /// `job` was released at time `t`.
-    #[inline]
-    fn on_release(&mut self, t: Time, job: JobId) {
-        let _ = (t, job);
     }
 
     /// The scheduler's (validated) selection for the step running during
@@ -107,10 +106,11 @@ pub trait Probe {
     }
 
     /// `job` ran its last subjob during this step and completes at time `t`
-    /// (its completion time `C_i`).
+    /// (its completion time `C_i`); `release` is its release time `r_i`, so
+    /// its flow is `t - release` without the probe keeping release times.
     #[inline]
-    fn on_complete(&mut self, t: Time, job: JobId) {
-        let _ = (t, job);
+    fn on_complete(&mut self, t: Time, job: JobId, release: Time) {
+        let _ = (t, job, release);
     }
 
     /// The step starting at `t` finished; `stat` summarizes it.
@@ -158,12 +158,8 @@ impl<P: Probe + ?Sized> Probe for &mut P {
         (**self).on_start(m, num_jobs)
     }
     #[inline]
-    fn on_admit(&mut self, t: Time, job: JobId, graph: &JobGraph) {
-        (**self).on_admit(t, job, graph)
-    }
-    #[inline]
-    fn on_release(&mut self, t: Time, job: JobId) {
-        (**self).on_release(t, job)
+    fn on_release(&mut self, t: Time, job: JobId, graph: &JobGraph) {
+        (**self).on_release(t, job, graph)
     }
     #[inline]
     fn on_select(&mut self, t: Time, picks: &[(JobId, NodeId)]) {
@@ -174,8 +170,8 @@ impl<P: Probe + ?Sized> Probe for &mut P {
         (**self).on_dispatch(t, job, node)
     }
     #[inline]
-    fn on_complete(&mut self, t: Time, job: JobId) {
-        (**self).on_complete(t, job)
+    fn on_complete(&mut self, t: Time, job: JobId, release: Time) {
+        (**self).on_complete(t, job, release)
     }
     #[inline]
     fn on_step(&mut self, t: Time, stat: StepStat) {
@@ -205,12 +201,8 @@ macro_rules! impl_probe_tuple {
                 $(self.$idx.on_start(m, num_jobs);)+
             }
             #[inline]
-            fn on_admit(&mut self, t: Time, job: JobId, graph: &JobGraph) {
-                $(self.$idx.on_admit(t, job, graph);)+
-            }
-            #[inline]
-            fn on_release(&mut self, t: Time, job: JobId) {
-                $(self.$idx.on_release(t, job);)+
+            fn on_release(&mut self, t: Time, job: JobId, graph: &JobGraph) {
+                $(self.$idx.on_release(t, job, graph);)+
             }
             #[inline]
             fn on_select(&mut self, t: Time, picks: &[(JobId, NodeId)]) {
@@ -221,8 +213,8 @@ macro_rules! impl_probe_tuple {
                 $(self.$idx.on_dispatch(t, job, node);)+
             }
             #[inline]
-            fn on_complete(&mut self, t: Time, job: JobId) {
-                $(self.$idx.on_complete(t, job);)+
+            fn on_complete(&mut self, t: Time, job: JobId, release: Time) {
+                $(self.$idx.on_complete(t, job, release);)+
             }
             #[inline]
             fn on_step(&mut self, t: Time, stat: StepStat) {
@@ -343,7 +335,7 @@ impl Probe for Counters {
         };
     }
 
-    fn on_release(&mut self, t: Time, job: JobId) {
+    fn on_release(&mut self, t: Time, job: JobId, _graph: &JobGraph) {
         // Streaming sessions start with zero jobs and admit as they go; jobs
         // release in id order, so growing to `index + 1` here leaves the
         // vectors identical to the batch-presized ones once all jobs release.
@@ -354,7 +346,7 @@ impl Probe for Counters {
         self.releases[job.index()] = Some(t);
     }
 
-    fn on_complete(&mut self, t: Time, job: JobId) {
+    fn on_complete(&mut self, t: Time, job: JobId, _release: Time) {
         self.completions[job.index()] = Some(t);
     }
 
@@ -458,7 +450,7 @@ impl<W: Write> Probe for JsonlTrace<W> {
         self.record(format_args!(r#"{{"ev":"start","m":{m},"jobs":{num_jobs}}}"#));
     }
 
-    fn on_release(&mut self, t: Time, job: JobId) {
+    fn on_release(&mut self, t: Time, job: JobId, _graph: &JobGraph) {
         self.record(format_args!(r#"{{"ev":"release","t":{t},"job":{}}}"#, job.0));
     }
 
@@ -483,7 +475,7 @@ impl<W: Write> Probe for JsonlTrace<W> {
         ));
     }
 
-    fn on_complete(&mut self, t: Time, job: JobId) {
+    fn on_complete(&mut self, t: Time, job: JobId, _release: Time) {
         self.record(format_args!(r#"{{"ev":"complete","t":{t},"job":{}}}"#, job.0));
     }
 
@@ -508,6 +500,7 @@ impl<W: Write> Probe for JsonlTrace<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowtree_dag::builder::chain;
 
     /// Records the order hooks fire in, to pin tuple forwarding semantics.
     #[derive(Default)]
@@ -550,9 +543,9 @@ mod tests {
         let mut pair = (Counters::default(), NullProbe);
         for p in [&mut single, &mut pair.0] {
             p.on_start(2, 1);
-            p.on_release(0, JobId(0));
+            p.on_release(0, JobId(0), &chain(2));
             p.on_step(0, StepStat { scheduled: 2, idle_procs: 0, ready_depth: 3 });
-            p.on_complete(1, JobId(0));
+            p.on_complete(1, JobId(0), 0);
             p.on_finish(1);
         }
         assert_eq!(single, pair.0);

@@ -181,7 +181,9 @@ pub fn parse(trace: &str) -> Result<Vec<TraceEvent>, ReplayError> {
 pub struct Replay {
     /// Machine size from the `start` record.
     pub m: usize,
-    /// Number of jobs from the `start` record.
+    /// Number of jobs seen: the `start` record's count, or more when
+    /// releases go beyond it (a [`Session`](crate::Session) trace starts
+    /// with `"jobs":0` because its jobs arrive later).
     pub num_jobs: usize,
     /// The schedule reconstructed from the `step` records.
     pub schedule: Schedule,
@@ -194,13 +196,13 @@ pub struct Replay {
 impl Replay {
     /// Replay a parsed event sequence.
     pub fn from_events(events: &[TraceEvent]) -> Result<Self, ReplayError> {
-        let (m, num_jobs) = match events.first() {
+        let (m, jobs) = match events.first() {
             Some(&TraceEvent::Start { m, jobs }) => (m, jobs),
             _ => return Err(ReplayError::MissingStart),
         };
         let mut schedule = Schedule::new(m);
-        let mut releases = vec![None; num_jobs];
-        let mut completions = vec![None; num_jobs];
+        let mut releases = vec![None; jobs];
+        let mut completions = vec![None; jobs];
         let mut next_t: Time = 0;
         let mut finished: Option<Time> = None;
 
@@ -221,6 +223,12 @@ impl Replay {
                     return Err(ReplayError::Inconsistent("duplicate start record".into()));
                 }
                 TraceEvent::Release { t, job } => {
+                    // Jobs release in id order, so the next new id extends
+                    // the run; a gap in the ids is still out of range.
+                    if job.index() == releases.len() {
+                        releases.push(None);
+                        completions.push(None);
+                    }
                     let i = job_slot(&mut releases, *job)?;
                     if releases[i].replace(*t).is_some() {
                         return Err(ReplayError::Inconsistent(format!("job {job} released twice")));
@@ -272,7 +280,7 @@ impl Replay {
             }
         }
 
-        Ok(Replay { m, num_jobs, schedule, releases, completions })
+        Ok(Replay { m, num_jobs: releases.len(), schedule, releases, completions })
     }
 
     /// Parse and replay a JSONL trace in one step.
@@ -430,5 +438,10 @@ mod tests {
         // Out-of-order steps.
         let bad = "{\"ev\":\"start\",\"m\":1,\"jobs\":1}\n{\"ev\":\"step\",\"t\":3,\"picks\":[],\"idle\":1,\"ready\":0}";
         assert!(matches!(Replay::from_str(bad), Err(ReplayError::Inconsistent(_))));
+        // A release may extend the job count by one, never skip ids.
+        let gap = "{\"ev\":\"start\",\"m\":1,\"jobs\":0}\n{\"ev\":\"release\",\"t\":0,\"job\":2}";
+        assert!(matches!(Replay::from_str(gap), Err(ReplayError::Inconsistent(_))));
+        let twice = "{\"ev\":\"start\",\"m\":1,\"jobs\":0}\n{\"ev\":\"release\",\"t\":0,\"job\":0}\n{\"ev\":\"release\",\"t\":1,\"job\":0}";
+        assert!(matches!(Replay::from_str(twice), Err(ReplayError::Inconsistent(_))));
     }
 }

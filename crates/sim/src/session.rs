@@ -115,8 +115,8 @@ impl Session<NullProbe> {
 
 impl<P: Probe> Session<P> {
     /// Attach `probe` (before any admit/step; the session has not started).
-    /// Streaming-capable probes learn job graphs via
-    /// [`Probe::on_admit`].
+    /// The probe sees the engine's event stream: each job's graph at
+    /// [`Probe::on_release`], its release time at [`Probe::on_complete`].
     pub fn with_probe<Q: Probe>(self, probe: Q) -> Session<Q> {
         assert!(!self.started, "attach probes before the session starts");
         Session {
@@ -191,7 +191,6 @@ impl<P: Probe> Session<P> {
     fn push_job(&mut self, spec: JobSpec) -> JobId {
         let id = self.instance.push_job(spec);
         self.core.state.push_job(&self.instance);
-        self.probe.on_admit(self.core.t, id, self.instance.graph(id));
         id
     }
 
@@ -216,7 +215,7 @@ impl<P: Probe> Session<P> {
     /// first must satisfy the same `>= now()` / `>=` last-admission rules as
     /// [`admit`](Self::admit) — so the call is all-or-nothing: on error
     /// nothing was admitted. Per-node state is built only when each job is
-    /// released, so an admit costs O(1) beyond the probes' `on_admit`.
+    /// released, so an admit costs O(1).
     pub fn admit_batch(&mut self, specs: Vec<JobSpec>) -> Result<(), SessionError> {
         self.ensure_started();
         let now = self.core.t;
@@ -293,10 +292,11 @@ impl<P: Probe> Session<P> {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use crate::probe::JsonlTrace;
+    use crate::probe::{JsonlTrace, StepStat};
+    use crate::replay::Replay;
     use crate::scheduler::{Clairvoyance, Selection};
     use flowtree_dag::builder::{chain, star};
-    use flowtree_dag::NodeId;
+    use flowtree_dag::{JobGraph, NodeId};
 
     struct Greedy;
 
@@ -323,6 +323,21 @@ mod tests {
         ]
     }
 
+    /// Run `specs()` through a session that admits each job lazily and
+    /// advances in awkward increments, splitting the idle gap before t=9
+    /// across calls.
+    fn lazy_session_run<P: Probe>(probe: P) -> (RunReport, Instance) {
+        let mut s = Session::new(2).with_probe(probe);
+        s.admit(specs().remove(0)).unwrap();
+        s.run_until(1, &mut Greedy).unwrap();
+        s.admit(specs().remove(1)).unwrap();
+        s.run_until(5, &mut Greedy).unwrap();
+        s.run_until(7, &mut Greedy).unwrap();
+        s.admit(specs().remove(2)).unwrap();
+        s.run_until(Time::MAX, &mut Greedy).unwrap();
+        s.finish()
+    }
+
     /// The headline property: admit-before-release streaming == batch, down
     /// to the bytes of the trace and the full `RunReport`.
     #[test]
@@ -332,17 +347,7 @@ mod tests {
         let batch = Engine::new(2).with_probe(&mut batch_trace).run(&inst, &mut Greedy).unwrap();
 
         let mut stream_trace = JsonlTrace::new(Vec::new());
-        let mut s = Session::new(2).with_probe(&mut stream_trace);
-        // Admit lazily, advancing in awkward increments that split the idle
-        // gap before t=9 across calls.
-        s.admit(specs().remove(0)).unwrap();
-        s.run_until(1, &mut Greedy).unwrap();
-        s.admit(specs().remove(1)).unwrap();
-        s.run_until(5, &mut Greedy).unwrap();
-        s.run_until(7, &mut Greedy).unwrap();
-        s.admit(specs().remove(2)).unwrap();
-        s.run_until(Time::MAX, &mut Greedy).unwrap();
-        let (stream, materialized) = s.finish();
+        let (stream, materialized) = lazy_session_run(&mut stream_trace);
 
         assert_eq!(materialized, inst);
         assert_eq!(stream, batch);
@@ -356,6 +361,14 @@ mod tests {
         assert_eq!(a0, r#"{"ev":"start","m":2,"jobs":3}"#);
         assert_eq!(b0, r#"{"ev":"start","m":2,"jobs":0}"#);
         assert_eq!(a_rest, b_rest);
+
+        // Both traces replay, the session's despite its `"jobs":0` start.
+        let ra = Replay::from_str(&a).unwrap();
+        let rb = Replay::from_str(&b).unwrap();
+        assert_eq!(ra.schedule, batch.schedule);
+        assert_eq!(rb.schedule, ra.schedule);
+        assert_eq!(rb.flows(), ra.flows());
+        assert_eq!(rb.num_jobs, 3);
     }
 
     #[test]
@@ -459,24 +472,58 @@ mod tests {
         assert!(s.is_drained());
     }
 
+    /// Records every hook after `on_start` with its arguments. Idle gaps
+    /// are not overridden: the default replays them as stepwise hooks, so a
+    /// gap split across `run_until` calls records like an unsplit one.
+    #[derive(Default)]
+    struct Recorder(Vec<String>);
+
+    impl Probe for Recorder {
+        fn on_release(&mut self, t: Time, job: JobId, graph: &JobGraph) {
+            self.0.push(format!("release t={t} {job} n={}", graph.n()));
+        }
+        fn on_select(&mut self, t: Time, picks: &[(JobId, NodeId)]) {
+            self.0.push(format!("select t={t} {picks:?}"));
+        }
+        fn on_dispatch(&mut self, t: Time, job: JobId, node: NodeId) {
+            self.0.push(format!("dispatch t={t} {job} {node:?}"));
+        }
+        fn on_complete(&mut self, t: Time, job: JobId, release: Time) {
+            self.0.push(format!("complete t={t} {job} r={release}"));
+        }
+        fn on_step(&mut self, t: Time, stat: StepStat) {
+            self.0.push(format!("step t={t} {stat:?}"));
+        }
+        fn on_finish(&mut self, horizon: Time) {
+            self.0.push(format!("finish {horizon}"));
+        }
+    }
+
+    /// One probe lifecycle for both entry points: an engine run and a lazy
+    /// session fire the same hooks with the same graphs and release times,
+    /// so the monitors built on them agree too.
     #[test]
     fn streaming_monitors_match_batch_monitors() {
         use crate::monitor::{InvariantChecks, InvariantMonitor, LowerBound};
 
         let inst = Instance::new(specs());
+        let mut rec = Recorder::default();
         let mut lb = LowerBound::new(&inst);
         let mut mon = InvariantMonitor::new(&inst, InvariantChecks::WORK_CONSERVING);
-        Engine::new(2).with_probe((&mut lb, &mut mon)).run(&inst, &mut Greedy).unwrap();
+        Engine::new(2)
+            .with_probe((&mut rec, &mut lb, &mut mon))
+            .run(&inst, &mut Greedy)
+            .unwrap();
 
-        let mut slb = LowerBound::streaming();
-        let mut smon = InvariantMonitor::streaming(InvariantChecks::WORK_CONSERVING);
-        let mut s = Session::new(2).with_probe((&mut slb, &mut smon));
-        for spec in specs() {
-            s.admit(spec).unwrap();
-        }
-        s.run_until(Time::MAX, &mut Greedy).unwrap();
-        s.finish();
+        let mut srec = Recorder::default();
+        let mut slb = LowerBound::new(&Instance::empty());
+        let mut smon = InvariantMonitor::new(&Instance::empty(), InvariantChecks::WORK_CONSERVING);
+        lazy_session_run((&mut srec, &mut slb, &mut smon));
 
+        assert!(rec.0.iter().any(|e| e.starts_with("release t=9 J2 n=2")));
+        assert!(rec.0.iter().any(|e| e.starts_with("complete t=11 J2 r=9")));
+        assert_eq!(srec.0, rec.0);
+        assert_eq!(lb.lower_bound(), inst.per_job_lower_bound(2));
         assert_eq!(slb.lower_bound(), lb.lower_bound());
         assert_eq!(slb.max_flow(), lb.max_flow());
         assert_eq!(slb.ratio(), lb.ratio());

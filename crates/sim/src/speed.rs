@@ -3,7 +3,7 @@
 //!
 //! An `s`-speed processor completes `s` unit subjobs per time step, possibly
 //! in sequence (so a chain shortens by a factor of `s` too). Prior work
-//! ([4] in the paper) proves FIFO is `(1+ε)`-speed O(1)-competitive for
+//! (\[4\] in the paper) proves FIFO is `(1+ε)`-speed O(1)-competitive for
 //! maximum flow; the paper's Section 4 shows that at speed 1 FIFO is
 //! Ω(log m) — augmentation "assumes away the existence of the hard
 //! instances where the optimal schedule is tightly packed".
@@ -16,7 +16,6 @@
 
 use crate::engine::{Engine, EngineError};
 use crate::instance::{Instance, JobSpec};
-use crate::metrics::FlowStats;
 use crate::scheduler::OnlineScheduler;
 use flowtree_dag::Time;
 
@@ -73,13 +72,6 @@ pub fn run_with_speed(
         flows,
         max_flow,
     })
-}
-
-impl SpeedRun {
-    /// Micro-level statistics (utilization etc.) of the underlying run.
-    pub fn micro_stats(&self) -> FlowStats {
-        crate::metrics::flow_stats(&self.scaled_instance, &self.micro_schedule)
-    }
 }
 
 #[cfg(test)]

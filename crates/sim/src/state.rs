@@ -298,11 +298,6 @@ impl SimState {
         self.finished_jobs == self.jobs.len()
     }
 
-    /// Index of the next unreleased job (== num_jobs when all released).
-    pub fn next_release_index(&self) -> usize {
-        self.next_release
-    }
-
     /// Slot buffers in existence: those of alive jobs plus the spare pool.
     /// A buffer is allocated only when the pool is empty, so this never
     /// exceeds the peak number of jobs alive at once.

@@ -51,8 +51,8 @@ fn slow_run<P: Probe>(
         }
 
         for job in state.release_due(instance, t) {
-            counters.on_release(t, job);
-            probe.on_release(t, job);
+            counters.on_release(t, job, instance.graph(job));
+            probe.on_release(t, job, instance.graph(job));
             let view = SimView::new(instance, &state, m, clair);
             scheduler.on_arrival(t, job, &view);
         }
@@ -94,8 +94,8 @@ fn slow_run<P: Probe>(
 
         for (i, &(j, _)) in picks.iter().enumerate() {
             if state.unfinished(j) == 0 && !picks[..i].iter().any(|&(pj, _)| pj == j) {
-                counters.on_complete(t + 1, j);
-                probe.on_complete(t + 1, j);
+                counters.on_complete(t + 1, j, instance.release(j));
+                probe.on_complete(t + 1, j, instance.release(j));
             }
         }
 
