@@ -54,12 +54,8 @@ pub fn run_gateway(args: &[String]) -> Result<(), String> {
     for &(at, spec) in &swaps {
         handle.swap(None, at, spec)?;
     }
-    let gw = Gateway::launch(
-        &addr,
-        handle.clone(),
-        GatewayConfig { retry_after_ms, ..Default::default() },
-    )
-    .map_err(|e| format!("gateway {addr}: {e}"))?;
+    let gw = Gateway::launch(&addr, handle.clone(), GatewayConfig { retry_after_ms })
+        .map_err(|e| format!("gateway {addr}: {e}"))?;
     let metrics_server = match &s.metrics_addr {
         Some(maddr) => {
             let stats = gw.stats();

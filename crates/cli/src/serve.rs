@@ -24,8 +24,8 @@ use flowtree_core::SchedulerSpec;
 use flowtree_dag::Time;
 use flowtree_serve::{
     git_describe, run_id, serve_metrics, write_flight_jsonl, ArrivalSource, GeneratorSource,
-    IngestStats, OverloadPolicy, PoolHandle, ReplaySource, ResultsStore, Routing, ServeConfig,
-    ShardMetrics, ShardPool, ShardResult, StealConfig, StoreRecord,
+    IngestStats, MetricsSnapshot, OverloadPolicy, PoolHandle, ReplaySource, ResultsStore, Routing,
+    ServeConfig, ShardPool, ShardResult, ShardSnapshot, StealConfig, StoreRecord,
 };
 use flowtree_workloads::mix::Scenario;
 
@@ -138,7 +138,7 @@ pub(crate) fn finish(
     ingest: &IngestStats,
     handle: &PoolHandle,
 ) -> Result<(), String> {
-    print!("{}", summary_table(o, s, results, &handle.metrics().telemetry));
+    print!("{}", summary_table(o, s, results, &handle.metrics()));
     println!("{}", accounting_line(ingest));
     if let Some(dir) = &s.store {
         let path = persist(o, s, results, dir)?;
@@ -363,7 +363,7 @@ pub(crate) fn summary_table(
     o: &ScenarioOpts,
     s: &ServeOpts,
     results: &[ShardResult],
-    telemetry: &[ShardMetrics],
+    metrics: &MetricsSnapshot,
 ) -> String {
     let mut table = Table::new(
         format!(
@@ -391,7 +391,7 @@ pub(crate) fn summary_table(
     );
     for r in results {
         let sm = &r.summary;
-        let tel = telemetry.iter().find(|t| t.shard == r.shard);
+        let tel = metrics.telemetry.get(r.shard);
         table.row(vec![
             r.shard.to_string(),
             sm.jobs.to_string(),
@@ -404,7 +404,7 @@ pub(crate) fn summary_table(
                 Some(t) => t.arrival_to_complete.p99().to_string(),
                 None => "-".to_string(),
             },
-            match tel.and_then(|t| t.ratio()) {
+            match metrics.shards.get(r.shard).and_then(ShardSnapshot::ratio) {
                 Some(ratio) => f3(ratio),
                 None => "-".to_string(),
             },
@@ -474,7 +474,7 @@ mod tests {
         assert!(lines.iter().any(|l| l.contains("admitted=")), "{lines:?}");
         assert!(lines.iter().any(|l| l.contains("lat_p99=")), "{lines:?}");
         assert!(lines.last().unwrap().contains("draining"));
-        let table = summary_table(&opts("service"), &s, &results, &handle.metrics().telemetry);
+        let table = summary_table(&opts("service"), &s, &results, &handle.metrics());
         assert!(table.contains("| shard |"), "{table}");
         assert!(table.contains("| swaps |"), "{table}");
         assert!(table.contains("lat p99 µs"), "{table}");

@@ -17,8 +17,8 @@
 //! degrades to the classic stop-and-wait exchange.
 
 use crate::wire::{
-    decode_reply, encode_request_into, encode_submit_batch_into, read_frame_into, write_frame,
-    FrameError, Reply, Request, WireCodec, MAX_FRAME, PROTOCOL_VERSION,
+    decode_reply, encode_request_into, encode_submit_batch_into, read_frame_patient_into,
+    write_frame, FrameError, Reply, Request, WireCodec, MAX_FRAME, PROTOCOL_VERSION,
 };
 use flowtree_dag::Time;
 use flowtree_serve::IngestStats;
@@ -242,7 +242,7 @@ impl GatewayClient {
     /// Read and decode one reply frame into the reused read buffer.
     fn recv_reply(&mut self) -> Result<Reply, ClientError> {
         let stream = self.conn.as_ref().expect("recv needs a connection");
-        match read_frame_into(&mut &*stream, MAX_FRAME, &mut self.rbuf) {
+        match read_frame_patient_into(&mut &*stream, MAX_FRAME, &mut self.rbuf, &mut || true) {
             Ok(true) => decode_reply(&self.rbuf).map_err(ClientError::Protocol),
             Ok(false) => Err(ClientError::Closed),
             Err(e) => Err(ClientError::Frame(e)),

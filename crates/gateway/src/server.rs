@@ -68,15 +68,13 @@ pub const MAX_WINDOW: u64 = 256;
 /// workers.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Per-frame payload ceiling (bytes).
-    pub max_frame: usize,
     /// Back-off suggested in [`Reply::Busy`].
     pub retry_after_ms: u64,
 }
 
 impl Default for GatewayConfig {
     fn default() -> Self {
-        GatewayConfig { max_frame: MAX_FRAME, retry_after_ms: 50 }
+        GatewayConfig { retry_after_ms: 50 }
     }
 }
 
@@ -438,13 +436,12 @@ fn step_conn(conn: &mut Conn, ctx: &mut WorkerCtx<'_>, chunk: &mut [u8]) -> bool
         }
         let header: [u8; 4] = conn.rbuf[conn.rpos..conn.rpos + 4].try_into().expect("4 bytes");
         let len = u32::from_be_bytes(header) as usize;
-        if len > ctx.cfg.max_frame {
+        if len > MAX_FRAME {
             // The announced length is a lie we refuse to read through, so
             // frame sync is unrecoverable: reject, then close.
             ctx.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
             flush_group(conn, ctx);
-            let reason =
-                format!("frame of {len} bytes exceeds the {}-byte limit", ctx.cfg.max_frame);
+            let reason = format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte limit");
             ctx.queue_reply(conn, &Reply::Reject { reason });
             conn.close_after_flush = true;
             break;
@@ -766,6 +763,33 @@ mod tests {
         assert_eq!(granted_window(&gw, 0), 1);
         assert_eq!(granted_window(&gw, 8), 8);
         assert_eq!(granted_window(&gw, 10_000), 256);
+        gw.shutdown();
+        pool.drain().expect("drain");
+    }
+
+    #[test]
+    fn metrics_verb_returns_pool_and_gateway_series() {
+        let spec = SchedulerSpec::from_name_with_half("fifo", 1).expect("registry name");
+        let pool = ShardPool::launch(ServeConfig::new(spec, 2)).expect("launch");
+        let gw = Gateway::launch("127.0.0.1:0", pool.handle(), GatewayConfig::default())
+            .expect("gateway up");
+        let jobs = flowtree_workloads::mix::Scenario::service(12)
+            .instantiate(&mut flowtree_workloads::rng(5))
+            .jobs()
+            .to_vec();
+        let mut client =
+            crate::GatewayClient::with_name(&gw.addr().to_string(), "scrape").expect("connect");
+        client.submit_all(&jobs, 4).expect("submit");
+        let text = client.metrics_text().expect("metrics verb");
+        for series in [
+            "flowtree_ingest_offered_total 12\n",
+            "flowtree_shard_lower_bound{shard=\"0\"}",
+            "flowtree_gateway_remote_jobs_total 12\n",
+            "flowtree_gateway_connections_open 1\n",
+        ] {
+            assert!(text.contains(series), "missing {series:?} in:\n{text}");
+        }
+        drop(client);
         gw.shutdown();
         pool.drain().expect("drain");
     }

@@ -163,39 +163,20 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// closed cleanly between frames; EOF *inside* a frame is
 /// [`FrameError::Truncated`].
 pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, FrameError> {
-    read_frame_patient(r, max, &mut || true)
+    let mut buf = Vec::new();
+    Ok(read_frame_patient_into(r, max, &mut buf, &mut || true)?.then_some(buf))
 }
 
 /// [`read_frame`] into a caller-owned buffer (cleared and refilled,
-/// capacity kept), so a connection loop pays no allocation per frame.
-/// Returns `Ok(false)` on a clean close between frames.
-pub fn read_frame_into<R: Read>(
-    r: &mut R,
-    max: usize,
-    buf: &mut Vec<u8>,
-) -> Result<bool, FrameError> {
-    read_frame_patient_into(r, max, buf, &mut || true)
-}
-
-/// [`read_frame`] for sockets with a read timeout: every time the read
-/// times out (`WouldBlock`/`TimedOut`), `keep_waiting` is consulted. While
-/// it returns `true` the read retries; once it returns `false` the call
-/// resolves — `Ok(None)` if no byte of the frame had arrived yet,
-/// [`FrameError::Truncated`] if one had. This lets a blocking reader wait
-/// on an idle peer yet still notice a shutdown flag; the gateway server
-/// does not use it, since it parses frames from its own nonblocking
-/// buffers.
-pub fn read_frame_patient<R: Read>(
-    r: &mut R,
-    max: usize,
-    keep_waiting: &mut dyn FnMut() -> bool,
-) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut buf = Vec::new();
-    Ok(read_frame_patient_into(r, max, &mut buf, keep_waiting)?.then_some(buf))
-}
-
-/// [`read_frame_patient`] into a caller-owned buffer (cleared and
-/// refilled, capacity kept). Returns `Ok(false)` on a clean close.
+/// capacity kept, so a connection loop pays no allocation per frame), for
+/// sockets with a read timeout: every time the read times out
+/// (`WouldBlock`/`TimedOut`), `keep_waiting` is consulted. While it
+/// returns `true` the read retries; once it returns `false` the call
+/// resolves — `Ok(false)` if no byte of the frame had arrived yet,
+/// [`FrameError::Truncated`] if one had. `Ok(false)` also means the peer
+/// closed cleanly between frames. Pass `&mut || true` to block until a
+/// frame or a close arrives. The gateway server does not use it, since it
+/// parses frames from its own nonblocking buffers.
 pub fn read_frame_patient_into<R: Read>(
     r: &mut R,
     max: usize,
@@ -351,7 +332,7 @@ pub enum Reply {
         shards: usize,
         /// Scheduler the pool launched with.
         scheduler: String,
-        /// Overload policy name (`block` / `drop-newest` / `redirect`).
+        /// Overload policy name (`block` / `drop` / `redirect`).
         policy: String,
         /// Granted hot-message codec. Absent on old gateways ⇒ JSON.
         codec: WireCodec,
@@ -903,19 +884,22 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_into_reuses_one_buffer() {
+    fn read_frame_patient_into_reuses_one_buffer() {
         let mut stream = Vec::new();
         write_frame(&mut stream, b"first frame, the longer one").unwrap();
         write_frame(&mut stream, b"second").unwrap();
         let mut r = &stream[..];
         let mut buf = Vec::new();
-        assert!(read_frame_into(&mut r, MAX_FRAME, &mut buf).unwrap());
+        let mut read = |buf: &mut Vec<u8>| {
+            read_frame_patient_into(&mut r, MAX_FRAME, buf, &mut || true).unwrap()
+        };
+        assert!(read(&mut buf));
         assert_eq!(buf, b"first frame, the longer one");
         let cap = buf.capacity();
-        assert!(read_frame_into(&mut r, MAX_FRAME, &mut buf).unwrap());
+        assert!(read(&mut buf));
         assert_eq!(buf, b"second");
         assert_eq!(buf.capacity(), cap, "shorter frame must reuse the capacity");
-        assert!(!read_frame_into(&mut r, MAX_FRAME, &mut buf).unwrap());
+        assert!(!read(&mut buf));
     }
 
     #[test]

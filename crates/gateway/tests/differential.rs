@@ -164,12 +164,8 @@ fn interleaved_clients_lose_no_job_and_balance_the_ledger() {
         .build()
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
-    let gw = Gateway::launch(
-        "127.0.0.1:0",
-        pool.handle(),
-        GatewayConfig { retry_after_ms: 2, ..Default::default() },
-    )
-    .expect("gateway up");
+    let gw = Gateway::launch("127.0.0.1:0", pool.handle(), GatewayConfig { retry_after_ms: 2 })
+        .expect("gateway up");
     let addr = gw.addr().to_string();
 
     let clients = 3;

@@ -6,7 +6,8 @@
 use flowtree_core::SchedulerSpec;
 use flowtree_gateway::{
     decode, decode_submit_into, encode, encode_submit_batch_into, read_frame, write_frame, Gateway,
-    GatewayClient, GatewayConfig, Reply, Request, SubmitOutcome, WireCodec, PROTOCOL_VERSION,
+    GatewayClient, GatewayConfig, Reply, Request, SubmitOutcome, WireCodec, MAX_FRAME,
+    PROTOCOL_VERSION,
 };
 use flowtree_serve::{ServeConfig, ShardPool};
 use flowtree_sim::JobSpec;
@@ -21,12 +22,8 @@ fn launch() -> (ShardPool, Gateway) {
         .build()
         .expect("valid config");
     let pool = ShardPool::launch(cfg).expect("launch");
-    let gw = Gateway::launch(
-        "127.0.0.1:0",
-        pool.handle(),
-        GatewayConfig { max_frame: 1 << 16, ..Default::default() },
-    )
-    .expect("gateway up");
+    let gw = Gateway::launch("127.0.0.1:0", pool.handle(), GatewayConfig::default())
+        .expect("gateway up");
     (pool, gw)
 }
 
@@ -110,8 +107,8 @@ fn oversized_frames_are_rejected_then_the_connection_closes() {
     let stream = dial(&gw);
     hello(&stream);
 
-    // Announce a payload over the gateway's 64 KiB limit; send nothing.
-    (&stream).write_all(&(1u32 << 20).to_be_bytes()).expect("send length");
+    // Announce a payload over the gateway's frame limit; send nothing.
+    (&stream).write_all(&(MAX_FRAME as u32 + 1).to_be_bytes()).expect("send length");
     expect_reject(&stream, "exceeds");
     // Frame sync is gone, so the gateway hangs up.
     assert_eq!(read_frame(&mut &stream, 1 << 20).expect("clean close"), None);

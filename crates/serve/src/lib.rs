@@ -25,19 +25,21 @@
 //!   the batch engine's `RunReport` bit for bit (pinned by the differential
 //!   tests). A **control plane** rides on the same channels
 //!   ([`ShardCmd`](shard::ShardCmd)): runtime operations — offer, live
-//!   scheduler hot-swap ([`PoolHandle::swap`]), synchronous quiesce,
-//!   snapshots, drain requests — go through a cloneable [`PoolHandle`], and
+//!   scheduler hot-swap ([`PoolHandle::swap`]), snapshots, drain
+//!   requests — go through a cloneable [`PoolHandle`], and
 //!   optional work stealing ([`StealConfig`]) migrates not-yet-admitted jobs
 //!   from an overloaded shard's staged ingress to an idle one with exact
 //!   accounting ([`IngestStats`]).
 //! * [`telemetry`] — always-on observability for the pool: a lock-light
-//!   metrics registry (per-shard atomic latency histograms for
-//!   arrival→admit, admit→first-dispatch, and arrival→completion, plus
-//!   live `max_flow`/lower-bound gauges), a Prometheus-style text
+//!   metrics registry (one [`ShardTelemetry`] cell per shard holding
+//!   atomic latency histograms for arrival→admit, admit→first-dispatch,
+//!   and arrival→completion, plus the [`ShardSnapshot`] the worker
+//!   publishes once per loop: progress and the live `max_flow`/lower-bound
+//!   gauges), a Prometheus-style text
 //!   exposition endpoint ([`serve_metrics`]) served over std TCP, and a
 //!   bounded per-shard **flight recorder** of control-plane events
-//!   (swap, steal, donate, watermark skip/retry, drop, redirect,
-//!   quiesce, drain, panic) dumped as JSONL next to the results store.
+//!   (swap, steal, donate, watermark skip/retry, drop, redirect, drain,
+//!   panic) dumped as JSONL next to the results store.
 //!   The shard probe stack is a 4-tuple: `LowerBound` +
 //!   `InvariantMonitor` + `RunHistograms` + [`LatencyProbe`].
 //! * [`store`] — append-only JSONL store of [`StoreRecord`]s (run id, git

@@ -20,7 +20,7 @@
 //! ops they cost.
 //!
 //! Event time propagates to the other shards as *watermarks*, flushed at
-//! the end of every offer, [`quiesce`](PoolHandle::quiesce), and drain.
+//! the end of every offer and at drain.
 //! The router remembers the highest watermark each shard is known to have
 //! (an admit carries its release for free) and never re-sends a value that
 //! cannot advance it. Broadcasts use `try_send` and skip full queues
@@ -39,7 +39,7 @@
 //! its broadcast watermark capped at the staged front's release, so it can
 //! never simulate past a job it has yet to receive.
 //!
-//! Runtime control (offer / swap / snapshot / quiesce / drain request) is
+//! Runtime control (offer / swap / snapshot / drain request) is
 //! a [`PoolHandle`]: a cheap clone that external front doors can drive
 //! without owning the pool. [`ShardPool`] owns the worker threads and is
 //! the only way to [`drain`](ShardPool::drain) and join them.
@@ -54,7 +54,7 @@ use flowtree_dag::Time;
 use flowtree_sim::JobSpec;
 
 use crate::shard::{
-    run_shard, Arrival, ShardCmd, ShardCtx, ShardResult, ShardSnapshot, ShardStats, SwapDirective,
+    run_shard, Arrival, ShardCmd, ShardCtx, ShardResult, ShardSnapshot, SwapDirective,
 };
 use crate::source::ArrivalSource;
 use crate::telemetry::{FlightEvent, FlightKind, MetricsSnapshot, Telemetry};
@@ -528,7 +528,6 @@ struct Router {
 struct PoolCore {
     cfg: ServeConfig,
     txs: Vec<Sender<ShardCmd>>,
-    stats: Vec<Arc<ShardStats>>,
     tel: Arc<Telemetry>,
     router: Mutex<Router>,
 }
@@ -537,9 +536,9 @@ struct PoolCore {
 ///
 /// Handles carry every operation that does not require owning the worker
 /// threads: [`offer`](Self::offer), [`swap`](Self::swap),
-/// [`snapshot`](Self::snapshot), [`quiesce`](Self::quiesce), and
-/// [`request_drain`](Self::request_drain). Joining the workers and
-/// collecting [`ShardResult`]s stays with [`ShardPool::drain`].
+/// [`snapshot`](Self::snapshot), and [`request_drain`](Self::request_drain).
+/// Joining the workers and collecting [`ShardResult`]s stays with
+/// [`ShardPool::drain`].
 #[derive(Debug, Clone)]
 pub struct PoolHandle {
     core: Arc<PoolCore>,
@@ -1022,57 +1021,25 @@ impl PoolHandle {
         Ok(())
     }
 
-    /// A point-in-time view of every shard plus ingest counters. Reads the
-    /// shards' atomic progress counters — no shard-side lock, so a snapshot
-    /// never stalls the hot loop.
+    /// A point-in-time view of every shard plus ingest counters. Reads what
+    /// each worker last published into its telemetry cell — no shard-side
+    /// lock, so a snapshot never stalls the hot loop.
     pub fn snapshot(&self) -> PoolSnapshot {
         let r = self.router();
         let shards = self
             .core
-            .stats
+            .tel
+            .shards()
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                let mut snap = s.load();
+            .map(|(i, t)| {
+                let mut snap = t.load();
                 snap.queue_len = self.core.txs[i].len();
                 snap.staged = r.staged[i].len();
                 snap
             })
             .collect();
         PoolSnapshot { shards, ingest: r.ingest }
-    }
-
-    /// Synchronous barrier: every shard finishes all in-flight work up to
-    /// its current watermark, then reports. Returns settled snapshots in
-    /// shard order.
-    pub fn quiesce(&self) -> Result<Vec<ShardSnapshot>, ServeError> {
-        {
-            // Flush the exact frontier first, blocking: a shard must not
-            // settle short of event time because a broadcast found its
-            // queue full.
-            let r = &mut *self.router();
-            let frontier = r.last_release;
-            for (i, tx) in self.core.txs.iter().enumerate() {
-                let w = match r.staged[i].front() {
-                    Some(a) => frontier.min(a.spec.release),
-                    None => frontier,
-                };
-                if w > r.wm_known[i] {
-                    tx.send(ShardCmd::Watermark(w)).map_err(|_| ServeError::PoolClosed)?;
-                    r.wm_known[i] = w;
-                }
-            }
-        }
-        let mut replies = Vec::with_capacity(self.core.txs.len());
-        for tx in &self.core.txs {
-            let (reply_tx, reply_rx) = channel::bounded(1);
-            tx.send(ShardCmd::Quiesce(reply_tx)).map_err(|_| ServeError::PoolClosed)?;
-            replies.push(reply_rx);
-        }
-        replies
-            .into_iter()
-            .map(|rx| rx.recv().map_err(|_| ServeError::PoolClosed))
-            .collect()
     }
 
     /// Flush every staged job (blocking until the shards accept them) and
@@ -1098,7 +1065,7 @@ impl PoolHandle {
     }
 
     /// A full telemetry snapshot: ingest counters, per-shard engine
-    /// snapshots, and per-shard latency histograms plus theory gauges.
+    /// snapshots with their theory gauges, and per-shard latency histograms.
     /// Lock-light — safe to call from a scrape thread mid-run.
     pub fn metrics(&self) -> MetricsSnapshot {
         let snap = self.snapshot();
@@ -1106,14 +1073,7 @@ impl PoolHandle {
             uptime_us: self.core.tel.now_us(),
             ingest: snap.ingest,
             shards: snap.shards,
-            telemetry: self
-                .core
-                .tel
-                .shards()
-                .iter()
-                .enumerate()
-                .map(|(i, t)| t.metrics(i))
-                .collect(),
+            telemetry: self.core.tel.shards().iter().map(|t| t.metrics()).collect(),
         }
     }
 
@@ -1145,17 +1105,14 @@ impl ShardPool {
         let tel = Arc::new(Telemetry::new(cfg.shards, FLIGHT_CAPACITY));
         let mut txs = Vec::with_capacity(cfg.shards);
         let mut handles = Vec::with_capacity(cfg.shards);
-        let mut stats = Vec::with_capacity(cfg.shards);
         for shard in 0..cfg.shards {
             let (tx, rx) = channel::bounded(cfg.queue_cap);
-            let stat = Arc::new(ShardStats::default());
             let ctx = ShardCtx {
                 shard,
                 m: cfg.m,
                 spec: cfg.spec,
                 scenario: cfg.scenario.clone(),
                 max_horizon: cfg.max_horizon,
-                stats: Arc::clone(&stat),
                 tel: Arc::clone(tel.shard(shard)),
             };
             let handle = std::thread::Builder::new()
@@ -1164,13 +1121,11 @@ impl ShardPool {
                 .map_err(|e| ServeError::Spawn(e.to_string()))?;
             txs.push(tx);
             handles.push(handle);
-            stats.push(stat);
         }
         let shards = cfg.shards;
         let core = PoolCore {
             cfg,
             txs,
-            stats,
             tel,
             router: Mutex::new(Router {
                 seq: 0,
@@ -1405,21 +1360,6 @@ mod tests {
     }
 
     #[test]
-    fn quiesce_settles_all_shards_to_the_watermark() {
-        let cfg = ServeConfig::builder(fifo(), 2).shards(2).build().expect("valid");
-        let pool = ShardPool::launch(cfg).expect("launch");
-        let handle = pool.handle();
-        for t in 0..10 {
-            handle.offer(JobSpec { graph: chain(2), release: t }).expect("offer");
-        }
-        let settled = handle.quiesce().expect("quiesce");
-        assert_eq!(settled.len(), 2);
-        let admitted: usize = settled.iter().map(|s| s.admitted).sum();
-        assert_eq!(admitted, 10, "quiesce replies before processing the backlog");
-        pool.drain().expect("drain");
-    }
-
-    #[test]
     fn stamped_batches_report_exact_deltas() {
         let cfg = ServeConfig::builder(fifo(), 2).shards(2).build().expect("valid");
         let pool = ShardPool::launch(cfg).expect("launch");
@@ -1505,6 +1445,6 @@ mod tests {
         pool.drain().expect("drain");
         let err = handle.offer(JobSpec { graph: chain(2), release: 0 }).expect_err("closed");
         assert_eq!(err, ServeError::PoolClosed);
-        assert!(handle.quiesce().is_err());
+        assert_eq!(handle.request_drain(), Err(ServeError::PoolClosed));
     }
 }

@@ -36,19 +36,19 @@
 //!   from the new [`SchedulerSpec`] against live state via
 //!   [`Session::prime_scheduler`], retargets the invariant monitor, and
 //!   records a [`SwapEvent`] for the drain summary.
-//! * [`ShardCmd::Quiesce`] finishes all in-flight work up to the current
-//!   watermark, then replies with a fresh [`ShardSnapshot`] — a synchronous
-//!   barrier for callers that need a settled view.
 //! * [`ShardCmd::Drain`] (or a closed channel) lifts the watermark limit
 //!   entirely: the session runs dry, and the worker returns a
 //!   [`ShardResult`] carrying the [`RunReport`], the materialized
 //!   per-shard [`Instance`], a certified [`RunSummary`], and every
 //!   [`SwapEvent`] along the way.
+//!
+//! After each command batch and simulation window the worker publishes one
+//! [`ShardSnapshot`] (progress plus theory gauges) into its
+//! [`ShardTelemetry`] cell, the shard's only live view.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 use flowtree_analysis::{summary_from_parts, RunSummary};
 use flowtree_core::SchedulerSpec;
 use flowtree_dag::{JobId, Time};
@@ -93,9 +93,6 @@ pub enum ShardCmd {
     Donate(Vec<Arrival>),
     /// Hot-swap the scheduler once simulation reaches the directive's time.
     Swap(SwapDirective),
-    /// Finish in-flight work up to the current watermark, then reply with a
-    /// settled snapshot.
-    Quiesce(Sender<ShardSnapshot>),
     /// No further arrivals follow: run dry and report.
     Drain,
 }
@@ -129,56 +126,11 @@ impl std::fmt::Display for SwapEvent {
     }
 }
 
-/// Progress counters one shard publishes continuously, lock-free: a set of
-/// relaxed atomics the worker stores after each command batch and any
-/// reader ([`PoolHandle::snapshot`](crate::PoolHandle::snapshot)) loads
-/// without ever blocking the hot loop. Individual fields are each exact;
-/// a multi-field read may straddle a publication (e.g. `dispatched` one
-/// loop ahead of `now`) — callers that need a settled, mutually consistent
-/// view use [`ShardCmd::Quiesce`], whose reply is built synchronously by
-/// the worker.
-#[derive(Debug, Default)]
-pub(crate) struct ShardStats {
-    now: AtomicU64,
-    admitted: AtomicU64,
-    steps: AtomicU64,
-    dispatched: AtomicU64,
-    lower_bound: AtomicU64,
-    donated: AtomicU64,
-    swaps: AtomicU64,
-}
-
-impl ShardStats {
-    /// Publish `snap` (worker side). Relaxed: readers tolerate field skew.
-    pub(crate) fn publish(&self, snap: &ShardSnapshot) {
-        self.now.store(snap.now, Ordering::Relaxed);
-        self.admitted.store(snap.admitted as u64, Ordering::Relaxed);
-        self.steps.store(snap.steps, Ordering::Relaxed);
-        self.dispatched.store(snap.dispatched, Ordering::Relaxed);
-        self.lower_bound.store(snap.lower_bound, Ordering::Relaxed);
-        self.donated.store(snap.donated, Ordering::Relaxed);
-        self.swaps.store(snap.swaps, Ordering::Relaxed);
-    }
-
-    /// Load the latest published view (reader side). `queue_len` and
-    /// `staged` are the pool's to fill in.
-    pub(crate) fn load(&self) -> ShardSnapshot {
-        ShardSnapshot {
-            now: self.now.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed) as usize,
-            steps: self.steps.load(Ordering::Relaxed),
-            dispatched: self.dispatched.load(Ordering::Relaxed),
-            lower_bound: self.lower_bound.load(Ordering::Relaxed),
-            donated: self.donated.load(Ordering::Relaxed),
-            swaps: self.swaps.load(Ordering::Relaxed),
-            queue_len: 0,
-            staged: 0,
-        }
-    }
-}
-
-/// A point-in-time view of one shard's progress (see
-/// [`PoolHandle::snapshot`](crate::PoolHandle::snapshot)).
+/// A point-in-time view of one shard's progress and theory gauges (see
+/// [`PoolHandle::snapshot`](crate::PoolHandle::snapshot)), as the worker
+/// last published it into its [`ShardTelemetry`]. Each field is exact; a
+/// reader may see fields from two adjacent publications (e.g.
+/// `dispatched` one loop ahead of `now`), the usual monitoring contract.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// The shard's simulated clock.
@@ -191,6 +143,11 @@ pub struct ShardSnapshot {
     pub dispatched: u64,
     /// The live Lemma 5.1 lower bound over admitted jobs.
     pub lower_bound: u64,
+    /// The observed max flow over completed jobs (0 before the first
+    /// completion).
+    pub max_flow: u64,
+    /// Invariant violations observed so far.
+    pub violations: u64,
     /// Jobs admitted via [`ShardCmd::Donate`] (stolen in).
     pub donated: u64,
     /// Scheduler hot-swaps applied so far.
@@ -200,6 +157,14 @@ pub struct ShardSnapshot {
     /// Arrivals staged router-side for this shard, awaiting delivery
     /// (filled in by the pool; nonzero only with stealing enabled).
     pub staged: usize,
+}
+
+impl ShardSnapshot {
+    /// Live `max_flow / LB` competitive-ratio gauge (`None` before the
+    /// first completion, mirroring the streaming monitor).
+    pub fn ratio(&self) -> Option<f64> {
+        (self.max_flow > 0).then(|| self.max_flow as f64 / self.lower_bound.max(1) as f64)
+    }
 }
 
 /// What one drained shard hands back.
@@ -230,12 +195,15 @@ type ShardProbe<'a> = (
 
 fn snapshot_of(session: &Session<ShardProbe<'_>>, swaps: u64, donated: u64) -> ShardSnapshot {
     let counters = session.counters();
+    let (lb, inv, ..) = session.probe();
     ShardSnapshot {
         now: session.now(),
         admitted: session.num_admitted(),
         steps: counters.steps,
         dispatched: counters.dispatched,
-        lower_bound: session.probe().0.lower_bound(),
+        lower_bound: lb.lower_bound(),
+        max_flow: lb.max_flow().unwrap_or(0),
+        violations: inv.total_violations(),
         donated,
         swaps,
         queue_len: 0,
@@ -244,20 +212,19 @@ fn snapshot_of(session: &Session<ShardProbe<'_>>, swaps: u64, donated: u64) -> S
 }
 
 /// Everything a shard worker needs beyond its command channel: identity,
-/// engine parameters, and the shared observability cells.
+/// engine parameters, and the shared observability cell.
 pub(crate) struct ShardCtx {
     pub shard: usize,
     pub m: usize,
     pub spec: SchedulerSpec,
     pub scenario: String,
     pub max_horizon: Time,
-    pub stats: Arc<ShardStats>,
     pub tel: Arc<ShardTelemetry>,
 }
 
 /// Worker body: consume commands until drained, then summarize.
 pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
-    let ShardCtx { shard, m, mut spec, scenario, max_horizon, stats, tel } = ctx;
+    let ShardCtx { shard, m, mut spec, scenario, max_horizon, tel } = ctx;
     let mut sched: Box<dyn OnlineScheduler + Send> = spec.build();
     let session = Session::new(m).with_max_horizon(max_horizon);
     let mut lb = LowerBound::new(session.instance());
@@ -271,7 +238,6 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
     let mut donated: u64 = 0;
     let mut swaps: Vec<SwapEvent> = Vec::new();
     let mut pending_swaps: Vec<SwapDirective> = Vec::new();
-    let mut quiesce_replies: Vec<Sender<ShardSnapshot>> = Vec::new();
     let mut batch: Vec<ShardCmd> = Vec::new();
     loop {
         // Block for one command, then absorb the backlog without blocking,
@@ -331,7 +297,6 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
                     pending_swaps.push(d);
                     pending_swaps.sort_by_key(|d| d.at);
                 }
-                ShardCmd::Quiesce(reply) => quiesce_replies.push(reply),
                 ShardCmd::Drain => {
                     draining = true;
                     tel.flight.record(FlightEvent {
@@ -377,25 +342,7 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
             record_panic(&tel, shard, session.now(), &e);
             panic!("shard {shard}: {e}")
         });
-        {
-            let fresh = snapshot_of(&session, swaps.len() as u64, donated);
-            stats.publish(&fresh);
-            // Live theory gauges ride the same publication cadence.
-            let p = session.probe();
-            tel.set_gauges(p.1.total_violations(), p.0.max_flow().unwrap_or(0), p.0.lower_bound());
-            if !quiesce_replies.is_empty() {
-                tel.flight.record(FlightEvent {
-                    us: tel.now_us(),
-                    shard,
-                    kind: FlightKind::Quiesce,
-                    t: session.now(),
-                    detail: format!("x{}", quiesce_replies.len()),
-                });
-            }
-            for reply in quiesce_replies.drain(..) {
-                let _ = reply.send(fresh.clone());
-            }
-        }
+        tel.publish(&snapshot_of(&session, swaps.len() as u64, donated));
         if draining {
             break;
         }

@@ -1,7 +1,7 @@
 //! Persistent results store: append-only JSONL records of drained runs.
 //!
 //! Each [`StoreRecord`] is one shard's certified
-//! [`RunSummary`](flowtree_analysis::RunSummary) plus identifying metadata
+//! [`RunSummary`] plus identifying metadata
 //! (run id, `git describe`, shard index). Records append to
 //! `<dir>/<run_id>.jsonl`, one JSON object per line, so a run can be
 //! re-executed (appending new lines to the same file) without rewriting

@@ -4,8 +4,10 @@
 //!
 //! The registry is **always on**: every pool owns one [`Telemetry`] and
 //! every shard worker records into its own [`ShardTelemetry`] through
-//! relaxed atomics ([`AtomicHisto`], gauge cells), so enabling the
-//! exposition endpoint only adds a *reader* thread — it cannot perturb
+//! relaxed atomics ([`AtomicHisto`] plus the cell's one
+//! [`publish`](ShardTelemetry::publish) of a [`ShardSnapshot`] per loop
+//! iteration), so enabling the exposition endpoint only adds a *reader*
+//! thread — it cannot perturb
 //! routing, admission order, or simulation, which is what makes the
 //! metrics-on/off differential test hold by construction.
 //!
@@ -18,8 +20,8 @@
 //! * **arrival → completion** — router offer to the job's completion event.
 //!
 //! Control-plane happenings (scheduler swaps, steals/donations, watermark
-//! skips and retries, overload drops and redirects, quiesces, drains,
-//! worker panics) land in a bounded per-shard [`FlightRecorder`] ring as
+//! skips and retries, overload drops and redirects, drains, worker
+//! panics) land in a bounded per-shard [`FlightRecorder`] ring as
 //! structured [`FlightEvent`]s; the ring survives a worker panic (it lives
 //! behind the pool's `Arc`), and the CLI dumps it as JSONL beside the
 //! results store for `report --flight` to render.
@@ -110,8 +112,6 @@ pub enum FlightKind {
     Drop,
     /// An arrival was redirected away from its routed shard.
     Redirect,
-    /// A shard settled at its watermark for a quiesce barrier.
-    Quiesce,
     /// A shard received its drain order.
     Drain,
     /// A shard worker panicked (detail carries the error when known).
@@ -136,7 +136,6 @@ impl FlightKind {
             FlightKind::WmRetry => "wm-retry",
             FlightKind::Drop => "drop",
             FlightKind::Redirect => "redirect",
-            FlightKind::Quiesce => "quiesce",
             FlightKind::Drain => "drain",
             FlightKind::Panic => "panic",
             FlightKind::ConnOpen => "conn-open",
@@ -164,7 +163,6 @@ impl std::str::FromStr for FlightKind {
             "wm-retry" => FlightKind::WmRetry,
             "drop" => FlightKind::Drop,
             "redirect" => FlightKind::Redirect,
-            "quiesce" => FlightKind::Quiesce,
             "drain" => FlightKind::Drain,
             "panic" => FlightKind::Panic,
             "conn-open" => FlightKind::ConnOpen,
@@ -263,9 +261,11 @@ impl FlightRecorder {
     }
 }
 
-/// One shard's always-on telemetry cell: latency histograms, live gauges,
-/// and the flight ring. Lives behind an `Arc` shared by the worker, the
-/// router, and every reader, so it survives a worker panic.
+/// One shard's always-on telemetry cell and its only live view: latency
+/// histograms, the progress counters and theory gauges of the last
+/// [`publish`](Self::publish)ed [`ShardSnapshot`], and the flight ring.
+/// Lives behind an `Arc` shared by the worker, the router, and every
+/// reader, so it survives a worker panic.
 #[derive(Debug)]
 pub struct ShardTelemetry {
     epoch: Instant,
@@ -275,9 +275,15 @@ pub struct ShardTelemetry {
     pub admit_to_first_dispatch: AtomicHisto,
     /// Wall-clock µs from router offer to the job's completion event.
     pub arrival_to_complete: AtomicHisto,
-    violations: AtomicU64,
-    max_flow: AtomicU64,
+    now: AtomicU64,
+    admitted: AtomicU64,
+    steps: AtomicU64,
+    dispatched: AtomicU64,
+    donated: AtomicU64,
+    swaps: AtomicU64,
     lower_bound: AtomicU64,
+    max_flow: AtomicU64,
+    violations: AtomicU64,
     /// Bounded ring of control-plane events.
     pub flight: FlightRecorder,
 }
@@ -289,9 +295,15 @@ impl ShardTelemetry {
             arrival_to_admit: AtomicHisto::new(),
             admit_to_first_dispatch: AtomicHisto::new(),
             arrival_to_complete: AtomicHisto::new(),
-            violations: AtomicU64::new(0),
-            max_flow: AtomicU64::new(0),
+            now: AtomicU64::new(0),
+            admitted: AtomicU64::new(0),
+            steps: AtomicU64::new(0),
+            dispatched: AtomicU64::new(0),
+            donated: AtomicU64::new(0),
+            swaps: AtomicU64::new(0),
             lower_bound: AtomicU64::new(0),
+            max_flow: AtomicU64::new(0),
+            violations: AtomicU64::new(0),
             flight: FlightRecorder::new(flight_cap),
         }
     }
@@ -302,25 +314,45 @@ impl ShardTelemetry {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Publish the live theory gauges (worker side, once per simulation
-    /// window): invariant-violation total, observed max flow, and the
-    /// streaming Lemma 5.1 lower bound.
-    pub fn set_gauges(&self, violations: u64, max_flow: u64, lower_bound: u64) {
-        self.violations.store(violations, Ordering::Relaxed);
-        self.max_flow.store(max_flow, Ordering::Relaxed);
-        self.lower_bound.store(lower_bound, Ordering::Relaxed);
+    /// Publish `snap` (worker side, once per loop iteration). Relaxed:
+    /// readers tolerate skew between fields. `queue_len` and `staged` are
+    /// the router's and are not stored.
+    pub fn publish(&self, snap: &ShardSnapshot) {
+        self.now.store(snap.now, Ordering::Relaxed);
+        self.admitted.store(snap.admitted as u64, Ordering::Relaxed);
+        self.steps.store(snap.steps, Ordering::Relaxed);
+        self.dispatched.store(snap.dispatched, Ordering::Relaxed);
+        self.donated.store(snap.donated, Ordering::Relaxed);
+        self.swaps.store(snap.swaps, Ordering::Relaxed);
+        self.lower_bound.store(snap.lower_bound, Ordering::Relaxed);
+        self.max_flow.store(snap.max_flow, Ordering::Relaxed);
+        self.violations.store(snap.violations, Ordering::Relaxed);
     }
 
-    /// Materialize this shard's metrics for shard index `shard`.
-    pub fn metrics(&self, shard: usize) -> ShardMetrics {
+    /// The latest published view (reader side), with `queue_len` and
+    /// `staged` left 0 for the pool to fill in.
+    pub fn load(&self) -> ShardSnapshot {
+        ShardSnapshot {
+            now: self.now.load(Ordering::Relaxed),
+            admitted: self.admitted.load(Ordering::Relaxed) as usize,
+            steps: self.steps.load(Ordering::Relaxed),
+            dispatched: self.dispatched.load(Ordering::Relaxed),
+            donated: self.donated.load(Ordering::Relaxed),
+            swaps: self.swaps.load(Ordering::Relaxed),
+            lower_bound: self.lower_bound.load(Ordering::Relaxed),
+            max_flow: self.max_flow.load(Ordering::Relaxed),
+            violations: self.violations.load(Ordering::Relaxed),
+            queue_len: 0,
+            staged: 0,
+        }
+    }
+
+    /// Materialize this shard's latency histograms and flight-ring counts.
+    pub fn metrics(&self) -> ShardMetrics {
         ShardMetrics {
-            shard,
             arrival_to_admit: self.arrival_to_admit.snapshot(),
             admit_to_first_dispatch: self.admit_to_first_dispatch.snapshot(),
             arrival_to_complete: self.arrival_to_complete.snapshot(),
-            violations: self.violations.load(Ordering::Relaxed),
-            max_flow: self.max_flow.load(Ordering::Relaxed),
-            lower_bound: self.lower_bound.load(Ordering::Relaxed),
             flight_len: self.flight.len(),
             flight_dropped: self.flight.dropped(),
         }
@@ -437,39 +469,25 @@ impl Probe for LatencyProbe {
     fn on_idle_gap(&mut self, _t0: Time, _steps: Time, _m: usize) {}
 }
 
-/// One shard's materialized metrics (see [`ShardTelemetry::metrics`]).
+/// One shard's materialized latency histograms and flight-ring counts (see
+/// [`ShardTelemetry::metrics`]); its gauges are in [`ShardSnapshot`].
 #[derive(Debug, Clone)]
 pub struct ShardMetrics {
-    /// Shard index.
-    pub shard: usize,
     /// Arrival→admit latency distribution (µs).
     pub arrival_to_admit: LogHistogram,
     /// Admit→first-dispatch latency distribution (µs).
     pub admit_to_first_dispatch: LogHistogram,
     /// Arrival→completion latency distribution (µs).
     pub arrival_to_complete: LogHistogram,
-    /// Live invariant-violation total.
-    pub violations: u64,
-    /// Live observed max flow over completed jobs.
-    pub max_flow: u64,
-    /// Live streaming Lemma 5.1 lower bound.
-    pub lower_bound: u64,
     /// Flight events currently in the ring.
     pub flight_len: usize,
     /// Flight events evicted because the ring was full.
     pub flight_dropped: u64,
 }
 
-impl ShardMetrics {
-    /// Live `max_flow / LB` competitive-ratio gauge (`None` before the
-    /// first completion, mirroring the streaming monitor).
-    pub fn ratio(&self) -> Option<f64> {
-        (self.max_flow > 0).then(|| self.max_flow as f64 / self.lower_bound.max(1) as f64)
-    }
-}
-
 /// A merged point-in-time view of the whole pool's telemetry: ingest
-/// counters, per-shard progress, and per-shard latency/gauge metrics.
+/// counters, per-shard progress and theory gauges, and per-shard latency
+/// metrics.
 /// Returned by [`PoolHandle::metrics`]; rendered by
 /// [`render_prometheus`](Self::render_prometheus).
 #[derive(Debug, Clone)]
@@ -478,9 +496,9 @@ pub struct MetricsSnapshot {
     pub uptime_us: u64,
     /// Ingest counters at snapshot time.
     pub ingest: IngestStats,
-    /// Per-shard progress, indexed by shard.
+    /// Per-shard progress and theory gauges, indexed by shard.
     pub shards: Vec<ShardSnapshot>,
-    /// Per-shard telemetry, indexed by shard.
+    /// Per-shard latency histograms and flight-ring counts, indexed by shard.
     pub telemetry: Vec<ShardMetrics>,
 }
 
@@ -498,17 +516,12 @@ impl MetricsSnapshot {
     /// Worst live per-shard `max_flow / LB` ratio (`None` until some shard
     /// completes a job).
     pub fn ratio(&self) -> Option<f64> {
-        self.telemetry.iter().filter_map(|t| t.ratio()).fold(None, |acc, r| {
-            Some(match acc {
-                Some(a) if a >= r => a,
-                _ => r,
-            })
-        })
+        self.shards.iter().filter_map(ShardSnapshot::ratio).reduce(f64::max)
     }
 
     /// Invariant violations summed across shards.
     pub fn total_violations(&self) -> u64 {
-        self.telemetry.iter().map(|t| t.violations).sum()
+        self.shards.iter().map(|s| s.violations).sum()
     }
 
     /// Render the snapshot in the Prometheus text exposition format
@@ -545,7 +558,7 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "flowtree_shard_now{{shard=\"{i}\"}} {}", s.now);
         }
         type GaugeRow<'a, T> = (&'a str, &'a dyn Fn(&T) -> u64, &'a str);
-        let shard_gauges: [GaugeRow<'_, ShardSnapshot>; 7] = [
+        let shard_gauges: [GaugeRow<'_, ShardSnapshot>; 10] = [
             ("admitted", &|s| s.admitted as u64, "Jobs admitted so far."),
             ("steps", &|s| s.steps, "Steps simulated so far."),
             ("dispatched", &|s| s.dispatched, "Subjobs dispatched so far."),
@@ -553,6 +566,9 @@ impl MetricsSnapshot {
             ("staged", &|s| s.staged as u64, "Arrivals staged router-side for the shard."),
             ("donated", &|s| s.donated, "Jobs admitted via donation (stolen in)."),
             ("swaps", &|s| s.swaps, "Scheduler hot-swaps applied."),
+            ("violations", &|s| s.violations, "Live invariant-violation total."),
+            ("max_flow", &|s| s.max_flow, "Live observed max flow."),
+            ("lower_bound", &|s| s.lower_bound, "Live Lemma 5.1 lower bound."),
         ];
         for (name, get, help) in shard_gauges {
             let _ = writeln!(out, "# HELP flowtree_shard_{name} {help}");
@@ -562,25 +578,22 @@ impl MetricsSnapshot {
             }
         }
 
-        let tel_gauges: [GaugeRow<'_, ShardMetrics>; 5] = [
-            ("violations", &|t| t.violations, "Live invariant-violation total."),
-            ("max_flow", &|t| t.max_flow, "Live observed max flow."),
-            ("lower_bound", &|t| t.lower_bound, "Live Lemma 5.1 lower bound."),
+        let tel_gauges: [GaugeRow<'_, ShardMetrics>; 2] = [
             ("flight_events", &|t| t.flight_len as u64, "Flight events in the ring."),
             ("flight_dropped", &|t| t.flight_dropped, "Flight events evicted from the ring."),
         ];
         for (name, get, help) in tel_gauges {
             let _ = writeln!(out, "# HELP flowtree_shard_{name} {help}");
             let _ = writeln!(out, "# TYPE flowtree_shard_{name} gauge");
-            for t in &self.telemetry {
-                let _ = writeln!(out, "flowtree_shard_{name}{{shard=\"{}\"}} {}", t.shard, get(t));
+            for (i, t) in self.telemetry.iter().enumerate() {
+                let _ = writeln!(out, "flowtree_shard_{name}{{shard=\"{i}\"}} {}", get(t));
             }
         }
         let _ = writeln!(out, "# HELP flowtree_shard_flow_ratio Live max_flow/LB ratio.");
         let _ = writeln!(out, "# TYPE flowtree_shard_flow_ratio gauge");
-        for t in &self.telemetry {
-            if let Some(r) = t.ratio() {
-                let _ = writeln!(out, "flowtree_shard_flow_ratio{{shard=\"{}\"}} {r}", t.shard);
+        for (i, s) in self.shards.iter().enumerate() {
+            if let Some(r) = s.ratio() {
+                let _ = writeln!(out, "flowtree_shard_flow_ratio{{shard=\"{i}\"}} {r}");
             }
         }
 
@@ -589,13 +602,13 @@ impl MetricsSnapshot {
             "# HELP flowtree_latency_us End-to-end wall-clock latency summaries (µs)."
         );
         let _ = writeln!(out, "# TYPE flowtree_latency_us summary");
-        for t in &self.telemetry {
+        for (i, t) in self.telemetry.iter().enumerate() {
             for (stage, h) in [
                 ("arrival_to_admit", &t.arrival_to_admit),
                 ("admit_to_first_dispatch", &t.admit_to_first_dispatch),
                 ("arrival_to_complete", &t.arrival_to_complete),
             ] {
-                let base = format!("stage=\"{stage}\",shard=\"{}\"", t.shard);
+                let base = format!("stage=\"{stage}\",shard=\"{i}\"");
                 for (q, v) in [("0.5", h.p50()), ("0.9", h.p90()), ("0.99", h.p99())] {
                     let _ = writeln!(out, "flowtree_latency_us{{{base},quantile=\"{q}\"}} {v}");
                 }
@@ -892,7 +905,6 @@ mod tests {
             FlightKind::WmRetry,
             FlightKind::Drop,
             FlightKind::Redirect,
-            FlightKind::Quiesce,
             FlightKind::Drain,
             FlightKind::Panic,
             FlightKind::ConnOpen,
@@ -934,4 +946,190 @@ mod tests {
         assert_eq!(tel.admit_to_first_dispatch.snapshot().count(), 1);
         assert_eq!(tel.arrival_to_complete.snapshot().count(), 1);
     }
+
+    /// The exposition text, byte for byte, for a hand-built two-shard
+    /// snapshot: gauges set on both shards, one non-empty histogram, and a
+    /// flow ratio on shard 0 only (shard 1 has no completion yet).
+    #[test]
+    fn prometheus_exposition_is_pinned() {
+        let mut admit = LogHistogram::new();
+        for v in [3, 10, 200] {
+            admit.record(v);
+        }
+        let metrics = |flight_len, flight_dropped| ShardMetrics {
+            arrival_to_admit: LogHistogram::new(),
+            admit_to_first_dispatch: LogHistogram::new(),
+            arrival_to_complete: LogHistogram::new(),
+            flight_len,
+            flight_dropped,
+        };
+        let snap = MetricsSnapshot {
+            uptime_us: 1_500_000,
+            ingest: IngestStats {
+                offered: 7,
+                delivered: 5,
+                dropped: 1,
+                redirected: 1,
+                reordered: 2,
+                stolen_in: 1,
+                stolen_out: 1,
+                wm_skipped: 3,
+            },
+            shards: vec![
+                ShardSnapshot {
+                    now: 12,
+                    admitted: 4,
+                    steps: 12,
+                    dispatched: 20,
+                    lower_bound: 5,
+                    max_flow: 8,
+                    violations: 0,
+                    donated: 1,
+                    swaps: 1,
+                    queue_len: 2,
+                    staged: 0,
+                },
+                ShardSnapshot {
+                    now: 9,
+                    admitted: 3,
+                    steps: 9,
+                    dispatched: 11,
+                    lower_bound: 4,
+                    max_flow: 0,
+                    violations: 2,
+                    donated: 0,
+                    swaps: 0,
+                    queue_len: 0,
+                    staged: 1,
+                },
+            ],
+            telemetry: vec![
+                ShardMetrics { arrival_to_admit: admit, ..metrics(3, 0) },
+                metrics(0, 1),
+            ],
+        };
+        assert_eq!(snap.render_prometheus(), GOLDEN_EXPOSITION);
+    }
+
+    const GOLDEN_EXPOSITION: &str = r##"# HELP flowtree_uptime_seconds Seconds since the pool launched.
+# TYPE flowtree_uptime_seconds gauge
+flowtree_uptime_seconds 1.5
+# HELP flowtree_ingest_offered_total Arrivals offered to the pool.
+# TYPE flowtree_ingest_offered_total counter
+flowtree_ingest_offered_total 7
+# HELP flowtree_ingest_delivered_total Arrivals delivered to some shard.
+# TYPE flowtree_ingest_delivered_total counter
+flowtree_ingest_delivered_total 5
+# HELP flowtree_ingest_dropped_total Arrivals shed under the drop policy.
+# TYPE flowtree_ingest_dropped_total counter
+flowtree_ingest_dropped_total 1
+# HELP flowtree_ingest_redirected_total Arrivals placed off their routed shard.
+# TYPE flowtree_ingest_redirected_total counter
+flowtree_ingest_redirected_total 1
+# HELP flowtree_ingest_reordered_total Arrivals whose release was clamped forward.
+# TYPE flowtree_ingest_reordered_total counter
+flowtree_ingest_reordered_total 2
+# HELP flowtree_ingest_stolen_in_total Jobs migrated onto an underloaded shard.
+# TYPE flowtree_ingest_stolen_in_total counter
+flowtree_ingest_stolen_in_total 1
+# HELP flowtree_ingest_stolen_out_total Jobs migrated off an overloaded shard.
+# TYPE flowtree_ingest_stolen_out_total counter
+flowtree_ingest_stolen_out_total 1
+# HELP flowtree_ingest_wm_skipped_total Watermark broadcasts skipped on full queues.
+# TYPE flowtree_ingest_wm_skipped_total counter
+flowtree_ingest_wm_skipped_total 3
+# HELP flowtree_shard_now The shard's simulated clock.
+# TYPE flowtree_shard_now gauge
+flowtree_shard_now{shard="0"} 12
+flowtree_shard_now{shard="1"} 9
+# HELP flowtree_shard_admitted Jobs admitted so far.
+# TYPE flowtree_shard_admitted gauge
+flowtree_shard_admitted{shard="0"} 4
+flowtree_shard_admitted{shard="1"} 3
+# HELP flowtree_shard_steps Steps simulated so far.
+# TYPE flowtree_shard_steps gauge
+flowtree_shard_steps{shard="0"} 12
+flowtree_shard_steps{shard="1"} 9
+# HELP flowtree_shard_dispatched Subjobs dispatched so far.
+# TYPE flowtree_shard_dispatched gauge
+flowtree_shard_dispatched{shard="0"} 20
+flowtree_shard_dispatched{shard="1"} 11
+# HELP flowtree_shard_queue_len Commands queued to the shard.
+# TYPE flowtree_shard_queue_len gauge
+flowtree_shard_queue_len{shard="0"} 2
+flowtree_shard_queue_len{shard="1"} 0
+# HELP flowtree_shard_staged Arrivals staged router-side for the shard.
+# TYPE flowtree_shard_staged gauge
+flowtree_shard_staged{shard="0"} 0
+flowtree_shard_staged{shard="1"} 1
+# HELP flowtree_shard_donated Jobs admitted via donation (stolen in).
+# TYPE flowtree_shard_donated gauge
+flowtree_shard_donated{shard="0"} 1
+flowtree_shard_donated{shard="1"} 0
+# HELP flowtree_shard_swaps Scheduler hot-swaps applied.
+# TYPE flowtree_shard_swaps gauge
+flowtree_shard_swaps{shard="0"} 1
+flowtree_shard_swaps{shard="1"} 0
+# HELP flowtree_shard_violations Live invariant-violation total.
+# TYPE flowtree_shard_violations gauge
+flowtree_shard_violations{shard="0"} 0
+flowtree_shard_violations{shard="1"} 2
+# HELP flowtree_shard_max_flow Live observed max flow.
+# TYPE flowtree_shard_max_flow gauge
+flowtree_shard_max_flow{shard="0"} 8
+flowtree_shard_max_flow{shard="1"} 0
+# HELP flowtree_shard_lower_bound Live Lemma 5.1 lower bound.
+# TYPE flowtree_shard_lower_bound gauge
+flowtree_shard_lower_bound{shard="0"} 5
+flowtree_shard_lower_bound{shard="1"} 4
+# HELP flowtree_shard_flight_events Flight events in the ring.
+# TYPE flowtree_shard_flight_events gauge
+flowtree_shard_flight_events{shard="0"} 3
+flowtree_shard_flight_events{shard="1"} 0
+# HELP flowtree_shard_flight_dropped Flight events evicted from the ring.
+# TYPE flowtree_shard_flight_dropped gauge
+flowtree_shard_flight_dropped{shard="0"} 0
+flowtree_shard_flight_dropped{shard="1"} 1
+# HELP flowtree_shard_flow_ratio Live max_flow/LB ratio.
+# TYPE flowtree_shard_flow_ratio gauge
+flowtree_shard_flow_ratio{shard="0"} 1.6
+# HELP flowtree_latency_us End-to-end wall-clock latency summaries (µs).
+# TYPE flowtree_latency_us summary
+flowtree_latency_us{stage="arrival_to_admit",shard="0",quantile="0.5"} 15
+flowtree_latency_us{stage="arrival_to_admit",shard="0",quantile="0.9"} 200
+flowtree_latency_us{stage="arrival_to_admit",shard="0",quantile="0.99"} 200
+flowtree_latency_us_max{stage="arrival_to_admit",shard="0"} 200
+flowtree_latency_us_mean{stage="arrival_to_admit",shard="0"} 71
+flowtree_latency_us_count{stage="arrival_to_admit",shard="0"} 3
+flowtree_latency_us{stage="admit_to_first_dispatch",shard="0",quantile="0.5"} 0
+flowtree_latency_us{stage="admit_to_first_dispatch",shard="0",quantile="0.9"} 0
+flowtree_latency_us{stage="admit_to_first_dispatch",shard="0",quantile="0.99"} 0
+flowtree_latency_us_max{stage="admit_to_first_dispatch",shard="0"} 0
+flowtree_latency_us_mean{stage="admit_to_first_dispatch",shard="0"} 0
+flowtree_latency_us_count{stage="admit_to_first_dispatch",shard="0"} 0
+flowtree_latency_us{stage="arrival_to_complete",shard="0",quantile="0.5"} 0
+flowtree_latency_us{stage="arrival_to_complete",shard="0",quantile="0.9"} 0
+flowtree_latency_us{stage="arrival_to_complete",shard="0",quantile="0.99"} 0
+flowtree_latency_us_max{stage="arrival_to_complete",shard="0"} 0
+flowtree_latency_us_mean{stage="arrival_to_complete",shard="0"} 0
+flowtree_latency_us_count{stage="arrival_to_complete",shard="0"} 0
+flowtree_latency_us{stage="arrival_to_admit",shard="1",quantile="0.5"} 0
+flowtree_latency_us{stage="arrival_to_admit",shard="1",quantile="0.9"} 0
+flowtree_latency_us{stage="arrival_to_admit",shard="1",quantile="0.99"} 0
+flowtree_latency_us_max{stage="arrival_to_admit",shard="1"} 0
+flowtree_latency_us_mean{stage="arrival_to_admit",shard="1"} 0
+flowtree_latency_us_count{stage="arrival_to_admit",shard="1"} 0
+flowtree_latency_us{stage="admit_to_first_dispatch",shard="1",quantile="0.5"} 0
+flowtree_latency_us{stage="admit_to_first_dispatch",shard="1",quantile="0.9"} 0
+flowtree_latency_us{stage="admit_to_first_dispatch",shard="1",quantile="0.99"} 0
+flowtree_latency_us_max{stage="admit_to_first_dispatch",shard="1"} 0
+flowtree_latency_us_mean{stage="admit_to_first_dispatch",shard="1"} 0
+flowtree_latency_us_count{stage="admit_to_first_dispatch",shard="1"} 0
+flowtree_latency_us{stage="arrival_to_complete",shard="1",quantile="0.5"} 0
+flowtree_latency_us{stage="arrival_to_complete",shard="1",quantile="0.9"} 0
+flowtree_latency_us{stage="arrival_to_complete",shard="1",quantile="0.99"} 0
+flowtree_latency_us_max{stage="arrival_to_complete",shard="1"} 0
+flowtree_latency_us_mean{stage="arrival_to_complete",shard="1"} 0
+flowtree_latency_us_count{stage="arrival_to_complete",shard="1"} 0
+"##;
 }

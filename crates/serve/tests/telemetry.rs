@@ -112,14 +112,13 @@ fn metrics_snapshot_accounts_are_consistent_and_latencies_populate() {
     assert_eq!(m.ingest.stolen_in, m.ingest.stolen_out);
     let merged = m.arrival_to_complete();
     assert_eq!(merged.count(), 30, "every job completion is latency-stamped");
-    for t in &m.telemetry {
+    for (i, (t, s)) in m.telemetry.iter().zip(&m.shards).enumerate() {
         assert_eq!(
             t.arrival_to_admit.count(),
             t.arrival_to_complete.count(),
-            "shard {}: every admitted job completed",
-            t.shard
+            "shard {i}: every admitted job completed"
         );
-        assert!(t.lower_bound > 0, "shard {} lower bound never published", t.shard);
+        assert!(s.lower_bound > 0, "shard {i} lower bound never published");
     }
     assert!(m.ratio().expect("drained pool has a ratio") >= 1.0);
     let text = m.render_prometheus();

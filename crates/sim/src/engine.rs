@@ -19,7 +19,7 @@
 //! A run returns a [`RunReport`]: the recorded [`Schedule`] plus
 //! [`FlowStats`] and the engine's internal [`Counters`], so callers no
 //! longer recompute flow statistics ad hoc. Attach a custom
-//! [`Probe`](crate::probe::Probe) with [`Engine::with_probe`] to observe
+//! [`Probe`] with [`Engine::with_probe`] to observe
 //! per-step events (tracing, custom instrumentation).
 
 use crate::instance::Instance;

@@ -6,7 +6,7 @@
 //! and `release`/`complete` records carry per-job times. [`Replay`] rebuilds
 //! a [`Schedule`] and per-job flows from those records, and
 //! [`Replay::gantt`] renders the reconstructed schedule through the regular
-//! [`gantt`](crate::gantt) renderer.
+//! [`gantt`] renderer.
 
 use crate::gantt::{self, GanttOptions};
 use crate::instance::Instance;

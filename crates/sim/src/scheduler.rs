@@ -40,7 +40,7 @@ pub struct SimView<'a> {
 impl<'a> SimView<'a> {
     /// Assemble a view over explicit simulation state. The engine builds one
     /// per scheduler callback; reference engines and differential tests
-    /// driving a [`SimState`](crate::state::SimState) by hand can too.
+    /// driving a [`SimState`] by hand can too.
     pub fn new(
         instance: &'a Instance,
         state: &'a SimState,

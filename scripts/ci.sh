@@ -9,9 +9,8 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (broken or private intra-doc links fail the build)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
-    cargo doc --workspace --no-deps -q
+echo "==> cargo doc (every rustdoc warning fails the build)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
