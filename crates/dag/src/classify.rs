@@ -32,11 +32,6 @@ pub fn is_in_forest(g: &JobGraph) -> bool {
     g.nodes().all(|v| g.out_degree(v) <= 1)
 }
 
-/// Is `g` an in-tree: an in-forest with exactly one sink?
-pub fn is_in_tree(g: &JobGraph) -> bool {
-    is_in_forest(g) && g.sinks().len() == 1
-}
-
 /// Is `g` **layered**: the depth of every edge's endpoint differs by exactly
 /// one, i.e. every edge connects consecutive depth levels? The Section 4
 /// lower-bound jobs are layered out-forests.
@@ -112,7 +107,7 @@ mod tests {
         let g = chain(5);
         assert!(is_chain(&g));
         assert!(is_out_tree(&g));
-        assert!(is_in_tree(&g));
+        assert!(is_in_forest(&g));
         assert!(is_layered(&g));
         assert_eq!(num_components(&g), 1);
     }
@@ -120,7 +115,7 @@ mod tests {
     #[test]
     fn single_node_is_everything() {
         let g = chain(1);
-        assert!(is_chain(&g) && is_out_tree(&g) && is_in_tree(&g) && is_layered(&g));
+        assert!(is_chain(&g) && is_out_tree(&g) && is_in_forest(&g) && is_layered(&g));
     }
 
     #[test]
@@ -163,7 +158,8 @@ mod tests {
     fn reverse_swaps_tree_kinds() {
         let g = star(4);
         let r = reverse(&g);
-        assert!(is_in_tree(&r));
+        assert!(is_in_forest(&r));
+        assert_eq!(r.sinks().len(), 1);
         assert!(!is_out_tree(&r));
         assert_eq!(reverse(&r), g);
         assert_eq!(r.span(), g.span());

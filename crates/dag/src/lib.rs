@@ -26,7 +26,7 @@
 //! * series-parallel composition ([`sp`]);
 //! * classification predicates ([`classify`]): chain, out-forest, in-forest,
 //!   layered;
-//! * Graphviz DOT rendering ([`render`]) and serde round-tripping.
+//! * a depth-level text sketch ([`render`]) and serde round-tripping.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

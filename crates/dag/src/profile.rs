@@ -105,37 +105,6 @@ impl DepthProfile {
     pub fn opt_single_job_of(g: &JobGraph, m: u64) -> u64 {
         lemma_5_1(g.depth_counts(), m)
     }
-
-    /// The widest depth level — an upper bound on how many processors the
-    /// job can use in a *level-synchronous* schedule, and the `m` beyond
-    /// which the Lemma 5.1 bound is pure span for layered jobs.
-    pub fn max_level_width(&self) -> u64 {
-        self.count.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Average parallelism `W / span` — the classical `T1 / T∞` measure of
-    /// dynamic-multithreading (how many processors the job can profitably
-    /// use on average).
-    pub fn avg_parallelism(&self) -> f64 {
-        self.total_work() as f64 / self.max_depth().max(1) as f64
-    }
-
-    /// The depth `d` attaining [`opt_single_job`](Self::opt_single_job)
-    /// (smallest maximizer). Useful for diagnostics: it is the point where the
-    /// LPF schedule switches from "span limited" to "work limited".
-    pub fn critical_depth(&self, m: u64) -> u64 {
-        assert!(m >= 1);
-        let mut best = 0u64;
-        let mut arg = 0u64;
-        for d in 0..=self.max_depth() {
-            let v = d + self.work_below(d).div_ceil(m);
-            if v > best {
-                best = v;
-                arg = d;
-            }
-        }
-        arg
-    }
 }
 
 /// `max over d in [0, D] of (d + ceil(W(d)/m))` from the per-depth counts
@@ -230,27 +199,6 @@ mod tests {
         assert_eq!(p.total_work(), 1);
         assert_eq!(p.opt_single_job(1), 1);
         assert_eq!(p.opt_single_job(16), 1);
-    }
-
-    #[test]
-    fn critical_depth_star() {
-        // star(6) on m=1: maximizer at d=0 (0 + 7); on m=6 tie at d in {0,1,2}
-        // value 2 -> smallest maximizer is 0 (ceil(7/6)=2).
-        let p = DepthProfile::new(&star(6));
-        assert_eq!(p.critical_depth(1), 0);
-        assert_eq!(p.critical_depth(6), 0);
-    }
-
-    #[test]
-    fn width_and_parallelism() {
-        // star(6): widths [1, 6], parallelism 7/2 = 3.5.
-        let p = DepthProfile::new(&star(6));
-        assert_eq!(p.max_level_width(), 6);
-        assert!((p.avg_parallelism() - 3.5).abs() < 1e-12);
-        // chain: width 1, parallelism 1.
-        let p = DepthProfile::new(&chain(9));
-        assert_eq!(p.max_level_width(), 1);
-        assert!((p.avg_parallelism() - 1.0).abs() < 1e-12);
     }
 
     #[test]

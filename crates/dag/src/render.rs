@@ -1,33 +1,6 @@
-//! Rendering job graphs for inspection: Graphviz DOT and a compact
-//! depth-level text sketch.
+//! Rendering job graphs for inspection: a compact depth-level text sketch.
 
-use crate::graph::{JobGraph, NodeId};
-
-/// Render `g` as Graphviz DOT. Nodes are labelled `v{i}` and annotated with
-/// `h=height, d=depth`; pass `highlight` to fill a set of nodes (e.g. a
-/// critical path) in grey.
-pub fn to_dot(g: &JobGraph, name: &str, highlight: &[u32]) -> String {
-    use std::fmt::Write;
-    let heights = g.heights();
-    let depths = g.depths();
-    let mut s = String::new();
-    let _ = writeln!(s, "digraph {name} {{");
-    let _ = writeln!(s, "  rankdir=TB; node [shape=circle, fontsize=10];");
-    for v in g.nodes() {
-        let i = v.index();
-        let fill = if highlight.contains(&(i as u32)) {
-            ", style=filled, fillcolor=lightgrey"
-        } else {
-            ""
-        };
-        let _ = writeln!(s, "  v{i} [label=\"v{i}\\nh={} d={}\"{fill}];", heights[i], depths[i]);
-    }
-    for (u, v) in g.edges() {
-        let _ = writeln!(s, "  v{u} -> v{v};");
-    }
-    s.push_str("}\n");
-    s
-}
+use crate::graph::JobGraph;
 
 /// One line per depth level: `d=3 | v4 v5 v9` — a quick structural sketch.
 pub fn depth_sketch(g: &JobGraph) -> String {
@@ -47,54 +20,10 @@ pub fn depth_sketch(g: &JobGraph) -> String {
     s
 }
 
-/// A critical path (one longest root-to-leaf path) as a node list.
-pub fn critical_path(g: &JobGraph) -> Vec<u32> {
-    let heights = g.heights();
-    // Start from a max-height source, follow max-height children.
-    let mut cur = g
-        .sources()
-        .into_iter()
-        .max_by_key(|v| heights[v.index()])
-        .expect("non-empty graph has a source");
-    let mut path = vec![cur.0];
-    loop {
-        let next = g.children(cur).iter().copied().max_by_key(|&c| heights[c as usize]);
-        match next {
-            Some(c) => {
-                path.push(c);
-                cur = NodeId(c);
-            }
-            None => break,
-        }
-    }
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{caterpillar, chain, star};
-
-    #[test]
-    fn dot_contains_all_nodes_and_edges() {
-        let g = star(3);
-        let dot = to_dot(&g, "g", &[]);
-        for i in 0..4 {
-            assert!(dot.contains(&format!("v{i} [label")));
-        }
-        assert!(dot.contains("v0 -> v1;"));
-        assert!(dot.contains("v0 -> v3;"));
-        assert!(dot.starts_with("digraph g {"));
-        assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn dot_highlight() {
-        let g = chain(2);
-        let dot = to_dot(&g, "g", &[1]);
-        assert!(dot.contains("v1 [label=\"v1\\nh=1 d=2\", style=filled"));
-        assert!(!dot.contains("v0 [label=\"v0\\nh=2 d=1\", style=filled"));
-    }
+    use crate::builder::caterpillar;
 
     #[test]
     fn sketch_lists_levels() {
@@ -104,26 +33,5 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("v0"));
         assert!(lines[1].contains("v1") && lines[1].contains("v2"));
-    }
-
-    #[test]
-    fn critical_path_of_chain_is_whole_chain() {
-        let g = chain(4);
-        assert_eq!(critical_path(&g), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn critical_path_length_equals_span() {
-        let g = caterpillar(3, &[2, 2, 2]);
-        assert_eq!(critical_path(&g).len() as u64, g.span());
-    }
-
-    #[test]
-    fn critical_path_is_a_path() {
-        let g = crate::builder::complete_kary(2, 4);
-        let p = critical_path(&g);
-        for w in p.windows(2) {
-            assert!(g.children(NodeId(w[0])).contains(&w[1]));
-        }
     }
 }

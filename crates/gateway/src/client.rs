@@ -274,18 +274,9 @@ impl GatewayClient {
         }
     }
 
-    /// Offer one job.
-    pub fn submit(&mut self, job: JobSpec) -> Result<SubmitOutcome, ClientError> {
-        self.submit_reply(&Request::Submit { job })
-    }
-
     /// Offer a batch (all-or-nothing: `Busy` means none were offered).
     pub fn submit_batch(&mut self, jobs: Vec<JobSpec>) -> Result<SubmitOutcome, ClientError> {
-        self.submit_reply(&Request::SubmitBatch { jobs })
-    }
-
-    fn submit_reply(&mut self, req: &Request) -> Result<SubmitOutcome, ClientError> {
-        match self.call(req)? {
+        match self.call(&Request::SubmitBatch { jobs })? {
             Reply::Ack { seq, delta, .. } => Ok(SubmitOutcome::Accepted { seq, delta }),
             Reply::Busy { retry_after_ms, .. } => Ok(SubmitOutcome::Busy { retry_after_ms }),
             Reply::Reject { reason } => Err(ClientError::Rejected(reason)),

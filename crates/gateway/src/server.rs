@@ -569,7 +569,7 @@ fn handle_frame(conn: &mut Conn, start: usize, end: usize, ctx: &mut WorkerCtx<'
         Request::Hello { proto, client, codec, window } => {
             hello(conn, ctx, proto, client, codec, window)
         }
-        Request::Submit { .. } | Request::SubmitBatch { .. } => {
+        Request::SubmitBatch { .. } => {
             unreachable!("submit frames are staged above")
         }
         Request::Watermark { t } => match ctx.handle.advance_frontier(t) {

@@ -9,7 +9,7 @@
 //! frame sync.
 //!
 //! A connection may negotiate [`WireCodec::Binary`] in its hello: the four
-//! hot messages (`submit`/`submit-batch`, `watermark`, `ack`, `busy`) then
+//! hot messages (`submit-batch`, `watermark`, `ack`, `busy`) then
 //! travel in a compact fixed layout whose first byte is
 //! [`BINARY_MARKER`] (`0x00`, never a valid JSON start), so JSON and
 //! binary frames coexist on one stream and every control message stays
@@ -277,12 +277,9 @@ pub enum Request {
         /// [`Reply::Welcome`].
         window: u64,
     },
-    /// Offer one job.
-    Submit {
-        /// The job to ingest.
-        job: JobSpec,
-    },
     /// Offer a batch of jobs atomically (all accepted or all [`Reply::Busy`]).
+    /// A JSON `"submit"` message carrying one `job` decodes to a one-job
+    /// batch.
     SubmitBatch {
         /// The jobs to ingest, releases nondecreasing preferred.
         jobs: Vec<JobSpec>,
@@ -431,7 +428,6 @@ impl serde::Serialize for Request {
                     ("window", window.to_value()),
                 ],
             ),
-            Request::Submit { job } => tagged("submit", vec![("job", job.to_value())]),
             Request::SubmitBatch { jobs } => SubmitBatchRef(jobs).to_value(),
             Request::Watermark { t } => tagged("watermark", vec![("t", t.to_value())]),
             Request::Swap { shard, at, spec } => tagged(
@@ -456,7 +452,7 @@ impl serde::Deserialize for Request {
                 codec: field_or(v, "codec", WireCodec::Json)?,
                 window: field_or(v, "window", 1)?,
             },
-            "submit" => Request::Submit { job: field(v, "job")? },
+            "submit" => Request::SubmitBatch { jobs: vec![field(v, "job")?] },
             "submit-batch" => Request::SubmitBatch { jobs: field(v, "jobs")? },
             "watermark" => Request::Watermark { t: field(v, "t")? },
             "swap" => Request::Swap {
@@ -703,9 +699,6 @@ fn check_json_node_budget(msg: &Value) -> Result<(), String> {
 pub fn encode_request_into(req: &Request, codec: WireCodec, out: &mut Vec<u8>) {
     out.clear();
     match (req, codec) {
-        (Request::Submit { job }, WireCodec::Binary) => {
-            push_submit_batch_binary(out, std::slice::from_ref(job))
-        }
         (Request::SubmitBatch { jobs }, WireCodec::Binary) => push_submit_batch_binary(out, jobs),
         (Request::Watermark { t }, WireCodec::Binary) => {
             out.push(BINARY_MARKER);
@@ -802,20 +795,14 @@ pub fn decode_submit_into(payload: &[u8], out: &mut Vec<JobSpec>) -> Result<Opti
     let v: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
     let tag: String = field(&v, "type").map_err(|e| e.to_string())?;
     check_json_node_budget(&v)?;
-    match tag.as_str() {
-        "submit" => {
-            let job: JobSpec = field(&v, "job").map_err(|e| e.to_string())?;
-            out.push(job);
-            Ok(Some(1))
-        }
-        "submit-batch" => {
-            let jobs: Vec<JobSpec> = field(&v, "jobs").map_err(|e| e.to_string())?;
-            let count = jobs.len();
-            out.extend(jobs);
-            Ok(Some(count))
-        }
-        _ => Ok(None),
-    }
+    let jobs: Vec<JobSpec> = match tag.as_str() {
+        "submit" => vec![field(&v, "job").map_err(|e| e.to_string())?],
+        "submit-batch" => field(&v, "jobs").map_err(|e| e.to_string())?,
+        _ => return Ok(None),
+    };
+    let count = jobs.len();
+    out.extend(jobs);
+    Ok(Some(count))
 }
 
 /// Decode a frame payload into a [`Reply`], sniffing the codec from the
@@ -958,6 +945,12 @@ mod tests {
     fn codec_and_window_default_when_absent_for_old_peers() {
         let req: Request = decode(b"{\"type\":\"hello\",\"proto\":1,\"client\":\"old\"}").unwrap();
         assert_eq!(req, Request::hello("old"));
+        // An old client's one-job `submit` is a one-job batch.
+        let req: Request =
+            decode(br#"{"type":"submit","job":{"graph":{"n":2,"edges":[[0,1]]},"release":3}}"#)
+                .unwrap();
+        let job = JobSpec { graph: flowtree_dag::builder::chain(2), release: 3 };
+        assert_eq!(req, Request::SubmitBatch { jobs: vec![job] });
         let reply: Reply = decode(
             b"{\"type\":\"ack\",\"seq\":7,\"delta\":{\"offered\":1,\"delivered\":1,\
               \"dropped\":0,\"redirected\":0,\"reordered\":0,\"stolen_in\":0,\
@@ -984,7 +977,6 @@ mod tests {
         let jobs = sample_jobs();
         let mut buf = Vec::new();
         let reqs = vec![
-            Request::Submit { job: jobs[0].clone() },
             Request::SubmitBatch { jobs: jobs.clone() },
             Request::SubmitBatch { jobs: Vec::new() },
             Request::Watermark { t: 0 },
@@ -1054,6 +1046,28 @@ mod tests {
             assert_eq!(buf[0], BINARY_MARKER);
             assert_eq!(&decode_reply(&buf).unwrap(), reply);
         }
+    }
+
+    /// The exact bytes of a one-job binary submit batch, as DESIGN.md §10
+    /// documents them: marker, opcode, `u32` job count, then per job `u64`
+    /// release, `u32` node count, `u32` edge count and `(u32, u32)` edge
+    /// pairs, all little-endian.
+    #[test]
+    fn binary_submit_batch_layout_is_pinned() {
+        let job = JobSpec { graph: flowtree_dag::builder::chain(2), release: 7 };
+        let mut buf = Vec::new();
+        encode_submit_batch_into(std::slice::from_ref(&job), WireCodec::Binary, &mut buf);
+        #[rustfmt::skip]
+        let expected: &[u8] = &[
+            0x00, 0x01,             // marker, submit-batch opcode
+            1, 0, 0, 0,             // job count
+            7, 0, 0, 0, 0, 0, 0, 0, // release
+            2, 0, 0, 0,             // node count
+            1, 0, 0, 0,             // edge count
+            0, 0, 0, 0, 1, 0, 0, 0, // edge (0, 1)
+        ];
+        assert_eq!(buf, expected);
+        assert_eq!(decode_request(expected), Ok(Request::SubmitBatch { jobs: vec![job] }));
     }
 
     #[test]

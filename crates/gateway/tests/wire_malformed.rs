@@ -1,7 +1,8 @@
 //! Hostile-bytes tests: whatever arrives on the socket, the gateway
 //! replies with a typed `Reject` or closes cleanly — it never panics a
-//! shard, and other connections keep being served. Plus a property test
-//! over the frame codec itself.
+//! shard, and other connections keep being served. Plus the one-job JSON
+//! `submit` message on a live gateway, and property tests over the frame
+//! and submit codecs.
 
 use flowtree_core::SchedulerSpec;
 use flowtree_gateway::{
@@ -177,6 +178,33 @@ fn frames_declaring_too_many_subjobs_are_rejected_before_building() {
     assert_pool_alive(&gw);
     gw.shutdown();
     pool.drain().expect("drain");
+}
+
+/// The JSON `submit` message (one `job`, no batch) stays part of the
+/// wire protocol: a live gateway acks it as a one-job batch and the pool
+/// admits exactly that job.
+#[test]
+fn json_submit_frame_is_acked_as_a_one_job_batch() {
+    let (pool, gw) = launch();
+    let stream = dial(&gw);
+    hello(&stream);
+
+    let frame = br#"{"type":"submit","job":{"graph":{"n":2,"edges":[[0,1]]},"release":3}}"#;
+    write_frame(&mut &stream, frame).expect("send");
+    let payload = read_frame(&mut &stream, 1 << 20).expect("reply").expect("frame");
+    match decode::<Reply>(&payload).expect("parse") {
+        Reply::Ack { delta, frames, .. } => {
+            assert_eq!(delta.offered, 1);
+            assert_eq!(delta.delivered, 1);
+            assert_eq!(frames, 1);
+        }
+        other => panic!("expected ack, got {other:?}"),
+    }
+
+    gw.shutdown();
+    let results = pool.drain().expect("drain");
+    let jobs: Vec<&JobSpec> = results.iter().flat_map(|r| r.instance.jobs()).collect();
+    assert_eq!(jobs, [&JobSpec { graph: flowtree_dag::builder::chain(2), release: 3 }]);
 }
 
 proptest! {

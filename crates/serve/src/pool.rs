@@ -9,10 +9,10 @@
 //! clamps the rare out-of-order release from a misbehaving source
 //! (counting it in [`IngestStats::reordered`]), picks a shard
 //! ([`Routing`]) per job, and delivers under the configured
-//! [`OverloadPolicy`]. Under [`OverloadPolicy::Block`] same-shard
-//! placements coalesce into one command per shard (a lone arrival as
-//! [`ShardCmd::Admit`], more as one [`ShardCmd::AdmitBatch`]: one queue
-//! slot, one channel op); drop and redirect decide per arrival. Sources
+//! [`OverloadPolicy`]. Every delivery is one [`ShardCmd::Admit`] of the
+//! arrivals it carries. Under [`OverloadPolicy::Block`] same-shard
+//! placements coalesce into one command per shard (one queue slot, one
+//! channel op); drop and redirect decide per arrival. Sources
 //! feed batches through [`PoolHandle::run_source`] via
 //! [`ArrivalSource::next_batch`], bounded by [`ServeConfig::ingest_batch`]
 //! jobs and a release span of [`ServeConfig::watermark_stride`], so
@@ -570,18 +570,30 @@ impl PoolHandle {
         }
     }
 
-    /// Flush shard `i`'s staged queue into its channel while there is room.
+    /// Offer `arrivals` to shard `i` as one [`ShardCmd::Admit`] without
+    /// blocking. Hands them back if the queue is full.
+    fn try_admit(
+        &self,
+        i: usize,
+        arrivals: Vec<Arrival>,
+    ) -> Result<Option<Vec<Arrival>>, ServeError> {
+        match self.core.txs[i].try_send(ShardCmd::Admit(arrivals)) {
+            Ok(()) => Ok(None),
+            Err(TrySendError::Full(ShardCmd::Admit(back))) => Ok(Some(back)),
+            Err(TrySendError::Full(_)) => unreachable!("sent an admit command"),
+            Err(TrySendError::Disconnected(_)) => Err(ServeError::PoolClosed),
+        }
+    }
+
+    /// Flush shard `i`'s staged queue into its channel while there is room,
+    /// one arrival per queue slot.
     fn pump_shard(&self, r: &mut Router, i: usize) -> Result<(), ServeError> {
         while let Some(arrival) = r.staged[i].pop_front() {
-            match self.core.txs[i].try_send(ShardCmd::Admit(arrival)) {
-                Ok(()) => r.ingest.delivered += 1,
-                Err(TrySendError::Full(ShardCmd::Admit(arrival))) => {
-                    r.staged[i].push_front(arrival);
-                    break;
-                }
-                Err(TrySendError::Full(_)) => unreachable!("pumped a non-admit command"),
-                Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
+            if let Some(mut back) = self.try_admit(i, vec![arrival])? {
+                r.staged[i].push_front(back.pop().expect("one arrival"));
+                break;
             }
+            r.ingest.delivered += 1;
         }
         Ok(())
     }
@@ -625,13 +637,11 @@ impl PoolHandle {
                 r.ingest.delivered += count;
                 r.assigned[victim] -= count;
                 r.assigned[thief] += count;
-                self.core.tel.shard(victim).flight.record(FlightEvent {
-                    us: self.core.tel.now_us(),
-                    shard: victim,
-                    kind: FlightKind::Steal,
-                    t: r.last_release,
-                    detail: format!("{victim}→{thief} x{count}"),
-                });
+                self.core.tel.shard(victim).record(
+                    FlightKind::Steal,
+                    r.last_release,
+                    format!("{victim}→{thief} x{count}"),
+                );
             }
             Err(TrySendError::Full(ShardCmd::Donate(jobs))) => {
                 // Thief filled up in the meantime: put the jobs back.
@@ -644,11 +654,9 @@ impl PoolHandle {
     }
 
     /// Deliver the arrivals bucketed for shard `i` by one [`route`](Self::route)
-    /// call (already credited in the load ledger) as one command:
-    /// [`ShardCmd::Admit`] for a lone arrival — so a one-job offer
-    /// allocates nothing — and [`ShardCmd::AdmitBatch`] otherwise. Blocks
-    /// under backpressure; with stealing enabled it stages the bucket
-    /// behind the shard's backlog instead.
+    /// call (already credited in the load ledger) as one
+    /// [`ShardCmd::Admit`]. Blocks under backpressure; with stealing
+    /// enabled it stages the bucket behind the shard's backlog instead.
     fn deliver(&self, r: &mut Router, i: usize) -> Result<(), ServeError> {
         let count = r.buckets[i].len() as u64;
         let last = r.buckets[i].last().expect("nonempty bucket").spec.release;
@@ -662,26 +670,16 @@ impl PoolHandle {
                 return Ok(());
             }
         }
-        let cmd = match r.buckets[i].len() {
-            1 => ShardCmd::Admit(r.buckets[i].pop().expect("one arrival")),
-            _ => ShardCmd::AdmitBatch(r.buckets[i].drain(..).collect()),
-        };
+        let arrivals: Vec<Arrival> = r.buckets[i].drain(..).collect();
         if stealing {
-            match self.core.txs[i].try_send(cmd) {
-                Ok(()) => {}
-                Err(TrySendError::Full(ShardCmd::Admit(arrival))) => {
-                    r.staged[i].push_back(arrival);
-                    return Ok(());
-                }
-                Err(TrySendError::Full(ShardCmd::AdmitBatch(jobs))) => {
-                    r.staged[i].extend(jobs);
-                    return Ok(());
-                }
-                Err(TrySendError::Full(_)) => unreachable!("offered a non-admit command"),
-                Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
+            if let Some(back) = self.try_admit(i, arrivals)? {
+                r.staged[i].extend(back);
+                return Ok(());
             }
         } else {
-            self.core.txs[i].send(cmd).map_err(|_| ServeError::PoolClosed)?;
+            self.core.txs[i]
+                .send(ShardCmd::Admit(arrivals))
+                .map_err(|_| ServeError::PoolClosed)?;
         }
         r.ingest.delivered += count;
         // The admit itself carries the release: once the shard processes
@@ -703,51 +701,37 @@ impl PoolHandle {
         let release = arrival.spec.release;
         let mut delivered_to = None;
         if self.core.cfg.policy == OverloadPolicy::DropNewest {
-            match self.core.txs[target].try_send(ShardCmd::Admit(arrival)) {
-                Ok(()) => delivered_to = Some(target),
-                Err(TrySendError::Full(_)) => {
-                    r.ingest.dropped += 1;
-                    self.core.tel.shard(target).flight.record(FlightEvent {
-                        us: self.core.tel.now_us(),
-                        shard: target,
-                        kind: FlightKind::Drop,
-                        t: release,
-                        detail: String::new(),
-                    });
-                }
-                Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
+            if self.try_admit(target, vec![arrival])?.is_some() {
+                r.ingest.dropped += 1;
+                self.core.tel.shard(target).record(FlightKind::Drop, release, String::new());
+            } else {
+                delivered_to = Some(target);
             }
         } else {
             let mut order: Vec<usize> = (0..self.core.txs.len()).collect();
             order.sort_by_key(|&i| (i != target, self.core.txs[i].len()));
-            let mut cmd = Some(ShardCmd::Admit(arrival));
+            let mut pending = Some(vec![arrival]);
             for &i in &order {
-                match self.core.txs[i].try_send(cmd.take().expect("command pending")) {
-                    Ok(()) => {
-                        delivered_to = Some(i);
-                        break;
-                    }
-                    Err(TrySendError::Full(back)) => cmd = Some(back),
-                    Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
+                pending = self.try_admit(i, pending.take().expect("arrival pending"))?;
+                if pending.is_none() {
+                    delivered_to = Some(i);
+                    break;
                 }
             }
-            if let Some(cmd) = cmd {
+            if let Some(arrivals) = pending {
                 // Everyone is full: fall back to backpressure.
-                self.core.txs[target].send(cmd).map_err(|_| ServeError::PoolClosed)?;
+                self.core.txs[target]
+                    .send(ShardCmd::Admit(arrivals))
+                    .map_err(|_| ServeError::PoolClosed)?;
                 delivered_to = Some(target);
             }
-            if delivered_to != Some(target) {
+            if let Some(i) = delivered_to.filter(|&i| i != target) {
                 r.ingest.redirected += 1;
-                self.core.tel.shard(target).flight.record(FlightEvent {
-                    us: self.core.tel.now_us(),
-                    shard: target,
-                    kind: FlightKind::Redirect,
-                    t: release,
-                    detail: format!(
-                        "{target}→{}",
-                        delivered_to.expect("redirect delivered somewhere")
-                    ),
-                });
+                self.core.tel.shard(target).record(
+                    FlightKind::Redirect,
+                    release,
+                    format!("{target}→{i}"),
+                );
             }
         }
         if let Some(i) = delivered_to {
@@ -824,13 +808,7 @@ impl PoolHandle {
                     r.wm_known[i] = w;
                     if r.wm_skip[i] {
                         r.wm_skip[i] = false;
-                        self.core.tel.shard(i).flight.record(FlightEvent {
-                            us: self.core.tel.now_us(),
-                            shard: i,
-                            kind: FlightKind::WmRetry,
-                            t: w,
-                            detail: String::new(),
-                        });
+                        self.core.tel.shard(i).record(FlightKind::WmRetry, w, String::new());
                     }
                 }
                 // A full queue already holds commands that advance this
@@ -840,13 +818,7 @@ impl PoolHandle {
                     r.ingest.wm_skipped += 1;
                     if !r.wm_skip[i] {
                         r.wm_skip[i] = true;
-                        self.core.tel.shard(i).flight.record(FlightEvent {
-                            us: self.core.tel.now_us(),
-                            shard: i,
-                            kind: FlightKind::WmSkip,
-                            t: w,
-                            detail: String::new(),
-                        });
+                        self.core.tel.shard(i).record(FlightKind::WmSkip, w, String::new());
                     }
                 }
                 // Workers gone: drain already started; nothing left to pace.
@@ -949,13 +921,7 @@ impl PoolHandle {
                 self.core.txs.len()
             )));
         }
-        self.core.tel.shard(shard).flight.record(FlightEvent {
-            us: self.core.tel.now_us(),
-            shard,
-            kind,
-            t,
-            detail,
-        });
+        self.core.tel.shard(shard).record(kind, t, detail);
         Ok(())
     }
 
@@ -1054,7 +1020,7 @@ impl PoolHandle {
             let jobs: Vec<Arrival> = r.staged[i].drain(..).collect();
             let count = jobs.len() as u64;
             self.core.txs[i]
-                .send(ShardCmd::AdmitBatch(jobs))
+                .send(ShardCmd::Admit(jobs))
                 .map_err(|_| ServeError::PoolClosed)?;
             r.ingest.delivered += count;
         }
@@ -1161,13 +1127,7 @@ impl ShardPool {
             match h.join() {
                 Ok(res) => results.push(res),
                 Err(_) => {
-                    tel.shard(shard).flight.record(FlightEvent {
-                        us: tel.now_us(),
-                        shard,
-                        kind: FlightKind::Panic,
-                        t: 0,
-                        detail: "joined dead worker".to_string(),
-                    });
+                    tel.shard(shard).record(FlightKind::Panic, 0, "joined dead worker".to_string());
                     panicked.push(shard);
                 }
             }

@@ -8,18 +8,16 @@
 //! [`summarize`](flowtree_analysis::summarize) path. Commands arrive on a
 //! bounded channel:
 //!
-//! * [`ShardCmd::Admit`] admits a lone arrival and advances the shard's
-//!   *safe* time to the job's release — once the router has shown us
-//!   release `r`, the global nondecreasing-release contract guarantees no
-//!   later arrival can land before `r`, so every step `t < r` may be
-//!   simulated.
-//! * [`ShardCmd::AdmitBatch`] admits a router-coalesced batch in one queue
-//!   slot and one [`Session::admit_batch`] call; the batch's last release
-//!   implies the watermark. Because placement is per job and the admitted
-//!   sequence per shard is what determines its final result, a batched
-//!   delivery is bit-for-bit equivalent to the same jobs delivered one
-//!   [`ShardCmd::Admit`] at a time (pinned by the batched differential
-//!   suite).
+//! * [`ShardCmd::Admit`] admits the router's arrivals for this shard — a
+//!   lone job or a coalesced batch — in one queue slot and one
+//!   [`Session::admit_batch`] call, and advances the shard's *safe* time to
+//!   the last release: once the router has shown us release `r`, the
+//!   global nondecreasing-release contract guarantees no later arrival can
+//!   land before `r`, so every step `t < r` may be simulated. Because
+//!   placement is per job and the admitted sequence per shard is what
+//!   determines its final result, how the router groups arrivals into
+//!   commands never changes the result (pinned by the batched
+//!   differential suite).
 //! * [`ShardCmd::Watermark`] advances safe time without a job (the arrival
 //!   went to a different shard, was dropped, or is staged behind this
 //!   shard's own backlog). The router sends one at the end of every offer;
@@ -29,7 +27,7 @@
 //!   backlog (work stealing) as one batch. A donated job's release is
 //!   clamped forward to this shard's event time — migration re-releases it
 //!   here — so the session's nondecreasing-admission contract survives the
-//!   move.
+//!   move. No other admission is clamped.
 //! * [`ShardCmd::Swap`] requests a **live scheduler hot-swap** at an event
 //!   time: the shard quiesces there (finishes every whole subjob step up to
 //!   the swap point; sessions never split a step), rebuilds the scheduler
@@ -53,9 +51,11 @@ use flowtree_analysis::{summary_from_parts, RunSummary};
 use flowtree_core::SchedulerSpec;
 use flowtree_dag::{JobId, Time};
 use flowtree_sim::monitor::{InvariantMonitor, LowerBound};
-use flowtree_sim::{Instance, JobSpec, OnlineScheduler, RunHistograms, RunReport, Session};
+use flowtree_sim::{
+    EngineError, Instance, JobSpec, OnlineScheduler, RunHistograms, RunReport, Session,
+};
 
-use crate::telemetry::{FlightEvent, FlightKind, LatencyProbe, ShardTelemetry};
+use crate::telemetry::{FlightKind, LatencyProbe, ShardTelemetry};
 
 /// One arrival in flight through the pool: the job plus the wall-clock
 /// stamp (µs since the pool's epoch) of when the router first saw it. The
@@ -80,12 +80,9 @@ impl From<JobSpec> for Arrival {
 /// A control-plane command from the router to one shard worker.
 #[derive(Debug)]
 pub enum ShardCmd {
-    /// Admit this arrival (its release implies a watermark).
-    Admit(Arrival),
-    /// Admit a coalesced batch of arrivals (releases nondecreasing within
-    /// the batch; the last one implies the watermark). One queue slot, one
-    /// [`Session::admit_batch`] call.
-    AdmitBatch(Vec<Arrival>),
+    /// Admit these arrivals (releases nondecreasing; the last one implies
+    /// the watermark). One queue slot, one [`Session::admit_batch`] call.
+    Admit(Vec<Arrival>),
     /// No job for you, but event time has advanced this far.
     Watermark(Time),
     /// Admit jobs stolen from another shard's ingress backlog; releases are
@@ -253,15 +250,7 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
         }
         for cmd in batch.drain(..) {
             match cmd {
-                ShardCmd::Admit(a) => {
-                    safe = safe.max(a.spec.release);
-                    let id = session
-                        .admit(a.spec)
-                        .expect("router delivers jobs in nondecreasing release order");
-                    let now_us = tel.now_us();
-                    session.probe_mut().3.stamp(id, a.offered_us, now_us);
-                }
-                ShardCmd::AdmitBatch(arrivals) => {
+                ShardCmd::Admit(arrivals) => {
                     if let Some(last) = arrivals.last() {
                         safe = safe.max(last.spec.release);
                     }
@@ -285,13 +274,7 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
                     safe = safe.max(floor);
                     admit(&mut session, &tel, arrivals);
                     donated += count as u64;
-                    tel.flight.record(FlightEvent {
-                        us: tel.now_us(),
-                        shard,
-                        kind: FlightKind::Donate,
-                        t: session.now(),
-                        detail: format!("x{count}"),
-                    });
+                    tel.record(FlightKind::Donate, session.now(), format!("x{count}"));
                 }
                 ShardCmd::Swap(d) => {
                     pending_swaps.push(d);
@@ -299,13 +282,7 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
                 }
                 ShardCmd::Drain => {
                     draining = true;
-                    tel.flight.record(FlightEvent {
-                        us: tel.now_us(),
-                        shard,
-                        kind: FlightKind::Drain,
-                        t: session.now(),
-                        detail: String::new(),
-                    });
+                    tel.record(FlightKind::Drain, session.now(), String::new());
                 }
             }
         }
@@ -319,10 +296,9 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
                 break;
             }
             pending_swaps.remove(0);
-            session.run_until(d.at, sched.as_mut()).unwrap_or_else(|e| {
-                record_panic(&tel, shard, session.now(), &e);
-                panic!("shard {shard}: {e}")
-            });
+            session
+                .run_until(d.at, sched.as_mut())
+                .unwrap_or_else(|e| fail(&tel, shard, session.now(), e));
             let t_swap = d.at.max(session.now());
             let from = spec;
             spec = d.spec;
@@ -330,18 +306,11 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
             session.probe_mut().1.set_checks(spec.invariants());
             session.prime_scheduler(sched.as_mut());
             swaps.push(SwapEvent { t: t_swap, from: from.to_string(), to: spec.to_string() });
-            tel.flight.record(FlightEvent {
-                us: tel.now_us(),
-                shard,
-                kind: FlightKind::Swap,
-                t: t_swap,
-                detail: format!("{from}→{spec}"),
-            });
+            tel.record(FlightKind::Swap, t_swap, format!("{from}→{spec}"));
         }
-        session.run_until(target, sched.as_mut()).unwrap_or_else(|e| {
-            record_panic(&tel, shard, session.now(), &e);
-            panic!("shard {shard}: {e}")
-        });
+        session
+            .run_until(target, sched.as_mut())
+            .unwrap_or_else(|e| fail(&tel, shard, session.now(), e));
         tel.publish(&snapshot_of(&session, swaps.len() as u64, donated));
         if draining {
             break;
@@ -362,27 +331,22 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
 }
 
 /// Admit `arrivals` (releases nondecreasing, the first admissible) in one
-/// [`Session::admit_batch`] call and stamp each job's offer→admit latency.
+/// [`Session::admit_batch`] call, stamping each job's offer→admit latency
+/// as the call starts.
 fn admit(session: &mut Session<ShardProbe<'_>>, tel: &ShardTelemetry, arrivals: Vec<Arrival>) {
     let base = session.num_admitted();
-    let stamps: Vec<u64> = arrivals.iter().map(|a| a.offered_us).collect();
+    let now_us = tel.now_us();
+    for (k, a) in arrivals.iter().enumerate() {
+        session.probe_mut().3.stamp(JobId((base + k) as u32), a.offered_us, now_us);
+    }
     session
         .admit_batch(arrivals.into_iter().map(|a| a.spec).collect())
-        .expect("router delivers batches in nondecreasing release order");
-    let now_us = tel.now_us();
-    for (k, &offered_us) in stamps.iter().enumerate() {
-        session.probe_mut().3.stamp(JobId((base + k) as u32), offered_us, now_us);
-    }
+        .expect("router delivers jobs in nondecreasing release order");
 }
 
-/// Leave a trace of an imminent worker panic in the flight ring (the ring
-/// outlives the worker thread behind its `Arc`).
-fn record_panic(tel: &ShardTelemetry, shard: usize, t: Time, err: &dyn std::fmt::Display) {
-    tel.flight.record(FlightEvent {
-        us: tel.now_us(),
-        shard,
-        kind: FlightKind::Panic,
-        t,
-        detail: err.to_string(),
-    });
+/// Leave a trace of the worker's failure in the flight ring (the ring
+/// outlives the worker thread behind its `Arc`), then panic.
+fn fail(tel: &ShardTelemetry, shard: usize, t: Time, err: EngineError) -> ! {
+    tel.record(FlightKind::Panic, t, err.to_string());
+    panic!("shard {shard}: {err}")
 }

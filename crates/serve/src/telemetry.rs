@@ -269,6 +269,7 @@ impl FlightRecorder {
 #[derive(Debug)]
 pub struct ShardTelemetry {
     epoch: Instant,
+    shard: usize,
     /// Wall-clock µs from router offer to session admission.
     pub arrival_to_admit: AtomicHisto,
     /// Wall-clock µs from admission to the job's first subjob dispatch.
@@ -289,9 +290,10 @@ pub struct ShardTelemetry {
 }
 
 impl ShardTelemetry {
-    fn new(epoch: Instant, flight_cap: usize) -> Self {
+    fn new(epoch: Instant, shard: usize, flight_cap: usize) -> Self {
         ShardTelemetry {
             epoch,
+            shard,
             arrival_to_admit: AtomicHisto::new(),
             admit_to_first_dispatch: AtomicHisto::new(),
             arrival_to_complete: AtomicHisto::new(),
@@ -312,6 +314,13 @@ impl ShardTelemetry {
     #[inline]
     pub fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
+    }
+
+    /// Record a control-plane event about this shard into its flight ring,
+    /// stamped with the pool clock.
+    pub fn record(&self, kind: FlightKind, t: Time, detail: String) {
+        self.flight
+            .record(FlightEvent { us: self.now_us(), shard: self.shard, kind, t, detail });
     }
 
     /// Publish `snap` (worker side, once per loop iteration). Relaxed:
@@ -373,7 +382,9 @@ impl Telemetry {
         let epoch = Instant::now();
         Telemetry {
             epoch,
-            shards: (0..shards).map(|_| Arc::new(ShardTelemetry::new(epoch, flight_cap))).collect(),
+            shards: (0..shards)
+                .map(|i| Arc::new(ShardTelemetry::new(epoch, i, flight_cap)))
+                .collect(),
         }
     }
 
@@ -935,7 +946,7 @@ mod tests {
 
     #[test]
     fn latency_probe_records_job_milestones_once() {
-        let tel = Arc::new(ShardTelemetry::new(Instant::now(), 8));
+        let tel = Arc::new(ShardTelemetry::new(Instant::now(), 0, 8));
         let mut probe = LatencyProbe::new(Arc::clone(&tel));
         probe.stamp(JobId(0), 0, 10);
         probe.on_dispatch(0, JobId(0), NodeId(0));

@@ -1,7 +1,8 @@
-//! Differential property: the batched ingest path (coalesced
-//! `AdmitBatch` deliveries plus stride-amortized watermark broadcasts) is
-//! **bit for bit** the per-event path. Event-time watermarks only pace
-//! simulation — they never change what a shard computes — and placement is
+//! Differential property: the batched ingest path (one `Admit` command
+//! per shard carrying every arrival of an offer routed there, plus
+//! stride-amortized watermark broadcasts) is **bit for bit** the per-event
+//! path (one single-arrival `Admit` per offer). Event-time watermarks only
+//! pace simulation — they never change what a shard computes — and placement is
 //! decided per job under the router lock in both paths, so for any stream,
 //! shard count, routing mode, steal setting, batch bound, and stride, the
 //! drained [`ShardResult`]s must be identical, hot-swaps included.

@@ -93,19 +93,6 @@ pub fn render_default(instance: &Instance, schedule: &Schedule) -> String {
     render(instance, schedule, &GanttOptions::default())
 }
 
-/// Per-step load profile as a sparkline-ish string: digit = load (capped at
-/// 9, `#` for loads over 9, `.` for idle steps). Handy for eyeballing the
-/// "head + rectangular tail" shape of LPF schedules (Figure 2).
-pub fn load_profile(schedule: &Schedule) -> String {
-    (1..=schedule.horizon())
-        .map(|t| match schedule.load(t) {
-            0 => '.',
-            l @ 1..=9 => char::from_digit(l as u32, 10).unwrap(),
-            _ => '#',
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,23 +141,6 @@ mod tests {
         let opts = GanttOptions { max_steps: 1, ..Default::default() };
         let out = render(&inst, &s, &opts);
         assert!(!out.lines().next().unwrap().contains('2'));
-    }
-
-    #[test]
-    fn load_profile_string() {
-        let (_, s) = fixture();
-        assert_eq!(load_profile(&s), "211");
-    }
-
-    #[test]
-    fn load_profile_marks_idle_and_wide() {
-        let inst = Instance::single(flowtree_dag::builder::star(12));
-        let mut s = Schedule::new(16);
-        s.push_step(vec![(JobId(0), NodeId(0))]);
-        s.push_step(vec![]);
-        s.push_step((1..=12).map(|i| (JobId(0), NodeId(i))).collect());
-        let _ = inst;
-        assert_eq!(load_profile(&s), "1.#");
     }
 
     #[test]

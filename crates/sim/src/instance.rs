@@ -148,28 +148,6 @@ impl Instance {
             .max()
             .unwrap_or(0)
     }
-
-    /// The batching transformation of Section 5.4: merge all jobs with
-    /// release in `((i-1)*q, i*q]` into a single job released at `i*q`
-    /// (jobs at time 0 stay at 0). The optimal max flow of the result is at
-    /// most `OPT(original) + q` (delay the optimal schedule by `q`).
-    pub fn batch_releases(&self, q: Time) -> Instance {
-        assert!(q > 0);
-        use std::collections::BTreeMap;
-        let mut buckets: BTreeMap<Time, Vec<&JobGraph>> = BTreeMap::new();
-        for j in &self.jobs {
-            let slot = j.release.div_ceil(q) * q;
-            buckets.entry(slot).or_default().push(&j.graph);
-        }
-        let jobs = buckets
-            .into_iter()
-            .map(|(release, graphs)| JobSpec {
-                graph: JobGraph::disjoint_union(&graphs).0,
-                release,
-            })
-            .collect();
-        Instance::new(jobs)
-    }
 }
 
 #[cfg(test)]
@@ -270,34 +248,6 @@ mod tests {
         let mut i = Instance::empty();
         i.push_job(JobSpec { graph: chain(1), release: 5 });
         i.push_job(JobSpec { graph: chain(1), release: 4 });
-    }
-
-    #[test]
-    fn batch_releases_merges_buckets() {
-        let i = Instance::new(vec![
-            JobSpec { graph: chain(2), release: 0 },
-            JobSpec { graph: chain(3), release: 1 },
-            JobSpec { graph: chain(4), release: 7 },
-            JobSpec { graph: star(2), release: 8 },
-        ]);
-        let b = i.batch_releases(4);
-        // Buckets: 0 -> {r=0}, 4 -> {r=1}, 8 -> {r=7, r=8}.
-        assert_eq!(b.num_jobs(), 3);
-        assert_eq!(b.release(JobId(0)), 0);
-        assert_eq!(b.release(JobId(1)), 4);
-        assert_eq!(b.release(JobId(2)), 8);
-        assert_eq!(b.graph(JobId(2)).work(), 4 + 3);
-        assert!(b.is_batched(4));
-        assert_eq!(b.total_work(), i.total_work());
-    }
-
-    #[test]
-    fn batch_releases_identity_when_already_batched() {
-        let i = inst(); // releases 0, 5, 5
-        let b = i.batch_releases(5);
-        assert_eq!(b.num_jobs(), 2);
-        assert_eq!(b.total_work(), i.total_work());
-        assert_eq!(b.release(JobId(1)), 5);
     }
 
     #[test]

@@ -196,11 +196,6 @@ impl Schedule {
         self.at(t).len()
     }
 
-    /// Total subjobs recorded over all steps.
-    pub fn total_picks(&self) -> usize {
-        self.picks.len()
-    }
-
     /// Iterate `(t, &picks)` over all steps.
     pub fn iter(&self) -> impl Iterator<Item = (Time, &[(JobId, NodeId)])> + '_ {
         self.offsets
@@ -323,7 +318,6 @@ mod tests {
         assert_eq!(s.load(2), 2);
         assert_eq!(s.at(0), &[]);
         assert_eq!(s.at(99), &[]);
-        assert_eq!(s.total_picks(), 5);
     }
 
     #[test]
@@ -445,7 +439,6 @@ mod tests {
             assert_eq!(s.load(t), 0);
         }
         assert_eq!(s.at(6).len(), 2);
-        assert_eq!(s.total_picks(), 3);
         let collected: Vec<usize> = s.iter().map(|(_, p)| p.len()).collect();
         assert_eq!(collected, vec![1, 0, 0, 0, 0, 2]);
     }

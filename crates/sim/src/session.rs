@@ -23,7 +23,7 @@ use crate::probe::{Counters, NullProbe, Probe};
 use crate::scheduler::{OnlineScheduler, SimView};
 use flowtree_dag::{JobId, Time};
 
-/// Errors from [`Session::admit`].
+/// Errors from [`Session::admit`] and [`Session::admit_batch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionError {
     /// The job's release time is before the session's current time — the
@@ -186,57 +186,37 @@ impl<P: Probe> Session<P> {
         }
     }
 
-    /// Append an already-validated job to the instance and the simulation
-    /// state.
-    fn push_job(&mut self, spec: JobSpec) -> JobId {
-        let id = self.instance.push_job(spec);
-        self.core.state.push_job(&self.instance);
-        id
-    }
-
-    /// Admit one job. Its release must be `>= now()` and `>=` every earlier
-    /// admission's release; the job releases (and its roots become ready)
-    /// once simulation reaches its release time.
+    /// Admit one job: a one-job [`admit_batch`](Self::admit_batch). Its
+    /// release must be `>= now()` and `>=` every earlier admission's
+    /// release; the job releases (and its roots become ready) once
+    /// simulation reaches its release time.
     pub fn admit(&mut self, spec: JobSpec) -> Result<JobId, SessionError> {
-        self.ensure_started();
-        let now = self.core.t;
-        if spec.release < now {
-            return Err(SessionError::ReleaseInPast { release: spec.release, now });
-        }
-        let last = self.instance.last_release();
-        if self.instance.num_jobs() > 0 && spec.release < last {
-            return Err(SessionError::ReleaseOutOfOrder { release: spec.release, last });
-        }
-        Ok(self.push_job(spec))
+        let id = JobId(self.instance.num_jobs() as u32);
+        self.admit_batch(vec![spec])?;
+        Ok(id)
     }
 
     /// Admit a whole batch of jobs in one call. The batch is validated
-    /// up front — releases must be nondecreasing within the batch, and the
-    /// first must satisfy the same `>= now()` / `>=` last-admission rules as
-    /// [`admit`](Self::admit) — so the call is all-or-nothing: on error
-    /// nothing was admitted. Per-node state is built only when each job is
-    /// released, so an admit costs O(1).
+    /// up front — each release must be `>= now()` and `>=` the release
+    /// admitted before it, in this batch or an earlier call — so the call
+    /// is all-or-nothing: on error nothing was admitted. Per-node state is
+    /// built only when each job is released, so an admit costs O(1).
     pub fn admit_batch(&mut self, specs: Vec<JobSpec>) -> Result<(), SessionError> {
         self.ensure_started();
         let now = self.core.t;
-        let mut last = if self.instance.num_jobs() > 0 {
-            Some(self.instance.last_release())
-        } else {
-            None
-        };
+        let mut last = (self.instance.num_jobs() > 0).then(|| self.instance.last_release());
         for spec in &specs {
             if spec.release < now {
                 return Err(SessionError::ReleaseInPast { release: spec.release, now });
             }
-            if let Some(last) = last {
-                if spec.release < last {
-                    return Err(SessionError::ReleaseOutOfOrder { release: spec.release, last });
-                }
+            if let Some(last) = last.filter(|&last| spec.release < last) {
+                return Err(SessionError::ReleaseOutOfOrder { release: spec.release, last });
             }
             last = Some(spec.release);
         }
         for spec in specs {
-            self.push_job(spec);
+            self.instance.push_job(spec);
+            self.core.state.push_job(&self.instance);
         }
         Ok(())
     }
@@ -462,6 +442,46 @@ mod tests {
         s.run_until(Time::MAX, &mut Greedy).unwrap();
         let (report, inst) = s.finish();
         report.verify(&inst).unwrap();
+    }
+
+    /// One table for both entry points: each row admits `prior`, simulates
+    /// to `run_to`, then offers `batch`, whose last job must be rejected
+    /// with `err`. `admit_batch` gets the whole batch; `admit` gets its jobs
+    /// one at a time. Both must fail with the same error and admit nothing
+    /// in the failing call.
+    #[test]
+    fn admit_and_admit_batch_reject_the_same_inputs() {
+        let rows: [(&[Time], Time, &[Time], SessionError); 3] = [
+            // Release before now(): chain(1) at 5 completes at 6.
+            (&[5], Time::MAX, &[5], SessionError::ReleaseInPast { release: 5, now: 6 }),
+            // Release before the last admission.
+            (&[5], 0, &[4], SessionError::ReleaseOutOfOrder { release: 4, last: 5 }),
+            // Release that decreases inside the batch.
+            (&[5], 0, &[7, 3], SessionError::ReleaseOutOfOrder { release: 3, last: 7 }),
+        ];
+        let job = |release| JobSpec { graph: chain(1), release };
+        let session = |prior: &[Time], run_to| {
+            let mut s = Session::new(2);
+            for &r in prior {
+                s.admit(job(r)).unwrap();
+            }
+            s.run_until(run_to, &mut Greedy).unwrap();
+            s
+        };
+        for (prior, run_to, batch, err) in rows {
+            let mut s = session(prior, run_to);
+            assert_eq!(s.admit_batch(batch.iter().map(|&r| job(r)).collect()), Err(err.clone()));
+            assert_eq!(s.num_admitted(), prior.len(), "admit_batch admitted part of {batch:?}");
+
+            let mut s = session(prior, run_to);
+            let (&rejected, accepted) = batch.split_last().unwrap();
+            for &r in accepted {
+                s.admit(job(r)).unwrap();
+            }
+            let before = s.num_admitted();
+            assert_eq!(s.admit(job(rejected)), Err(err));
+            assert_eq!(s.num_admitted(), before, "admit admitted release {rejected}");
+        }
     }
 
     #[test]

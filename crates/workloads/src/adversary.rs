@@ -228,11 +228,6 @@ pub fn job_from_sizes_with(sizes: &[u32], placement: KeyPlacement) -> JobGraph {
     b.build().expect("layered adversary job is a DAG")
 }
 
-/// [`job_from_sizes_with`] with the default became-ready targeting.
-pub fn job_from_sizes(sizes: &[u32]) -> JobGraph {
-    job_from_sizes_with(sizes, KeyPlacement::Last)
-}
-
 /// Materialize the full instance of a [`duel`] outcome with a chosen key
 /// placement. `KeyPlacement::Last` targets `FIFO[became-ready]`,
 /// `KeyPlacement::First` targets `FIFO[last-ready]`: replaying with the
@@ -451,7 +446,7 @@ mod tests {
 
     #[test]
     fn job_from_sizes_key_is_last() {
-        let g = job_from_sizes(&[3, 2]);
+        let g = job_from_sizes_with(&[3, 2], KeyPlacement::Last);
         // Layer 0 = nodes 0,1,2 with key 2; layer 1 = nodes 3,4.
         assert_eq!(g.children(NodeId(2)), &[3, 4]);
         assert_eq!(g.out_degree(NodeId(0)), 0);

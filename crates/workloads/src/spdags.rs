@@ -1,13 +1,12 @@
 //! Random series-parallel (fork-join) jobs — general DAGs beyond out-trees.
 //!
 //! The paper's Section 6 result (FIFO on batched instances) holds for
-//! arbitrary DAGs; these generators provide the fork-join programs that
+//! arbitrary DAGs; [`random_sp_expr`] provides the fork-join programs that
 //! dynamic-multithreading languages actually produce, including nested
-//! `parallel_for` structures.
+//! `parallel_for` structures ([`SpExpr::lower`] turns one into a job).
 
 use crate::Rng;
 use flowtree_dag::sp::SpExpr;
-use flowtree_dag::JobGraph;
 use rand::Rng as _;
 
 /// Random series-parallel expression with roughly `target` units of work:
@@ -29,19 +28,6 @@ pub fn random_sp_expr(target: usize, rng: &mut Rng) -> SpExpr {
     }
 }
 
-/// A random fork-join job graph with roughly `target` work.
-pub fn random_sp_job(target: usize, rng: &mut Rng) -> JobGraph {
-    random_sp_expr(target, rng).lower()
-}
-
-/// A "map-reduce round" job: `rounds` sequential phases, each a
-/// `parallel_for` over `width` strands of length `body`.
-pub fn map_reduce_job(rounds: usize, width: usize, body: usize) -> JobGraph {
-    assert!(rounds >= 1 && width >= 1 && body >= 1);
-    SpExpr::Series((0..rounds).map(|_| SpExpr::parallel_for(width, SpExpr::Strand(body))).collect())
-        .lower()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,7 +36,7 @@ mod tests {
     fn random_sp_jobs_have_unique_source_and_sink() {
         let mut r = crate::rng(21);
         for _ in 0..20 {
-            let g = random_sp_job(40, &mut r);
+            let g = random_sp_expr(40, &mut r).lower();
             assert_eq!(g.sources().len(), 1);
             assert_eq!(g.sinks().len(), 1);
             assert!(g.work() >= 30, "work {} too small", g.work());
@@ -69,19 +55,9 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_shape() {
-        let g = map_reduce_job(3, 5, 2);
-        // Each round: fork + 5*2 + join = 12; three rounds = 36.
-        assert_eq!(g.work(), 36);
-        // Span per round: fork + 2 + join = 4; series: 12.
-        assert_eq!(g.span(), 12);
-        assert_eq!(g.sources().len(), 1);
-    }
-
-    #[test]
     fn deterministic_in_seed() {
-        let a = random_sp_job(50, &mut crate::rng(1));
-        let b = random_sp_job(50, &mut crate::rng(1));
+        let a = random_sp_expr(50, &mut crate::rng(1)).lower();
+        let b = random_sp_expr(50, &mut crate::rng(1)).lower();
         assert_eq!(a, b);
     }
 }
