@@ -11,8 +11,8 @@
 //!
 //! * [`table`] — simple column-aligned markdown tables + CSV export;
 //! * [`plot`] — ASCII scatter/line plots for ratio-vs-m style series;
-//! * [`sweep`] — parallel parameter sweeps over scoped threads with
-//!   crossbeam channels (no shared mutable state);
+//! * [`sweep`] — parallel parameter sweeps over scoped threads that claim
+//!   indices from an atomic counter and return results over a std channel;
 //! * [`ratio`] — run-scheduler-measure-ratio helpers used by most
 //!   experiments;
 //! * [`summary`] — one-run observability reports ([`RunSummary`]): counters,

@@ -2,10 +2,12 @@
 //!
 //! Experiments map a config list through an expensive measurement. The
 //! fan-out follows the data-race-free idiom of the project's HPC guides:
-//! scoped worker threads pulling indices from a crossbeam channel, results
-//! returned over another channel, no shared mutable state anywhere.
+//! scoped worker threads claim input indices from one atomic counter and
+//! return results over a `std::sync::mpsc` channel; no other state is
+//! shared.
 
-use crossbeam::channel;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// Map `f` over `inputs` in parallel (order-preserving output). Uses up to
 /// `threads` workers (0 = available parallelism).
@@ -45,37 +47,16 @@ where
     }
     .min(n);
 
-    if threads <= 1 {
-        return inputs
-            .iter()
-            .enumerate()
-            .map(|(i, x)| {
-                let o = f(x);
-                progress(i + 1, n);
-                o
-            })
-            .collect();
-    }
-
-    let (task_tx, task_rx) = channel::unbounded::<usize>();
-    let (out_tx, out_rx) = channel::unbounded::<(usize, O)>();
-    for i in 0..n {
-        task_tx.send(i).expect("queue open");
-    }
-    drop(task_tx);
-
-    let inputs_ref = &inputs;
-    let f_ref = &f;
+    let next = AtomicUsize::new(0);
+    let (out_tx, out_rx) = mpsc::channel::<(usize, O)>();
+    let (next, inputs_ref, f_ref) = (&next, &inputs, &f);
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let task_rx = task_rx.clone();
             let out_tx = out_tx.clone();
-            scope.spawn(move || {
-                while let Ok(i) = task_rx.recv() {
-                    let o = f_ref(&inputs_ref[i]);
-                    if out_tx.send((i, o)).is_err() {
-                        return;
-                    }
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n || out_tx.send((i, f_ref(&inputs_ref[i]))).is_err() {
+                    return;
                 }
             });
         }

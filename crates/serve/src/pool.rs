@@ -3,12 +3,15 @@
 //! work stealing, explicit overload behavior, and graceful drain.
 //!
 //! Each shard is a worker thread (see [`crate::shard`]) behind a bounded
-//! channel of [`ShardCmd`]s. Every offer — one job through
-//! [`PoolHandle::offer`] or a batch through [`PoolHandle::offer_batch`] —
-//! runs the same routing loop under **one** router lock acquisition: it
-//! clamps the rare out-of-order release from a misbehaving source
-//! (counting it in [`IngestStats::reordered`]), picks a shard
-//! ([`Routing`]) per job, and delivers under the configured
+//! `std::sync::mpsc::sync_channel` of [`ShardCmd`]s. Two private helpers
+//! are the only code that sends on it; each counts the command into the
+//! shard's queue depth (kept in its telemetry cell) before the channel
+//! operation, and the worker counts it out once received. Every offer —
+//! one job through [`PoolHandle::offer`] or a batch through
+//! [`PoolHandle::offer_batch`] — runs the same routing loop under **one**
+//! router lock acquisition: it clamps the rare out-of-order release from a
+//! misbehaving source (counting it in [`IngestStats::reordered`]), picks a
+//! shard ([`Routing`]) per job, and delivers under the configured
 //! [`OverloadPolicy`]. Every delivery is one [`ShardCmd::Admit`] of the
 //! arrivals it carries. Under [`OverloadPolicy::Block`] same-shard
 //! placements coalesce into one command per shard (one queue slot, one
@@ -45,10 +48,10 @@
 //! the only way to [`drain`](ShardPool::drain) and join them.
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{self, Sender, TrySendError};
 use flowtree_core::SchedulerSpec;
 use flowtree_dag::Time;
 use flowtree_sim::JobSpec;
@@ -527,7 +530,7 @@ struct Router {
 #[derive(Debug)]
 struct PoolCore {
     cfg: ServeConfig,
-    txs: Vec<Sender<ShardCmd>>,
+    txs: Vec<SyncSender<ShardCmd>>,
     tel: Arc<Telemetry>,
     router: Mutex<Router>,
 }
@@ -560,13 +563,41 @@ impl PoolHandle {
     }
 
     fn pick_shard(&self, r: &Router) -> usize {
+        let n = self.core.cfg.shards;
         match self.core.cfg.routing {
-            Routing::Hash => {
-                (r.seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % self.core.txs.len()
+            Routing::Hash => (r.seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % n,
+            Routing::LeastLoaded => {
+                (0..n).min_by_key(|&i| r.assigned[i]).expect("at least one shard")
             }
-            Routing::LeastLoaded => (0..self.core.txs.len())
-                .min_by_key(|&i| r.assigned[i])
-                .expect("at least one shard"),
+        }
+    }
+
+    /// Send `cmd` to shard `i`, blocking while its queue is full. This and
+    /// [`try_send`](Self::try_send) are the only code that sends on the
+    /// shard channels, so they keep the queue depth: count in, then send,
+    /// and count back out if the send fails.
+    fn send(&self, i: usize, cmd: ShardCmd) -> Result<(), ServeError> {
+        let tel = self.core.tel.shard(i);
+        tel.add_queued(1);
+        self.core.txs[i].send(cmd).map_err(|_| {
+            tel.sub_queued(1);
+            ServeError::PoolClosed
+        })
+    }
+
+    /// Send `cmd` to shard `i` without blocking. Hands the command back if
+    /// the queue is full.
+    fn try_send(&self, i: usize, cmd: ShardCmd) -> Result<Option<ShardCmd>, ServeError> {
+        let tel = self.core.tel.shard(i);
+        tel.add_queued(1);
+        let sent = self.core.txs[i].try_send(cmd);
+        if sent.is_err() {
+            tel.sub_queued(1);
+        }
+        match sent {
+            Ok(()) => Ok(None),
+            Err(TrySendError::Full(cmd)) => Ok(Some(cmd)),
+            Err(TrySendError::Disconnected(_)) => Err(ServeError::PoolClosed),
         }
     }
 
@@ -577,11 +608,10 @@ impl PoolHandle {
         i: usize,
         arrivals: Vec<Arrival>,
     ) -> Result<Option<Vec<Arrival>>, ServeError> {
-        match self.core.txs[i].try_send(ShardCmd::Admit(arrivals)) {
-            Ok(()) => Ok(None),
-            Err(TrySendError::Full(ShardCmd::Admit(back))) => Ok(Some(back)),
-            Err(TrySendError::Full(_)) => unreachable!("sent an admit command"),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::PoolClosed),
+        match self.try_send(i, ShardCmd::Admit(arrivals))? {
+            None => Ok(None),
+            Some(ShardCmd::Admit(back)) => Ok(Some(back)),
+            Some(_) => unreachable!("sent an admit command"),
         }
     }
 
@@ -609,12 +639,12 @@ impl PoolHandle {
         let Some(steal) = self.core.cfg.steal else {
             return Ok(());
         };
-        let n = self.core.txs.len();
+        let n = self.core.cfg.shards;
         if n < 2 {
             return Ok(());
         }
         let backlog: Vec<usize> =
-            (0..n).map(|i| self.core.txs[i].len() + r.staged[i].len()).collect();
+            (0..n).map(|i| self.core.tel.shard(i).queue_len() + r.staged[i].len()).collect();
         let thief = (0..n)
             .filter(|&i| r.staged[i].is_empty() && backlog[i] <= steal.low_watermark)
             .min_by_key(|&i| backlog[i]);
@@ -630,8 +660,8 @@ impl PoolHandle {
         let keep = r.staged[victim].len() - r.staged[victim].len().div_ceil(2);
         let moved: Vec<Arrival> = r.staged[victim].split_off(keep).into();
         let count = moved.len() as u64;
-        match self.core.txs[thief].try_send(ShardCmd::Donate(moved)) {
-            Ok(()) => {
+        match self.try_send(thief, ShardCmd::Donate(moved))? {
+            None => {
                 r.ingest.stolen_out += count;
                 r.ingest.stolen_in += count;
                 r.ingest.delivered += count;
@@ -643,12 +673,11 @@ impl PoolHandle {
                     format!("{victim}→{thief} x{count}"),
                 );
             }
-            Err(TrySendError::Full(ShardCmd::Donate(jobs))) => {
+            Some(ShardCmd::Donate(jobs)) => {
                 // Thief filled up in the meantime: put the jobs back.
                 r.staged[victim].extend(jobs);
             }
-            Err(TrySendError::Full(_)) => unreachable!("donated a non-donate command"),
-            Err(TrySendError::Disconnected(_)) => return Err(ServeError::PoolClosed),
+            Some(_) => unreachable!("donated a non-donate command"),
         }
         Ok(())
     }
@@ -677,9 +706,7 @@ impl PoolHandle {
                 return Ok(());
             }
         } else {
-            self.core.txs[i]
-                .send(ShardCmd::Admit(arrivals))
-                .map_err(|_| ServeError::PoolClosed)?;
+            self.send(i, ShardCmd::Admit(arrivals))?;
         }
         r.ingest.delivered += count;
         // The admit itself carries the release: once the shard processes
@@ -708,8 +735,8 @@ impl PoolHandle {
                 delivered_to = Some(target);
             }
         } else {
-            let mut order: Vec<usize> = (0..self.core.txs.len()).collect();
-            order.sort_by_key(|&i| (i != target, self.core.txs[i].len()));
+            let mut order: Vec<usize> = (0..self.core.cfg.shards).collect();
+            order.sort_by_key(|&i| (i != target, self.core.tel.shard(i).queue_len()));
             let mut pending = Some(vec![arrival]);
             for &i in &order {
                 pending = self.try_admit(i, pending.take().expect("arrival pending"))?;
@@ -720,9 +747,7 @@ impl PoolHandle {
             }
             if let Some(arrivals) = pending {
                 // Everyone is full: fall back to backpressure.
-                self.core.txs[target]
-                    .send(ShardCmd::Admit(arrivals))
-                    .map_err(|_| ServeError::PoolClosed)?;
+                self.send(target, ShardCmd::Admit(arrivals))?;
                 delivered_to = Some(target);
             }
             if let Some(i) = delivered_to.filter(|&i| i != target) {
@@ -777,7 +802,7 @@ impl PoolHandle {
                 self.deliver_one(r, target, arrival)?;
             }
         }
-        for i in 0..self.core.txs.len() {
+        for i in 0..self.core.cfg.shards {
             if !r.buckets[i].is_empty() {
                 self.deliver(r, i)?;
             }
@@ -793,7 +818,7 @@ impl PoolHandle {
     /// past what a shard is known to have seen, once per offer.
     fn broadcast_frontier(&self, r: &mut Router) {
         let frontier = r.last_release;
-        for (i, tx) in self.core.txs.iter().enumerate() {
+        for i in 0..self.core.cfg.shards {
             // A shard with staged jobs must not outrun its own backlog, so
             // its watermark is capped at the staged front's release.
             let w = match r.staged[i].front() {
@@ -803,8 +828,8 @@ impl PoolHandle {
             if w <= r.wm_known[i] {
                 continue;
             }
-            match tx.try_send(ShardCmd::Watermark(w)) {
-                Ok(()) => {
+            match self.try_send(i, ShardCmd::Watermark(w)) {
+                Ok(None) => {
                     r.wm_known[i] = w;
                     if r.wm_skip[i] {
                         r.wm_skip[i] = false;
@@ -814,7 +839,7 @@ impl PoolHandle {
                 // A full queue already holds commands that advance this
                 // shard at least as far; the dedup ledger retries the value
                 // on the next broadcast.
-                Err(TrySendError::Full(_)) => {
+                Ok(Some(_)) => {
                     r.ingest.wm_skipped += 1;
                     if !r.wm_skip[i] {
                         r.wm_skip[i] = true;
@@ -822,7 +847,7 @@ impl PoolHandle {
                     }
                 }
                 // Workers gone: drain already started; nothing left to pace.
-                Err(TrySendError::Disconnected(_)) => {}
+                Err(_) => {}
             }
         }
     }
@@ -879,10 +904,8 @@ impl PoolHandle {
     /// batch" into a retry-later reply instead of blocking a connection
     /// handler inside [`offer_batch`](Self::offer_batch).
     pub fn ingress_room(&self) -> usize {
-        self.core
-            .txs
-            .iter()
-            .map(|tx| self.core.cfg.queue_cap.saturating_sub(tx.len()))
+        (0..self.core.cfg.shards)
+            .map(|i| self.core.cfg.queue_cap.saturating_sub(self.core.tel.shard(i).queue_len()))
             .sum()
     }
 
@@ -915,10 +938,10 @@ impl PoolHandle {
         t: Time,
         detail: String,
     ) -> Result<(), ServeError> {
-        if shard >= self.core.txs.len() {
+        if shard >= self.core.cfg.shards {
             return Err(ServeError::InvalidConfig(format!(
                 "shard {shard} out of range (pool has {})",
-                self.core.txs.len()
+                self.core.cfg.shards
             )));
         }
         self.core.tel.shard(shard).record(kind, t, detail);
@@ -970,19 +993,17 @@ impl PoolHandle {
     ) -> Result<(), ServeError> {
         let directive = SwapDirective { at, spec };
         let targets: Vec<usize> = match shard {
-            Some(i) if i >= self.core.txs.len() => {
+            Some(i) if i >= self.core.cfg.shards => {
                 return Err(ServeError::InvalidConfig(format!(
                     "shard {i} out of range (pool has {})",
-                    self.core.txs.len()
+                    self.core.cfg.shards
                 )));
             }
             Some(i) => vec![i],
-            None => (0..self.core.txs.len()).collect(),
+            None => (0..self.core.cfg.shards).collect(),
         };
         for i in targets {
-            self.core.txs[i]
-                .send(ShardCmd::Swap(directive))
-                .map_err(|_| ServeError::PoolClosed)?;
+            self.send(i, ShardCmd::Swap(directive))?;
         }
         Ok(())
     }
@@ -1000,7 +1021,6 @@ impl PoolHandle {
             .enumerate()
             .map(|(i, t)| {
                 let mut snap = t.load();
-                snap.queue_len = self.core.txs[i].len();
                 snap.staged = r.staged[i].len();
                 snap
             })
@@ -1013,19 +1033,17 @@ impl PoolHandle {
     /// work; join the workers with [`ShardPool::drain`].
     pub fn request_drain(&self) -> Result<(), ServeError> {
         let r = &mut *self.router();
-        for i in 0..self.core.txs.len() {
+        for i in 0..self.core.cfg.shards {
             if r.staged[i].is_empty() {
                 continue;
             }
             let jobs: Vec<Arrival> = r.staged[i].drain(..).collect();
             let count = jobs.len() as u64;
-            self.core.txs[i]
-                .send(ShardCmd::Admit(jobs))
-                .map_err(|_| ServeError::PoolClosed)?;
+            self.send(i, ShardCmd::Admit(jobs))?;
             r.ingest.delivered += count;
         }
-        for tx in &self.core.txs {
-            tx.send(ShardCmd::Drain).map_err(|_| ServeError::PoolClosed)?;
+        for i in 0..self.core.cfg.shards {
+            self.send(i, ShardCmd::Drain)?;
         }
         Ok(())
     }
@@ -1072,7 +1090,7 @@ impl ShardPool {
         let mut txs = Vec::with_capacity(cfg.shards);
         let mut handles = Vec::with_capacity(cfg.shards);
         for shard in 0..cfg.shards {
-            let (tx, rx) = channel::bounded(cfg.queue_cap);
+            let (tx, rx) = mpsc::sync_channel(cfg.queue_cap);
             let ctx = ShardCtx {
                 shard,
                 m: cfg.m,
@@ -1286,7 +1304,7 @@ mod tests {
             JobSpec { graph: chain(2), release: 3 }.into(),
             JobSpec { graph: star(2), release: 1 }.into(),
         ];
-        pool.handle.core.txs[0].send(ShardCmd::Donate(donated)).expect("donate");
+        pool.handle.send(0, ShardCmd::Donate(donated)).expect("donate");
         let results = pool.drain().expect("drain");
         assert_eq!(results[0].summary.jobs, 3);
         // Clamped to the last admitted release, never earlier.
@@ -1316,6 +1334,39 @@ mod tests {
         assert_eq!(ingest, total, "work was lost");
         for r in &results {
             assert!(r.summary.invariants_clean, "shard {} dirty", r.shard);
+        }
+    }
+
+    #[test]
+    fn queue_depth_balances_on_every_send_path() {
+        // One-slot queues exercise every send path: blocking admits, swaps
+        // and drains, and failed try-sends (watermarks, drops, redirects,
+        // staging, donations). Once drained, every depth is back to 0.
+        let base = || ServeConfig::builder(fifo(), 1).shards(2).queue_cap(1);
+        let pools = [
+            base(),
+            base().policy(OverloadPolicy::DropNewest),
+            base().policy(OverloadPolicy::Redirect),
+            base().steal(StealConfig { low_watermark: 0, high_watermark: 2 }),
+        ];
+        for builder in pools {
+            let cfg = builder.build().expect("valid config");
+            let label = format!("{} steal={}", cfg.policy, cfg.steal.is_some());
+            let pool = ShardPool::launch(cfg).expect("launch");
+            let handle = pool.handle();
+            handle.swap(None, 8, "lpf".parse().expect("lpf parses")).expect("swap");
+            for t in 0..32 {
+                let mut batch = vec![
+                    JobSpec { graph: chain(4), release: t },
+                    JobSpec { graph: star(3), release: t },
+                ];
+                handle.offer_batch(&mut batch).expect("offer");
+                handle.advance_frontier(t + 1).expect("advance");
+            }
+            pool.drain().expect("drain");
+            let depths: Vec<usize> = handle.snapshot().shards.iter().map(|s| s.queue_len).collect();
+            assert_eq!(depths, [0, 0], "{label}: depth after drain");
+            assert_eq!(handle.ingress_room(), 2, "{label}: room after drain");
         }
     }
 

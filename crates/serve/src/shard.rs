@@ -6,7 +6,7 @@
 //! [`LowerBound`], an [`InvariantMonitor`], and [`RunHistograms`] attached
 //! to the session as one probe tuple, exactly like the batch
 //! [`summarize`](flowtree_analysis::summarize) path. Commands arrive on a
-//! bounded channel:
+//! bounded `std::sync::mpsc::sync_channel`:
 //!
 //! * [`ShardCmd::Admit`] admits the router's arrivals for this shard — a
 //!   lone job or a coalesced batch — in one queue slot and one
@@ -40,13 +40,15 @@
 //!   per-shard [`Instance`], a certified [`RunSummary`], and every
 //!   [`SwapEvent`] along the way.
 //!
-//! After each command batch and simulation window the worker publishes one
-//! [`ShardSnapshot`] (progress plus theory gauges) into its
-//! [`ShardTelemetry`] cell, the shard's only live view.
+//! The worker blocks for one command, absorbs the backlog, and counts the
+//! whole batch out of the queue depth in its [`ShardTelemetry`] cell
+//! before applying it. After each command batch and simulation window it
+//! publishes one [`ShardSnapshot`] (progress plus theory gauges) into that
+//! cell, the shard's only live view.
 
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
-use crossbeam::channel::Receiver;
 use flowtree_analysis::{summary_from_parts, RunSummary};
 use flowtree_core::SchedulerSpec;
 use flowtree_dag::{JobId, Time};
@@ -149,7 +151,10 @@ pub struct ShardSnapshot {
     pub donated: u64,
     /// Scheduler hot-swaps applied so far.
     pub swaps: u64,
-    /// Commands queued to the shard (filled in by the pool, not the worker).
+    /// Commands sent, or being sent, to the shard and not yet received by
+    /// its worker (kept by the pool's send path and the worker's receive,
+    /// not published by the worker). A blocking send waiting on a full
+    /// queue is already counted, so this can read `queue_cap + 1`.
     pub queue_len: usize,
     /// Arrivals staged router-side for this shard, awaiting delivery
     /// (filled in by the pool; nonzero only with stealing enabled).
@@ -242,9 +247,8 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<ShardCmd>) -> ShardResult {
         match rx.recv() {
             Ok(cmd) => {
                 batch.push(cmd);
-                while let Some(cmd) = rx.try_recv() {
-                    batch.push(cmd);
-                }
+                batch.extend(rx.try_iter());
+                tel.sub_queued(batch.len());
             }
             Err(_) => draining = true,
         }

@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -263,7 +263,8 @@ impl FlightRecorder {
 
 /// One shard's always-on telemetry cell and its only live view: latency
 /// histograms, the progress counters and theory gauges of the last
-/// [`publish`](Self::publish)ed [`ShardSnapshot`], and the flight ring.
+/// [`publish`](Self::publish)ed [`ShardSnapshot`], the shard's queue
+/// depth, and the flight ring.
 /// Lives behind an `Arc` shared by the worker, the router, and every
 /// reader, so it survives a worker panic.
 #[derive(Debug)]
@@ -285,6 +286,9 @@ pub struct ShardTelemetry {
     lower_bound: AtomicU64,
     max_flow: AtomicU64,
     violations: AtomicU64,
+    /// The queue depth behind `queue_len`: every add happens before its
+    /// send and every subtract after its receive, so it never underflows.
+    queued: AtomicUsize,
     /// Bounded ring of control-plane events.
     pub flight: FlightRecorder,
 }
@@ -306,6 +310,7 @@ impl ShardTelemetry {
             lower_bound: AtomicU64::new(0),
             max_flow: AtomicU64::new(0),
             violations: AtomicU64::new(0),
+            queued: AtomicUsize::new(0),
             flight: FlightRecorder::new(flight_cap),
         }
     }
@@ -324,8 +329,9 @@ impl ShardTelemetry {
     }
 
     /// Publish `snap` (worker side, once per loop iteration). Relaxed:
-    /// readers tolerate skew between fields. `queue_len` and `staged` are
-    /// the router's and are not stored.
+    /// readers tolerate skew between fields. `queue_len` is not stored (the
+    /// pool's sends and the worker's receives keep it live); `staged` is
+    /// the router's.
     pub fn publish(&self, snap: &ShardSnapshot) {
         self.now.store(snap.now, Ordering::Relaxed);
         self.admitted.store(snap.admitted as u64, Ordering::Relaxed);
@@ -338,8 +344,8 @@ impl ShardTelemetry {
         self.violations.store(snap.violations, Ordering::Relaxed);
     }
 
-    /// The latest published view (reader side), with `queue_len` and
-    /// `staged` left 0 for the pool to fill in.
+    /// The latest published view (reader side), with the live queue depth
+    /// and with `staged` left 0 for the pool to fill in.
     pub fn load(&self) -> ShardSnapshot {
         ShardSnapshot {
             now: self.now.load(Ordering::Relaxed),
@@ -351,9 +357,26 @@ impl ShardTelemetry {
             lower_bound: self.lower_bound.load(Ordering::Relaxed),
             max_flow: self.max_flow.load(Ordering::Relaxed),
             violations: self.violations.load(Ordering::Relaxed),
-            queue_len: 0,
+            queue_len: self.queue_len(),
             staged: 0,
         }
+    }
+
+    /// Commands sent, or being sent, to the shard and not yet received by
+    /// its worker. A blocking send waiting on a full queue is already
+    /// counted, so the depth can read `queue_cap + 1` while it waits.
+    pub(crate) fn queue_len(&self) -> usize {
+        self.queued.load(Ordering::Relaxed)
+    }
+
+    /// Count `n` commands in, before the channel operation that sends them.
+    pub(crate) fn add_queued(&self, n: usize) {
+        self.queued.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count `n` commands out: a failed send, or the worker's receive.
+    pub(crate) fn sub_queued(&self, n: usize) {
+        self.queued.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Materialize this shard's latency histograms and flight-ring counts.
