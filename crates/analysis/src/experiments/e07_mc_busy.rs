@@ -43,16 +43,15 @@ pub fn run(effort: Effort) -> Report {
         if levels.len() <= opt as usize {
             continue; // no tail: job fits in its head
         }
-        let tail: Vec<Vec<u32>> = levels[opt as usize..].to_vec();
-        let work: usize = tail.iter().map(Vec::len).sum();
+        let work: usize = levels.iter().skip(opt as usize).map(<[u32]>::len).sum();
         for (pat_name, mut grant) in patterns(p) {
-            let mut mc = McReplay::new(&g, tail.clone());
+            let mut mc = McReplay::new(&g, levels.clone(), opt as usize);
             let mut steps = 0usize;
             let mut full = 0usize;
             while !mc.is_done() {
                 steps += 1;
                 let m_t = grant(steps);
-                let got = mc.next(m_t).len();
+                let got = mc.next(m_t, |_| {});
                 if got == m_t || mc.is_done() {
                     full += 1;
                 }

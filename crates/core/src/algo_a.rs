@@ -25,11 +25,13 @@
 //!
 //! A group is never materialized as one graph. `S` comes from
 //! [`lpf_levels_forest`] over the members' own graphs (with their
-//! guess-and-double masks), and the tail replay gets the forest as a parent
-//! array ([`McReplay::with_parents`]); the group numbers its nodes by
-//! concatenating the members' node ids.
+//! guess-and-double masks), written into the group's own [`Levels`] with
+//! LPF scratch 𝒜 keeps across groups. When the head ends, the tail replay
+//! takes over that buffer from its first unexecuted level and gets the
+//! forest as a parent array ([`McReplay::with_parents`]); the group numbers
+//! its nodes by concatenating the members' node ids, as the LPF plan does.
 
-use crate::lpf::lpf_levels_forest;
+use crate::lpf::{lpf_levels_forest, Levels, LpfScratch};
 use crate::mc::McReplay;
 use flowtree_dag::{JobGraph, JobId, NodeId, Time};
 use flowtree_sim::{Clairvoyance, OnlineScheduler, Selection, SimView};
@@ -52,8 +54,9 @@ struct Group {
     /// Parent of each group node (`u32::MAX` for a root): the group's
     /// out-forest, handed to the tail replay (then left empty).
     parent: Vec<u32>,
-    /// `S` = LPF(group, m/α): levels of group-node ids.
-    levels: Vec<Vec<u32>>,
+    /// `S` = LPF(group, m/α): levels of group-node ids, handed to the tail
+    /// replay (then left empty).
+    levels: Levels,
     /// Tail replay, created when the group leaves the head phase.
     mc: Option<McReplay>,
 }
@@ -74,6 +77,8 @@ pub struct AlgoA {
     batching: bool,
     pending: Vec<PendingJob>,
     groups: Vec<Group>,
+    /// LPF working buffers, reused by every group's plan.
+    lpf: LpfScratch,
     /// Total subjobs scheduled (for diagnostics).
     scheduled: u64,
 }
@@ -101,6 +106,7 @@ impl AlgoA {
             batching,
             pending: Vec::new(),
             groups: Vec::new(),
+            lpf: LpfScratch::default(),
             scheduled: 0,
         }
     }
@@ -133,7 +139,8 @@ impl AlgoA {
     /// [`lpf_levels_forest`] as they are. A member's node `v` has the group
     /// id `offset + v`, where `offset` counts the nodes of the members
     /// before it (masked-out nodes keep their ids and simply appear in no
-    /// level, which MC reads as already executed).
+    /// level, which MC reads as already executed); the plan numbers nodes
+    /// the same way.
     fn form_group(&mut self, t: Time, view: &SimView<'_>) {
         if self.pending.is_empty() {
             return;
@@ -145,13 +152,11 @@ impl AlgoA {
 
         // One pass over the members: group ids to (job, node), each node's
         // parent in group ids, and the out-forest shape MC relies on.
-        let mut offsets = Vec::with_capacity(parts.len());
         let total: usize = parts.iter().map(|(g, _)| g.n()).sum();
         let mut origin = Vec::with_capacity(total);
         let mut parent = Vec::with_capacity(total);
         for (pj, &(g, _)) in pending.iter().zip(&parts) {
             let off = origin.len() as u32;
-            offsets.push(off);
             for v in g.nodes() {
                 let ps = g.parents(v);
                 assert!(ps.len() <= 1, "Algorithm A requires out-forest jobs");
@@ -161,10 +166,8 @@ impl AlgoA {
         }
 
         // S = LPF(group, m/alpha), in group ids.
-        let levels: Vec<Vec<u32>> = lpf_levels_forest(&parts, p)
-            .into_iter()
-            .map(|l| l.into_iter().map(|(pi, v)| offsets[pi as usize] + v).collect())
-            .collect();
+        let mut levels = Levels::new();
+        lpf_levels_forest(&parts, p, &mut self.lpf, &mut levels);
 
         self.groups.push(Group { start: t, origin, parent, levels, mc: None });
     }
@@ -196,8 +199,8 @@ impl OnlineScheduler for AlgoA {
             for g in &mut self.groups {
                 let age = t - g.start;
                 if age >= opt && g.mc.is_none() {
-                    let executed = (age as usize).min(g.levels.len());
-                    let tail: Vec<Vec<u32>> = g.levels[executed..].to_vec();
+                    // The head ran the first `age` levels (all of them if
+                    // the plan is shorter); the replay takes the rest.
                     // When the working estimate is valid (2·half >= the
                     // group's true OPT on the full machine), Lemma 5.2
                     // makes this tail a full-width rectangle and Lemma 5.5
@@ -207,7 +210,11 @@ impl OnlineScheduler for AlgoA {
                     // the resulting slow progress is what triggers the next
                     // doubling. So no rectangularity assertion here — the
                     // property is validated where it is guaranteed (E2/E7).
-                    g.mc = Some(McReplay::with_parents(std::mem::take(&mut g.parent), tail));
+                    g.mc = Some(McReplay::with_parents(
+                        std::mem::take(&mut g.parent),
+                        std::mem::take(&mut g.levels),
+                        age as usize,
+                    ));
                 }
             }
             // New group from everything pending.
@@ -246,12 +253,13 @@ impl OnlineScheduler for AlgoA {
             if m_t == 0 {
                 break;
             }
-            for v in mc.next(m_t) {
-                let (job, orig) = g.origin[v as usize];
+            let origin = &g.origin;
+            let got = mc.next(m_t, |v| {
+                let (job, orig) = origin[v as usize];
                 let ok = sel.push(job, NodeId(orig));
                 debug_assert!(ok);
-                self.scheduled += 1;
-            }
+            });
+            self.scheduled += got as u64;
         }
 
         // Garbage-collect finished groups.
@@ -369,7 +377,7 @@ mod tests {
         let levels = crate::lpf::lpf_levels(&g, m / alpha);
         for (i, level) in levels.iter().enumerate() {
             let mut got: Vec<u32> = s.at(i as Time + 1).iter().map(|&(_, v)| v.0).collect();
-            let mut want = level.clone();
+            let mut want = level.to_vec();
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "step {}", i + 1);

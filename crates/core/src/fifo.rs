@@ -23,21 +23,24 @@ use std::cmp::Reverse;
 /// ready subjobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TieBreak {
-    /// Run the subjobs that became ready earliest (by the engine's global
-    /// became-ready stamps — a natural "arbitrary" order, and exactly the
-    /// choice the Section 4 adversary exploits, because the adversary
-    /// places each layer's key subjob last). Non-clairvoyant.
+    /// Run the subjobs that became ready earliest (the engine's
+    /// became-ready log, [`SimView::became_ready`] — a natural "arbitrary"
+    /// order, and exactly the choice the Section 4 adversary exploits,
+    /// because the adversary places each layer's key subjob last).
+    /// Non-clairvoyant.
     BecameReady,
     /// Run the subjobs that became ready latest. Non-clairvoyant.
     LastReady,
     /// Uniformly random subset (seeded, deterministic). Non-clairvoyant.
     Random(u64),
-    /// Longest-path-first: run the ready subjobs of greatest height.
-    /// Clairvoyant (heights require the DAG). This is the intra-job policy
-    /// of the multi-job LPF baseline.
+    /// Longest-path-first: run the ready subjobs of greatest height, ties
+    /// in the engine's ready-list order (arbitrary but deterministic; not
+    /// the became-ready order). Clairvoyant (heights require the DAG). This
+    /// is the intra-job policy of the multi-job LPF baseline.
     HighestHeight,
     /// Run the ready subjobs with the most children in the DAG, maximizing
-    /// next-step parallelism. Clairvoyant.
+    /// next-step parallelism; ties as for [`HighestHeight`](Self::HighestHeight).
+    /// Clairvoyant.
     MostChildren,
 }
 
@@ -101,10 +104,6 @@ pub struct Fifo {
     rng: SplitMix64,
     /// Scratch buffer reused across steps (allocation-free steady state).
     scratch: Vec<u32>,
-    /// Scratch of `(became-ready seq, node)` pairs for the seq-ordered
-    /// tie-breaks: keys are looked up once per node instead of once per
-    /// comparison, and the pairs sort without touching the view again.
-    keyed: Vec<(u64, u32)>,
 }
 
 impl Fifo {
@@ -118,7 +117,6 @@ impl Fifo {
             tie,
             rng: SplitMix64(seed ^ 0xD1B54A32D192ED03),
             scratch: Vec::new(),
-            keyed: Vec::new(),
         }
     }
 
@@ -139,38 +137,16 @@ impl Fifo {
     ) {
         debug_assert!(k <= ready.len());
         match self.tie {
-            // Seq stamps are globally unique, so an unstable sort of
-            // `(seq, node)` pairs yields exactly the order the old stable
-            // sort-by-key did — and when `k < len`, `select_nth_unstable`
-            // first isolates the k winners so only they get sorted.
+            // The job's became-ready log yields its ready nodes in order,
+            // so the k earliest (or latest) are read off one end of it.
             TieBreak::BecameReady => {
-                if k == 0 {
-                    return;
-                }
-                self.keyed.clear();
-                self.keyed.extend(ready.iter().map(|&v| (view.ready_seq(job, NodeId(v)), v)));
-                if k < self.keyed.len() {
-                    self.keyed.select_nth_unstable(k - 1);
-                }
-                self.keyed[..k].sort_unstable();
-                for i in 0..k {
-                    let (_, v) = self.keyed[i];
-                    sel.push(job, NodeId(v));
+                for v in view.became_ready(job).take(k) {
+                    sel.push(job, v);
                 }
             }
             TieBreak::LastReady => {
-                if k == 0 {
-                    return;
-                }
-                self.keyed.clear();
-                self.keyed.extend(ready.iter().map(|&v| (view.ready_seq(job, NodeId(v)), v)));
-                if k < self.keyed.len() {
-                    self.keyed.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
-                }
-                self.keyed[..k].sort_unstable_by(|a, b| b.cmp(a));
-                for i in 0..k {
-                    let (_, v) = self.keyed[i];
-                    sel.push(job, NodeId(v));
+                for v in view.became_ready(job).rev().take(k) {
+                    sel.push(job, v);
                 }
             }
             TieBreak::Random(_) => {
@@ -190,7 +166,8 @@ impl Fifo {
                 let g = view.graph(job);
                 self.scratch.clear();
                 self.scratch.extend_from_slice(ready);
-                // Stable sorts: priority desc, became-ready order among ties.
+                // Stable sorts: priority desc, ties in the engine's
+                // ready-list order (arbitrary, but deterministic).
                 if self.tie == TieBreak::HighestHeight {
                     let h = g.heights();
                     self.scratch.sort_by_key(|&v| Reverse(h[v as usize]));
@@ -219,14 +196,13 @@ impl OnlineScheduler for Fifo {
                 return;
             }
             let ready = view.ready(job);
-            // The seq-ordered tie-breaks process picks in became-ready
-            // order even when the whole ready set fits: the engine applies
+            // The log-ordered tie-breaks push picks in became-ready order
+            // even when the whole ready set fits: the engine applies
             // completions in pick order, which determines the became-ready
-            // stamps of the *children* — so the order matters beyond the
-            // subset choice. Other tie-breaks only sort when subsetting.
+            // order of the *children* — so the order matters beyond the
+            // subset choice. Other tie-breaks only order when subsetting.
             // `ready` borrows the view's state, not `self`, so it feeds
-            // `pick` directly — `pick` copies into the scratch buffer, and
-            // the per-job-per-step `to_vec()` clone this used to do is gone.
+            // `pick` directly.
             match self.tie {
                 TieBreak::BecameReady | TieBreak::LastReady => {
                     let k = rem.min(ready.len());

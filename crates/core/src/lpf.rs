@@ -12,14 +12,138 @@
 //! Lemma 5.2 the tail is a full `m/α`-wide rectangle except possibly its
 //! last step ([`head_tail`], [`RectangleTail`]).
 //!
+//! A materialized schedule is one [`Levels`] value: every level's node ids
+//! in one buffer, plus where each level starts. Algorithm 𝒜 plans each
+//! group into its own `Levels` with scratch ([`LpfScratch`]) it keeps
+//! across groups, and hands the same buffer to the tail's MC replay.
+//!
 //! This module also provides the multi-job [`Lpf`] online scheduler (FIFO
 //! across jobs, LPF within a job) used as a strong clairvoyant baseline.
 
 use crate::fifo::{Fifo, TieBreak};
-use flowtree_dag::{JobGraph, Time};
+use flowtree_dag::{JobGraph, NodeId, Time};
 use flowtree_sim::{Clairvoyance, OnlineScheduler, Selection, SimView};
+use std::ops::Index;
 
-/// Materialized single-job LPF schedule on `p` processors: `levels[t]` are
+/// A materialized level schedule: level `i` holds the node ids run during
+/// step `i + 1`. All levels share one id buffer; `offsets[i]..offsets[i +
+/// 1]` is level `i`'s range in it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Levels {
+    ids: Vec<u32>,
+    /// Level starts plus the end of the last level (`offsets[0] == 0`).
+    offsets: Vec<u32>,
+}
+
+impl Default for Levels {
+    fn default() -> Self {
+        Levels::new()
+    }
+}
+
+impl Levels {
+    /// No levels.
+    pub fn new() -> Self {
+        Levels { ids: Vec::new(), offsets: vec![0] }
+    }
+
+    /// Number of levels (the schedule's length in steps).
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// No levels at all?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Level `i`, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<&[u32]> {
+        (i < self.len()).then(|| &self.ids[self.range(i)])
+    }
+
+    /// Every node id in schedule order, level after level.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// The levels in order.
+    pub fn iter(&self) -> LevelIter<'_> {
+        LevelIter { ids: &self.ids, offsets: self.offsets.windows(2) }
+    }
+
+    /// Append a level.
+    pub fn push(&mut self, level: &[u32]) {
+        self.ids.extend_from_slice(level);
+        self.close_level();
+    }
+
+    /// Drop every level, keeping both buffers' allocations.
+    pub fn clear(&mut self) {
+        self.ids.clear();
+        self.offsets.truncate(1);
+    }
+
+    /// Where level `i` starts in [`ids`](Self::ids) (`ids().len()` for
+    /// `i == len()`).
+    pub(crate) fn offset(&self, i: usize) -> usize {
+        self.offsets[i] as usize
+    }
+
+    /// Level `i`'s range in `ids`.
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
+        self.offset(i)..self.offset(i + 1)
+    }
+
+    /// End the level being built: the ids pushed since the last close.
+    fn close_level(&mut self) {
+        self.offsets.push(self.ids.len() as u32);
+    }
+
+    /// Level `i`'s ids, mutably (MC reorders levels in place).
+    pub(crate) fn level_mut(&mut self, i: usize) -> &mut [u32] {
+        let r = self.range(i);
+        &mut self.ids[r]
+    }
+}
+
+impl Index<usize> for Levels {
+    type Output = [u32];
+
+    fn index(&self, i: usize) -> &[u32] {
+        &self.ids[self.range(i)]
+    }
+}
+
+/// Iterator over consecutive levels of a [`Levels`], from
+/// [`Levels::iter`] or [`head_tail`].
+#[derive(Debug, Clone)]
+pub struct LevelIter<'a> {
+    ids: &'a [u32],
+    offsets: std::slice::Windows<'a, u32>,
+}
+
+impl<'a> Iterator for LevelIter<'a> {
+    type Item = &'a [u32];
+
+    fn next(&mut self) -> Option<&'a [u32]> {
+        self.offsets.next().map(|w| &self.ids[w[0] as usize..w[1] as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.offsets.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for LevelIter<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        self.offsets.next_back().map(|w| &self.ids[w[0] as usize..w[1] as usize])
+    }
+}
+
+impl ExactSizeIterator for LevelIter<'_> {}
+
+/// Materialized single-job LPF schedule on `p` processors: level `t` holds
 /// the node ids run during step `t + 1` (job released at 0).
 ///
 /// ```
@@ -31,7 +155,7 @@ use flowtree_sim::{Clairvoyance, OnlineScheduler, Selection, SimView};
 /// // Corollary 5.4: LPF attains the exact optimum.
 /// assert_eq!(levels.len() as u64, DepthProfile::new(&g).opt_single_job(2));
 /// ```
-pub fn lpf_levels(g: &JobGraph, p: usize) -> Vec<Vec<u32>> {
+pub fn lpf_levels(g: &JobGraph, p: usize) -> Levels {
     lpf_levels_restricted(g, None, p)
 }
 
@@ -43,21 +167,41 @@ pub fn lpf_levels(g: &JobGraph, p: usize) -> Vec<Vec<u32>> {
 /// executed" sets, and it means restricted heights equal full-graph heights.
 /// Used by the guess-and-double wrapper, which restarts Algorithm 𝒜 on the
 /// unexecuted portions of jobs.
-pub fn lpf_levels_restricted(g: &JobGraph, remaining: Option<&[bool]>, p: usize) -> Vec<Vec<u32>> {
-    let picks = lpf_levels_forest(&[(g, remaining)], p);
-    picks
-        .into_iter()
-        .map(|level| level.into_iter().map(|(_, v)| v).collect())
-        .collect()
+pub fn lpf_levels_restricted(g: &JobGraph, remaining: Option<&[bool]>, p: usize) -> Levels {
+    let mut levels = Levels::new();
+    lpf_levels_forest(&[(g, remaining)], p, &mut LpfScratch::default(), &mut levels);
+    levels
 }
 
-/// LPF schedule of a *forest of jobs released together*: each entry of
-/// `parts` is a graph plus an optional remaining mask (descendant-closed,
-/// see [`lpf_levels_restricted`]). Returns levels of `(part index, node)`.
+/// Working buffers of [`lpf_levels_forest`], kept by a caller that plans
+/// many forests so each plan allocates nothing once they have grown.
+#[derive(Debug, Default)]
+pub struct LpfScratch {
+    /// Ready nodes (forest ids) by height; each a FIFO queue whose taken
+    /// prefix ends at `head[h]`.
+    buckets: Vec<Vec<u32>>,
+    head: Vec<usize>,
+    /// Remaining included parents per forest node.
+    indeg: Vec<u32>,
+    /// First forest id of each part.
+    start: Vec<u32>,
+}
+
+/// LPF schedule of a *forest of jobs released together*, written into
+/// `out` (cleared first). Each entry of `parts` is a graph plus an optional
+/// remaining mask (descendant-closed, see [`lpf_levels_restricted`]).
 ///
 /// All parts are treated as one out-forest (the paper's "view all the jobs
-/// arriving at the same time as being one job", Section 5.3).
-pub fn lpf_levels_forest(parts: &[(&JobGraph, Option<&[bool]>)], p: usize) -> Vec<Vec<(u32, u32)>> {
+/// arriving at the same time as being one job", Section 5.3) whose nodes
+/// are numbered by concatenation: part `i`'s node `v` is `v` plus the node
+/// count of parts `0..i`. Masked-out nodes keep their numbers and appear in
+/// no level.
+pub fn lpf_levels_forest(
+    parts: &[(&JobGraph, Option<&[bool]>)],
+    p: usize,
+    scratch: &mut LpfScratch,
+    out: &mut Levels,
+) {
     assert!(p >= 1, "need at least one processor");
     for (g, mask) in parts {
         if let Some(mask) = mask {
@@ -65,53 +209,53 @@ pub fn lpf_levels_forest(parts: &[(&JobGraph, Option<&[bool]>)], p: usize) -> Ve
             debug_assert!(descendant_closed(g, mask), "mask not descendant-closed");
         }
     }
+    out.clear();
+    let LpfScratch { buckets, head, indeg, start } = scratch;
 
-    let included = |pi: usize, v: u32| -> bool { parts[pi].1.is_none_or(|m| m[v as usize]) };
-
-    // Per-node state of all parts in one array each: part `pi`'s node `v`
-    // sits at `start[pi] + v`. Heights are read from each part's graph:
-    // full-graph heights, which equal restricted heights on a
-    // descendant-closed set.
-    let mut start = Vec::with_capacity(parts.len());
-    let mut total = 0;
+    // Per-node state of all parts in one array, indexed by forest id.
+    // Heights are read from each part's graph: full-graph heights, which
+    // equal restricted heights on a descendant-closed set.
+    start.clear();
+    let mut total = 0u32;
     for (g, _) in parts {
         start.push(total);
-        total += g.n();
+        total += g.n() as u32;
     }
     let max_h = parts.iter().map(|(g, _)| g.span()).max().unwrap_or(0) as usize;
+    if buckets.len() <= max_h {
+        buckets.resize_with(max_h + 1, Vec::new);
+    }
+    head.clear();
+    head.resize(max_h + 1, 0);
+    indeg.clear();
+    indeg.resize(total as usize, 0);
 
-    // Buckets of ready nodes by height, each a FIFO queue whose taken
-    // prefix ends at `head[h]`; cur scans downward. General DAGs are
-    // supported: a node becomes ready when its *last* included parent
-    // completes (indegree countdown), which degenerates to the single-parent
-    // rule on out-forests.
-    let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); max_h + 1];
-    let mut head = vec![0usize; max_h + 1];
-    let mut indeg = vec![0u32; total];
+    // Buckets of ready nodes by height; cur scans downward. General DAGs
+    // are supported: a node becomes ready when its *last* included parent
+    // completes (indegree countdown), which degenerates to the
+    // single-parent rule on out-forests.
     let mut total_remaining = 0usize;
-    for (pi, (g, _)) in parts.iter().enumerate() {
+    for (&(g, mask), &base) in parts.iter().zip(start.iter()) {
         let heights = g.heights();
-        for v in 0..g.n() as u32 {
-            if !included(pi, v) {
-                continue;
-            }
+        for v in g.nodes() {
+            let d = match mask {
+                None => g.in_degree(v),
+                Some(m) if m[v.index()] => g.parents(v).iter().filter(|&&u| m[u as usize]).count(),
+                Some(_) => continue,
+            };
             total_remaining += 1;
-            let i = start[pi] + v as usize;
-            indeg[i] =
-                g.parents(flowtree_dag::NodeId(v)).iter().filter(|&&u| included(pi, u)).count()
-                    as u32;
-            if indeg[i] == 0 {
-                buckets[heights[v as usize] as usize].push((pi as u32, v));
+            indeg[(base + v.0) as usize] = d as u32;
+            if d == 0 {
+                buckets[heights[v.index()] as usize].push(base + v.0);
             }
         }
     }
 
-    let mut levels: Vec<Vec<(u32, u32)>> = Vec::new();
-    let mut newly_ready: Vec<(u32, u32)> = Vec::new();
     let mut cur = max_h;
     while total_remaining > 0 {
-        let mut step: Vec<(u32, u32)> = Vec::with_capacity(p);
-        while step.len() < p {
+        // Fill the step straight into `out`.
+        let level_start = out.ids.len();
+        while out.ids.len() - level_start < p {
             while cur > 0 && head[cur] == buckets[cur].len() {
                 // Exhausted: reset the queue so its space is reused.
                 buckets[cur].clear();
@@ -123,37 +267,43 @@ pub fn lpf_levels_forest(parts: &[(&JobGraph, Option<&[bool]>)], p: usize) -> Ve
             }
             // Take from the tallest bucket, oldest-inserted first.
             let (bucket, h) = (&buckets[cur], head[cur]);
-            let take = (p - step.len()).min(bucket.len() - h);
-            step.extend_from_slice(&bucket[h..h + take]);
+            let take = (p - (out.ids.len() - level_start)).min(bucket.len() - h);
+            out.ids.extend_from_slice(&bucket[h..h + take]);
             head[cur] += take;
         }
-        debug_assert!(!step.is_empty(), "no ready node but work remains");
-        total_remaining -= step.len();
-        // Enable children only after the step is closed (same-step children
-        // must not be picked).
-        newly_ready.clear();
-        for &(pi, v) in &step {
-            let (g, base) = (parts[pi as usize].0, start[pi as usize]);
-            for &c in g.children(flowtree_dag::NodeId(v)) {
-                if included(pi as usize, c) {
-                    let d = &mut indeg[base + c as usize];
-                    *d -= 1;
-                    if *d == 0 {
-                        newly_ready.push((pi, c));
-                    }
+        debug_assert!(out.ids.len() > level_start, "no ready node but work remains");
+        total_remaining -= out.ids.len() - level_start;
+        out.close_level();
+        // Enable children only now that the step is closed (same-step
+        // children must not be picked). A child is shorter than its
+        // parent, so it joins a bucket at or below `cur` or raises `cur`
+        // to its height, in step order then child-list order.
+        for &u in &out.ids[level_start..] {
+            let pi = if parts.len() == 1 {
+                0
+            } else {
+                start.partition_point(|&s| s <= u) - 1
+            };
+            let ((g, mask), base) = (parts[pi], start[pi]);
+            let heights = g.heights();
+            for &c in g.children(NodeId(u - base)) {
+                if mask.is_some_and(|m| !m[c as usize]) {
+                    continue;
+                }
+                let d = &mut indeg[(base + c) as usize];
+                *d -= 1;
+                if *d == 0 {
+                    let h = heights[c as usize] as usize;
+                    buckets[h].push(base + c);
+                    cur = cur.max(h);
                 }
             }
         }
-        for &(pi, c) in &newly_ready {
-            let h = parts[pi as usize].0.heights()[c as usize] as usize;
-            buckets[h].push((pi, c));
-            if h > cur {
-                cur = h;
-            }
-        }
-        levels.push(step);
     }
-    levels
+    // Leave every bucket empty for the next plan.
+    for b in &mut buckets[..=max_h] {
+        b.clear();
+    }
 }
 
 /// Is `mask` descendant-closed in `g` (every child of a remaining node is
@@ -165,9 +315,13 @@ pub fn descendant_closed(g: &JobGraph, mask: &[bool]) -> bool {
 
 /// The head/tail split of a materialized LPF schedule (paper, Section 5.3):
 /// the **head** is the first `opt` levels, the **tail** the rest.
-pub fn head_tail(levels: &[Vec<u32>], opt: Time) -> (&[Vec<u32>], &[Vec<u32>]) {
+pub fn head_tail(levels: &Levels, opt: Time) -> (LevelIter<'_>, LevelIter<'_>) {
     let cut = (opt as usize).min(levels.len());
-    levels.split_at(cut)
+    let (ids, offsets) = (&levels.ids[..], &levels.offsets[..]);
+    (
+        LevelIter { ids, offsets: offsets[..=cut].windows(2) },
+        LevelIter { ids, offsets: offsets[cut..].windows(2) },
+    )
 }
 
 /// Shape report for the tail of an LPF schedule — the paper's Figure 2:
@@ -185,11 +339,12 @@ pub struct RectangleTail {
 
 impl RectangleTail {
     /// Measure the tail (everything after `opt` levels) of an LPF schedule.
-    pub fn measure(levels: &[Vec<u32>], opt: Time, p: usize) -> Self {
+    pub fn measure(levels: &Levels, opt: Time, p: usize) -> Self {
         let (_, tail) = head_tail(levels, opt);
         let len = tail.len();
-        let full_steps = tail.iter().take(len.saturating_sub(1)).filter(|l| l.len() == p).count();
-        RectangleTail { len, full_steps, last_width: tail.last().map_or(0, Vec::len) }
+        let last_width = tail.clone().next_back().map_or(0, <[u32]>::len);
+        let full_steps = tail.take(len.saturating_sub(1)).filter(|l| l.len() == p).count();
+        RectangleTail { len, full_steps, last_width }
     }
 
     /// Is the tail a perfect rectangle except possibly the final step?
@@ -202,7 +357,7 @@ impl RectangleTail {
 
 /// The maximum flow of a materialized level schedule (= number of levels,
 /// since the job is released at 0).
-pub fn levels_flow(levels: &[Vec<u32>]) -> Time {
+pub fn levels_flow(levels: &Levels) -> Time {
     levels.len() as Time
 }
 
@@ -246,11 +401,15 @@ mod tests {
     use flowtree_dag::{DepthProfile, JobId};
     use flowtree_sim::{Engine, Instance};
 
+    fn nested(levels: &Levels) -> Vec<Vec<u32>> {
+        levels.iter().map(<[u32]>::to_vec).collect()
+    }
+
     /// Replay materialized levels as a schedule to verify feasibility.
-    fn verify_levels(g: &JobGraph, levels: &[Vec<u32>], p: usize) {
+    fn verify_levels(g: &JobGraph, levels: &Levels, p: usize) {
         let inst = Instance::single(g.clone());
         let mut s = flowtree_sim::Schedule::new(p);
-        for level in levels {
+        for level in levels.iter() {
             assert!(level.len() <= p, "level wider than p");
             s.push_step(level.iter().map(|&v| (JobId(0), flowtree_dag::NodeId(v))).collect());
         }
@@ -311,7 +470,7 @@ mod tests {
         // Heights force the spine prefix 0,1,2 first; the remaining four
         // nodes (spine tail + legs) all have height 1 and may run in any
         // order.
-        assert_eq!(levels[..3], vec![vec![0], vec![1], vec![2]][..]);
+        assert_eq!(nested(&levels)[..3], vec![vec![0], vec![1], vec![2]][..]);
         assert_eq!(levels.len(), 7);
     }
 
@@ -321,7 +480,7 @@ mod tests {
         // Nodes 0, 1 executed; remaining = {2, 3}.
         let remaining = vec![false, false, true, true];
         let levels = lpf_levels_restricted(&g, Some(&remaining), 2);
-        assert_eq!(levels, vec![vec![2], vec![3]]);
+        assert_eq!(nested(&levels), vec![vec![2], vec![3]]);
     }
 
     #[test]
@@ -353,7 +512,7 @@ mod tests {
         let g = b.build().unwrap();
         let levels = lpf_levels(&g, 2);
         verify_levels(&g, &levels, 2);
-        assert_eq!(levels, vec![vec![0], vec![1, 2], vec![3]]);
+        assert_eq!(nested(&levels), vec![vec![0], vec![1, 2], vec![3]]);
     }
 
     #[test]
@@ -369,13 +528,13 @@ mod tests {
     fn forest_lpf_mixes_parts_by_height() {
         let a = chain(3); // heights 3,2,1
         let b = star(4); // heights 2,1,1,1,1
-        let levels = lpf_levels_forest(&[(&a, None), (&b, None)], 2);
-        // Step 1: chain head (h=3) and star root (h=2).
-        assert_eq!(levels[0], vec![(0, 0), (1, 0)]);
+        let mut levels = Levels::new();
+        lpf_levels_forest(&[(&a, None), (&b, None)], 2, &mut LpfScratch::default(), &mut levels);
+        // Step 1: chain head (h=3) and star root (h=2, group id 3 + 0).
+        assert_eq!(levels[0], [0, 3]);
         // Total work 8 on p=2 with enough parallelism: 4 steps.
         assert_eq!(levels.len(), 4);
-        let total: usize = levels.iter().map(Vec::len).sum();
-        assert_eq!(total, 8);
+        assert_eq!(levels.ids().len(), 8);
     }
 
     #[test]
@@ -385,10 +544,11 @@ mod tests {
         let (head, tail) = head_tail(&levels, 2);
         assert_eq!(head.len(), 2);
         assert_eq!(tail.len(), levels.len() - 2);
+        assert!(head.chain(tail).eq(levels.iter()), "the halves tile the schedule");
         // Split beyond the end: everything is head.
         let (head, tail) = head_tail(&levels, 100);
         assert_eq!(head.len(), levels.len());
-        assert!(tail.is_empty());
+        assert_eq!(tail.len(), 0);
     }
 
     #[test]
@@ -406,7 +566,7 @@ mod tests {
         assert!(
             shape.is_rectangle(),
             "tail not rectangular: {shape:?}, levels: {:?}",
-            levels.iter().map(Vec::len).collect::<Vec<_>>()
+            levels.iter().map(<[u32]>::len).collect::<Vec<_>>()
         );
         // Tail length bound from Lemma 5.3: flow <= alpha * opt, so the tail
         // is at most (alpha - 1) * opt long.

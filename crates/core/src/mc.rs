@@ -11,43 +11,52 @@
 //! Intuition: by preferring high-fanout subjobs, MC keeps as many next-level
 //! subjobs enabled as possible, so it can always "borrow" work from the next
 //! level when granted more processors than the current level has left.
+//!
+//! The replay takes over the [`Levels`] buffer it replays (Algorithm 𝒜
+//! hands it a group's whole plan plus the index of the first unexecuted
+//! level), reorders each level in place by fanout, and keeps one `u32` per
+//! node: the step that ran it. [`McReplay::next`] hands each pick to the
+//! caller as it is made, so nothing is collected per step.
 
+use crate::lpf::Levels;
 use flowtree_dag::JobGraph;
 
 /// The `parent` entry of a root.
 const NO_PARENT: u32 = u32::MAX;
 
+/// [`McReplay::done`] of a node still to run.
+const NOT_DONE: u32 = u32::MAX;
+
 /// Replays a level schedule under fluctuating processor grants.
 #[derive(Debug, Clone)]
 pub struct McReplay {
-    /// For each level, nodes sorted by (children-in-next-level) descending,
-    /// stable by original in-level order.
-    levels: Vec<Vec<u32>>,
+    /// The schedule; from level `front` on, each level is sorted by
+    /// children-in-next-level descending, stable by original in-level order.
+    levels: Levels,
     /// Earliest level that still has unprocessed nodes.
     front: usize,
-    /// Per level, how many of its (sorted) nodes are already processed —
-    /// NOT usable directly since we skip unready nodes; instead keep
-    /// per-node processed flags and per-level remaining counts.
-    processed: Vec<bool>,
-    /// Step at which each node was processed (for same-step readiness
-    /// checks); usize::MAX = unprocessed.
-    processed_step: Vec<usize>,
-    remaining_in_level: Vec<usize>,
+    /// Per node, the step that ran it: 0 for a node that ran before the
+    /// replay (or is in no replayed level), [`NOT_DONE`] for one still to
+    /// run. A node is ready at step `s` when its parent's entry is `< s`.
+    done: Vec<u32>,
+    /// Per level, how many of its nodes are still to run.
+    left: Vec<u32>,
     /// Parent of each node ([`NO_PARENT`] for roots) — out-forest structure.
     parent: Vec<u32>,
     /// Total unprocessed nodes.
     remaining: usize,
     /// Current step counter (one per `next` call).
-    step: usize,
+    step: u32,
 }
 
 impl McReplay {
-    /// Build a replay over `levels` (a feasible level schedule of `graph`,
-    /// e.g. an LPF tail — level `i` runs before level `i+1`). `graph` must
-    /// be an out-forest. Nodes listed in `levels` are exactly the ones MC
-    /// will run; nodes of `graph` absent from `levels` are treated as
-    /// already executed.
-    pub fn new(graph: &JobGraph, levels: Vec<Vec<u32>>) -> Self {
+    /// Build a replay of `levels` from level `from` on (a feasible level
+    /// schedule of `graph`, e.g. an LPF schedule whose first `from` levels
+    /// are its executed head — level `i` runs before level `i+1`). `graph`
+    /// must be an out-forest. Nodes in the replayed levels are exactly the
+    /// ones MC will run; every other node of `graph` is treated as already
+    /// executed.
+    pub fn new(graph: &JobGraph, levels: Levels, from: usize) -> Self {
         let parent = graph
             .nodes()
             .map(|v| {
@@ -56,43 +65,47 @@ impl McReplay {
                 ps.first().copied().unwrap_or(NO_PARENT)
             })
             .collect();
-        Self::with_parents(parent, levels)
+        Self::with_parents(parent, levels, from)
     }
 
     /// [`new`](Self::new) over an out-forest given by its parent array
     /// (`parent[v]` is `v`'s only parent, `u32::MAX` for a root), so a
     /// caller holding a forest as several graphs need not build the union
-    /// graph. Nodes absent from `levels` count as already executed.
-    pub fn with_parents(parent: Vec<u32>, levels: Vec<Vec<u32>>) -> Self {
+    /// graph.
+    pub fn with_parents(parent: Vec<u32>, mut levels: Levels, from: usize) -> Self {
         let n = parent.len();
-        let mut level_of = vec![usize::MAX; n];
-        for (li, level) in levels.iter().enumerate() {
-            for &v in level {
-                assert!(level_of[v as usize] == usize::MAX, "node v{v} appears twice in levels");
-                level_of[v as usize] = li;
+        let from = from.min(levels.len());
+        // `done` holds each replayed node's level + 1 while the replay is
+        // built (0 = not replayed).
+        let mut done = vec![0u32; n];
+        for li in from..levels.len() {
+            for &v in &levels[li] {
+                assert!(done[v as usize] == 0, "node v{v} appears twice in levels");
+                done[v as usize] = li as u32 + 1;
             }
         }
         // children-in-next-level counts.
         let mut next_children = vec![0u32; n];
-        for (v, &p) in parent.iter().enumerate() {
-            if p == NO_PARENT {
+        for &v in &levels.ids()[levels.offset(from)..] {
+            let p = parent[v as usize];
+            if p == NO_PARENT || done[p as usize] == 0 {
                 continue;
             }
-            let (lv, lp) = (level_of[v], level_of[p as usize]);
-            if lv != usize::MAX && lp != usize::MAX {
-                assert!(lp < lv, "levels violate precedence for v{v}");
-                if lv == lp + 1 {
-                    next_children[p as usize] += 1;
-                }
+            let (lv, lp) = (done[v as usize], done[p as usize]);
+            assert!(lp < lv, "levels violate precedence for v{v}");
+            if lv == lp + 1 {
+                next_children[p as usize] += 1;
             }
         }
         // Sort each level by next_children desc (stable). Keys are gathered
         // once per node into a reused scratch, so the comparator works on a
         // packed (key, node) pair instead of chasing `next_children` twice
         // per comparison.
-        let mut sorted = levels;
         let mut keyed: Vec<(u32, u32)> = Vec::new();
-        for level in &mut sorted {
+        let mut left = vec![0u32; levels.len()];
+        for (li, n_left) in left.iter_mut().enumerate().skip(from) {
+            let level = levels.level_mut(li);
+            *n_left = level.len() as u32;
             keyed.clear();
             keyed.extend(level.iter().map(|&v| (next_children[v as usize], v)));
             // Stable sort on the key alone preserves original in-level order
@@ -102,29 +115,12 @@ impl McReplay {
                 *slot = v;
             }
         }
-        let remaining_in_level: Vec<usize> = sorted.iter().map(Vec::len).collect();
-        let remaining = remaining_in_level.iter().sum();
-        // Nodes outside `levels` count as processed (in the infinite past).
-        let processed: Vec<bool> = (0..n).map(|v| level_of[v] == usize::MAX).collect();
-        let processed_step: Vec<usize> = (0..n)
-            .map(|v| {
-                if level_of[v] == usize::MAX {
-                    0
-                } else {
-                    usize::MAX
-                }
-            })
-            .collect();
-        McReplay {
-            levels: sorted,
-            front: 0,
-            processed,
-            processed_step,
-            remaining_in_level,
-            parent,
-            remaining,
-            step: 0,
+        let replayed = &levels.ids()[levels.offset(from)..];
+        for &v in replayed {
+            done[v as usize] = NOT_DONE;
         }
+        let remaining = replayed.len();
+        McReplay { levels, front: from, done, left, parent, remaining, step: 0 }
     }
 
     /// Subjobs still to run.
@@ -137,45 +133,43 @@ impl McReplay {
         self.remaining == 0
     }
 
-    /// Run one step with `m_t` granted processors; returns the node ids MC
-    /// schedules this step (possibly fewer than `m_t` only when the job is
-    /// about to finish — Lemma 5.5).
-    pub fn next(&mut self, m_t: usize) -> Vec<u32> {
+    /// Run one step with `m_t` granted processors: hands each node MC
+    /// schedules this step to `pick`, in pick order, and returns how many
+    /// it scheduled (fewer than `m_t` only when the job is about to finish
+    /// — Lemma 5.5).
+    pub fn next(&mut self, m_t: usize, mut pick: impl FnMut(u32)) -> usize {
         self.step += 1;
         let step = self.step;
-        let mut picks: Vec<u32> = Vec::with_capacity(m_t.min(self.remaining));
-        let mut li = self.front;
-        while picks.len() < m_t && li < self.levels.len() {
-            if self.remaining_in_level[li] == 0 {
+        let McReplay { levels, front, done, left, parent, remaining, .. } = self;
+        let mut got = 0;
+        let mut li = *front;
+        while got < m_t && li < levels.len() {
+            if left[li] == 0 {
                 li += 1;
                 continue;
             }
             // Scan the level's (priority-sorted) nodes; take ready ones.
             let mut advanced = false;
-            // Iterate over a snapshot of indices to allow mutation.
-            for idx in 0..self.levels[li].len() {
-                if picks.len() >= m_t {
+            for &v in &levels[li] {
+                if got >= m_t {
                     break;
                 }
-                let v = self.levels[li][idx];
-                if self.processed[v as usize] {
+                if done[v as usize] != NOT_DONE {
                     continue;
                 }
-                let p = self.parent[v as usize];
-                let ready = p == NO_PARENT
-                    || (self.processed[p as usize] && self.processed_step[p as usize] < step);
-                if ready {
-                    self.processed[v as usize] = true;
-                    self.processed_step[v as usize] = step;
-                    self.remaining_in_level[li] -= 1;
-                    self.remaining -= 1;
-                    picks.push(v);
+                let p = parent[v as usize];
+                if p == NO_PARENT || done[p as usize] < step {
+                    done[v as usize] = step;
+                    left[li] -= 1;
+                    *remaining -= 1;
+                    pick(v);
+                    got += 1;
                     advanced = true;
                 }
             }
-            if self.remaining_in_level[li] == 0 {
+            if left[li] == 0 {
                 li += 1;
-            } else if !advanced || picks.len() < m_t {
+            } else if !advanced || got < m_t {
                 // Unready stragglers remain in this level (their parents ran
                 // this very step) — nothing deeper can be ready either
                 // (out-forest: a deeper node's parent is in this level or
@@ -184,36 +178,55 @@ impl McReplay {
             }
         }
         // Advance the front past exhausted levels.
-        while self.front < self.levels.len() && self.remaining_in_level[self.front] == 0 {
-            self.front += 1;
+        while *front < levels.len() && left[*front] == 0 {
+            *front += 1;
         }
-        picks
+        got
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lpf::lpf_levels;
+    use crate::lpf::{lpf_levels, Levels};
     use flowtree_dag::builder::{caterpillar, chain, complete_kary, star};
     use flowtree_dag::{DepthProfile, GraphBuilder};
 
-    /// Drive MC with a grant sequence; check feasibility of the produced
-    /// order and Lemma 5.5 (full grants until done). Returns steps taken.
+    /// Levels built by hand.
+    fn levels_of(levels: &[&[u32]]) -> Levels {
+        let mut l = Levels::new();
+        for level in levels {
+            l.push(level);
+        }
+        l
+    }
+
+    /// One step's picks, collected.
+    fn step(mc: &mut McReplay, m_t: usize) -> Vec<u32> {
+        let mut picks = Vec::new();
+        let got = mc.next(m_t, |v| picks.push(v));
+        assert_eq!(got, picks.len());
+        picks
+    }
+
+    /// Drive MC over `levels` from level `from` with a grant sequence;
+    /// check feasibility of the produced order and Lemma 5.5 (full grants
+    /// until done). Returns steps taken.
     fn drive(
         graph: &JobGraph,
-        levels: Vec<Vec<u32>>,
+        levels: Levels,
+        from: usize,
         grants: &mut dyn FnMut(usize) -> usize,
     ) -> usize {
-        let expected: usize = levels.iter().map(Vec::len).sum();
-        let mut mc = McReplay::new(graph, levels);
+        let expected: usize = levels.iter().skip(from).map(<[u32]>::len).sum();
+        let mut mc = McReplay::new(graph, levels, from);
         let mut done_step = vec![0usize; graph.n()];
         let mut steps = 0;
         let mut total = 0;
         while !mc.is_done() {
             steps += 1;
             let m_t = grants(steps);
-            let picks = mc.next(m_t);
+            let picks = step(&mut mc, m_t);
             assert!(
                 picks.len() == m_t || mc.is_done(),
                 "Lemma 5.5 violated at step {steps}: got {} of {m_t}, {} left",
@@ -247,8 +260,8 @@ mod tests {
         let g = complete_kary(2, 5);
         let p = 4;
         let levels = lpf_levels(&g, p);
-        let widths: Vec<usize> = levels.iter().map(Vec::len).collect();
-        let steps = drive(&g, levels.clone(), &mut |s| widths[s - 1]);
+        let widths: Vec<usize> = levels.iter().map(<[u32]>::len).collect();
+        let steps = drive(&g, levels.clone(), 0, &mut |s| widths[s - 1]);
         assert_eq!(steps, levels.len(), "matching grants => same length");
     }
 
@@ -264,12 +277,11 @@ mod tests {
         let m = 16; // alpha = 4
         let opt = DepthProfile::new(&g).opt_single_job(m as u64);
         let levels = lpf_levels(&g, p);
-        let tail: Vec<Vec<u32>> = levels[(opt as usize).min(levels.len())..].to_vec();
-        if tail.is_empty() {
+        if levels.len() <= opt as usize {
             return; // nothing to replay; fine for this shape
         }
         let mut flip = false;
-        drive(&g, tail, &mut |_| {
+        drive(&g, levels, opt as usize, &mut |_| {
             flip = !flip;
             if flip {
                 1
@@ -283,10 +295,10 @@ mod tests {
     fn zero_grant_steps_are_tolerated() {
         let g = star(6);
         let levels = lpf_levels(&g, 3);
-        let mut mc = McReplay::new(&g, levels);
-        assert!(mc.next(0).is_empty());
+        let mut mc = McReplay::new(&g, levels, 0);
+        assert_eq!(mc.next(0, |_| panic!("no grant, no pick")), 0);
         while !mc.is_done() {
-            mc.next(2);
+            mc.next(2, |_| {});
         }
     }
 
@@ -297,11 +309,11 @@ mod tests {
         let mut bld = GraphBuilder::new(4);
         bld.edge(0, 2).edge(0, 3); // a = 0 with children 2, 3; b = 1 leaf
         let g = bld.build().unwrap();
-        let levels = vec![vec![1, 0], vec![2, 3]]; // a listed second!
-        let mut mc = McReplay::new(&g, levels);
-        assert_eq!(mc.next(1), vec![0], "max-children node first");
+        let levels = levels_of(&[&[1, 0], &[2, 3]]); // a listed second!
+        let mut mc = McReplay::new(&g, levels, 0);
+        assert_eq!(step(&mut mc, 1), vec![0], "max-children node first");
         // Next step: level 0 remainder (b) then level 1 children.
-        let picks = mc.next(3);
+        let picks = step(&mut mc, 3);
         assert_eq!(picks.len(), 3);
         assert_eq!(picks[0], 1);
     }
@@ -311,14 +323,14 @@ mod tests {
         // chain-free forest: two stars side by side. Level widths 2 then 4.
         let g = flowtree_dag::builder::forest(&[star(2), star(2)]);
         let levels = lpf_levels(&g, 2);
-        assert_eq!(levels.iter().map(Vec::len).collect::<Vec<_>>(), vec![2, 2, 2]);
-        let mut mc = McReplay::new(&g, levels);
+        assert_eq!(levels.iter().map(<[u32]>::len).collect::<Vec<_>>(), vec![2, 2, 2]);
+        let mut mc = McReplay::new(&g, levels, 0);
         // Grant 4 at once: both roots + nothing else (children unready same
         // step) -> only 2. This is the about-to-finish exemption? No — not
         // done. But Lemma 5.5's precondition says m_t <= width of S = 2.
         // With a legal grant of 2 every step, MC stays busy.
         for _ in 0..3 {
-            assert_eq!(mc.next(2).len(), 2);
+            assert_eq!(mc.next(2, |_| {}), 2);
         }
         assert!(mc.is_done());
     }
@@ -327,11 +339,22 @@ mod tests {
     fn nodes_outside_levels_count_as_executed() {
         // chain(4): replay only the last two nodes.
         let g = chain(4);
-        let levels = vec![vec![2], vec![3]];
-        let mut mc = McReplay::new(&g, levels);
+        let levels = levels_of(&[&[2], &[3]]);
+        let mut mc = McReplay::new(&g, levels, 0);
         assert_eq!(mc.remaining(), 2);
-        assert_eq!(mc.next(1), vec![2]);
-        assert_eq!(mc.next(1), vec![3]);
+        assert_eq!(step(&mut mc, 1), vec![2]);
+        assert_eq!(step(&mut mc, 1), vec![3]);
+        assert!(mc.is_done());
+    }
+
+    #[test]
+    fn levels_before_from_count_as_executed() {
+        // chain(4) planned whole; the replay starts at level 2.
+        let g = chain(4);
+        let mut mc = McReplay::new(&g, lpf_levels(&g, 1), 2);
+        assert_eq!(mc.remaining(), 2);
+        assert_eq!(step(&mut mc, 1), vec![2]);
+        assert_eq!(step(&mut mc, 1), vec![3]);
         assert!(mc.is_done());
     }
 
@@ -353,9 +376,8 @@ mod tests {
                 if levels.len() <= opt as usize {
                     continue;
                 }
-                let tail = levels[opt as usize..].to_vec();
                 let mut k = 0usize;
-                drive(&g, tail, &mut |_| {
+                drive(&g, levels, opt as usize, &mut |_| {
                     k += 1;
                     1 + (k * 7 + 3) % p // cycles through 1..=p
                 });
@@ -369,20 +391,20 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         b.edge(0, 2).edge(1, 2);
         let g = b.build().unwrap();
-        McReplay::new(&g, vec![vec![0, 1], vec![2]]);
+        McReplay::new(&g, levels_of(&[&[0, 1], &[2]]), 0);
     }
 
     #[test]
     #[should_panic(expected = "appears twice")]
     fn rejects_duplicate_nodes_in_levels() {
         let g = chain(2);
-        McReplay::new(&g, vec![vec![0], vec![0, 1]]);
+        McReplay::new(&g, levels_of(&[&[0], &[0, 1]]), 0);
     }
 
     #[test]
     #[should_panic(expected = "violate precedence")]
     fn rejects_levels_violating_precedence() {
         let g = chain(2);
-        McReplay::new(&g, vec![vec![1], vec![0]]);
+        McReplay::new(&g, levels_of(&[&[1], &[0]]), 0);
     }
 }

@@ -1,7 +1,9 @@
 //! Property tests for the paper's algorithms: the theorems' inequalities
 //! must hold on randomized instances, not just hand-picked ones.
 
-use flowtree_core::lpf::{lpf_levels, lpf_levels_forest, lpf_levels_restricted, RectangleTail};
+use flowtree_core::lpf::{
+    lpf_levels, lpf_levels_forest, lpf_levels_restricted, Levels, LpfScratch, RectangleTail,
+};
 use flowtree_core::{AlgoA, Fifo, GuessDoubleA, Lpf, McReplay, TieBreak};
 use flowtree_dag::{DepthProfile, GraphBuilder, JobGraph, NodeId};
 use flowtree_sim::metrics::flow_stats;
@@ -40,11 +42,16 @@ fn arb_masked_tree(max_n: usize) -> impl Strategy<Value = (JobGraph, Option<Vec<
     })
 }
 
+/// Levels as one vector per level.
+fn nested(levels: &Levels) -> Vec<Vec<u32>> {
+    levels.iter().map(<[u32]>::to_vec).collect()
+}
+
 /// Replay levels as a single-job schedule and verify feasibility.
-fn assert_levels_feasible(g: &JobGraph, levels: &[Vec<u32>], p: usize) {
+fn assert_levels_feasible(g: &JobGraph, levels: &Levels, p: usize) {
     let inst = Instance::single(g.clone());
     let mut s = flowtree_sim::Schedule::new(p);
-    for level in levels {
+    for level in levels.iter() {
         assert!(level.len() <= p);
         s.push_step(level.iter().map(|&v| (flowtree_dag::JobId(0), NodeId(v))).collect());
     }
@@ -101,14 +108,13 @@ proptest! {
         if levels.len() <= opt as usize {
             return Ok(()); // no tail
         }
-        let tail: Vec<Vec<u32>> = levels[opt as usize..].to_vec();
-        let mut mc = McReplay::new(&g, tail);
+        let mut mc = McReplay::new(&g, levels, opt as usize);
         let mut gi = 0usize;
         let mut steps = 0usize;
         while !mc.is_done() {
             let m_t = grants[gi % grants.len()].min(p);
             gi += 1;
-            let got = mc.next(m_t).len();
+            let got = mc.next(m_t, |_| {});
             prop_assert!(got == m_t || mc.is_done(), "idled {m_t}-{got}");
             steps += 1;
             prop_assert!(steps < 100_000);
@@ -126,7 +132,7 @@ proptest! {
         let levels = lpf_levels(&g, p);
         let steps = (cut as usize).min(levels.len());
         let mut remaining = vec![true; g.n()];
-        for level in &levels[..steps] {
+        for level in levels.iter().take(steps) {
             for &v in level {
                 remaining[v as usize] = false;
             }
@@ -141,12 +147,12 @@ proptest! {
         // relabelling; heights are preserved because the set is
         // descendant-closed).
         prop_assert_eq!(rl.len(), sl.len());
-        for (a, b) in rl.iter().zip(&sl) {
+        for (a, b) in rl.iter().zip(sl.iter()) {
             prop_assert_eq!(a.len(), b.len());
         }
         // And the relabelled nodes match level by level as sets.
-        for (a, b) in rl.iter().zip(&sl) {
-            let mut a = a.clone();
+        for (a, b) in rl.iter().zip(sl.iter()) {
+            let mut a = a.to_vec();
             let mut b: Vec<u32> = b.iter().map(|&v| old[v as usize]).collect();
             a.sort_unstable();
             b.sort_unstable();
@@ -176,10 +182,8 @@ proptest! {
             offsets.push(off);
             parent.extend(g.nodes().map(|v| g.parents(v).first().map_or(u32::MAX, |&u| off + u)));
         }
-        let forest: Vec<Vec<u32>> = lpf_levels_forest(&parts, p)
-            .into_iter()
-            .map(|l| l.into_iter().map(|(pi, v)| offsets[pi as usize] + v).collect())
-            .collect();
+        let mut forest = Levels::new();
+        lpf_levels_forest(&parts, p, &mut LpfScratch::default(), &mut forest);
 
         // Union route, mapped back to the parts route's ids.
         let mut subs = Vec::new();
@@ -199,15 +203,17 @@ proptest! {
             .iter()
             .map(|l| l.iter().map(|&u| to_group[u as usize]).collect())
             .collect();
-        prop_assert_eq!(&forest, &mapped);
+        prop_assert_eq!(&nested(&forest), &mapped);
 
         // The tail after `cut` levels, replayed under the same grants.
         let cut = cut.min(forest.len());
-        let mut by_parents = McReplay::with_parents(parent, forest[cut..].to_vec());
-        let mut by_union = McReplay::new(&union, union_levels[cut..].to_vec());
+        let mut by_parents = McReplay::with_parents(parent, forest, cut);
+        let mut by_union = McReplay::new(&union, union_levels, cut);
         for &m_t in &grants {
-            let a = by_parents.next(m_t);
-            let b: Vec<u32> = by_union.next(m_t).iter().map(|&u| to_group[u as usize]).collect();
+            let mut a = Vec::new();
+            by_parents.next(m_t, |v| a.push(v));
+            let mut b = Vec::new();
+            by_union.next(m_t, |u| b.push(to_group[u as usize]));
             prop_assert_eq!(a, b);
             if by_parents.is_done() {
                 break;

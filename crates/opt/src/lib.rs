@@ -14,19 +14,18 @@
 //! * [`exact`] — exact optimal maximum flow for small instances by binary
 //!   search over the objective plus memoized depth-first feasibility search.
 //!   Used to validate every approximate bound and the optimality claims.
-//! * [`hu`] — Hu's 1961 highest-level-first algorithm, optimal for unit-task
-//!   in-forest makespan (the classical result the paper's related work
-//!   builds on).
-//! * [`bgj`] — Brucker–Garey–Johnson modified-deadline list scheduling,
-//!   optimal for unit-task in-forests with deadlines (max lateness).
+//!
+//! The classical in-forest algorithms the paper's related work builds on —
+//! Hu's highest-level-first (1961, makespan) and Brucker–Garey–Johnson
+//! (deadlines, max lateness) — live in this crate's test tree
+//! (`tests/oracles/`), where they cross-check the exact searcher and the
+//! Corollary 5.4 formula.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bgj;
 pub mod bounds;
 pub mod exact;
-pub mod hu;
 pub mod interval;
 pub mod single;
 

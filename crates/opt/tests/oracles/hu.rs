@@ -138,7 +138,10 @@ mod tests {
         let g = reverse(&flowtree_dag::builder::caterpillar(3, &[2, 1, 2]));
         for m in 1..=3usize {
             let inst = Instance::single(g.clone());
-            assert_eq!(hu_makespan(&g, m), crate::exact::exact_max_flow(&inst, m, 64).unwrap());
+            assert_eq!(
+                hu_makespan(&g, m),
+                flowtree_opt::exact::exact_max_flow(&inst, m, 64).unwrap()
+            );
         }
     }
 

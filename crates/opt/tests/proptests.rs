@@ -4,9 +4,16 @@
 //! exhaustive search.
 
 use flowtree_dag::{classify, GraphBuilder, JobGraph};
-use flowtree_opt::{bgj, bounds, exact, hu, interval, single};
+use flowtree_opt::{bounds, exact, interval, single};
 use flowtree_sim::{Instance, JobSpec};
 use proptest::prelude::*;
+
+// Classical in-forest algorithms, kept here as oracles for the exact
+// machinery: no library code calls them.
+#[path = "oracles/bgj.rs"]
+mod bgj;
+#[path = "oracles/hu.rs"]
+mod hu;
 
 fn arb_tree(max_n: usize) -> impl Strategy<Value = JobGraph> {
     (1..=max_n).prop_flat_map(|n| {

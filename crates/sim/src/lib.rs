@@ -62,6 +62,6 @@ pub use replay::Replay;
 pub use schedule::{FeasibilityError, Schedule};
 pub use scheduler::{Clairvoyance, OnlineScheduler, Selection, SimView};
 pub use session::{Session, SessionError};
-pub use state::SimState;
+pub use state::{ReadyLog, SimState};
 
 pub use flowtree_dag::{JobId, NodeId, Time};

@@ -210,9 +210,6 @@ struct GroupTrack {
     members: usize,
     /// Members that have completed.
     completed: usize,
-    /// Picks attributed to the group in the step being judged (reset as
-    /// each step's selection is processed).
-    picks: usize,
     /// Time of the short tail step that proved the group's MC rectangle
     /// exhausted (strict mode); any later pick is a violation.
     exhausted_at: Option<Time>,
@@ -222,7 +219,9 @@ struct GroupTrack {
 /// instead of panicking (at most [`MAX_RECORDED`](Self::MAX_RECORDED) are
 /// kept; the total is counted). Work-conservation and the single-job
 /// rectangle tail are O(1) state; the head/tail group check is O(alive
-/// groups) state and O(picks) work per step.
+/// groups) state and O(picks) work per step: picks are attributed by runs
+/// of consecutive picks from one group, and each group the step touched
+/// costs one map lookup.
 ///
 /// The rectangle-tail check is stateful but bounded: it remembers only the
 /// most recent narrow tail step, which becomes a violation the moment any
@@ -249,8 +248,9 @@ pub struct InvariantMonitor {
     completed: Vec<bool>,
     /// Live release groups keyed by block boundary (head/tail check only).
     groups: BTreeMap<Time, GroupTrack>,
-    /// Scratch: boundaries touched by the current step's selection.
-    touched: Vec<Time>,
+    /// Scratch: the boundaries the current step's selection touched, in
+    /// first-touch order, with the picks attributed to each.
+    touched: Vec<(Time, usize)>,
     violations: Vec<Violation>,
     total: u64,
 }
@@ -348,18 +348,24 @@ impl InvariantMonitor {
 }
 
 impl InvariantMonitor {
+    /// Add `n` of the current step's picks to the group at boundary `b`.
+    /// A step touches a handful of groups, so a scan finds its entry.
+    fn attribute(&mut self, b: Time, n: usize) {
+        match self.touched.iter_mut().find(|(tb, _)| *tb == b) {
+            Some((_, picks)) => *picks += n,
+            None => self.touched.push((b, n)),
+        }
+    }
+
     /// Judge the current step's selection against the head/tail group
     /// structure (width cap always; exhausted-rectangle rule in strict
     /// mode). `total` is the step's whole selection size.
     fn check_head_tail(&mut self, ht: HeadTailChecks, t: Time, total: usize) {
         let p = (self.m / ht.alpha.max(1)).max(1);
         let opt = 2 * ht.half.max(1);
-        for i in 0..self.touched.len() {
-            let b = self.touched[i];
-            let Some(g) = self.groups.get_mut(&b) else {
-                continue;
-            };
-            let picks = std::mem::take(&mut g.picks);
+        let touched = std::mem::take(&mut self.touched);
+        for &(b, picks) in &touched {
+            let g = self.groups.entry(b).or_default();
             let exhausted_at = g.exhausted_at;
             let in_tail = ht.strict && t >= b.saturating_add(opt);
             if in_tail {
@@ -388,6 +394,7 @@ impl InvariantMonitor {
                 }
             }
         }
+        self.touched = touched;
         self.touched.clear();
     }
 }
@@ -429,16 +436,39 @@ impl Probe for InvariantMonitor {
         if picks.is_empty() {
             return;
         }
+        // Attribute runs of consecutive picks that share a boundary (a
+        // group's picks are pushed together) once per run. A pick of the
+        // run's last job extends it at once, and a job released within
+        // `half` before the run's boundary shares it, so the division in
+        // `group_boundary` runs only where a run starts. A group met again
+        // in a later run adds to its count.
+        let half = ht.half.max(1);
+        let mut run: Option<(JobId, Time, usize)> = None;
         for &(job, _) in picks {
+            if let Some((j, _, n)) = &mut run {
+                if *j == job {
+                    *n += 1;
+                    continue;
+                }
+            }
             let Some(Some(r)) = self.releases.get(job.index()).copied() else {
                 continue;
             };
-            let b = group_boundary(r, ht.half);
-            let g = self.groups.entry(b).or_default();
-            if g.picks == 0 {
-                self.touched.push(b);
+            match &mut run {
+                Some((j, rb, n)) if r <= *rb && *rb < r + half => {
+                    *j = job;
+                    *n += 1;
+                }
+                _ => {
+                    let b = group_boundary(r, half);
+                    if let Some((_, rb, n)) = run.replace((job, b, 1)) {
+                        self.attribute(rb, n);
+                    }
+                }
             }
-            g.picks += 1;
+        }
+        if let Some((_, rb, n)) = run {
+            self.attribute(rb, n);
         }
         self.check_head_tail(ht, t, picks.len());
     }
@@ -642,6 +672,49 @@ mod tests {
         mon.on_select(5, &[(JobId(1), NodeId(2))]);
         assert_eq!(mon.total_violations(), 2);
         assert_eq!(mon.violations()[1].rule, InvariantRule::TailRectangle);
+    }
+
+    /// Picks of one group need not be contiguous: attribution by runs
+    /// (b0, b2, b0 inside one step) must judge every step exactly as the
+    /// same picks regrouped so each group forms a single run.
+    #[test]
+    fn interleaved_pick_runs_attribute_like_grouped_picks() {
+        let checks = InvariantChecks {
+            work_conserving: false,
+            rectangle_tail_alpha: None,
+            head_tail: Some(HeadTailChecks { alpha: 4, half: 2, strict: true }),
+        };
+        let releases = [0, 0, 1, 2]; // jobs 0, 1 -> group@0; jobs 2, 3 -> group@2
+        let steps: [(Time, &[u32]); 4] = [
+            (1, &[0, 2, 1]),       // group@0: 2, group@2: 1
+            (2, &[0, 2, 3, 1, 0]), // group@0: 3 > slice 2
+            (4, &[2, 0, 3]),       // group@0 in its tail runs short
+            (5, &[1, 2]),          // ...and is scheduled again
+        ];
+        let monitor = |regroup: bool| {
+            let mut mon = InvariantMonitor::new(&Instance::empty(), checks);
+            mon.on_start(8, 0);
+            let g = chain(8);
+            for (j, &r) in releases.iter().enumerate() {
+                mon.on_release(r, JobId(j as u32), &g);
+            }
+            for (t, jobs) in steps {
+                let mut picks: Vec<(JobId, NodeId)> =
+                    jobs.iter().enumerate().map(|(i, &j)| (JobId(j), NodeId(i as u32))).collect();
+                if regroup {
+                    let first = |b: Time| {
+                        jobs.iter().position(|&j| group_boundary(releases[j as usize], 2) == b)
+                    };
+                    picks.sort_by_key(|&(j, _)| first(group_boundary(releases[j.index()], 2)));
+                }
+                mon.on_select(t, &picks);
+            }
+            mon.violations().to_vec()
+        };
+        let interleaved = monitor(false);
+        assert_eq!(interleaved, monitor(true));
+        let rules: Vec<(Time, InvariantRule)> = interleaved.iter().map(|v| (v.t, v.rule)).collect();
+        assert_eq!(rules, [(2, InvariantRule::GroupWidth), (5, InvariantRule::TailRectangle)]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! declared [`Clairvoyance::NonClairvoyant`] asks for a graph.
 
 use crate::instance::Instance;
-use crate::state::SimState;
+use crate::state::{ReadyLog, SimState};
 use flowtree_dag::{JobGraph, JobId, NodeId, Time};
 
 /// What the scheduler is allowed to learn about a job at its release.
@@ -60,17 +60,17 @@ impl<'a> SimView<'a> {
         self.state.alive()
     }
 
-    /// Ready subjobs of `job` (arbitrary order; pair with
-    /// [`ready_seq`](Self::ready_seq) for became-ready order).
+    /// Ready subjobs of `job` (arbitrary order; see
+    /// [`became_ready`](Self::became_ready) for became-ready order).
     pub fn ready(&self, job: JobId) -> &[u32] {
         self.state.ready(job)
     }
 
-    /// Global became-ready stamp of a node of an alive job (smaller =
-    /// became ready earlier; unique across the simulation; 0 for a node not
-    /// yet ready and for any node of a job that is not alive).
-    pub fn ready_seq(&self, job: JobId, node: NodeId) -> u64 {
-        self.state.ready_seq(job, node)
+    /// Ready subjobs of `job` in the order they became ready, earliest
+    /// first (reverse the iterator for latest first); empty for a job that
+    /// is not alive. See [`SimState::became_ready`].
+    pub fn became_ready(&self, job: JobId) -> ReadyLog<'a> {
+        self.state.became_ready(job)
     }
 
     /// Is this specific subjob ready? False for any subjob of a job that is

@@ -2,57 +2,85 @@
 //!
 //! [`SimState`] tracks, per alive job, the remaining in-degree of every
 //! node, a ready list (arbitrary order; removal is O(1) swap-remove) and a
-//! global monotone **became-ready stamp** per node so schedulers can
-//! reconstruct the true became-ready order when they need it (e.g.
-//! `FIFO[became-ready]`). All mutation is O(1) amortized per (node, edge).
+//! **became-ready log**: the job's nodes in the order they became ready,
+//! appended as they do. [`SimState::became_ready`] reads the log's ready
+//! entries in that order (or, reversed, latest first), which is what
+//! `FIFO[became-ready]` needs without sorting. All mutation is O(1)
+//! amortized per (node, edge).
 //!
-//! Per-node state exists only while a job is alive: a job's slots and ready
-//! list are filled from a spare pool when it is released and go back to the
-//! pool when its last subjob completes. The working set is therefore the
-//! alive jobs, and the pool never holds more buffers than the peak number
-//! of jobs alive at once. Unreleased and finished jobs keep only a few
-//! counters: they have no ready subjobs, and their per-node questions are
-//! answered from the job's phase alone.
+//! Per-node state exists only while a job is alive: a job's slots, ready
+//! list and log live in one `Live` record, taken from a recycled pool
+//! when the job is released and returned to it when its last subjob
+//! completes. The working set is therefore the alive jobs, and the pool
+//! never holds more records than the peak number of jobs alive at once.
+//! Every job, alive or not, keeps only a 12-byte `JobState`: unreleased
+//! and finished jobs have no ready subjobs, and their per-node questions
+//! are answered from the job's phase alone.
 
 use crate::instance::Instance;
 use flowtree_dag::{JobId, NodeId, Time};
+use std::cell::Cell;
 
 const NOT_READY: u32 = u32::MAX;
 
+/// [`JobState::live`] of a job that holds no [`Live`] record (unreleased
+/// or finished).
+const NO_LIVE: u32 = u32::MAX;
+
 /// Per-node runtime bookkeeping, kept together so the completion hot path
-/// (indeg decrement → ready insert → stamp) touches one cache line per node
-/// and the engine's pick check reads the same slot it is about to complete.
+/// (indeg decrement → ready insert) touches one cache line per node and
+/// the engine's pick check reads the same slot it is about to complete.
 #[derive(Debug, Clone, Copy)]
 struct NodeSlot {
     /// Remaining unfinished predecessors.
     indeg: u32,
     /// Position in the job's `ready` list (NOT_READY if absent).
     pos: u32,
-    /// Global became-ready stamp (monotone across the whole simulation;
-    /// 0 = never ready yet).
-    seq: u64,
     /// The engine's duplicate-pick stamp: the last step stamp this node was
     /// picked under (see [`SimState::claim`]; 0 = never picked).
     stamp: Time,
 }
 
-/// Per-job runtime bookkeeping.
+const _: () = assert!(std::mem::size_of::<NodeSlot>() == 16);
+
+/// The buffers a job holds only while it is alive. Cleared, not freed, when
+/// the job finishes, and reused by the next release.
 #[derive(Debug, Clone, Default)]
-struct JobState {
-    /// Per-node slots, indexed by node id; empty unless the job is alive.
+struct Live {
+    /// Per-node slots, indexed by node id.
     nodes: Vec<NodeSlot>,
-    /// Ready nodes (arbitrary order — removal swaps; use the slot `seq` for
-    /// true became-ready order); empty unless the job is alive.
+    /// Ready nodes (arbitrary order: removal swaps).
     ready: Vec<u32>,
+    /// Every node that has become ready, in the order it did. A node is
+    /// never removed when it completes; readers skip completed entries.
+    log: Vec<u32>,
+    /// Every log entry before `head` is complete. Only readers advance it
+    /// (completions never touch it), so a `Cell` lets them do so through
+    /// `&self`.
+    head: Cell<u32>,
+    /// Completed entries past `head` that readers have walked over since
+    /// the log was last compacted; once they add up to the log's length,
+    /// the next completion compacts the log (see [`SimState::complete`]).
+    skipped: Cell<u32>,
+}
+
+/// Per-job runtime bookkeeping.
+#[derive(Debug, Clone)]
+struct JobState {
+    /// Index of the job's [`Live`] record; [`NO_LIVE`] unless alive.
+    live: u32,
     /// Number of unfinished nodes.
     unfinished: u32,
     /// Has the job been released to the scheduler yet?
     released: bool,
 }
 
+// Every job ever admitted keeps one of these for the whole run.
+const _: () = assert!(std::mem::size_of::<JobState>() == 12);
+
 impl JobState {
     fn unreleased(g: &flowtree_dag::JobGraph) -> Self {
-        JobState { unfinished: g.n() as u32, ..JobState::default() }
+        JobState { live: NO_LIVE, unfinished: g.n() as u32, released: false }
     }
 }
 
@@ -65,19 +93,68 @@ pub(crate) enum Refusal {
     Duplicate,
 }
 
+/// The ready nodes of one job in the order they became ready (earliest
+/// first; [`rev`](Iterator::rev) for latest first), from
+/// [`SimState::became_ready`]. Walks the job's became-ready log and skips
+/// the entries that have completed since.
+#[derive(Debug, Clone)]
+pub struct ReadyLog<'a> {
+    entries: std::slice::Iter<'a, u32>,
+    nodes: &'a [NodeSlot],
+    /// The job's count of walked-over completed entries.
+    skipped: Option<&'a Cell<u32>>,
+}
+
+impl ReadyLog<'_> {
+    fn is_ready(&self, v: u32) -> bool {
+        if self.nodes[v as usize].pos != NOT_READY {
+            return true;
+        }
+        if let Some(s) = self.skipped {
+            s.set(s.get().saturating_add(1));
+        }
+        false
+    }
+}
+
+impl Iterator for ReadyLog<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        loop {
+            let &v = self.entries.next()?;
+            if self.is_ready(v) {
+                return Some(NodeId(v));
+            }
+        }
+    }
+}
+
+impl DoubleEndedIterator for ReadyLog<'_> {
+    fn next_back(&mut self) -> Option<NodeId> {
+        loop {
+            let &v = self.entries.next_back()?;
+            if self.is_ready(v) {
+                return Some(NodeId(v));
+            }
+        }
+    }
+}
+
 /// Mutable simulation state over an [`Instance`].
 #[derive(Debug, Clone)]
 pub struct SimState {
     jobs: Vec<JobState>,
-    /// Cleared slot and ready buffers of finished jobs, reused at release.
-    spare: Vec<(Vec<NodeSlot>, Vec<u32>)>,
+    /// [`Live`] records: those of alive jobs, and cleared ones listed in
+    /// `free` for the next release.
+    live: Vec<Live>,
+    /// Indices of cleared records in `live`.
+    free: Vec<u32>,
     /// Released, unfinished jobs in arrival (JobId) order.
     alive: Vec<JobId>,
     /// Next job (by arrival order) not yet released.
     next_release: usize,
     finished_jobs: usize,
-    /// Monotone became-ready counter (next stamp to hand out).
-    next_seq: u64,
     /// Ready subjobs over all jobs, maintained incrementally (finished and
     /// unreleased jobs contribute zero, so this equals the sum over alive).
     total_ready: usize,
@@ -90,11 +167,11 @@ impl SimState {
         let jobs = instance.jobs().iter().map(|spec| JobState::unreleased(&spec.graph)).collect();
         SimState {
             jobs,
-            spare: Vec::new(),
+            live: Vec::new(),
+            free: Vec::new(),
             alive: Vec::new(),
             next_release: 0,
             finished_jobs: 0,
-            next_seq: 1,
             total_ready: 0,
         }
     }
@@ -110,10 +187,15 @@ impl SimState {
         self.jobs.push(JobState::unreleased(&spec.graph));
     }
 
+    /// The job's [`Live`] record; `None` unless the job is alive.
+    fn live(&self, job: JobId) -> Option<&Live> {
+        self.live.get(self.jobs[job.index()].live as usize)
+    }
+
     /// Release the next job by arrival order if its release time is `<= t`.
     /// Returns `None` when no release is due — the peek costs nothing, so
     /// the engine's loop pays no allocation on the (overwhelmingly common)
-    /// no-release step. The job's slots are filled from the spare pool, and
+    /// no-release step. The job's record comes from the recycled pool, and
     /// its roots become ready in id order.
     pub fn release_one(&mut self, instance: &Instance, t: Time) -> Option<JobId> {
         let spec = instance.jobs().get(self.next_release)?;
@@ -121,23 +203,26 @@ impl SimState {
             return None;
         }
         let g = &spec.graph;
-        let (mut nodes, mut ready) = self.spare.pop().unwrap_or_default();
-        nodes.reserve(g.n());
+        let li = self.free.pop().unwrap_or_else(|| {
+            self.live.push(Live::default());
+            (self.live.len() - 1) as u32
+        });
+        let lv = &mut self.live[li as usize];
+        lv.nodes.reserve(g.n());
+        lv.log.reserve(g.n());
         for v in 0..g.n() as u32 {
             let indeg = g.in_degree(NodeId(v)) as u32;
-            let mut slot = NodeSlot { indeg, pos: NOT_READY, seq: 0, stamp: 0 };
+            let mut slot = NodeSlot { indeg, pos: NOT_READY, stamp: 0 };
             if indeg == 0 {
-                slot.pos = ready.len() as u32;
-                slot.seq = self.next_seq;
-                self.next_seq += 1;
-                ready.push(v);
+                slot.pos = lv.ready.len() as u32;
+                lv.ready.push(v);
+                lv.log.push(v);
             }
-            nodes.push(slot);
+            lv.nodes.push(slot);
         }
-        self.total_ready += ready.len();
+        self.total_ready += lv.ready.len();
         let js = &mut self.jobs[self.next_release];
-        js.nodes = nodes;
-        js.ready = ready;
+        js.live = li;
         js.released = true;
         let id = JobId(self.next_release as u32);
         self.alive.push(id);
@@ -169,10 +254,11 @@ impl SimState {
     /// step's picks after claiming all of them, so every pick is checked
     /// against the start-of-step state.
     pub(crate) fn claim(&mut self, job: JobId, node: NodeId, stamp: Time) -> Result<(), Refusal> {
+        let li = self.jobs.get(job.index()).ok_or(Refusal::NotReady)?.live;
         let slot = self
-            .jobs
-            .get_mut(job.index())
-            .and_then(|js| js.nodes.get_mut(node.index()))
+            .live
+            .get_mut(li as usize)
+            .and_then(|lv| lv.nodes.get_mut(node.index()))
             .ok_or(Refusal::NotReady)?;
         if slot.stamp == stamp {
             return Err(Refusal::Duplicate);
@@ -186,8 +272,14 @@ impl SimState {
 
     /// Complete `(job, node)` at time `t` (it ran during step `t`): remove
     /// it from the ready list and enable any children whose last
-    /// predecessor this was. When this was the job's last subjob, its slot
-    /// and ready buffers go back to the spare pool.
+    /// predecessor this was, appending them to the became-ready log. When
+    /// this was the job's last subjob, its record goes back to the pool.
+    ///
+    /// The log is compacted here (completed entries dropped, order kept)
+    /// once readers have walked over as many completed entries as the log
+    /// holds, so a reader's walk stays proportional to the ready set
+    /// however the job's nodes are picked; a job whose log is never read
+    /// is never compacted.
     ///
     /// Panics if the job is not alive; panics (debug) if the node was not
     /// ready.
@@ -195,37 +287,45 @@ impl SimState {
         debug_assert!(t >= 1, "a subjob completes at the end of a step, at t >= 1");
         let g = instance.graph(job);
         let js = &mut self.jobs[job.index()];
+        let lv = &mut self.live[js.live as usize];
         let vi = node.index();
-        debug_assert!(js.nodes[vi].pos != NOT_READY, "{job}/{node} was not ready");
+        debug_assert!(lv.nodes[vi].pos != NOT_READY, "{job}/{node} was not ready");
 
         // Swap-remove from ready, fixing the moved element's position.
-        let p = js.nodes[vi].pos as usize;
-        js.ready.swap_remove(p);
-        if p < js.ready.len() {
-            js.nodes[js.ready[p] as usize].pos = p as u32;
+        let p = lv.nodes[vi].pos as usize;
+        lv.ready.swap_remove(p);
+        if p < lv.ready.len() {
+            lv.nodes[lv.ready[p] as usize].pos = p as u32;
         }
-        js.nodes[vi].pos = NOT_READY;
+        lv.nodes[vi].pos = NOT_READY;
         self.total_ready -= 1;
 
         for &c in g.children(node) {
-            let slot = &mut js.nodes[c as usize];
+            let slot = &mut lv.nodes[c as usize];
             slot.indeg -= 1;
             if slot.indeg == 0 {
-                slot.pos = js.ready.len() as u32;
-                slot.seq = self.next_seq;
-                self.next_seq += 1;
-                js.ready.push(c);
+                slot.pos = lv.ready.len() as u32;
+                lv.ready.push(c);
+                lv.log.push(c);
                 self.total_ready += 1;
             }
         }
         js.unfinished -= 1;
         if js.unfinished == 0 {
             // The last subjob has no unfinished children, so the ready list
-            // is empty and nothing reads the slots again.
+            // is empty and nothing reads the record again.
             self.finished_jobs += 1;
-            let mut nodes = std::mem::take(&mut js.nodes);
-            nodes.clear();
-            self.spare.push((nodes, std::mem::take(&mut js.ready)));
+            lv.nodes.clear();
+            lv.log.clear();
+            lv.head.set(0);
+            lv.skipped.set(0);
+            self.free.push(js.live);
+            js.live = NO_LIVE;
+        } else if lv.skipped.get() as usize >= lv.log.len() {
+            let Live { nodes, log, head, skipped, .. } = lv;
+            log.retain(|&v| nodes[v as usize].pos != NOT_READY);
+            head.set(0);
+            skipped.set(0);
         }
     }
 
@@ -241,39 +341,58 @@ impl SimState {
         &self.alive
     }
 
-    /// Ready nodes of `job` (arbitrary order; pair with
-    /// [`ready_seq`](Self::ready_seq) for the true became-ready order).
-    /// Empty for a job that is not alive.
+    /// Ready nodes of `job` (arbitrary order; see
+    /// [`became_ready`](Self::became_ready) for the order they became
+    /// ready in). Empty for a job that is not alive.
     pub fn ready(&self, job: JobId) -> &[u32] {
-        &self.jobs[job.index()].ready
+        self.live(job).map_or(&[], |lv| &lv.ready)
     }
 
-    /// The global became-ready stamp of a node of an alive job: smaller =
-    /// became ready earlier (unique across the whole simulation). 0 for a
-    /// node that has not become ready yet and for any node of a job that
-    /// is not alive.
-    pub fn ready_seq(&self, job: JobId, node: NodeId) -> u64 {
-        self.jobs[job.index()].nodes.get(node.index()).map_or(0, |s| s.seq)
+    /// The ready nodes of `job` in the order they became ready: roots in
+    /// id order at release, then each completion's newly ready children in
+    /// child-list order, completions in the order they were applied. Empty
+    /// for a job that is not alive.
+    ///
+    /// Advances the log's head past completed entries first, so a reader
+    /// that takes ready nodes from the front, as `FIFO[became-ready]`
+    /// does, never walks the same completed entry twice.
+    pub fn became_ready(&self, job: JobId) -> ReadyLog<'_> {
+        let Some(lv) = self.live(job) else {
+            return ReadyLog { entries: [].iter(), nodes: &[], skipped: None };
+        };
+        let mut h = lv.head.get() as usize;
+        while lv.log.get(h).is_some_and(|&v| lv.nodes[v as usize].pos == NOT_READY) {
+            h += 1;
+        }
+        lv.head.set(h as u32);
+        ReadyLog {
+            entries: lv.log[h..].iter(),
+            nodes: &lv.nodes,
+            skipped: Some(&lv.skipped),
+        }
     }
 
     /// Is a specific node ready? Always false for a job that is not alive.
     pub fn is_ready(&self, job: JobId, node: NodeId) -> bool {
-        self.jobs[job.index()]
-            .nodes
-            .get(node.index())
+        self.live(job)
+            .and_then(|lv| lv.nodes.get(node.index()))
             .is_some_and(|s| s.pos != NOT_READY)
     }
 
     /// Has a node completed? False for every node of an unreleased job,
     /// true for every node of a finished one; for an alive job, true once
-    /// the node became ready and then left the ready list. Completion
-    /// *times* are not kept here: the recorded
+    /// the node became ready (no predecessor left) and then left the ready
+    /// list. Completion *times* are not kept here: the recorded
     /// [`Schedule`](crate::Schedule) holds them.
     pub fn is_complete(&self, job: JobId, node: NodeId) -> bool {
-        let js = &self.jobs[job.index()];
-        match js.nodes.get(node.index()) {
-            Some(s) => s.seq != 0 && s.pos == NOT_READY,
-            None => js.released && js.unfinished == 0,
+        match self.live(job) {
+            Some(lv) => {
+                lv.nodes.get(node.index()).is_some_and(|s| s.indeg == 0 && s.pos == NOT_READY)
+            }
+            None => {
+                let js = &self.jobs[job.index()];
+                js.released && js.unfinished == 0
+            }
         }
     }
 
@@ -298,12 +417,12 @@ impl SimState {
         self.finished_jobs == self.jobs.len()
     }
 
-    /// Slot buffers in existence: those of alive jobs plus the spare pool.
-    /// A buffer is allocated only when the pool is empty, so this never
+    /// [`Live`] records in existence: those of alive jobs plus the free
+    /// ones. A record is created only when none is free, so this never
     /// exceeds the peak number of jobs alive at once.
     #[cfg(test)]
     fn buffers(&self) -> usize {
-        self.jobs.iter().filter(|js| js.nodes.capacity() > 0).count() + self.spare.len()
+        self.live.len()
     }
 }
 
@@ -399,6 +518,55 @@ mod tests {
     }
 
     #[test]
+    fn became_ready_reads_the_log_in_order_and_reversed() {
+        // 0 -> {1, 2, 3}, 1 -> {4, 5}.
+        let mut b = flowtree_dag::GraphBuilder::new(6);
+        b.edge(0, 1).edge(0, 2).edge(0, 3).edge(1, 4).edge(1, 5);
+        let inst = Instance::single(b.build().unwrap());
+        let order = |st: &SimState| st.became_ready(JobId(0)).map(|v| v.0).collect::<Vec<_>>();
+        let latest =
+            |st: &SimState| st.became_ready(JobId(0)).rev().map(|v| v.0).collect::<Vec<_>>();
+        let mut st = SimState::new(&inst);
+        st.release_due(&inst, 0);
+        assert_eq!(order(&st), [0]);
+        st.complete(&inst, JobId(0), NodeId(0), 1);
+        assert_eq!(order(&st), [1, 2, 3]);
+        assert_eq!(latest(&st), [3, 2, 1]);
+        // Completing 1 then 3 leaves the ready list as [5, 2, 4]; the log
+        // still has 2 before 1's children, in child-list order.
+        st.complete(&inst, JobId(0), NodeId(1), 2);
+        st.complete(&inst, JobId(0), NodeId(3), 2);
+        assert_eq!(st.ready(JobId(0)), &[5, 2, 4]);
+        assert_eq!(order(&st), [2, 4, 5]);
+        assert_eq!(latest(&st), [5, 4, 2]);
+        // The head moved past the completed prefix 0, 1 only.
+        assert_eq!(st.live(JobId(0)).unwrap().head.get(), 2);
+    }
+
+    #[test]
+    fn log_is_compacted_once_readers_walk_as_many_completed_entries_as_it_holds() {
+        let inst = Instance::single(star(6));
+        let mut st = SimState::new(&inst);
+        st.release_due(&inst, 0);
+        st.complete(&inst, JobId(0), NodeId(0), 1);
+        for v in [6, 5, 4] {
+            st.complete(&inst, JobId(0), NodeId(v), 2);
+        }
+        let lv = |st: &SimState| st.live(JobId(0)).unwrap().clone();
+        // Each latest-first read walks over 6, 5, 4: 3 entries per read.
+        for reads in 1..=3u32 {
+            assert_eq!(st.became_ready(JobId(0)).next_back(), Some(NodeId(3)));
+            assert_eq!(lv(&st).skipped.get(), 3 * reads);
+        }
+        assert_eq!(lv(&st).log, [0, 1, 2, 3, 4, 5, 6], "only a completion compacts");
+        st.complete(&inst, JobId(0), NodeId(3), 3);
+        let after = lv(&st);
+        assert_eq!(after.log, [1, 2]);
+        assert_eq!((after.head.get(), after.skipped.get()), (0, 0));
+        assert!(st.became_ready(JobId(0)).eq([NodeId(1), NodeId(2)]));
+    }
+
+    #[test]
     fn total_ready_sums_alive_jobs() {
         let inst = two_job_instance();
         let mut st = SimState::new(&inst);
@@ -472,7 +640,7 @@ mod tests {
         assert!(st.ready(JobId(1)).is_empty());
         assert!(!st.is_ready(JobId(1), NodeId(0)));
         assert!(!st.is_complete(JobId(1), NodeId(0)));
-        assert_eq!(st.ready_seq(JobId(1), NodeId(0)), 0);
+        assert_eq!(st.became_ready(JobId(1)).count(), 0);
         assert_eq!(st.unfinished(JobId(1)), 3);
         for (v, t) in [(0, 1), (1, 2), (2, 3)] {
             st.complete(&inst, JobId(0), NodeId(v), t);
@@ -481,7 +649,7 @@ mod tests {
         assert!(st.ready(JobId(0)).is_empty());
         assert!(!st.is_ready(JobId(0), NodeId(0)));
         assert!((0..3).all(|v| st.is_complete(JobId(0), NodeId(v))));
-        assert_eq!(st.ready_seq(JobId(0), NodeId(2)), 0);
+        assert_eq!(st.became_ready(JobId(0)).count(), 0);
     }
 
     /// A job released after another finished reuses its buffers, with
@@ -505,7 +673,7 @@ mod tests {
         assert_eq!(st.ready(JobId(1)), &[0]);
         assert!(!st.is_ready(JobId(1), NodeId(1)));
         assert!(!st.is_complete(JobId(1), NodeId(1)));
-        assert_eq!(st.ready_seq(JobId(1), NodeId(0)), 5); // 4 stamps of job 0 came first
+        assert!(st.became_ready(JobId(1)).eq([NodeId(0)]), "a fresh log");
         st.complete(&inst, JobId(1), NodeId(0), 4);
         assert_eq!(st.ready(JobId(1)), &[1]);
         st.complete(&inst, JobId(1), NodeId(1), 5);

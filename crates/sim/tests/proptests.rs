@@ -4,7 +4,9 @@
 
 use flowtree_dag::{GraphBuilder, JobGraph, NodeId, Time};
 use flowtree_sim::metrics::flow_stats;
-use flowtree_sim::{Clairvoyance, Engine, Instance, JobSpec, OnlineScheduler, Selection, SimView};
+use flowtree_sim::{
+    Clairvoyance, Engine, Instance, JobId, JobSpec, OnlineScheduler, Selection, SimState, SimView,
+};
 use proptest::prelude::*;
 
 /// Random out-tree via the recursive-attachment process.
@@ -134,6 +136,115 @@ proptest! {
             prop_assert!(run.flows[id.index()] >= 1);
         }
         prop_assert_eq!(run.micro_schedule.verify(&run.scaled_instance), Ok(()));
+    }
+}
+
+/// A naive became-ready record kept beside a [`SimState`]: the order in
+/// which each node was enabled (roots at release in id order, children as
+/// each completion enables them), and which nodes are done.
+struct NaiveLog {
+    enabled: Vec<Vec<Option<u64>>>,
+    done: Vec<Vec<bool>>,
+    next: u64,
+}
+
+impl NaiveLog {
+    fn new(inst: &Instance) -> Self {
+        NaiveLog {
+            enabled: inst.jobs().iter().map(|j| vec![None; j.graph.n()]).collect(),
+            done: inst.jobs().iter().map(|j| vec![false; j.graph.n()]).collect(),
+            next: 0,
+        }
+    }
+
+    fn enable(&mut self, job: JobId, v: u32) {
+        self.enabled[job.index()][v as usize] = Some(self.next);
+        self.next += 1;
+    }
+
+    fn release(&mut self, inst: &Instance, job: JobId) {
+        let g = inst.graph(job);
+        for v in g.nodes().filter(|&v| g.in_degree(v) == 0) {
+            self.enable(job, v.0);
+        }
+    }
+
+    fn complete(&mut self, inst: &Instance, job: JobId, v: NodeId) {
+        let (g, j) = (inst.graph(job), job.index());
+        self.done[j][v.index()] = true;
+        for &c in g.children(v) {
+            if g.parents(NodeId(c)).iter().all(|&u| self.done[j][u as usize]) {
+                self.enable(job, c);
+            }
+        }
+    }
+
+    /// Ready nodes of `job`, earliest enabled first.
+    fn ready_in_order(&self, job: JobId) -> Vec<u32> {
+        let j = job.index();
+        let mut ready: Vec<(u64, u32)> = (0..self.done[j].len())
+            .filter(|&v| !self.done[j][v])
+            .filter_map(|v| self.enabled[j][v].map(|e| (e, v as u32)))
+            .collect();
+        ready.sort_unstable();
+        ready.into_iter().map(|(_, v)| v).collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The became-ready log, read earliest first and latest first at every
+    /// step, lists exactly the ready nodes in the naive order, whatever
+    /// order completions arrive in: a FIFO-like picker (from the log's
+    /// front) until `switch`, then an LPF-like one (tallest ready nodes),
+    /// each step's picks completed in a shuffled order. The latest-first
+    /// reads walk over completed entries, so the log is also compacted
+    /// along the way.
+    #[test]
+    fn became_ready_log_matches_naive_order(
+        inst in arb_instance(4, 14, 6),
+        m in 1usize..5,
+        switch in 0u64..30,
+        seed in 1u64..1000,
+    ) {
+        let mut st = SimState::new(&inst);
+        let mut naive = NaiveLog::new(&inst);
+        let mut rng = SeededGreedy { state: seed };
+        for t in 0.. {
+            for job in st.release_due(&inst, t) {
+                naive.release(&inst, job);
+            }
+            let mut picks: Vec<(JobId, NodeId)> = Vec::new();
+            for &job in st.alive() {
+                let want = naive.ready_in_order(job);
+                let got: Vec<u32> = st.became_ready(job).map(|v| v.0).collect();
+                prop_assert_eq!(&got, &want, "t={} {}", t, job);
+                let latest: Vec<u32> = st.became_ready(job).rev().map(|v| v.0).collect();
+                prop_assert!(latest.iter().eq(want.iter().rev()), "t={} {} reversed", t, job);
+                let room = m - picks.len();
+                if t < switch {
+                    picks.extend(st.became_ready(job).take(room).map(|v| (job, v)));
+                } else {
+                    let h = inst.graph(job).heights();
+                    let mut tallest = st.ready(job).to_vec();
+                    tallest.sort_by_key(|&v| std::cmp::Reverse(h[v as usize]));
+                    picks.extend(tallest.into_iter().take(room).map(|v| (job, NodeId(v))));
+                }
+            }
+            for i in 0..picks.len() {
+                let j = i + (rng.next() as usize) % (picks.len() - i);
+                picks.swap(i, j);
+            }
+            for &(job, v) in &picks {
+                st.complete(&inst, job, v, t + 1);
+                naive.complete(&inst, job, v);
+            }
+            st.prune_alive();
+            if st.all_done() {
+                break;
+            }
+        }
     }
 }
 

@@ -18,8 +18,8 @@ cargo build --release --workspace
 echo "==> cargo test -q (default-members: the whole workspace)"
 cargo test -q
 
-echo "==> dag + sim + core + serve tests in release (graph build, step validation and the serve suites hold without debug assertions)"
-cargo test --release -q -p flowtree-dag -p flowtree-sim -p flowtree-core -p flowtree-serve
+echo "==> dag + sim + core + serve + analysis tests in release (graph build, step validation, the serve suites and the E2/E7 plan checks hold without debug assertions)"
+cargo test --release -q -p flowtree-dag -p flowtree-sim -p flowtree-core -p flowtree-serve -p flowtree-analysis
 
 echo "==> flowbench tests (the benchmark package builds against the current API)"
 cargo test --offline -q --manifest-path flowbench/Cargo.toml
