@@ -9,7 +9,7 @@
 //! charts, together with their flows and the certified single-job optimum.
 
 use crate::{Effort, Report, Table};
-use flowtree_core::{Fifo, Lpf, TieBreak};
+use flowtree_core::{Fifo, TieBreak};
 use flowtree_dag::sp::figure1_job;
 use flowtree_sim::gantt::{render, GanttOptions};
 use flowtree_sim::{Engine, Instance, OnlineScheduler};
@@ -30,7 +30,7 @@ pub fn run(_effort: Effort) -> Report {
 
     let schedulers: Vec<(&str, Box<dyn OnlineScheduler>)> = vec![
         ("FIFO[became-ready]", Box::new(Fifo::new(TieBreak::BecameReady))),
-        ("LPF", Box::new(Lpf::new())),
+        ("LPF", Box::new(Fifo::new(TieBreak::HighestHeight))),
     ];
     for (label, mut sched) in schedulers {
         let s = Engine::new(m).run(&inst, sched.as_mut()).unwrap();

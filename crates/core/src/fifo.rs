@@ -35,8 +35,9 @@ pub enum TieBreak {
     Random(u64),
     /// Longest-path-first: run the ready subjobs of greatest height, ties
     /// in the engine's ready-list order (arbitrary but deterministic; not
-    /// the became-ready order). Clairvoyant (heights require the DAG). This
-    /// is the intra-job policy of the multi-job LPF baseline.
+    /// the became-ready order). Clairvoyant (heights require the DAG). FIFO
+    /// with this tie-break *is* the multi-job LPF baseline of Section 5.1:
+    /// the `lpf` registry entry.
     HighestHeight,
     /// Run the ready subjobs with the most children in the DAG, maximizing
     /// next-step parallelism; ties as for [`HighestHeight`](Self::HighestHeight).

@@ -39,6 +39,5 @@ pub mod registry;
 pub use algo_a::AlgoA;
 pub use fifo::{Fifo, TieBreak};
 pub use guess_double::GuessDoubleA;
-pub use lpf::Lpf;
 pub use mc::McReplay;
-pub use registry::{build_scheduler, SchedulerSpec, DEFAULT_HALF, SCHEDULER_NAMES};
+pub use registry::{SchedulerSpec, DEFAULT_HALF, SCHEDULER_NAMES};

@@ -17,12 +17,14 @@
 //! group into its own `Levels` with scratch ([`LpfScratch`]) it keeps
 //! across groups, and hands the same buffer to the tail's MC replay.
 //!
-//! This module also provides the multi-job [`Lpf`] online scheduler (FIFO
-//! across jobs, LPF within a job) used as a strong clairvoyant baseline.
+//! The multi-job online LPF baseline (FIFO across jobs, LPF within a job)
+//! is not a separate type: it is [`Fifo`](crate::Fifo) with the
+//! [`TieBreak::HighestHeight`](crate::TieBreak::HighestHeight) intra-job
+//! policy, registered as `lpf`. Clairvoyant (needs heights); optimal for one
+//! job, but *not* O(1)-competitive in general — Algorithm 𝒜 exists
+//! precisely because naive FIFO composition is insufficient.
 
-use crate::fifo::{Fifo, TieBreak};
 use flowtree_dag::{JobGraph, NodeId, Time};
-use flowtree_sim::{Clairvoyance, OnlineScheduler, Selection, SimView};
 use std::ops::Index;
 
 /// A materialized level schedule: level `i` holds the node ids run during
@@ -361,42 +363,10 @@ pub fn levels_flow(levels: &Levels) -> Time {
     levels.len() as Time
 }
 
-/// Multi-job online LPF: FIFO across jobs (oldest first), longest-path-first
-/// within a job. Clairvoyant (needs heights). A strong baseline: optimal for
-/// one job, but *not* O(1)-competitive in general — Algorithm 𝒜 exists
-/// precisely because naive FIFO composition is insufficient.
-pub struct Lpf {
-    inner: Fifo,
-}
-
-impl Lpf {
-    /// Create the multi-job LPF scheduler.
-    pub fn new() -> Self {
-        Lpf { inner: Fifo::new(TieBreak::HighestHeight) }
-    }
-}
-
-impl Default for Lpf {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OnlineScheduler for Lpf {
-    fn clairvoyance(&self) -> Clairvoyance {
-        Clairvoyance::Clairvoyant
-    }
-    fn select(&mut self, t: Time, view: &SimView<'_>, sel: &mut Selection) {
-        self.inner.select(t, view, sel);
-    }
-    fn name(&self) -> String {
-        "LPF".into()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Fifo, TieBreak};
     use flowtree_dag::builder::{caterpillar, chain, complete_kary, star};
     use flowtree_dag::{DepthProfile, JobId};
     use flowtree_sim::{Engine, Instance};
@@ -634,7 +604,7 @@ mod tests {
             flowtree_sim::JobSpec { graph: complete_kary(2, 4), release: 0 },
             flowtree_sim::JobSpec { graph: chain(6), release: 2 },
         ]);
-        let s = Engine::new(3).run(&inst, &mut Lpf::new()).unwrap();
+        let s = Engine::new(3).run(&inst, &mut Fifo::new(TieBreak::HighestHeight)).unwrap();
         s.verify(&inst).unwrap();
         let stats = flowtree_sim::metrics::flow_stats(&inst, &s);
         // chain(6) arriving at 2 needs >= 6 flow; the tree needs >= 4.
@@ -645,7 +615,7 @@ mod tests {
     fn single_job_lpf_scheduler_matches_materialized() {
         let g = complete_kary(2, 5);
         let inst = Instance::single(g.clone());
-        let s = Engine::new(4).run(&inst, &mut Lpf::new()).unwrap();
+        let s = Engine::new(4).run(&inst, &mut Fifo::new(TieBreak::HighestHeight)).unwrap();
         s.verify(&inst).unwrap();
         let stats = flowtree_sim::metrics::flow_stats(&inst, &s);
         assert_eq!(stats.max_flow, levels_flow(&lpf_levels(&g, 4)));

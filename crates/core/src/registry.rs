@@ -4,10 +4,10 @@
 //! [`SchedulerSpec`] — so the CLI, the experiment matrix (E16), and the
 //! benchmarks share one list instead of three hand-built ones. A spec is a
 //! plain value: it can be parsed from a CLI name, compared, copied, and
-//! turned into a live scheduler with [`build_scheduler`].
+//! turned into a live scheduler with [`SchedulerSpec::build`].
 
 use crate::baselines::{LeastRemainingWorkFirst, RandomWorkConserving, RoundRobin};
-use crate::{AlgoA, Fifo, GuessDoubleA, Lpf, TieBreak};
+use crate::{AlgoA, Fifo, GuessDoubleA, TieBreak};
 use flowtree_dag::Time;
 use flowtree_sim::{HeadTailChecks, InvariantChecks, OnlineScheduler};
 
@@ -20,7 +20,6 @@ pub const SCHEDULER_NAMES: &[&str] = &[
     "fifo",
     "fifo-last",
     "fifo-random",
-    "fifo-lpf",
     "fifo-mc",
     "lpf",
     "algo-a",
@@ -37,10 +36,10 @@ pub const SCHEDULER_NAMES: &[&str] = &[
 /// for every run (schedulers are stateful, so each run needs a new one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerSpec {
-    /// The FIFO family with a concrete intra-job tie-break.
+    /// The FIFO family with a concrete intra-job tie-break;
+    /// `Fifo(TieBreak::HighestHeight)` is the multi-job Longest Path First
+    /// baseline of Section 5.1, registered as `lpf`.
     Fifo(TieBreak),
-    /// Longest Path First (clairvoyant, Section 5.1).
-    Lpf,
     /// Algorithm 𝒜 with the batching reduction (`alpha >= 3`, `half >= 1`).
     AlgoA {
         /// Processor-augmentation parameter α of Section 5.3.
@@ -68,9 +67,8 @@ impl SchedulerSpec {
             SchedulerSpec::Fifo(TieBreak::BecameReady) => "fifo",
             SchedulerSpec::Fifo(TieBreak::LastReady) => "fifo-last",
             SchedulerSpec::Fifo(TieBreak::Random(_)) => "fifo-random",
-            SchedulerSpec::Fifo(TieBreak::HighestHeight) => "fifo-lpf",
             SchedulerSpec::Fifo(TieBreak::MostChildren) => "fifo-mc",
-            SchedulerSpec::Lpf => "lpf",
+            SchedulerSpec::Fifo(TieBreak::HighestHeight) => "lpf",
             SchedulerSpec::AlgoA { .. } => "algo-a",
             SchedulerSpec::GuessDouble => "guess-double",
             SchedulerSpec::RoundRobin => "round-robin",
@@ -88,9 +86,8 @@ impl SchedulerSpec {
             "fifo" => SchedulerSpec::Fifo(TieBreak::BecameReady),
             "fifo-last" => SchedulerSpec::Fifo(TieBreak::LastReady),
             "fifo-random" => SchedulerSpec::Fifo(TieBreak::Random(1)),
-            "fifo-lpf" => SchedulerSpec::Fifo(TieBreak::HighestHeight),
             "fifo-mc" => SchedulerSpec::Fifo(TieBreak::MostChildren),
-            "lpf" => SchedulerSpec::Lpf,
+            "lpf" => SchedulerSpec::Fifo(TieBreak::HighestHeight),
             "algo-a" => SchedulerSpec::AlgoA { alpha: 4, half: half.max(1) },
             "guess-double" => SchedulerSpec::GuessDouble,
             "round-robin" => SchedulerSpec::RoundRobin,
@@ -114,14 +111,13 @@ impl SchedulerSpec {
     }
 
     /// The canonical comparison set used by the E16 scheduler matrix:
-    /// the three deterministic FIFO tie-breaks, LPF, guess-and-double 𝒜,
-    /// and the three classical baselines.
+    /// the three deterministic FIFO tie-breaks (highest-height is LPF),
+    /// guess-and-double 𝒜, and the three classical baselines.
     pub fn matrix() -> Vec<SchedulerSpec> {
         vec![
             SchedulerSpec::Fifo(TieBreak::BecameReady),
             SchedulerSpec::Fifo(TieBreak::HighestHeight),
             SchedulerSpec::Fifo(TieBreak::MostChildren),
-            SchedulerSpec::Lpf,
             SchedulerSpec::GuessDouble,
             SchedulerSpec::RoundRobin,
             SchedulerSpec::RandomWc { seed: 7 },
@@ -132,7 +128,14 @@ impl SchedulerSpec {
     /// Build a fresh scheduler from this spec. The box is `Send`, so built
     /// schedulers can move into worker threads (sweeps, serve shards).
     pub fn build(&self) -> Box<dyn OnlineScheduler + Send> {
-        build_scheduler(*self)
+        match *self {
+            SchedulerSpec::Fifo(tie) => Box::new(Fifo::new(tie)),
+            SchedulerSpec::AlgoA { alpha, half } => Box::new(AlgoA::with_batching(alpha, half)),
+            SchedulerSpec::GuessDouble => Box::new(GuessDoubleA::paper()),
+            SchedulerSpec::RoundRobin => Box::new(RoundRobin),
+            SchedulerSpec::RandomWc { seed } => Box::new(RandomWorkConserving::new(seed)),
+            SchedulerSpec::Lrwf => Box::new(LeastRemainingWorkFirst),
+        }
     }
 
     /// Which structural invariants this scheduler provably upholds, for an
@@ -152,15 +155,15 @@ impl SchedulerSpec {
     /// wrapper's inner α is the paper's 4).
     pub fn invariants(&self) -> InvariantChecks {
         match self {
-            SchedulerSpec::Fifo(_)
-            | SchedulerSpec::RoundRobin
-            | SchedulerSpec::RandomWc { .. }
-            | SchedulerSpec::Lrwf => InvariantChecks::WORK_CONSERVING,
-            SchedulerSpec::Lpf => InvariantChecks {
+            SchedulerSpec::Fifo(TieBreak::HighestHeight) => InvariantChecks {
                 work_conserving: true,
                 rectangle_tail_alpha: Some(1),
                 head_tail: None,
             },
+            SchedulerSpec::Fifo(_)
+            | SchedulerSpec::RoundRobin
+            | SchedulerSpec::RandomWc { .. }
+            | SchedulerSpec::Lrwf => InvariantChecks::WORK_CONSERVING,
             SchedulerSpec::AlgoA { alpha, half } => InvariantChecks {
                 work_conserving: false,
                 rectangle_tail_alpha: None,
@@ -191,19 +194,6 @@ impl std::fmt::Display for SchedulerSpec {
     /// [`SchedulerSpec::name`]).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Build a fresh scheduler from `spec` (see [`SchedulerSpec::build`]).
-pub fn build_scheduler(spec: SchedulerSpec) -> Box<dyn OnlineScheduler + Send> {
-    match spec {
-        SchedulerSpec::Fifo(tie) => Box::new(Fifo::new(tie)),
-        SchedulerSpec::Lpf => Box::new(Lpf::new()),
-        SchedulerSpec::AlgoA { alpha, half } => Box::new(AlgoA::with_batching(alpha, half)),
-        SchedulerSpec::GuessDouble => Box::new(GuessDoubleA::paper()),
-        SchedulerSpec::RoundRobin => Box::new(RoundRobin),
-        SchedulerSpec::RandomWc { seed } => Box::new(RandomWorkConserving::new(seed)),
-        SchedulerSpec::Lrwf => Box::new(LeastRemainingWorkFirst),
     }
 }
 
@@ -239,6 +229,13 @@ mod tests {
     fn unknown_name_is_an_error() {
         assert!("sjf-magic".parse::<SchedulerSpec>().is_err());
         assert!("".parse::<SchedulerSpec>().is_err());
+        // LPF has one name; the error lists every registered one.
+        let err = "fifo-lpf".parse::<SchedulerSpec>().unwrap_err();
+        assert_eq!(
+            err,
+            format!("unknown scheduler 'fifo-lpf'; known: {}", SCHEDULER_NAMES.join(", "))
+        );
+        assert_eq!(SCHEDULER_NAMES.len(), 10);
     }
 
     #[test]
@@ -327,8 +324,9 @@ mod tests {
         use flowtree_sim::monitor::InvariantMonitor;
         // FIFO schedules far more than one m/alpha slice per group per
         // step, so running it under algo-a's checks must light up the
-        // group-width rule — proving the monitor actually bites.
-        let inst = Instance::single(flowtree_dag::builder::star(40));
+        // group-width rule — proving the monitor actually bites. The star
+        // is wide enough to breach more often than the monitor keeps.
+        let inst = Instance::single(flowtree_dag::builder::star(600));
         let spec = SchedulerSpec::AlgoA { alpha: 4, half: 8 };
         let mut mon = InvariantMonitor::new(&inst, spec.invariants());
         let mut s = SchedulerSpec::Fifo(TieBreak::BecameReady).build();
@@ -338,6 +336,16 @@ mod tests {
             .violations()
             .iter()
             .any(|v| v.rule == flowtree_sim::InvariantRule::GroupWidth));
+        // Past the cap only the count grows; the kept breaches are the
+        // first 64, each a full 8-wide step of the star's one group.
+        assert_eq!(InvariantMonitor::MAX_RECORDED, 64);
+        assert!(mon.total_violations() > 64, "{} breaches", mon.total_violations());
+        assert_eq!(mon.violations().len(), 64);
+        for (i, v) in mon.violations().iter().enumerate() {
+            assert_eq!(v.rule, flowtree_sim::InvariantRule::GroupWidth);
+            assert_eq!(v.detail, "group@0 ran 8 > slice 2 (m=8, alpha=4)");
+            assert_eq!(v.t, mon.violations()[0].t + i as flowtree_dag::Time);
+        }
     }
 
     #[test]
@@ -358,14 +366,15 @@ mod tests {
     }
 
     #[test]
-    fn matrix_is_the_canonical_eight() {
+    fn matrix_is_seven_distinct_specs() {
         let m = SchedulerSpec::matrix();
-        assert_eq!(m.len(), 8);
-        let names: Vec<_> = m.iter().map(|s| s.name()).collect();
-        // All distinct (the matrix never lists a configuration twice).
-        let mut dedup = names.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len());
+        assert_eq!(m.len(), 7);
+        // Pairwise distinct names (so distinct specs too): the matrix never
+        // lists one scheduler twice.
+        for (i, a) in m.iter().enumerate() {
+            for b in &m[i + 1..] {
+                assert_ne!(a.name(), b.name());
+            }
+        }
     }
 }

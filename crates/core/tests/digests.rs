@@ -77,7 +77,6 @@ const PINNED: &[(&str, [u64; 2])] = &[
     ("fifo", [0x5baa25b48e6a5f6a, 0x647e18f0255c9188]),
     ("fifo-last", [0x745bdcdb486b3312, 0x73097c7e933b27e1]),
     ("fifo-random", [0x7d892de84fdddd26, 0xaf453aaa4fa8132e]),
-    ("fifo-lpf", [0xf60a2deba976a7f0, 0x527bd4b803db6e1e]),
     ("fifo-mc", [0x14218824dae3219e, 0x9363c0f1947413da]),
     ("lpf", [0xf60a2deba976a7f0, 0x527bd4b803db6e1e]),
     ("algo-a", [0x5b5eeb4473277929, 0xbcbf483604d4ce74]),
@@ -111,4 +110,15 @@ fn every_scheduler_reproduces_its_pinned_digest() {
     }
     let want: Vec<(String, [u64; 2])> = PINNED.iter().map(|&(n, d)| (n.to_string(), d)).collect();
     assert_eq!(got, want);
+}
+
+/// Two names with one digest pair are one scheduler registered twice: every
+/// pinned row must be a distinct schedule on at least one stream.
+#[test]
+fn no_two_pinned_rows_share_a_digest_pair() {
+    for (i, (a, da)) in PINNED.iter().enumerate() {
+        for (b, db) in &PINNED[i + 1..] {
+            assert_ne!(da, db, "'{a}' and '{b}' produce the same schedules");
+        }
+    }
 }

@@ -4,7 +4,7 @@
 use flowtree_core::lpf::{
     lpf_levels, lpf_levels_forest, lpf_levels_restricted, Levels, LpfScratch, RectangleTail,
 };
-use flowtree_core::{AlgoA, Fifo, GuessDoubleA, Lpf, McReplay, TieBreak};
+use flowtree_core::{AlgoA, Fifo, GuessDoubleA, McReplay, TieBreak};
 use flowtree_dag::{DepthProfile, GraphBuilder, JobGraph, NodeId};
 use flowtree_sim::metrics::flow_stats;
 use flowtree_sim::{Engine, Instance, JobSpec};
@@ -301,7 +301,7 @@ proptest! {
         let inst = Instance::new(
             trees.into_iter().map(|(graph, release)| JobSpec { graph, release }).collect(),
         );
-        let s = Engine::new(m).run(&inst, &mut Lpf::new()).unwrap();
+        let s = Engine::new(m).run(&inst, &mut Fifo::new(TieBreak::HighestHeight)).unwrap();
         s.verify(&inst).unwrap();
         let stats = flow_stats(&inst, &s);
         for (id, spec) in inst.iter() {

@@ -339,10 +339,12 @@ impl InvariantMonitor {
         self.total == 0
     }
 
-    fn record(&mut self, t: Time, rule: InvariantRule, detail: String) {
+    /// Count a breach; `detail` is formatted only if the breach is kept
+    /// (past [`Self::MAX_RECORDED`] only the count grows).
+    fn record(&mut self, t: Time, rule: InvariantRule, detail: impl FnOnce() -> String) {
         self.total += 1;
         if self.violations.len() < Self::MAX_RECORDED {
-            self.violations.push(Violation { t, rule, detail });
+            self.violations.push(Violation { t, rule, detail: detail() });
         }
     }
 }
@@ -361,7 +363,8 @@ impl InvariantMonitor {
     /// structure (width cap always; exhausted-rectangle rule in strict
     /// mode). `total` is the step's whole selection size.
     fn check_head_tail(&mut self, ht: HeadTailChecks, t: Time, total: usize) {
-        let p = (self.m / ht.alpha.max(1)).max(1);
+        let m = self.m;
+        let p = (m / ht.alpha.max(1)).max(1);
         let opt = 2 * ht.half.max(1);
         let touched = std::mem::take(&mut self.touched);
         for &(b, picks) in &touched {
@@ -373,23 +376,19 @@ impl InvariantMonitor {
                 // stayed under m, so its grant provably exceeded its picks)
                 // means its MC rectangle is exhausted under a valid
                 // estimate; re-evaluated every tail step the group runs.
-                g.exhausted_at = (picks < p && total < self.m).then_some(t);
+                g.exhausted_at = (picks < p && total < m).then_some(t);
             }
             if picks > p {
-                self.record(
-                    t,
-                    InvariantRule::GroupWidth,
-                    format!("group@{b} ran {picks} > slice {p} (m={}, alpha={})", self.m, ht.alpha),
-                );
+                self.record(t, InvariantRule::GroupWidth, || {
+                    format!("group@{b} ran {picks} > slice {p} (m={m}, alpha={})", ht.alpha)
+                });
             }
             if in_tail {
                 if let Some(t0) = exhausted_at {
                     if t > t0 {
-                        self.record(
-                            t,
-                            InvariantRule::TailRectangle,
-                            format!("group@{b} scheduled after its rectangle ran short at t={t0}"),
-                        );
+                        self.record(t, InvariantRule::TailRectangle, || {
+                            format!("group@{b} scheduled after its rectangle ran short at t={t0}")
+                        });
                     }
                 }
             }
@@ -474,34 +473,27 @@ impl Probe for InvariantMonitor {
     }
 
     fn on_step(&mut self, t: Time, stat: StepStat) {
-        if self.checks.work_conserving
-            && stat.scheduled < self.m
-            && stat.scheduled < stat.ready_depth
-        {
-            self.record(
-                t,
-                InvariantRule::WorkConserving,
+        let m = self.m;
+        if self.checks.work_conserving && stat.scheduled < m && stat.scheduled < stat.ready_depth {
+            self.record(t, InvariantRule::WorkConserving, || {
                 format!(
-                    "scheduled {} of {} ready on {} processors",
-                    stat.scheduled, stat.ready_depth, self.m
-                ),
-            );
+                    "scheduled {} of {} ready on {m} processors",
+                    stat.scheduled, stat.ready_depth
+                )
+            });
         }
         if let Some(tail) = self.tail_start {
             if t >= tail && !self.done {
                 // Any tail step arriving after a narrow one proves the
                 // narrow step was not the schedule's (exempt) final step.
                 if let Some((nt, width)) = self.pending_narrow.take() {
-                    self.record(
-                        nt,
-                        InvariantRule::RectangleTail,
+                    self.record(nt, InvariantRule::RectangleTail, || {
                         format!(
-                            "non-final tail step ran {width} < {} subjobs (tail starts at {tail})",
-                            self.m
-                        ),
-                    );
+                            "non-final tail step ran {width} < {m} subjobs (tail starts at {tail})"
+                        )
+                    });
                 }
-                if stat.scheduled < self.m {
+                if stat.scheduled < m {
                     self.pending_narrow = Some((t, stat.scheduled));
                 }
             }

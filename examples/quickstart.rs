@@ -36,13 +36,13 @@ fn main() {
     let lb = flowtree::opt::bounds::combined_lower_bound(&instance, m as u64);
     println!("certified lower bound on OPT max-flow (m = {m}): {lb}\n");
 
-    let mut schedulers: Vec<Box<dyn OnlineScheduler>> = vec![
-        Box::new(Fifo::arbitrary()),
-        Box::new(Lpf::new()),
-        Box::new(GuessDoubleA::paper()),
+    // LPF is FIFO whose intra-job tie-break runs the highest subjobs first.
+    let schedulers: Vec<(&str, Box<dyn OnlineScheduler>)> = vec![
+        ("FIFO", Box::new(Fifo::arbitrary())),
+        ("LPF", Box::new(Fifo::new(TieBreak::HighestHeight))),
+        ("guess-and-double", Box::new(GuessDoubleA::paper())),
     ];
-    for sched in schedulers.iter_mut() {
-        let name = sched.name();
+    for (label, mut sched) in schedulers {
         let schedule = Engine::new(m)
             .with_max_horizon(1_000_000)
             .run(&instance, sched.as_mut())
@@ -50,13 +50,13 @@ fn main() {
         schedule.verify(&instance).expect("feasible");
         let stats = &schedule.stats;
         println!(
-            "{name:<28} max flow {:>3}  (ratio vs LB {:.2}), mean flow {:.1}, util {:.2}",
+            "{label:<16} max flow {:>3}  (ratio vs LB {:.2}), mean flow {:.1}, util {:.2}",
             stats.max_flow,
             stats.max_flow as f64 / lb as f64,
             stats.mean_flow,
             stats.utilization,
         );
-        if name.starts_with("FIFO") {
+        if label == "FIFO" {
             println!("\nFIFO packing (rows = processors, letters = jobs):");
             println!("{}", gantt::render_default(&instance, &schedule));
             println!("per-job timelines:");

@@ -21,6 +21,11 @@ cargo test -q
 echo "==> dag + sim + core + serve + analysis tests in release (graph build, step validation, the serve suites and the E2/E7 plan checks hold without debug assertions)"
 cargo test --release -q -p flowtree-dag -p flowtree-sim -p flowtree-core -p flowtree-serve -p flowtree-analysis
 
+echo "==> examples (each must run to completion; output discarded)"
+for ex in adversary_duel algo_a_tour quickstart webserver_bursts; do
+    cargo run --release -q --example "$ex" >/dev/null
+done
+
 echo "==> flowbench tests (the benchmark package builds against the current API)"
 cargo test --offline -q --manifest-path flowbench/Cargo.toml
 

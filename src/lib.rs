@@ -57,7 +57,7 @@ pub use flowtree_workloads as workloads;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use flowtree_core::{AlgoA, Fifo, GuessDoubleA, Lpf, McReplay, TieBreak};
+    pub use flowtree_core::{AlgoA, Fifo, GuessDoubleA, McReplay, TieBreak};
     pub use flowtree_dag::{JobGraph, JobId, NodeId, Time};
     pub use flowtree_sim::{
         Clairvoyance, Engine, Instance, JobSpec, OnlineScheduler, Schedule, Selection, SimView,

@@ -340,7 +340,7 @@ proptest! {
         let report = Engine::new(m)
             .with_max_horizon(1_000_000)
             .with_probe(&mut lb)
-            .run(&inst, &mut Lpf::new())
+            .run(&inst, &mut Fifo::new(TieBreak::HighestHeight))
             .unwrap();
         prop_assert!(
             lb.lower_bound() <= report.stats.max_flow,
@@ -363,7 +363,7 @@ proptest! {
         let report = Engine::new(m)
             .with_max_horizon(1_000_000)
             .with_probe(&mut lb)
-            .run(&inst, &mut Lpf::new())
+            .run(&inst, &mut Fifo::new(TieBreak::HighestHeight))
             .unwrap();
         prop_assert_eq!(lb.lower_bound(), report.stats.max_flow);
         prop_assert_eq!(lb.ratio(), Some(1.0));
