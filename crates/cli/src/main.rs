@@ -34,8 +34,14 @@ mod simulate;
 mod store;
 mod trace;
 
-fn usage() -> &'static str {
-    "usage: flowtree-repro [--full] [--csv DIR] [--list] [e1..e16 | all]...\n\
+/// The experiment ids as `first..last`, from [`experiments::ALL`].
+fn id_range() -> String {
+    format!("{}..{}", experiments::ALL[0], experiments::ALL[experiments::ALL.len() - 1])
+}
+
+fn usage() -> String {
+    format!(
+        "usage: flowtree-repro [--full] [--csv DIR] [--list] [{} | all]...\n\
      \u{20}      flowtree-repro gen <family> [-m M] [--jobs N] [--seed S] [-o FILE]\n\
      \u{20}      flowtree-repro simulate <scheduler> <instance.json> [-m M] [--gantt]\n\
      \u{20}      flowtree-repro trace <scenario> [--scheduler S] [-m M] [--compact-idle] [-o FILE]\n\
@@ -54,125 +60,42 @@ fn usage() -> &'static str {
      \u{20}      flowtree-repro bench [--serve | --gateway] [--quick] [--reps N]\n\
      \u{20}                           [--check BASELINE] [-o FILE]\n\
      Runs the reproduction experiments for 'Scheduling Out-Trees Online to\n\
-     Optimize Maximum Flow' (SPAA 2024) and prints markdown reports."
+     Optimize Maximum Flow' (SPAA 2024) and prints markdown reports.",
+        id_range()
+    )
 }
+
+/// A subcommand: its arguments in, a printable error out.
+type Verb = fn(&[String]) -> Result<(), String>;
+
+/// Every subcommand, by name.
+const VERBS: [(&str, Verb); 12] = [
+    ("gen", gen::run),
+    ("simulate", simulate::run),
+    ("trace", trace::run_trace),
+    ("stats", trace::run_stats),
+    ("report", report::run),
+    ("metrics", metrics::run),
+    ("serve", serve::run),
+    ("gateway", gateway::run_gateway),
+    ("submit", gateway::run_submit),
+    ("store", store::run),
+    ("bench", bench::run),
+    ("verify", |args| verify_cmd(args).map(|msg| println!("{msg}"))),
+];
 
 fn main() -> ExitCode {
     // Subcommands first.
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    match raw.first().map(String::as_str) {
-        Some("gen") => {
-            return match gen::run(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
+    let verb = raw.first().and_then(|a| VERBS.iter().find(|(name, _)| name == a));
+    if let Some((_, run)) = verb {
+        return match run(&raw[1..]) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("{e}");
+                ExitCode::FAILURE
             }
-        }
-        Some("simulate") => {
-            return match simulate::run(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("trace") => {
-            return match trace::run_trace(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("stats") => {
-            return match trace::run_stats(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("report") => {
-            return match report::run(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("metrics") => {
-            return match metrics::run(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("serve") => {
-            return match serve::run(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("gateway") => {
-            return match gateway::run_gateway(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("submit") => {
-            return match gateway::run_submit(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("store") => {
-            return match store::run(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("bench") => {
-            return match bench::run(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("verify") => {
-            return match verify_cmd(&raw[1..]) {
-                Ok(msg) => {
-                    println!("{msg}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => {}
+        };
     }
 
     let mut effort = Effort::Quick;
@@ -202,7 +125,7 @@ fn main() -> ExitCode {
                 eprintln!("unknown flag '{other}'\n{}", usage());
                 return ExitCode::FAILURE;
             }
-            id => ids.push(id.to_string()),
+            id => ids.push(id.to_ascii_lowercase()),
         }
     }
 
@@ -215,7 +138,9 @@ fn main() -> ExitCode {
     if ids.is_empty() {
         ids.extend(experiments::ALL.iter().map(|s| s.to_string()));
     }
-    ids.dedup();
+    // Keep the first occurrence of each id: `all e3` runs e3 once.
+    let mut seen = std::collections::HashSet::new();
+    ids.retain(|id| seen.insert(id.clone()));
 
     if let Some(dir) = &csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -239,7 +164,7 @@ fn main() -> ExitCode {
                 }
             }
             None => {
-                eprintln!("unknown experiment '{id}' (expected e1..e12 or all)");
+                eprintln!("unknown experiment '{id}' (expected {} or all)", id_range());
                 return ExitCode::FAILURE;
             }
         }

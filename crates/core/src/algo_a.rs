@@ -79,8 +79,6 @@ pub struct AlgoA {
     groups: Vec<Group>,
     /// LPF working buffers, reused by every group's plan.
     lpf: LpfScratch,
-    /// Total subjobs scheduled (for diagnostics).
-    scheduled: u64,
 }
 
 impl AlgoA {
@@ -107,7 +105,6 @@ impl AlgoA {
             pending: Vec::new(),
             groups: Vec::new(),
             lpf: LpfScratch::default(),
-            scheduled: 0,
         }
     }
 
@@ -232,7 +229,6 @@ impl OnlineScheduler for AlgoA {
                         let (job, orig) = g.origin[v as usize];
                         let ok = sel.push(job, NodeId(orig));
                         debug_assert!(ok, "young slices exceeded capacity");
-                        self.scheduled += 1;
                     }
                 }
             }
@@ -254,12 +250,11 @@ impl OnlineScheduler for AlgoA {
                 break;
             }
             let origin = &g.origin;
-            let got = mc.next(m_t, |v| {
+            mc.next(m_t, |v| {
                 let (job, orig) = origin[v as usize];
                 let ok = sel.push(job, NodeId(orig));
                 debug_assert!(ok);
             });
-            self.scheduled += got as u64;
         }
 
         // Garbage-collect finished groups.

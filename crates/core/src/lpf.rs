@@ -335,8 +335,6 @@ pub struct RectangleTail {
     pub len: usize,
     /// Steps (excluding the last) that are exactly `p` wide.
     pub full_steps: usize,
-    /// Width of the final step (`<= p`).
-    pub last_width: usize,
 }
 
 impl RectangleTail {
@@ -344,9 +342,8 @@ impl RectangleTail {
     pub fn measure(levels: &Levels, opt: Time, p: usize) -> Self {
         let (_, tail) = head_tail(levels, opt);
         let len = tail.len();
-        let last_width = tail.clone().next_back().map_or(0, <[u32]>::len);
         let full_steps = tail.take(len.saturating_sub(1)).filter(|l| l.len() == p).count();
-        RectangleTail { len, full_steps, last_width }
+        RectangleTail { len, full_steps }
     }
 
     /// Is the tail a perfect rectangle except possibly the final step?

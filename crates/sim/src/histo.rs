@@ -1,13 +1,10 @@
-//! Bounded-memory run histograms and downsampled time series.
+//! Bounded-memory run histograms.
 //!
 //! Long-horizon runs (10^8 steps on sparse instances) cannot afford
 //! per-step storage, so everything here is O(1) memory in the horizon:
 //!
 //! * [`LogHistogram`] — power-of-two log-bucketed value histogram (65 fixed
 //!   buckets cover the full `u64` range) with p50/p90/p99/max summaries;
-//! * [`TimeSeries`] — a fixed-resolution downsampled series that coarsens
-//!   ×2 whenever its bucket array fills, so resolution degrades gracefully
-//!   instead of memory growing;
 //! * [`RunHistograms`] — a [`Probe`] recording per-job flow and per-step
 //!   ready-depth/utilization into the above, with an O(1) idle-gap batch
 //!   update so fast-forwarded gaps cost nothing.
@@ -167,126 +164,8 @@ impl LogHistogram {
     }
 }
 
-/// Default [`TimeSeries`] resolution (buckets kept in memory).
-pub const SERIES_RESOLUTION: usize = 1024;
-
-/// Fixed-memory downsampled time series.
-///
-/// Values are appended one per time step; each stored bucket aggregates
-/// `scale()` consecutive steps (sum and max). When all `resolution` buckets
-/// are full the series *coarsens*: adjacent buckets merge pairwise and the
-/// scale doubles, keeping memory constant for any horizon — 10^8 steps at
-/// resolution 1024 end at scale 2^17 ≈ 131k steps per bucket.
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    resolution: usize,
-    scale: u64,
-    /// Completed buckets: (sum, max) per bucket.
-    buckets: Vec<(u64, u64)>,
-    cur_sum: u64,
-    cur_max: u64,
-    cur_n: u64,
-    total: u64,
-}
-
-impl Default for TimeSeries {
-    fn default() -> Self {
-        TimeSeries::new(SERIES_RESOLUTION)
-    }
-}
-
-impl TimeSeries {
-    /// Series keeping at most `resolution` buckets (`resolution >= 2`).
-    pub fn new(resolution: usize) -> Self {
-        assert!(resolution >= 2, "a series needs at least two buckets");
-        TimeSeries {
-            resolution,
-            scale: 1,
-            buckets: Vec::new(),
-            cur_sum: 0,
-            cur_max: 0,
-            cur_n: 0,
-            total: 0,
-        }
-    }
-
-    /// Append one step's value.
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Append `n` consecutive steps of the same value, in O(buckets touched)
-    /// — the idle-gap path (`n` up to 10^8) touches at most
-    /// `resolution * log2(n / resolution)` buckets over a whole run.
-    pub fn record_n(&mut self, v: u64, mut n: u64) {
-        while n > 0 {
-            let take = n.min(self.scale - self.cur_n);
-            self.cur_sum += v * take;
-            self.cur_max = self.cur_max.max(v);
-            self.cur_n += take;
-            self.total += take;
-            n -= take;
-            if self.cur_n == self.scale {
-                self.flush();
-            }
-        }
-    }
-
-    fn flush(&mut self) {
-        self.buckets.push((self.cur_sum, self.cur_max));
-        self.cur_sum = 0;
-        self.cur_max = 0;
-        self.cur_n = 0;
-        if self.buckets.len() == self.resolution {
-            // Coarsen: merge adjacent pairs, double the scale.
-            let merged: Vec<(u64, u64)> = self
-                .buckets
-                .chunks(2)
-                .map(|pair| {
-                    let (s1, m1) = pair[0];
-                    let (s2, m2) = pair.get(1).copied().unwrap_or((0, 0));
-                    (s1 + s2, m1.max(m2))
-                })
-                .collect();
-            self.buckets = merged;
-            self.scale *= 2;
-        }
-    }
-
-    /// Steps aggregated per completed bucket.
-    pub fn scale(&self) -> u64 {
-        self.scale
-    }
-
-    /// Total steps recorded.
-    pub fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// Has nothing been recorded?
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Per-bucket `(mean, max)` pairs, including the trailing partial bucket
-    /// (whose mean is over the steps it actually holds).
-    pub fn buckets(&self) -> Vec<(f64, u64)> {
-        let mut out: Vec<(f64, u64)> = self
-            .buckets
-            .iter()
-            .map(|&(sum, max)| (sum as f64 / self.scale as f64, max))
-            .collect();
-        if self.cur_n > 0 {
-            out.push((self.cur_sum as f64 / self.cur_n as f64, self.cur_max));
-        }
-        out
-    }
-}
-
 /// Probe recording run-shape distributions: per-job flow, per-step
-/// ready-depth and scheduled-width histograms, plus downsampled ready-depth
-/// and utilization time series. All state is O(resolution): flows are
+/// ready-depth and scheduled-width histograms. All state is O(1): flows are
 /// recorded at completion from the release time the hook passes.
 #[derive(Debug, Clone, Default)]
 pub struct RunHistograms {
@@ -296,14 +175,10 @@ pub struct RunHistograms {
     pub ready_depth: LogHistogram,
     /// Subjobs scheduled per step (utilization × m).
     pub scheduled: LogHistogram,
-    /// Downsampled ready-depth over time.
-    pub ready_series: TimeSeries,
-    /// Downsampled scheduled-width over time.
-    pub scheduled_series: TimeSeries,
 }
 
 impl RunHistograms {
-    /// Fresh, with default series resolution.
+    /// Fresh, empty histograms.
     pub fn new() -> Self {
         Self::default()
     }
@@ -321,16 +196,12 @@ impl Probe for RunHistograms {
     fn on_step(&mut self, _t: Time, stat: StepStat) {
         self.ready_depth.record(stat.ready_depth as u64);
         self.scheduled.record(stat.scheduled as u64);
-        self.ready_series.record(stat.ready_depth as u64);
-        self.scheduled_series.record(stat.scheduled as u64);
     }
 
     /// O(1)-ish batch form: a gap is `steps` all-idle steps.
     fn on_idle_gap(&mut self, _t0: Time, steps: Time, _m: usize) {
         self.ready_depth.record_n(0, steps);
         self.scheduled.record_n(0, steps);
-        self.ready_series.record_n(0, steps);
-        self.scheduled_series.record_n(0, steps);
     }
 }
 
@@ -403,41 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn series_coarsens_and_preserves_totals() {
-        let mut s = TimeSeries::new(4);
-        for v in 0..32u64 {
-            s.record(v);
-        }
-        assert_eq!(s.len(), 32);
-        // 32 steps in <= 4 buckets: scale reached 16.
-        assert!(s.buckets.len() < 4);
-        assert_eq!(s.scale(), 16);
-        let total: u64 = s.buckets.iter().map(|&(sum, _)| sum).sum::<u64>() + s.cur_sum;
-        assert_eq!(total, (0..32).sum::<u64>());
-        // Max of the final bucket is the global max.
-        assert_eq!(s.buckets().last().unwrap().1, 31);
-    }
-
-    #[test]
-    fn series_record_n_matches_stepwise() {
-        let mut a = TimeSeries::new(8);
-        let mut b = TimeSeries::new(8);
-        a.record_n(3, 100);
-        a.record_n(0, 1_000_000);
-        a.record(5);
-        for _ in 0..100 {
-            b.record(3);
-        }
-        for _ in 0..1_000_000 {
-            b.record(0);
-        }
-        b.record(5);
-        assert_eq!(a.buckets, b.buckets);
-        assert_eq!(a.scale, b.scale);
-        assert_eq!((a.cur_sum, a.cur_max, a.cur_n), (b.cur_sum, b.cur_max, b.cur_n));
-    }
-
-    #[test]
     fn run_histograms_batch_gap_matches_default_replay() {
         let mut batched = RunHistograms::new();
         batched.on_start(4, 1);
@@ -447,7 +283,12 @@ mod tests {
         for t in 0..10_000 {
             stepwise.on_step(t, StepStat { scheduled: 0, idle_procs: 4, ready_depth: 0 });
         }
-        assert_eq!(batched.ready_depth.count(), stepwise.ready_depth.count());
-        assert_eq!(batched.scheduled_series.buckets, stepwise.scheduled_series.buckets);
+        for (b, s) in [
+            (&batched.ready_depth, &stepwise.ready_depth),
+            (&batched.scheduled, &stepwise.scheduled),
+        ] {
+            assert_eq!((b.count(), b.sum, b.max()), (s.count(), s.sum, s.max()));
+            assert_eq!(b.counts, s.counts);
+        }
     }
 }

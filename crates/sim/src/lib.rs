@@ -51,7 +51,7 @@ pub mod state;
 pub mod trace;
 
 pub use engine::{Engine, EngineError, RunReport};
-pub use histo::{LogHistogram, RunHistograms, TimeSeries};
+pub use histo::{LogHistogram, RunHistograms};
 pub use instance::{Instance, JobSpec};
 pub use metrics::FlowStats;
 pub use monitor::{

@@ -65,28 +65,6 @@ pub fn flow_stats(instance: &Instance, schedule: &Schedule) -> FlowStats {
     }
 }
 
-/// Competitive-ratio report: a measured objective against a reference value
-/// (exact OPT when known, else a certified lower bound — in which case the
-/// reported ratio is an upper bound on the true ratio).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ratio {
-    /// The algorithm's measured maximum flow.
-    pub achieved: Time,
-    /// The reference (OPT or a lower bound on it).
-    pub reference: Time,
-}
-
-impl Ratio {
-    /// `achieved / reference` as f64 (infinite if the reference is 0).
-    pub fn value(&self) -> f64 {
-        if self.reference == 0 {
-            f64::INFINITY
-        } else {
-            self.achieved as f64 / self.reference as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,11 +127,5 @@ mod tests {
         let (inst, _) = simple();
         let s = Schedule::new(2);
         flow_stats(&inst, &s);
-    }
-
-    #[test]
-    fn ratio_value() {
-        assert_eq!(Ratio { achieved: 6, reference: 2 }.value(), 3.0);
-        assert!(Ratio { achieved: 1, reference: 0 }.value().is_infinite());
     }
 }

@@ -257,25 +257,21 @@ pub struct Counters {
     pub idle_steps: u64,
     /// High-water mark of the ready pool (max subjobs simultaneously ready).
     pub max_ready_depth: usize,
-    /// Per-job release times, indexed by job id (`None` until released).
-    pub releases: Vec<Option<Time>>,
-    /// Per-job completion times, indexed by job id (`None` until complete).
-    pub completions: Vec<Option<Time>>,
+    /// Latest completion time seen (the makespan once every job completed).
+    pub makespan: Time,
+    /// Per-job flow `C_i - r_i`, indexed by job id (`None` until complete).
+    pub flows: Vec<Option<Time>>,
 }
 
 impl Counters {
     /// Per-job flow `F_i = C_i - r_i`; `None` for jobs not yet complete.
     pub fn flows(&self) -> Vec<Option<Time>> {
-        self.completions
-            .iter()
-            .zip(&self.releases)
-            .map(|(c, r)| Some(c.as_ref()? - r.as_ref()?))
-            .collect()
+        self.flows.clone()
     }
 
     /// Maximum flow over completed jobs (`None` when no job completed).
     pub fn max_flow(&self) -> Option<Time> {
-        self.flows().into_iter().flatten().max()
+        self.flows.iter().flatten().copied().max()
     }
 
     /// Fraction of processor-slots busy over the simulated steps.
@@ -299,15 +295,12 @@ impl Counters {
     /// Panics if some job never completed, mirroring `flow_stats` on a
     /// partial schedule.
     pub fn flow_stats(&self) -> FlowStats {
-        let mut flows = Vec::with_capacity(self.completions.len());
-        let mut makespan = 0;
-        for (id, (c, r)) in self.completions.iter().zip(&self.releases).enumerate() {
-            let c = c.unwrap_or_else(|| panic!("job {id} never scheduled"));
-            let r = r.unwrap_or_else(|| panic!("job {id} completed without a release"));
-            assert!(c > r, "job {id} completes at {c} before its release {r}");
-            flows.push(c - r);
-            makespan = makespan.max(c);
-        }
+        let flows: Vec<Time> = self
+            .flows
+            .iter()
+            .enumerate()
+            .map(|(id, f)| f.unwrap_or_else(|| panic!("job {id} never scheduled")))
+            .collect();
         let max_flow = flows.iter().copied().max().unwrap_or(0);
         let mean_flow = if flows.is_empty() {
             0.0
@@ -318,7 +311,7 @@ impl Counters {
             flows,
             max_flow,
             mean_flow,
-            makespan,
+            makespan: self.makespan,
             utilization: self.utilization(),
             idle_steps: self.idle_steps,
         }
@@ -327,27 +320,22 @@ impl Counters {
 
 impl Probe for Counters {
     fn on_start(&mut self, m: usize, num_jobs: usize) {
-        *self = Counters {
-            m,
-            releases: vec![None; num_jobs],
-            completions: vec![None; num_jobs],
-            ..Counters::default()
-        };
+        *self = Counters { m, flows: vec![None; num_jobs], ..Counters::default() };
     }
 
-    fn on_release(&mut self, t: Time, job: JobId, _graph: &JobGraph) {
+    fn on_release(&mut self, _t: Time, job: JobId, _graph: &JobGraph) {
         // Streaming sessions start with zero jobs and admit as they go; jobs
         // release in id order, so growing to `index + 1` here leaves the
-        // vectors identical to the batch-presized ones once all jobs release.
-        if job.index() >= self.releases.len() {
-            self.releases.resize(job.index() + 1, None);
-            self.completions.resize(job.index() + 1, None);
+        // vector identical to the batch-presized one once all jobs release.
+        if job.index() >= self.flows.len() {
+            self.flows.resize(job.index() + 1, None);
         }
-        self.releases[job.index()] = Some(t);
     }
 
-    fn on_complete(&mut self, t: Time, job: JobId, _release: Time) {
-        self.completions[job.index()] = Some(t);
+    fn on_complete(&mut self, t: Time, job: JobId, release: Time) {
+        assert!(t > release, "job {job} completes at {t} before its release {release}");
+        self.flows[job.index()] = Some(t - release);
+        self.makespan = self.makespan.max(t);
     }
 
     fn on_step(&mut self, _t: Time, stat: StepStat) {

@@ -26,6 +26,18 @@ for ex in adversary_duel algo_a_tour quickstart webserver_bursts; do
     cargo run --release -q --example "$ex" >/dev/null
 done
 
+echo "==> committed results/ reproduce (full report and every CSV, byte for byte)"
+# Regenerate with the command in results/README.md and compare: the
+# committed artifacts cannot drift from what the code prints.
+RES_DIR=$(mktemp -d)
+cargo run --release -q -p flowtree-cli -- --full --csv "$RES_DIR/csv" all \
+    > "$RES_DIR/experiments_full.md" 2>/dev/null
+diff -u results/experiments_full.md "$RES_DIR/experiments_full.md" \
+    || { echo "results: experiments_full.md differs; regenerate it"; exit 1; }
+diff -r results/csv "$RES_DIR/csv" \
+    || { echo "results: csv/ differs; regenerate it"; exit 1; }
+rm -rf "$RES_DIR"
+
 echo "==> flowbench tests (the benchmark package builds against the current API)"
 cargo test --offline -q --manifest-path flowbench/Cargo.toml
 

@@ -163,21 +163,26 @@ struct Rebuilt {
     idle_slots: u64,
     idle_steps: u64,
     max_ready_depth: usize,
-    releases: Vec<Option<Time>>,
-    completions: Vec<Option<Time>>,
+    makespan: Time,
+    flows: Vec<Option<Time>>,
 }
 
 fn rebuild(events: &[TraceEvent]) -> Rebuilt {
     let mut r = Rebuilt::default();
+    let mut releases = Vec::new();
     for ev in events {
         match ev {
             TraceEvent::Start { m, jobs } => {
                 r.m = *m;
-                r.releases = vec![None; *jobs];
-                r.completions = vec![None; *jobs];
+                releases = vec![None; *jobs];
+                r.flows = vec![None; *jobs];
             }
-            TraceEvent::Release { t, job } => r.releases[job.index()] = Some(*t),
-            TraceEvent::Complete { t, job } => r.completions[job.index()] = Some(*t),
+            TraceEvent::Release { t, job } => releases[job.index()] = Some(*t),
+            TraceEvent::Complete { t, job } => {
+                let release = releases[job.index()].expect("complete before release");
+                r.flows[job.index()] = Some(*t - release);
+                r.makespan = r.makespan.max(*t);
+            }
             TraceEvent::Step { picks, idle, ready, .. } => {
                 r.steps += 1;
                 r.dispatched += picks.len() as u64;
@@ -223,8 +228,8 @@ proptest! {
         prop_assert_eq!(rebuilt.idle_slots, c.idle_slots);
         prop_assert_eq!(rebuilt.idle_steps, c.idle_steps);
         prop_assert_eq!(rebuilt.max_ready_depth, c.max_ready_depth);
-        prop_assert_eq!(&rebuilt.releases, &c.releases);
-        prop_assert_eq!(&rebuilt.completions, &c.completions);
+        prop_assert_eq!(rebuilt.makespan, c.makespan);
+        prop_assert_eq!(&rebuilt.flows, &c.flows);
 
         // 2. Replayed schedule and flows vs the from-scratch metrics.
         let replay = Replay::from_str(&jsonl).unwrap();
