@@ -43,7 +43,9 @@ fn usage() -> String {
     format!(
         "usage: flowtree-repro [--full] [--csv DIR] [--list] [{} | all]...\n\
      \u{20}      flowtree-repro gen <family> [-m M] [--jobs N] [--seed S] [-o FILE]\n\
-     \u{20}      flowtree-repro simulate <scheduler> <instance.json> [-m M] [--gantt]\n\
+     \u{20}      flowtree-repro simulate <scheduler> <instance.json> [-m M] [--half H] [--gantt]\n\
+     \u{20}                              [--dump schedule.json]\n\
+     \u{20}      flowtree-repro verify <instance.json> <schedule.json>\n\
      \u{20}      flowtree-repro trace <scenario> [--scheduler S] [-m M] [--compact-idle] [-o FILE]\n\
      \u{20}      flowtree-repro stats <scenario> [--scheduler S] [-m M]\n\
      \u{20}      flowtree-repro report <scenario> [--scheduler S] [-m M] [--format json|md]\n\
@@ -196,4 +198,17 @@ fn verify_cmd(args: &[String]) -> Result<String, String> {
         stats.mean_flow,
         stats.makespan
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_verb() {
+        let text = usage();
+        for (name, _) in VERBS {
+            assert!(text.contains(&format!("flowtree-repro {name} ")), "usage() omits {name}");
+        }
+    }
 }

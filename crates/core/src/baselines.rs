@@ -112,9 +112,11 @@ impl OnlineScheduler for RandomWorkConserving {
 }
 
 /// Clairvoyant "shortest job first" flavour: order alive jobs by remaining
-/// work ascending (FIFO to break ties), then fill like FIFO with the
-/// became-ready tie-break. Known to be terrible for *maximum* flow (it
-/// starves big jobs) — included as a cautionary baseline.
+/// work ascending (FIFO to break ties), then take each job's ready subjobs
+/// in the engine's ready-list order ([`SimView::ready`], which
+/// `swap_remove` reshuffles as subjobs complete) until the processors run
+/// out. Known to be terrible for *maximum* flow (it starves big jobs) —
+/// included as a cautionary baseline.
 pub struct LeastRemainingWorkFirst;
 
 impl OnlineScheduler for LeastRemainingWorkFirst {

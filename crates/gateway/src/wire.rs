@@ -730,16 +730,7 @@ pub fn encode_reply_into(reply: &Reply, codec: WireCodec, out: &mut Vec<u8>) {
             out.push(OP_ACK);
             push_u64_le(out, *seq);
             push_u64_le(out, *frames);
-            for v in [
-                delta.offered,
-                delta.delivered,
-                delta.dropped,
-                delta.redirected,
-                delta.reordered,
-                delta.stolen_in,
-                delta.stolen_out,
-                delta.wm_skipped,
-            ] {
+            for v in delta.to_array() {
                 push_u64_le(out, v);
             }
         }
@@ -815,17 +806,11 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, String> {
             OP_ACK => {
                 let seq = r.u64()?;
                 let frames = r.u64()?;
-                let delta = IngestStats {
-                    offered: r.u64()?,
-                    delivered: r.u64()?,
-                    dropped: r.u64()?,
-                    redirected: r.u64()?,
-                    reordered: r.u64()?,
-                    stolen_in: r.u64()?,
-                    stolen_out: r.u64()?,
-                    wm_skipped: r.u64()?,
-                };
-                Reply::Ack { seq, delta, frames }
+                let mut delta = [0; 8];
+                for v in &mut delta {
+                    *v = r.u64()?;
+                }
+                Reply::Ack { seq, delta: IngestStats::from_array(delta), frames }
             }
             OP_BUSY => Reply::Busy { retry_after_ms: r.u64()?, frames: r.u64()? },
             other => return Err(format!("unknown binary reply opcode {other}")),
@@ -1068,6 +1053,50 @@ mod tests {
         ];
         assert_eq!(buf, expected);
         assert_eq!(decode_request(expected), Ok(Request::SubmitBatch { jobs: vec![job] }));
+    }
+
+    #[test]
+    fn binary_ack_and_busy_layouts_are_pinned() {
+        let delta = IngestStats {
+            offered: 1,
+            delivered: 2,
+            dropped: 3,
+            redirected: 4,
+            reordered: 5,
+            stolen_in: 6,
+            stolen_out: 7,
+            wm_skipped: 8,
+        };
+        let ack = Reply::Ack { seq: 9, delta, frames: 3 };
+        let mut buf = Vec::new();
+        encode_reply_into(&ack, WireCodec::Binary, &mut buf);
+        #[rustfmt::skip]
+        let expected: &[u8] = &[
+            0x00, 0x02,             // marker, ack opcode
+            9, 0, 0, 0, 0, 0, 0, 0, // seq
+            3, 0, 0, 0, 0, 0, 0, 0, // frames
+            1, 0, 0, 0, 0, 0, 0, 0, // delta.offered
+            2, 0, 0, 0, 0, 0, 0, 0, // delta.delivered
+            3, 0, 0, 0, 0, 0, 0, 0, // delta.dropped
+            4, 0, 0, 0, 0, 0, 0, 0, // delta.redirected
+            5, 0, 0, 0, 0, 0, 0, 0, // delta.reordered
+            6, 0, 0, 0, 0, 0, 0, 0, // delta.stolen_in
+            7, 0, 0, 0, 0, 0, 0, 0, // delta.stolen_out
+            8, 0, 0, 0, 0, 0, 0, 0, // delta.wm_skipped
+        ];
+        assert_eq!(buf, expected);
+        assert_eq!(decode_reply(expected), Ok(ack));
+
+        let busy = Reply::Busy { retry_after_ms: 50, frames: 4 };
+        encode_reply_into(&busy, WireCodec::Binary, &mut buf);
+        #[rustfmt::skip]
+        let expected: &[u8] = &[
+            0x00, 0x04,              // marker, busy opcode
+            50, 0, 0, 0, 0, 0, 0, 0, // retry_after_ms
+            4, 0, 0, 0, 0, 0, 0, 0,  // frames
+        ];
+        assert_eq!(buf, expected);
+        assert_eq!(decode_reply(expected), Ok(busy));
     }
 
     #[test]

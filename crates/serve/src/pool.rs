@@ -429,21 +429,48 @@ serde::impl_serde_struct!(IngestStats {
 });
 
 impl IngestStats {
+    /// The eight counters in declaration order, the one place that lists
+    /// them all (the binary ack carries them in this order);
+    /// [`from_array`](Self::from_array) is the inverse.
+    pub fn to_array(&self) -> [u64; 8] {
+        let IngestStats {
+            offered,
+            delivered,
+            dropped,
+            redirected,
+            reordered,
+            stolen_in,
+            stolen_out,
+            wm_skipped,
+        } = *self;
+        [
+            offered, delivered, dropped, redirected, reordered, stolen_in, stolen_out, wm_skipped,
+        ]
+    }
+
+    /// The ledger whose [`to_array`](Self::to_array) is `counters`.
+    pub fn from_array(counters: [u64; 8]) -> Self {
+        let [offered, delivered, dropped, redirected, reordered, stolen_in, stolen_out, wm_skipped] =
+            counters;
+        IngestStats {
+            offered,
+            delivered,
+            dropped,
+            redirected,
+            reordered,
+            stolen_in,
+            stolen_out,
+            wm_skipped,
+        }
+    }
+
     /// Field-wise difference `self - earlier`. Counters only grow, so the
     /// saturation never fires between two snapshots of the same ledger;
     /// it just keeps a misuse from panicking. A gateway uses this to tell
     /// each client exactly what *its* command did to the pool-wide books.
     pub fn delta_since(&self, earlier: &IngestStats) -> IngestStats {
-        IngestStats {
-            offered: self.offered.saturating_sub(earlier.offered),
-            delivered: self.delivered.saturating_sub(earlier.delivered),
-            dropped: self.dropped.saturating_sub(earlier.dropped),
-            redirected: self.redirected.saturating_sub(earlier.redirected),
-            reordered: self.reordered.saturating_sub(earlier.reordered),
-            stolen_in: self.stolen_in.saturating_sub(earlier.stolen_in),
-            stolen_out: self.stolen_out.saturating_sub(earlier.stolen_out),
-            wm_skipped: self.wm_skipped.saturating_sub(earlier.wm_skipped),
-        }
+        let (now, then) = (self.to_array(), earlier.to_array());
+        IngestStats::from_array(std::array::from_fn(|i| now[i].saturating_sub(then[i])))
     }
 }
 

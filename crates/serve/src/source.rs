@@ -16,9 +16,9 @@
 
 use std::collections::VecDeque;
 
-use flowtree_dag::{JobGraph, Time};
+use flowtree_dag::Time;
 use flowtree_sim::{Instance, JobSpec};
-use flowtree_workloads::mix::{Scenario, Shape};
+use flowtree_workloads::mix::Scenario;
 use flowtree_workloads::Rng;
 use rand::Rng as _;
 
@@ -134,8 +134,7 @@ impl ArrivalSource for ReplaySource {
 /// fixed job budget is spent.
 #[derive(Debug, Clone)]
 pub struct GeneratorSource {
-    blend: Vec<(Shape, u32)>,
-    total_weight: u32,
+    scenario: Scenario,
     rng: Rng,
     rate: f64,
     remaining: usize,
@@ -148,12 +147,9 @@ impl GeneratorSource {
     /// `rate` expected arrivals per step, seeded for reproducibility.
     pub fn new(scenario: &Scenario, rate: f64, jobs: usize, seed: u64) -> Self {
         assert!(rate > 0.0, "arrival rate must be positive");
-        assert!(!scenario.blend.is_empty(), "scenario blend must be nonempty");
-        let total_weight: u32 = scenario.blend.iter().map(|&(_, w)| w).sum();
-        assert!(total_weight > 0, "blend weights must not all be zero");
+        assert!(scenario.blend.iter().any(|&(_, w)| w > 0), "blend weights must not all be zero");
         GeneratorSource {
-            blend: scenario.blend.clone(),
-            total_weight,
+            scenario: scenario.clone(),
             rng: flowtree_workloads::rng(seed),
             rate,
             remaining: jobs,
@@ -165,17 +161,6 @@ impl GeneratorSource {
     /// Jobs still to be emitted (pending + unsampled).
     pub fn remaining(&self) -> usize {
         self.remaining + self.pending.len()
-    }
-
-    fn sample_shape(&mut self) -> JobGraph {
-        let mut roll = self.rng.gen_range(0..self.total_weight);
-        for &(shape, w) in &self.blend {
-            if roll < w {
-                return shape.sample(&mut self.rng);
-            }
-            roll -= w;
-        }
-        unreachable!("weights cover the roll")
     }
 }
 
@@ -189,7 +174,7 @@ impl ArrivalSource for GeneratorSource {
             while expected > 0.0 && self.remaining > 0 {
                 let p = expected.min(1.0);
                 if self.rng.gen_bool(p) {
-                    let graph = self.sample_shape();
+                    let graph = self.scenario.sample_job(&mut self.rng);
                     self.pending.push_back(JobSpec { graph, release });
                     self.remaining -= 1;
                 }

@@ -35,8 +35,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use flowtree_dag::{JobId, NodeId, Time};
-use flowtree_sim::{LogHistogram, Probe};
+use flowtree_dag::{JobId, Time};
+use flowtree_sim::{LogHistogram, Probe, StepStat};
 
 use crate::pool::{IngestStats, PoolHandle};
 use crate::shard::ShardSnapshot;
@@ -441,7 +441,7 @@ impl Telemetry {
 /// latencies into the shard's [`ShardTelemetry`]. The worker feeds it
 /// offer/admit stamps via [`stamp`](Self::stamp) right after each
 /// admission; the probe hooks handle the rest. Cost is one `Instant::now`
-/// per *job* milestone (never per subjob), plus a vec lookup per dispatch.
+/// per *job* milestone (never per subjob), plus a vec lookup per pick.
 #[derive(Debug)]
 pub struct LatencyProbe {
     tel: Arc<ShardTelemetry>,
@@ -479,12 +479,14 @@ impl LatencyProbe {
 
 impl Probe for LatencyProbe {
     #[inline]
-    fn on_dispatch(&mut self, _t: Time, job: JobId, _node: NodeId) {
-        let i = job.index();
-        if i < self.dispatched.len() && !self.dispatched[i] {
-            self.dispatched[i] = true;
-            let now = self.tel.now_us();
-            self.tel.admit_to_first_dispatch.record(now.saturating_sub(self.admitted_us[i]));
+    fn on_step(&mut self, _t: Time, stat: StepStat<'_>) {
+        for &(job, _) in stat.picks {
+            let i = job.index();
+            if i < self.dispatched.len() && !self.dispatched[i] {
+                self.dispatched[i] = true;
+                let now = self.tel.now_us();
+                self.tel.admit_to_first_dispatch.record(now.saturating_sub(self.admitted_us[i]));
+            }
         }
     }
 
@@ -866,6 +868,7 @@ pub fn load_flight_jsonl(path: &Path) -> io::Result<Vec<FlightEvent>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowtree_dag::NodeId;
 
     #[test]
     fn atomic_histo_snapshot_matches_plain_histogram() {
@@ -972,8 +975,8 @@ mod tests {
         let tel = Arc::new(ShardTelemetry::new(Instant::now(), 0, 8));
         let mut probe = LatencyProbe::new(Arc::clone(&tel));
         probe.stamp(JobId(0), 0, 10);
-        probe.on_dispatch(0, JobId(0), NodeId(0));
-        probe.on_dispatch(0, JobId(0), NodeId(1)); // second dispatch: no-op
+        let picks = [(JobId(0), NodeId(0)), (JobId(0), NodeId(1))]; // second pick: no-op
+        probe.on_step(0, StepStat { picks: &picks, idle_procs: 0, ready_depth: 2 });
         probe.on_complete(1, JobId(0), 0);
         assert_eq!(tel.arrival_to_admit.snapshot().count(), 1);
         assert_eq!(tel.arrival_to_admit.snapshot().max(), 10);

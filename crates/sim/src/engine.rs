@@ -209,8 +209,7 @@ impl Core {
 
     /// Fire `on_start` with the job count known up front.
     pub(crate) fn start<P: Probe>(&mut self, probe: &mut P, jobs: usize) {
-        self.counters.on_start(self.m, jobs);
-        probe.on_start(self.m, jobs);
+        (&mut self.counters, probe).on_start(self.m, jobs);
     }
 
     /// Simulate until `t_end`, or until every job of `instance` has
@@ -226,6 +225,8 @@ impl Core {
         let clair = scheduler.clairvoyance();
         let Core { m, state, schedule, counters, sel, finished, t: now } = self;
         let m = *m;
+        // The engine's own counters observe every event first, as a probe.
+        let mut probe = (counters, probe);
         while *now < t_end && !state.all_done() {
             let t = *now;
             if t > horizon {
@@ -233,9 +234,7 @@ impl Core {
             }
 
             while let Some(job) = state.release_one(instance, t) {
-                let graph = instance.graph(job);
-                counters.on_release(t, job, graph);
-                probe.on_release(t, job, graph);
+                probe.on_release(t, job, instance.graph(job));
                 let view = SimView::new(instance, state, m, clair);
                 scheduler.on_arrival(t, job, &view);
             }
@@ -255,7 +254,6 @@ impl Core {
                 debug_assert!(next > t, "a release due now was not applied");
                 let end = next.min(t_end).min(horizon + 1);
                 let gap = end - t;
-                counters.on_idle_gap(t, gap, m);
                 probe.on_idle_gap(t, gap, m);
                 schedule.push_empty_steps(gap);
                 *now = end;
@@ -285,20 +283,10 @@ impl Core {
                 }
             }
 
-            counters.on_select(t, picks);
-            probe.on_select(t, picks);
             for &(j, v) in picks {
-                probe.on_dispatch(t, j, v);
                 state.complete(instance, j, v, t + 1);
             }
-
-            let stat = StepStat {
-                scheduled: picks.len(),
-                idle_procs: m - picks.len(),
-                ready_depth,
-            };
-            counters.on_step(t, stat);
-            probe.on_step(t, stat);
+            probe.on_step(t, StepStat { picks, idle_procs: m - picks.len(), ready_depth });
 
             // A job completes at t+1 when this step ran its last subjob.
             // Fire once per job, in the order of its first pick; only the
@@ -307,9 +295,7 @@ impl Core {
             for &(j, _) in picks {
                 if state.unfinished(j) == 0 && !finished.contains(&j) {
                     finished.push(j);
-                    let release = instance.release(j);
-                    counters.on_complete(t + 1, j, release);
-                    probe.on_complete(t + 1, j, release);
+                    probe.on_complete(t + 1, j, instance.release(j));
                 }
             }
 
@@ -325,8 +311,7 @@ impl Core {
     /// Fire `on_finish` and bundle the report. Flow statistics come from the
     /// counters alone in O(jobs), with no second pass over the schedule.
     pub(crate) fn finish<P: Probe>(mut self, probe: &mut P) -> RunReport {
-        self.counters.on_finish(self.t);
-        probe.on_finish(self.t);
+        (&mut self.counters, probe).on_finish(self.t);
         let stats = self.counters.flow_stats();
         RunReport { schedule: self.schedule, stats, counters: self.counters }
     }

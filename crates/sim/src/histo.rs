@@ -193,9 +193,9 @@ impl Probe for RunHistograms {
         self.flow.record(t - release);
     }
 
-    fn on_step(&mut self, _t: Time, stat: StepStat) {
+    fn on_step(&mut self, _t: Time, stat: StepStat<'_>) {
         self.ready_depth.record(stat.ready_depth as u64);
-        self.scheduled.record(stat.scheduled as u64);
+        self.scheduled.record(stat.picks.len() as u64);
     }
 
     /// O(1)-ish batch form: a gap is `steps` all-idle steps.
@@ -281,7 +281,7 @@ mod tests {
         let mut stepwise = RunHistograms::new();
         stepwise.on_start(4, 1);
         for t in 0..10_000 {
-            stepwise.on_step(t, StepStat { scheduled: 0, idle_procs: 4, ready_depth: 0 });
+            stepwise.on_step(t, StepStat { picks: &[], idle_procs: 4, ready_depth: 0 });
         }
         for (b, s) in [
             (&batched.ready_depth, &stepwise.ready_depth),

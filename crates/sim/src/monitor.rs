@@ -239,13 +239,12 @@ pub struct InvariantMonitor {
     /// Most recent narrow tail step, not yet known to be non-final.
     pending_narrow: Option<(Time, usize)>,
     done: bool,
-    /// Per-job release times (grown on release). Always maintained: picks
-    /// are attributed to groups by them, and they let
+    /// Per-job release times, grown on release and cleared on completion,
+    /// so `Some` marks an alive job. Always maintained: picks are
+    /// attributed to groups by them, and they let
     /// [`set_checks`](Self::set_checks) arm the head/tail group check
     /// mid-run by rebuilding the grouping from history.
     releases: Vec<Option<Time>>,
-    /// Per-job completion flags (same lifecycle as `releases`).
-    completed: Vec<bool>,
     /// Live release groups keyed by block boundary (head/tail check only).
     groups: BTreeMap<Time, GroupTrack>,
     /// Scratch: the boundaries the current step's selection touched, in
@@ -281,7 +280,6 @@ impl InvariantMonitor {
             pending_narrow: None,
             done: false,
             releases: Vec::new(),
-            completed: Vec::new(),
             groups: BTreeMap::new(),
             touched: Vec::new(),
             violations: Vec::new(),
@@ -314,12 +312,8 @@ impl InvariantMonitor {
         }
         self.groups.clear();
         if let Some(ht) = checks.head_tail {
-            for (i, r) in self.releases.iter().enumerate() {
-                if let Some(r) = r {
-                    if !self.completed[i] {
-                        self.groups.entry(group_boundary(*r, ht.half)).or_default().members += 1;
-                    }
-                }
+            for r in self.releases.iter().flatten() {
+                self.groups.entry(group_boundary(*r, ht.half)).or_default().members += 1;
             }
         }
     }
@@ -359,82 +353,10 @@ impl InvariantMonitor {
         }
     }
 
-    /// Judge the current step's selection against the head/tail group
+    /// Judge the current step's `picks` against the head/tail group
     /// structure (width cap always; exhausted-rectangle rule in strict
-    /// mode). `total` is the step's whole selection size.
-    fn check_head_tail(&mut self, ht: HeadTailChecks, t: Time, total: usize) {
-        let m = self.m;
-        let p = (m / ht.alpha.max(1)).max(1);
-        let opt = 2 * ht.half.max(1);
-        let touched = std::mem::take(&mut self.touched);
-        for &(b, picks) in &touched {
-            let g = self.groups.entry(b).or_default();
-            let exhausted_at = g.exhausted_at;
-            let in_tail = ht.strict && t >= b.saturating_add(opt);
-            if in_tail {
-                // A short tail step (the group got < p while the selection
-                // stayed under m, so its grant provably exceeded its picks)
-                // means its MC rectangle is exhausted under a valid
-                // estimate; re-evaluated every tail step the group runs.
-                g.exhausted_at = (picks < p && total < m).then_some(t);
-            }
-            if picks > p {
-                self.record(t, InvariantRule::GroupWidth, || {
-                    format!("group@{b} ran {picks} > slice {p} (m={m}, alpha={})", ht.alpha)
-                });
-            }
-            if in_tail {
-                if let Some(t0) = exhausted_at {
-                    if t > t0 {
-                        self.record(t, InvariantRule::TailRectangle, || {
-                            format!("group@{b} scheduled after its rectangle ran short at t={t0}")
-                        });
-                    }
-                }
-            }
-        }
-        self.touched = touched;
-        self.touched.clear();
-    }
-}
-
-impl Probe for InvariantMonitor {
-    fn on_start(&mut self, m: usize, num_jobs: usize) {
-        self.m = m;
-        self.single = num_jobs == 1;
-        self.tail_start = None;
-        self.pending_narrow = None;
-        self.done = false;
-        self.releases.clear();
-        self.completed.clear();
-        self.groups.clear();
-        self.touched.clear();
-        self.violations.clear();
-        self.total = 0;
-    }
-
-    fn on_release(&mut self, t: Time, job: JobId, graph: &JobGraph) {
-        if let (true, Some(alpha)) = (self.single, self.checks.rectangle_tail_alpha) {
-            let p = (alpha.max(1) * self.m.max(1)) as u64;
-            self.tail_start = Some(t + DepthProfile::opt_single_job_of(graph, p));
-        }
-        if job.index() >= self.releases.len() {
-            self.releases.resize(job.index() + 1, None);
-            self.completed.resize(job.index() + 1, false);
-        }
-        self.releases[job.index()] = Some(t);
-        if let Some(ht) = self.checks.head_tail {
-            self.groups.entry(group_boundary(t, ht.half)).or_default().members += 1;
-        }
-    }
-
-    fn on_select(&mut self, t: Time, picks: &[(JobId, NodeId)]) {
-        let Some(ht) = self.checks.head_tail else {
-            return;
-        };
-        if picks.is_empty() {
-            return;
-        }
+    /// mode).
+    fn check_head_tail(&mut self, ht: HeadTailChecks, t: Time, picks: &[(JobId, NodeId)]) {
         // Attribute runs of consecutive picks that share a boundary (a
         // group's picks are pushed together) once per run. A pick of the
         // run's last job extends it at once, and a job released within
@@ -469,17 +391,80 @@ impl Probe for InvariantMonitor {
         if let Some((_, rb, n)) = run {
             self.attribute(rb, n);
         }
-        self.check_head_tail(ht, t, picks.len());
+
+        let m = self.m;
+        let total = picks.len();
+        let p = (m / ht.alpha.max(1)).max(1);
+        let opt = 2 * half;
+        let touched = std::mem::take(&mut self.touched);
+        for &(b, n) in &touched {
+            let g = self.groups.entry(b).or_default();
+            let exhausted_at = g.exhausted_at;
+            let in_tail = ht.strict && t >= b.saturating_add(opt);
+            if in_tail {
+                // A short tail step (the group got < p while the selection
+                // stayed under m, so its grant provably exceeded its picks)
+                // means its MC rectangle is exhausted under a valid
+                // estimate; re-evaluated every tail step the group runs.
+                g.exhausted_at = (n < p && total < m).then_some(t);
+            }
+            if n > p {
+                self.record(t, InvariantRule::GroupWidth, || {
+                    format!("group@{b} ran {n} > slice {p} (m={m}, alpha={})", ht.alpha)
+                });
+            }
+            if in_tail {
+                if let Some(t0) = exhausted_at {
+                    if t > t0 {
+                        self.record(t, InvariantRule::TailRectangle, || {
+                            format!("group@{b} scheduled after its rectangle ran short at t={t0}")
+                        });
+                    }
+                }
+            }
+        }
+        self.touched = touched;
+        self.touched.clear();
+    }
+}
+
+impl Probe for InvariantMonitor {
+    fn on_start(&mut self, m: usize, num_jobs: usize) {
+        self.m = m;
+        self.single = num_jobs == 1;
+        self.tail_start = None;
+        self.pending_narrow = None;
+        self.done = false;
+        self.releases.clear();
+        self.groups.clear();
+        self.touched.clear();
+        self.violations.clear();
+        self.total = 0;
     }
 
-    fn on_step(&mut self, t: Time, stat: StepStat) {
+    fn on_release(&mut self, t: Time, job: JobId, graph: &JobGraph) {
+        if let (true, Some(alpha)) = (self.single, self.checks.rectangle_tail_alpha) {
+            let p = (alpha.max(1) * self.m.max(1)) as u64;
+            self.tail_start = Some(t + DepthProfile::opt_single_job_of(graph, p));
+        }
+        if job.index() >= self.releases.len() {
+            self.releases.resize(job.index() + 1, None);
+        }
+        self.releases[job.index()] = Some(t);
+        if let Some(ht) = self.checks.head_tail {
+            self.groups.entry(group_boundary(t, ht.half)).or_default().members += 1;
+        }
+    }
+
+    fn on_step(&mut self, t: Time, stat: StepStat<'_>) {
         let m = self.m;
-        if self.checks.work_conserving && stat.scheduled < m && stat.scheduled < stat.ready_depth {
+        let scheduled = stat.picks.len();
+        if let Some(ht) = self.checks.head_tail {
+            self.check_head_tail(ht, t, stat.picks);
+        }
+        if self.checks.work_conserving && scheduled < m && scheduled < stat.ready_depth {
             self.record(t, InvariantRule::WorkConserving, || {
-                format!(
-                    "scheduled {} of {} ready on {m} processors",
-                    stat.scheduled, stat.ready_depth
-                )
+                format!("scheduled {scheduled} of {} ready on {m} processors", stat.ready_depth)
             });
         }
         if let Some(tail) = self.tail_start {
@@ -493,8 +478,8 @@ impl Probe for InvariantMonitor {
                         )
                     });
                 }
-                if stat.scheduled < m {
-                    self.pending_narrow = Some((t, stat.scheduled));
+                if scheduled < m {
+                    self.pending_narrow = Some((t, scheduled));
                 }
             }
         }
@@ -505,7 +490,7 @@ impl Probe for InvariantMonitor {
         // a pending narrow step was the final one, which Lemma 5.2 exempts.
         self.done = true;
         self.pending_narrow = None;
-        self.completed[job.index()] = true;
+        self.releases[job.index()] = None;
         if let Some(ht) = self.checks.head_tail {
             let b = group_boundary(release, ht.half);
             if let Some(g) = self.groups.get_mut(&b) {
@@ -572,6 +557,12 @@ mod tests {
         }
     }
 
+    /// Feed `picks` as the step at `t`; the head/tail check reads only the
+    /// picks (its tests disable the checks that read the other fields).
+    fn step(mon: &mut InvariantMonitor, t: Time, picks: &[(JobId, NodeId)]) {
+        mon.on_step(t, StepStat { picks, idle_procs: 0, ready_depth: 0 });
+    }
+
     #[test]
     fn lower_bound_is_exact_for_single_star() {
         // star(6): root + 6 leaves on m=3 -> OPT = 3 (Corollary 5.4).
@@ -625,7 +616,8 @@ mod tests {
         mon.on_start(4, 1);
         mon.on_release(0, JobId(0), inst.graph(JobId(0)));
         for (t, scheduled) in [(0u64, 1usize), (1, 4), (2, 4), (3, 4), (4, 2), (5, 1)] {
-            mon.on_step(t, StepStat { scheduled, idle_procs: 4 - scheduled, ready_depth: 9 });
+            let picks = vec![(JobId(0), NodeId(0)); scheduled];
+            mon.on_step(t, StepStat { picks: &picks, idle_procs: 4 - scheduled, ready_depth: 9 });
         }
         mon.on_complete(6, JobId(0), 0);
         mon.on_finish(6);
@@ -650,18 +642,22 @@ mod tests {
         mon.on_release(0, JobId(1), &g); // group@0 with jobs 0, 1
         mon.on_release(3, JobId(2), &g); // group@4
                                          // Head step within the cap: clean.
-        mon.on_select(0, &[(JobId(0), NodeId(0)), (JobId(1), NodeId(0))]);
+        step(&mut mon, 0, &[(JobId(0), NodeId(0)), (JobId(1), NodeId(0))]);
         assert!(mon.is_clean());
         // Width breach: 3 picks for group@0 against slice 2.
-        mon.on_select(1, &[(JobId(0), NodeId(1)), (JobId(0), NodeId(2)), (JobId(1), NodeId(1))]);
+        step(
+            &mut mon,
+            1,
+            &[(JobId(0), NodeId(1)), (JobId(0), NodeId(2)), (JobId(1), NodeId(1))],
+        );
         assert_eq!(mon.total_violations(), 1);
         assert_eq!(mon.violations()[0].rule, InvariantRule::GroupWidth);
         // Tail (t >= 4): a short step (1 < 2 picks, total under m) marks the
         // rectangle exhausted but is not itself a breach...
-        mon.on_select(4, &[(JobId(0), NodeId(3))]);
+        step(&mut mon, 4, &[(JobId(0), NodeId(3))]);
         assert_eq!(mon.total_violations(), 1);
         // ...scheduling the group again afterwards is.
-        mon.on_select(5, &[(JobId(1), NodeId(2))]);
+        step(&mut mon, 5, &[(JobId(1), NodeId(2))]);
         assert_eq!(mon.total_violations(), 2);
         assert_eq!(mon.violations()[1].rule, InvariantRule::TailRectangle);
     }
@@ -699,7 +695,7 @@ mod tests {
                     };
                     picks.sort_by_key(|&(j, _)| first(group_boundary(releases[j.index()], 2)));
                 }
-                mon.on_select(t, &picks);
+                step(&mut mon, t, &picks);
             }
             mon.violations().to_vec()
         };
@@ -723,8 +719,8 @@ mod tests {
         mon.on_release(0, JobId(1), &g);
         // Short tail step, then both members complete: the short step was
         // the group's (exempt) rectangle end, not a violation.
-        mon.on_select(4, &[(JobId(0), NodeId(0)), (JobId(1), NodeId(0))]);
-        mon.on_select(5, &[(JobId(0), NodeId(1))]);
+        step(&mut mon, 4, &[(JobId(0), NodeId(0)), (JobId(1), NodeId(0))]);
+        step(&mut mon, 5, &[(JobId(0), NodeId(1))]);
         mon.on_complete(5, JobId(0), 0);
         mon.on_complete(5, JobId(1), 0);
         mon.on_finish(5);
@@ -746,11 +742,15 @@ mod tests {
         });
         // Strict demoted: a short tail step followed by more scheduling of
         // the same group is tolerated after a hot-swap regrouping...
-        mon.on_select(6, &[(JobId(1), NodeId(0))]);
-        mon.on_select(7, &[(JobId(1), NodeId(1))]);
+        step(&mut mon, 6, &[(JobId(1), NodeId(0))]);
+        step(&mut mon, 7, &[(JobId(1), NodeId(1))]);
         assert!(mon.is_clean(), "{:?}", mon.violations());
         // ...but the m/alpha width cap still applies (slice = 2).
-        mon.on_select(8, &[(JobId(1), NodeId(2)), (JobId(1), NodeId(3)), (JobId(1), NodeId(4))]);
+        step(
+            &mut mon,
+            8,
+            &[(JobId(1), NodeId(2)), (JobId(1), NodeId(3)), (JobId(1), NodeId(4))],
+        );
         assert_eq!(mon.total_violations(), 1);
         assert_eq!(mon.violations()[0].rule, InvariantRule::GroupWidth);
     }
@@ -761,7 +761,7 @@ mod tests {
         let mut mon = InvariantMonitor::new(&inst, InvariantChecks::WORK_CONSERVING);
         mon.on_start(4, 1);
         for t in 0..1000 {
-            mon.on_step(t, StepStat { scheduled: 0, idle_procs: 4, ready_depth: 7 });
+            mon.on_step(t, StepStat { picks: &[], idle_procs: 4, ready_depth: 7 });
         }
         assert_eq!(mon.total_violations(), 1000);
         assert_eq!(mon.violations().len(), InvariantMonitor::MAX_RECORDED);

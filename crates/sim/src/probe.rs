@@ -3,8 +3,7 @@
 //! A [`Probe`] observes an [`Engine`](crate::Engine) run without influencing
 //! it: the engine invokes the hooks at fixed points of its loop, in event
 //! order ([`on_start`](Probe::on_start), then per step
-//! [`on_release`](Probe::on_release)* → [`on_select`](Probe::on_select) →
-//! [`on_dispatch`](Probe::on_dispatch)* → [`on_step`](Probe::on_step) →
+//! [`on_release`](Probe::on_release)* → [`on_step`](Probe::on_step) →
 //! [`on_complete`](Probe::on_complete)*, and finally
 //! [`on_finish`](Probe::on_finish)). When the engine fast-forwards over a
 //! stretch of forced-idle steps it emits a single
@@ -23,7 +22,8 @@
 //! The default probe is [`NullProbe`], whose empty inlined hooks compile
 //! away entirely — an uninstrumented `Engine::new(m)` pays nothing. The
 //! engine additionally maintains its own internal [`Counters`] (a handful of
-//! integer updates per step), which every run returns in
+//! integer updates per step), observed as the first element of a
+//! `(counters, probe)` tuple and returned by every run in
 //! [`RunReport::counters`](crate::RunReport::counters).
 //!
 //! Built-in probes:
@@ -40,10 +40,11 @@ use std::io::Write;
 /// Per-step summary handed to [`Probe::on_step`] after the step's picks have
 /// been validated and applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepStat {
-    /// Number of subjobs dispatched this step.
-    pub scheduled: usize,
-    /// Processors left idle this step (`m - scheduled`).
+pub struct StepStat<'a> {
+    /// The subjobs dispatched this step, in the order the scheduler pushed
+    /// them (`picks.len()` is the number scheduled).
+    pub picks: &'a [(JobId, NodeId)],
+    /// Processors left idle this step (`m - picks.len()`).
     pub idle_procs: usize,
     /// Number of ready subjobs the scheduler could choose from (measured
     /// before the selection was applied).
@@ -91,20 +92,6 @@ pub trait Probe {
         let _ = (t, job, graph);
     }
 
-    /// The scheduler's (validated) selection for the step running during
-    /// `(t, t+1]`.
-    #[inline]
-    fn on_select(&mut self, t: Time, picks: &[(JobId, NodeId)]) {
-        let _ = (t, picks);
-    }
-
-    /// One subjob of the selection was dispatched (fires once per pick,
-    /// after [`on_select`](Self::on_select)).
-    #[inline]
-    fn on_dispatch(&mut self, t: Time, job: JobId, node: NodeId) {
-        let _ = (t, job, node);
-    }
-
     /// `job` ran its last subjob during this step and completes at time `t`
     /// (its completion time `C_i`); `release` is its release time `r_i`, so
     /// its flow is `t - release` without the probe keeping release times.
@@ -113,9 +100,10 @@ pub trait Probe {
         let _ = (t, job, release);
     }
 
-    /// The step starting at `t` finished; `stat` summarizes it.
+    /// The step running during `(t, t+1]` was validated and applied;
+    /// `stat` carries its picks. Completions it caused fire next.
     #[inline]
-    fn on_step(&mut self, t: Time, stat: StepStat) {
+    fn on_step(&mut self, t: Time, stat: StepStat<'_>) {
         let _ = (t, stat);
     }
 
@@ -123,16 +111,14 @@ pub trait Probe {
     /// starting at `t0` (no job alive, nothing ready, next release at
     /// `t0 + steps` or the horizon cap). The default implementation replays
     /// the gap as the stepwise events the non-fast-forwarding loop would
-    /// have emitted — an empty [`on_select`](Self::on_select) followed by an
-    /// all-idle [`on_step`](Self::on_step) per step — so existing probes
-    /// (tracers included) observe a byte-identical event stream without
-    /// opting in. Aggregating probes override this with an O(1) batch
-    /// update (see [`Counters`]).
+    /// have emitted — one all-idle [`on_step`](Self::on_step) per step — so
+    /// existing probes (tracers included) observe a byte-identical event
+    /// stream without opting in. Aggregating probes override this with an
+    /// O(1) batch update (see [`Counters`]).
     #[inline]
     fn on_idle_gap(&mut self, t0: Time, steps: Time, m: usize) {
         for t in t0..t0 + steps {
-            self.on_select(t, &[]);
-            self.on_step(t, StepStat { scheduled: 0, idle_procs: m, ready_depth: 0 });
+            self.on_step(t, StepStat { picks: &[], idle_procs: m, ready_depth: 0 });
         }
     }
 
@@ -162,19 +148,11 @@ impl<P: Probe + ?Sized> Probe for &mut P {
         (**self).on_release(t, job, graph)
     }
     #[inline]
-    fn on_select(&mut self, t: Time, picks: &[(JobId, NodeId)]) {
-        (**self).on_select(t, picks)
-    }
-    #[inline]
-    fn on_dispatch(&mut self, t: Time, job: JobId, node: NodeId) {
-        (**self).on_dispatch(t, job, node)
-    }
-    #[inline]
     fn on_complete(&mut self, t: Time, job: JobId, release: Time) {
         (**self).on_complete(t, job, release)
     }
     #[inline]
-    fn on_step(&mut self, t: Time, stat: StepStat) {
+    fn on_step(&mut self, t: Time, stat: StepStat<'_>) {
         (**self).on_step(t, stat)
     }
     #[inline]
@@ -205,19 +183,11 @@ macro_rules! impl_probe_tuple {
                 $(self.$idx.on_release(t, job, graph);)+
             }
             #[inline]
-            fn on_select(&mut self, t: Time, picks: &[(JobId, NodeId)]) {
-                $(self.$idx.on_select(t, picks);)+
-            }
-            #[inline]
-            fn on_dispatch(&mut self, t: Time, job: JobId, node: NodeId) {
-                $(self.$idx.on_dispatch(t, job, node);)+
-            }
-            #[inline]
             fn on_complete(&mut self, t: Time, job: JobId, release: Time) {
                 $(self.$idx.on_complete(t, job, release);)+
             }
             #[inline]
-            fn on_step(&mut self, t: Time, stat: StepStat) {
+            fn on_step(&mut self, t: Time, stat: StepStat<'_>) {
                 $(self.$idx.on_step(t, stat);)+
             }
             #[inline]
@@ -338,9 +308,9 @@ impl Probe for Counters {
         self.makespan = self.makespan.max(t);
     }
 
-    fn on_step(&mut self, _t: Time, stat: StepStat) {
+    fn on_step(&mut self, _t: Time, stat: StepStat<'_>) {
         self.steps += 1;
-        self.dispatched += stat.scheduled as u64;
+        self.dispatched += stat.picks.len() as u64;
         self.idle_slots += stat.idle_procs as u64;
         if stat.idle_procs > 0 {
             self.idle_steps += 1;
@@ -371,9 +341,8 @@ impl Probe for Counters {
 /// {"ev":"finish","horizon":7}
 /// ```
 ///
-/// `picks` entries are `[job, node]` pairs. The per-pick
-/// [`on_dispatch`](Probe::on_dispatch) events are folded into the `step`
-/// record (they duplicate `picks`), keeping the stream one line per step.
+/// `picks` entries are `[job, node]` pairs, so the stream is one line per
+/// step.
 /// [`crate::replay`] parses this format back into events, a
 /// [`Schedule`](crate::Schedule), and per-job flows.
 ///
@@ -383,9 +352,6 @@ impl Probe for Counters {
 #[derive(Debug)]
 pub struct JsonlTrace<W: Write> {
     out: W,
-    /// The current step's picks, formatted as a JSON array; filled by
-    /// `on_select`, consumed by `on_step` (which owns the step record).
-    picks_json: String,
     compact_idle: bool,
     error: Option<std::io::Error>,
 }
@@ -394,12 +360,7 @@ impl<W: Write> JsonlTrace<W> {
     /// Trace into `out`. Wrap files in a `BufWriter`; the trace writes one
     /// small record per event.
     pub fn new(out: W) -> Self {
-        JsonlTrace {
-            out,
-            picks_json: String::new(),
-            compact_idle: false,
-            error: None,
-        }
+        JsonlTrace { out, compact_idle: false, error: None }
     }
 
     /// Emit fast-forwarded idle gaps as a single
@@ -442,24 +403,12 @@ impl<W: Write> Probe for JsonlTrace<W> {
         self.record(format_args!(r#"{{"ev":"release","t":{t},"job":{}}}"#, job.0));
     }
 
-    fn on_select(&mut self, _t: Time, picks: &[(JobId, NodeId)]) {
-        use std::fmt::Write as _;
-        self.picks_json.clear();
-        self.picks_json.push('[');
-        for (i, (j, v)) in picks.iter().enumerate() {
-            if i > 0 {
-                self.picks_json.push(',');
-            }
-            let _ = write!(self.picks_json, "[{},{}]", j.0, v.0);
-        }
-        self.picks_json.push(']');
-    }
-
-    fn on_step(&mut self, t: Time, stat: StepStat) {
-        let picks = std::mem::take(&mut self.picks_json);
+    fn on_step(&mut self, t: Time, stat: StepStat<'_>) {
         self.record(format_args!(
-            r#"{{"ev":"step","t":{t},"picks":{picks},"idle":{},"ready":{}}}"#,
-            stat.idle_procs, stat.ready_depth
+            r#"{{"ev":"step","t":{t},"picks":{},"idle":{},"ready":{}}}"#,
+            PicksJson(stat.picks),
+            stat.idle_procs,
+            stat.ready_depth
         ));
     }
 
@@ -474,14 +423,29 @@ impl<W: Write> Probe for JsonlTrace<W> {
             // Replay the gap stepwise (the default-impl behavior) so the
             // stream stays byte-identical to the non-fast-forwarding loop.
             for t in t0..t0 + steps {
-                self.on_select(t, &[]);
-                self.on_step(t, StepStat { scheduled: 0, idle_procs: m, ready_depth: 0 });
+                self.on_step(t, StepStat { picks: &[], idle_procs: m, ready_depth: 0 });
             }
         }
     }
 
     fn on_finish(&mut self, horizon: Time) {
         self.record(format_args!(r#"{{"ev":"finish","horizon":{horizon}}}"#));
+    }
+}
+
+/// A step's picks as the trace's JSON array of `[job,node]` pairs.
+struct PicksJson<'a>(&'a [(JobId, NodeId)]);
+
+impl std::fmt::Display for PicksJson<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("[")?;
+        for (i, (j, v)) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            write!(f, "[{},{}]", j.0, v.0)?;
+        }
+        f.write_str("]")
     }
 }
 
@@ -499,7 +463,7 @@ mod tests {
             self.0.push(format!("start {m} {num_jobs}"));
         }
         fn on_step(&mut self, t: Time, stat: StepStat) {
-            self.0.push(format!("step {t} {}", stat.scheduled));
+            self.0.push(format!("step {t} {}", stat.picks.len()));
         }
         fn on_idle_gap(&mut self, t0: Time, steps: Time, _m: usize) {
             self.0.push(format!("gap {t0}+{steps}"));
@@ -510,7 +474,8 @@ mod tests {
     fn tuple_probe_forwards_to_every_element_in_order() {
         let mut pair = (Log::default(), Log::default());
         pair.on_start(4, 2);
-        pair.on_step(0, StepStat { scheduled: 3, idle_procs: 1, ready_depth: 5 });
+        let picks = [(JobId(0), NodeId(0)), (JobId(0), NodeId(1)), (JobId(1), NodeId(0))];
+        pair.on_step(0, StepStat { picks: &picks, idle_procs: 1, ready_depth: 5 });
         pair.on_idle_gap(1, 10, 4);
         assert_eq!(pair.0 .0, vec!["start 4 2", "step 0 3", "gap 1+10"]);
         assert_eq!(pair.0 .0, pair.1 .0);
@@ -532,7 +497,8 @@ mod tests {
         for p in [&mut single, &mut pair.0] {
             p.on_start(2, 1);
             p.on_release(0, JobId(0), &chain(2));
-            p.on_step(0, StepStat { scheduled: 2, idle_procs: 0, ready_depth: 3 });
+            let picks = [(JobId(0), NodeId(0)), (JobId(0), NodeId(1))];
+            p.on_step(0, StepStat { picks: &picks, idle_procs: 0, ready_depth: 3 });
             p.on_complete(1, JobId(0), 0);
             p.on_finish(1);
         }

@@ -502,12 +502,6 @@ mod tests {
         fn on_release(&mut self, t: Time, job: JobId, graph: &JobGraph) {
             self.0.push(format!("release t={t} {job} n={}", graph.n()));
         }
-        fn on_select(&mut self, t: Time, picks: &[(JobId, NodeId)]) {
-            self.0.push(format!("select t={t} {picks:?}"));
-        }
-        fn on_dispatch(&mut self, t: Time, job: JobId, node: NodeId) {
-            self.0.push(format!("dispatch t={t} {job} {node:?}"));
-        }
         fn on_complete(&mut self, t: Time, job: JobId, release: Time) {
             self.0.push(format!("complete t={t} {job} r={release}"));
         }

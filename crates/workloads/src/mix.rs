@@ -112,32 +112,36 @@ impl Scenario {
         vec![Scenario::sort_farm(jobs), Scenario::service(jobs), Scenario::analytics(jobs)]
     }
 
+    /// Draw one job: a shape with probability proportional to its weight,
+    /// then a concrete job of that shape. Panics if the weights sum to 0
+    /// (an empty blend included).
+    pub fn sample_job(&self, rng: &mut Rng) -> JobGraph {
+        let total_weight: u32 = self.blend.iter().map(|&(_, w)| w).sum();
+        assert!(total_weight > 0, "blend weights must not all be zero");
+        let mut roll = rng.gen_range(0..total_weight);
+        for &(shape, w) in &self.blend {
+            if roll < w {
+                return shape.sample(rng);
+            }
+            roll -= w;
+        }
+        unreachable!("weights cover the roll")
+    }
+
     /// Materialize the scenario into an instance.
     pub fn instantiate(&self, rng: &mut Rng) -> Instance {
-        assert!(self.jobs >= 1 && !self.blend.is_empty());
-        let total_weight: u32 = self.blend.iter().map(|&(_, w)| w).sum();
-        assert!(total_weight > 0);
-        let pick_shape = |rng: &mut Rng| -> JobGraph {
-            let mut roll = rng.gen_range(0..total_weight);
-            for &(shape, w) in &self.blend {
-                if roll < w {
-                    return shape.sample(rng);
-                }
-                roll -= w;
-            }
-            unreachable!("weights cover the roll")
-        };
+        assert!(self.jobs >= 1);
 
         let mut jobs = Vec::with_capacity(self.jobs);
         match self.arrivals {
             Arrivals::Batch => {
                 for _ in 0..self.jobs {
-                    jobs.push(JobSpec { graph: pick_shape(rng), release: 0 });
+                    jobs.push(JobSpec { graph: self.sample_job(rng), release: 0 });
                 }
             }
             Arrivals::Periodic(period) => {
                 for i in 0..self.jobs {
-                    jobs.push(JobSpec { graph: pick_shape(rng), release: i as Time * period });
+                    jobs.push(JobSpec { graph: self.sample_job(rng), release: i as Time * period });
                 }
             }
             Arrivals::Random { num, den, horizon } => {
@@ -148,7 +152,7 @@ impl Scenario {
                 let mut t: Time = 0;
                 while jobs.len() < self.jobs {
                     if rng.gen_bool(p) || t >= 100 * horizon.max(1) {
-                        jobs.push(JobSpec { graph: pick_shape(rng), release: t });
+                        jobs.push(JobSpec { graph: self.sample_job(rng), release: t });
                     }
                     t += 1;
                 }

@@ -22,7 +22,9 @@ echo "==> dag + sim + core + serve + analysis tests in release (graph build, ste
 cargo test --release -q -p flowtree-dag -p flowtree-sim -p flowtree-core -p flowtree-serve -p flowtree-analysis
 
 echo "==> examples (each must run to completion; output discarded)"
-for ex in adversary_duel algo_a_tour quickstart webserver_bursts; do
+# Every file under examples/, so a new example cannot be skipped.
+for src in examples/*.rs; do
+    ex=$(basename "$src" .rs)
     cargo run --release -q --example "$ex" >/dev/null
 done
 

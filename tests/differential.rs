@@ -77,18 +77,11 @@ fn slow_run<P: Probe>(
             }
         }
 
-        counters.on_select(t, &picks);
-        probe.on_select(t, &picks);
         for &(j, v) in &picks {
-            probe.on_dispatch(t, j, v);
             state.complete(instance, j, v, t + 1);
         }
 
-        let stat = StepStat {
-            scheduled: picks.len(),
-            idle_procs: m - picks.len(),
-            ready_depth,
-        };
+        let stat = StepStat { picks: &picks, idle_procs: m - picks.len(), ready_depth };
         counters.on_step(t, stat);
         probe.on_step(t, stat);
 
