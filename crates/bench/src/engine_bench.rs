@@ -3,167 +3,107 @@
 //! Runs the simulation engine over fixed workloads (the dense 64-job ×
 //! 256-subjob stream every experiment's cost is dominated by, plus a
 //! sparse-arrival stream that exercises the idle-gap fast path) for a
-//! matrix of schedulers × machine sizes, with warmup and repeat logic.
-//! Each entry records every wall time observed; `subjobs_per_sec` uses the
-//! *best* repeat (least interference).
+//! matrix of schedulers × machine sizes. Each cell times one
+//! [`Engine::run`] with a fresh scheduler (schedulers are stateful).
 
-use crate::{document, BenchOpts, SEED};
+use crate::cells::{run_cells, Cell, Run, Stream};
+use crate::BenchOpts;
 use flowtree_core::SchedulerSpec;
-use flowtree_sim::{Engine, Instance, JobSpec};
+use flowtree_sim::{Engine, Instance};
 use serde::Value;
+use std::borrow::Cow;
 use std::time::Instant;
 
-/// One benchmark workload: a named instance generator.
-struct Workload {
-    name: &'static str,
-    /// Number of jobs in the stream.
-    jobs: usize,
-    /// Subjobs per job (random recursive out-trees of this size).
-    job_size: usize,
-    /// Release spacing between consecutive jobs.
-    spread: u64,
-    /// Schedulers to run on this workload (registry names).
-    schedulers: &'static [&'static str],
-    /// Machine sizes.
-    ms: &'static [usize],
+/// `jobs` random recursive out-trees of `job_size` subjobs, one released
+/// every `spread` ticks.
+const fn spaced(name: &'static str, jobs: usize, job_size: usize, spread: u64) -> Stream {
+    Stream { name, jobs, job_size, burst: 1, spread }
 }
 
-/// The `--quick` workloads, also part of the full matrix under the same
+/// The dense stream of the acceptance measurement (64 × 256 at m = 256).
+const STREAM: Stream = spaced("stream", 64, 256, 8);
+
+/// Releases spaced far apart, so most simulated steps are idle gaps.
+const SPARSE: Stream = spaced("sparse", 64, 256, 2048);
+
+/// The `--quick` streams, also part of the full matrix under the same
 /// names — so a committed full-run baseline contains cells a quick CI run
 /// can compare against with `--check`. Sized so every cell runs for about a
 /// millisecond: much smaller and a best-of-N wall time is dominated by
 /// scheduler/OS noise, making the `--check` gate flaky.
-const MINI_STREAM: Workload = Workload {
-    name: "stream-mini",
-    jobs: 96,
-    job_size: 128,
-    spread: 4,
-    schedulers: &["fifo", "lpf"],
-    ms: &[8, 64],
-};
+const STREAM_MINI: Stream = spaced("stream-mini", 96, 128, 4);
 
-/// Sparse counterpart of [`MINI_STREAM`] (exercises the idle-gap fast path).
-const MINI_SPARSE: Workload = Workload {
-    name: "sparse-mini",
-    jobs: 96,
-    job_size: 128,
-    spread: 1024,
-    schedulers: &["fifo"],
-    ms: &[8],
-};
+/// Sparse counterpart of [`STREAM_MINI`] (exercises the idle-gap fast path).
+const SPARSE_MINI: Stream = spaced("sparse-mini", 96, 128, 1024);
 
-/// The full benchmark matrix. `stream` is the dense arrival stream used by
-/// the acceptance measurement (64 × 256 at m = 256) and covers the whole
-/// headline scheduler set — the greedy family plus the paper's §5.3
-/// Algorithm 𝒜 and §5.4 guess-double, so their cost is tracked too; `sparse`
-/// spaces releases far apart so most simulated steps are idle gaps; the mini
-/// workloads are the `--quick` cells, included so the committed baseline
-/// covers them.
-const FULL: &[Workload] = &[
-    Workload {
-        name: "stream",
-        jobs: 64,
-        job_size: 256,
-        spread: 8,
-        schedulers: &["fifo", "fifo-last", "lpf", "lrwf", "algo-a", "guess-double"],
-        ms: &[8, 64, 256],
-    },
-    Workload {
-        name: "sparse",
-        jobs: 64,
-        job_size: 256,
-        spread: 2048,
-        schedulers: &["fifo"],
-        ms: &[8, 256],
-    },
-    MINI_STREAM,
-    MINI_SPARSE,
-];
+/// Every listed scheduler (registry names) on every listed machine size.
+type Sweep = (&'static Stream, &'static [&'static str], &'static [usize]);
 
 /// Reduced matrix for `--quick` (CI smoke): completes in well under a
-/// second while still touching both workload shapes.
-const QUICK: &[Workload] = &[MINI_STREAM, MINI_SPARSE];
+/// second while still touching both stream shapes.
+const QUICK: &[Sweep] =
+    &[(&STREAM_MINI, &["fifo", "lpf"], &[8, 64]), (&SPARSE_MINI, &["fifo"], &[8])];
 
-fn stream_instance(w: &Workload) -> Instance {
-    let mut rng = flowtree_workloads::rng(SEED);
-    let jobs = (0..w.jobs)
-        .map(|i| JobSpec {
-            graph: flowtree_workloads::trees::random_recursive_tree(w.job_size, &mut rng),
-            release: (i as u64) * w.spread,
-        })
-        .collect();
-    Instance::new(jobs)
+/// The full matrix. `stream` covers the whole headline scheduler set — the
+/// greedy family plus the paper's §5.3 Algorithm 𝒜 and §5.4 guess-double,
+/// so their cost is tracked too; the quick cells are included so the
+/// committed baseline covers them.
+const FULL: &[Sweep] = &[
+    (
+        &STREAM,
+        &["fifo", "fifo-last", "lpf", "lrwf", "algo-a", "guess-double"],
+        &[8, 64, 256],
+    ),
+    (&SPARSE, &["fifo"], &[8, 256]),
+    QUICK[0],
+    QUICK[1],
+];
+
+/// One scheduler on one machine size.
+pub(crate) struct EngineCell {
+    stream: &'static Stream,
+    scheduler: &'static str,
+    m: usize,
 }
 
-/// Time one engine run (fresh scheduler per run, as schedulers are
-/// stateful). Returns wall seconds; the run is verified once outside the
-/// timed region by the caller.
-fn timed_run(inst: &Instance, m: usize, spec: SchedulerSpec) -> Result<f64, String> {
-    let mut sched = spec.build();
-    let start = Instant::now();
-    let report = Engine::new(m)
-        .with_max_horizon(1_000_000_000)
-        .run(inst, sched.as_mut())
-        .map_err(|e| format!("{} on m={m}: {e}", spec.name()))?;
-    let secs = start.elapsed().as_secs_f64();
-    std::hint::black_box(report.schedule.horizon());
-    Ok(secs)
+/// The matrix's cells: stream × scheduler × m, in that order.
+pub(crate) fn cells(quick: bool) -> Vec<EngineCell> {
+    let sweeps = if quick { QUICK } else { FULL };
+    sweeps
+        .iter()
+        .flat_map(|&(stream, schedulers, ms)| {
+            schedulers.iter().flat_map(move |&scheduler| {
+                ms.iter().map(move |&m| EngineCell { stream, scheduler, m })
+            })
+        })
+        .collect()
+}
+
+impl Cell for EngineCell {
+    fn stream(&self) -> &'static Stream {
+        self.stream
+    }
+
+    fn key(&self) -> (String, &'static str, usize) {
+        (self.stream.name.to_string(), self.scheduler, self.m)
+    }
+
+    fn run<'a>(&self, inst: &'a Instance) -> Result<Run<'a>, String> {
+        let mut sched = SchedulerSpec::from_name_with_half(self.scheduler, 8)?.build();
+        let start = Instant::now();
+        let report = Engine::new(self.m)
+            .with_max_horizon(1_000_000_000)
+            .run(inst, sched.as_mut())
+            .map_err(|e| format!("{} on m={}: {e}", self.scheduler, self.m))?;
+        let secs = start.elapsed().as_secs_f64();
+        Ok(Run {
+            secs: vec![secs],
+            schedules: vec![(report, Cow::Borrowed(inst))],
+        })
+    }
 }
 
 /// Run the whole engine matrix; returns the JSON document.
 pub fn run_engine_matrix(o: &BenchOpts) -> Result<Value, String> {
-    let workloads = if o.quick { QUICK } else { FULL };
-    let mut entries: Vec<Value> = Vec::new();
-
-    for w in workloads {
-        let inst = stream_instance(w);
-        let total_work = inst.total_work();
-        for &name in w.schedulers {
-            let spec = SchedulerSpec::from_name_with_half(name, 8)?;
-            for &m in w.ms {
-                // Correctness outside the timed region: one verified run.
-                {
-                    let mut sched = spec.build();
-                    let report = Engine::new(m)
-                        .with_max_horizon(1_000_000_000)
-                        .run(&inst, sched.as_mut())
-                        .map_err(|e| format!("{name} on m={m}: {e}"))?;
-                    report.verify(&inst).map_err(|e| format!("{name} on m={m}: {e}"))?;
-                }
-                for _ in 0..o.warmup {
-                    timed_run(&inst, m, spec)?;
-                }
-                let mut walls = Vec::with_capacity(o.reps);
-                for _ in 0..o.reps {
-                    walls.push(timed_run(&inst, m, spec)?);
-                }
-                let best = walls.iter().copied().fold(f64::INFINITY, f64::min);
-                let subjobs_per_sec = total_work as f64 / best;
-                println!(
-                    "{:<8} {:<12} m={:<4} {:>12.0} subjobs/s  (best of {} reps: {:.3} ms)",
-                    w.name,
-                    name,
-                    m,
-                    subjobs_per_sec,
-                    o.reps,
-                    best * 1e3
-                );
-                entries.push(Value::Object(vec![
-                    ("workload".into(), Value::Str(w.name.into())),
-                    ("scheduler".into(), Value::Str(name.into())),
-                    ("m".into(), Value::UInt(m as u64)),
-                    ("total_subjobs".into(), Value::UInt(total_work)),
-                    ("repeats".into(), Value::UInt(o.reps as u64)),
-                    (
-                        "wall_secs".into(),
-                        Value::Array(walls.iter().map(|&s| Value::Float(s)).collect()),
-                    ),
-                    ("best_secs".into(), Value::Float(best)),
-                    ("subjobs_per_sec".into(), Value::Float(subjobs_per_sec)),
-                ]));
-            }
-        }
-    }
-
-    Ok(document(o.quick, entries))
+    run_cells(&cells(o.quick), o)
 }

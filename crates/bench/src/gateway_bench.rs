@@ -13,15 +13,13 @@
 //!   number the shared 25% regression gate compares (consistent with the
 //!   serve and engine matrices).
 //!
-//! Jobs are deliberately small (16-subjob trees in bursts of 8), matching
-//! the serve matrix: in this regime frame encode/decode, per-frame
-//! allocation, and ack round-trips dominate simulation, which is exactly
-//! what the wire-path optimizations target. The `json+w1` cell keeps the
+//! The `json+w1` cell keeps the
 //! legacy protocol shape (JSON codec, one ack round-trip per batch) next
 //! to the pipelined binary cells so the committed baseline documents the
 //! speedup and gates both paths.
 
-use crate::{document, BenchOpts, SEED};
+use crate::cells::{run_cells, Cell, Run, Stream};
+use crate::BenchOpts;
 use flowtree_core::SchedulerSpec;
 use flowtree_gateway::{ClientOptions, Gateway, GatewayClient, GatewayConfig, WireCodec};
 use flowtree_serve::{OverloadPolicy, Routing, ServeConfig, ShardPool};
@@ -29,41 +27,17 @@ use flowtree_sim::{Instance, JobSpec};
 use serde::Value;
 use std::time::Instant;
 
-/// A named bursty replay stream (same shape as the serve matrix).
-struct GatewayWorkload {
-    name: &'static str,
-    /// Number of jobs (arrivals) in the stream.
-    jobs: usize,
-    /// Subjobs per job (random recursive out-trees of this size).
-    job_size: usize,
-    /// Jobs sharing one release tick.
-    burst: usize,
-    /// Release spacing between consecutive ticks.
-    spread: u64,
-}
-
-/// The acceptance-measurement stream: 3072 small jobs arriving 8 per tick.
-const GATEWAY_REPLAY: GatewayWorkload = GatewayWorkload {
-    name: "gateway-replay",
-    jobs: 3072,
-    job_size: 16,
-    burst: 8,
-    spread: 2,
-};
+/// The acceptance-measurement stream: the serve matrix's shape, so wire
+/// and in-process numbers describe the same jobs.
+const GATEWAY_REPLAY: Stream = Stream::bursty("gateway-replay", 3072);
 
 /// The `--quick` stream, also part of the full matrix under the same name
 /// so the committed baseline contains cells CI can `--check` against.
-const GATEWAY_MINI: GatewayWorkload = GatewayWorkload {
-    name: "gateway-mini",
-    jobs: 768,
-    job_size: 16,
-    burst: 8,
-    spread: 2,
-};
+const GATEWAY_MINI: Stream = Stream::bursty("gateway-mini", 768);
 
 /// One wire-path shape to measure the stream through.
-struct GatewayCell {
-    workload: &'static GatewayWorkload,
+pub(crate) struct GatewayCell {
+    stream: &'static Stream,
     /// Concurrent clients, each replaying a contiguous slice of the jobs.
     clients: usize,
     /// Jobs per submit frame.
@@ -76,9 +50,9 @@ struct GatewayCell {
 }
 
 impl GatewayCell {
-    const fn new(workload: &'static GatewayWorkload) -> Self {
+    const fn new(stream: &'static Stream) -> Self {
         GatewayCell {
-            workload,
+            stream,
             clients: 4,
             batch: 32,
             codec: WireCodec::Json,
@@ -92,7 +66,7 @@ impl GatewayCell {
     fn name(&self) -> String {
         format!(
             "{}+c{}+b{}+{}+w{}",
-            self.workload.name,
+            self.stream.name,
             self.clients,
             self.batch,
             self.codec.name(),
@@ -110,10 +84,23 @@ const GATEWAY_SHARDS: usize = 4;
 /// The pipelined ack window used by the optimized cells.
 const PIPE_WINDOW: usize = 32;
 
-/// The full sweep: the headline codec×window square on the 4-client
-/// stream, a client-count sweep and a batch sweep on the optimized shape,
-/// plus the mini cells CI compares.
-fn full_cells() -> Vec<GatewayCell> {
+/// The matrix's cells. The full sweep: the headline codec×window square on
+/// the 4-client stream, a client-count sweep and a batch sweep on the
+/// optimized shape, plus the mini cells CI compares. The `--quick` subset
+/// (CI smoke) is the two mini twins — legacy JSON stop-and-wait and
+/// pipelined binary.
+pub(crate) fn cells(quick: bool) -> Vec<GatewayCell> {
+    let minis = [
+        GatewayCell::new(&GATEWAY_MINI),
+        GatewayCell {
+            codec: WireCodec::Binary,
+            window: PIPE_WINDOW,
+            ..GatewayCell::new(&GATEWAY_MINI)
+        },
+    ];
+    if quick {
+        return minis.into();
+    }
     let mut cells = Vec::new();
     // Codec × window on the headline 4-client replay: `json+w1` is the
     // legacy wire shape, `bin+w32` the optimized one.
@@ -140,41 +127,8 @@ fn full_cells() -> Vec<GatewayCell> {
             ..GatewayCell::new(&GATEWAY_REPLAY)
         });
     }
-    // Mini twins of the two headline shapes, for the CI `--quick --check`.
-    cells.push(GatewayCell::new(&GATEWAY_MINI));
-    cells.push(GatewayCell {
-        codec: WireCodec::Binary,
-        window: PIPE_WINDOW,
-        ..GatewayCell::new(&GATEWAY_MINI)
-    });
+    cells.extend(minis);
     cells
-}
-
-/// The `--quick` subset (CI smoke): the two mini twins — legacy JSON
-/// stop-and-wait and pipelined binary — both present in the full matrix so
-/// the committed baseline always has the cells CI `--check`s against.
-fn quick_cells() -> Vec<GatewayCell> {
-    vec![
-        GatewayCell::new(&GATEWAY_MINI),
-        GatewayCell {
-            codec: WireCodec::Binary,
-            window: PIPE_WINDOW,
-            ..GatewayCell::new(&GATEWAY_MINI)
-        },
-    ]
-}
-
-/// The fixed-seed replay stream for `w` (same generator as the serve
-/// matrix, so wire and in-process numbers describe the same jobs).
-fn replay_instance(w: &GatewayWorkload) -> Instance {
-    let mut rng = flowtree_workloads::rng(SEED);
-    let jobs = (0..w.jobs)
-        .map(|i| JobSpec {
-            graph: flowtree_workloads::trees::random_recursive_tree(w.job_size, &mut rng),
-            release: (i / w.burst) as u64 * w.spread,
-        })
-        .collect();
-    Instance::new(jobs)
 }
 
 fn pool_config() -> Result<ServeConfig, String> {
@@ -190,128 +144,82 @@ fn pool_config() -> Result<ServeConfig, String> {
         .map_err(|e| e.to_string())
 }
 
-/// One end-to-end run: launch pool + gateway, connect the clients (all
-/// outside the clock), stream every slice concurrently, then drain.
-/// Returns (submit-phase seconds, ingest→drain seconds, subjobs
-/// dispatched).
-fn timed_gateway(inst: &Instance, cell: &GatewayCell) -> Result<(f64, f64, u64), String> {
-    let pool = ShardPool::launch(pool_config()?).map_err(|e| e.to_string())?;
-    let gw = Gateway::launch("127.0.0.1:0", pool.handle(), GatewayConfig::default())
-        .map_err(|e| format!("{}: gateway: {e}", cell.name()))?;
-    let addr = gw.addr().to_string();
+impl Cell for GatewayCell {
+    const CLOCKS: &'static [&'static str] = &["submit_", ""];
+    const ARRIVALS: Option<&'static str> = Some("submitted_jobs");
 
-    // Contiguous slices: client c streams jobs [c*per, (c+1)*per) so the
-    // union is exactly the replay and every job is offered once.
-    let jobs = inst.jobs();
-    let per = jobs.len().div_ceil(cell.clients);
-    let opts = ClientOptions { codec: cell.codec, window: cell.window as u64 };
-    // Connect + handshake outside the clock, like pool launch in the serve
-    // matrix: the cell measures the streaming path, not dial latency.
-    let mut clients: Vec<(GatewayClient, &[JobSpec])> = Vec::with_capacity(cell.clients);
-    for (c, chunk) in jobs.chunks(per).enumerate() {
-        let client = GatewayClient::connect_with(&addr, &format!("bench-{c}"), opts)
-            .map_err(|e| format!("{}: connect: {e}", cell.name()))?;
-        clients.push((client, chunk));
+    fn stream(&self) -> &'static Stream {
+        self.stream
     }
 
-    let start = Instant::now();
-    let outcomes = std::thread::scope(|s| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .map(|(client, chunk)| {
-                let batch = cell.batch;
-                s.spawn(move || client.submit_all(chunk, batch))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect::<Vec<_>>()
-    });
-    let submit_secs = start.elapsed().as_secs_f64();
-    let mut submitted = 0u64;
-    for outcome in outcomes {
-        let stats = outcome.map_err(|e| format!("{}: submit: {e}", cell.name()))?;
-        submitted += stats.submitted;
+    fn key(&self) -> (String, &'static str, usize) {
+        (self.name(), "fifo", GATEWAY_M)
     }
-    if submitted != jobs.len() as u64 {
-        return Err(format!("{}: submitted {submitted} of {} jobs", cell.name(), jobs.len()));
+
+    /// One end-to-end run: launch pool + gateway, connect the clients (all
+    /// outside the clock), stream every slice concurrently, then drain.
+    /// Clocks: the submit phase, then ingest through drain.
+    fn run<'a>(&self, inst: &'a Instance) -> Result<Run<'a>, String> {
+        let pool = ShardPool::launch(pool_config()?).map_err(|e| e.to_string())?;
+        let gw = Gateway::launch("127.0.0.1:0", pool.handle(), GatewayConfig::default())
+            .map_err(|e| format!("{}: gateway: {e}", self.name()))?;
+        let addr = gw.addr().to_string();
+
+        // Contiguous slices: client c streams jobs [c*per, (c+1)*per) so the
+        // union is exactly the replay and every job is offered once.
+        let jobs = inst.jobs();
+        let per = jobs.len().div_ceil(self.clients);
+        let opts = ClientOptions { codec: self.codec, window: self.window as u64 };
+        // Connect + handshake outside the clock, like pool launch in the serve
+        // matrix: the cell measures the streaming path, not dial latency.
+        let mut clients: Vec<(GatewayClient, &[JobSpec])> = Vec::with_capacity(self.clients);
+        for (c, chunk) in jobs.chunks(per).enumerate() {
+            let client = GatewayClient::connect_with(&addr, &format!("bench-{c}"), opts)
+                .map_err(|e| format!("{}: connect: {e}", self.name()))?;
+            clients.push((client, chunk));
+        }
+
+        let start = Instant::now();
+        let outcomes = std::thread::scope(|s| {
+            let handles: Vec<_> = clients
+                .iter_mut()
+                .map(|(client, chunk)| {
+                    let batch = self.batch;
+                    s.spawn(move || client.submit_all(chunk, batch))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client thread"))
+                .collect::<Vec<_>>()
+        });
+        let submit_secs = start.elapsed().as_secs_f64();
+        let mut submitted = 0u64;
+        for outcome in outcomes {
+            let stats = outcome.map_err(|e| format!("{}: submit: {e}", self.name()))?;
+            submitted += stats.submitted;
+        }
+        if submitted != jobs.len() as u64 {
+            return Err(format!("{}: submitted {submitted} of {} jobs", self.name(), jobs.len()));
+        }
+        gw.shutdown();
+        let results = pool.drain().map_err(|e| e.to_string())?;
+        let total_secs = start.elapsed().as_secs_f64();
+        Ok(Run::of_shards(vec![submit_secs, total_secs], results))
     }
-    gw.shutdown();
-    let results = pool.drain().map_err(|e| e.to_string())?;
-    let total_secs = start.elapsed().as_secs_f64();
-    let dispatched: u64 = results.iter().map(|r| r.report.counters.dispatched).sum();
-    std::hint::black_box(&results);
-    Ok((submit_secs, total_secs, dispatched))
+
+    fn fields(&self) -> Vec<(&'static str, Value)> {
+        vec![
+            ("shards", Value::UInt(GATEWAY_SHARDS as u64)),
+            ("clients", Value::UInt(self.clients as u64)),
+            ("batch", Value::UInt(self.batch as u64)),
+            ("codec", Value::Str(self.codec.name().into())),
+            ("window", Value::UInt(self.window as u64)),
+        ]
+    }
 }
 
 /// Run the whole gateway matrix; returns the JSON document.
 pub fn run_gateway_matrix(o: &BenchOpts) -> Result<Value, String> {
-    let cells = if o.quick { quick_cells() } else { full_cells() };
-    let mut entries: Vec<Value> = Vec::new();
-
-    for cell in &cells {
-        let inst = replay_instance(cell.workload);
-        let total_work = inst.total_work();
-        let arrivals = cell.workload.jobs as u64;
-        // Correctness outside the timed region: the block policy loses
-        // nothing, so every subjob of the replay must dispatch.
-        let (_, _, dispatched) = timed_gateway(&inst, cell)?;
-        if dispatched != total_work {
-            return Err(format!("{}: gateway run lost work", cell.name()));
-        }
-        for _ in 0..o.warmup {
-            timed_gateway(&inst, cell)?;
-        }
-        let mut submit_walls = Vec::with_capacity(o.reps);
-        let mut total_walls = Vec::with_capacity(o.reps);
-        let mut dispatched = 0;
-        for _ in 0..o.reps {
-            let (submit_secs, total_secs, d) = timed_gateway(&inst, cell)?;
-            submit_walls.push(submit_secs);
-            total_walls.push(total_secs);
-            dispatched = d;
-        }
-        let best_submit = submit_walls.iter().copied().fold(f64::INFINITY, f64::min);
-        let best_total = total_walls.iter().copied().fold(f64::INFINITY, f64::min);
-        let submitted_jobs_per_sec = arrivals as f64 / best_submit;
-        let subjobs_per_sec = dispatched as f64 / best_total;
-        let name = cell.name();
-        println!(
-            "{:<34} fifo   m={:<3} {:>10.0} submitted-jobs/s {:>12.0} subjobs/s  (best of {}: {:.3} ms submit)",
-            name,
-            GATEWAY_M,
-            submitted_jobs_per_sec,
-            subjobs_per_sec,
-            o.reps,
-            best_submit * 1e3
-        );
-        entries.push(Value::Object(vec![
-            ("workload".into(), Value::Str(name)),
-            ("scheduler".into(), Value::Str("fifo".into())),
-            ("m".into(), Value::UInt(GATEWAY_M as u64)),
-            ("total_subjobs".into(), Value::UInt(total_work)),
-            ("shards".into(), Value::UInt(GATEWAY_SHARDS as u64)),
-            ("clients".into(), Value::UInt(cell.clients as u64)),
-            ("batch".into(), Value::UInt(cell.batch as u64)),
-            ("codec".into(), Value::Str(cell.codec.name().into())),
-            ("window".into(), Value::UInt(cell.window as u64)),
-            ("arrivals".into(), Value::UInt(arrivals)),
-            ("repeats".into(), Value::UInt(o.reps as u64)),
-            (
-                "submit_wall_secs".into(),
-                Value::Array(submit_walls.iter().map(|&s| Value::Float(s)).collect()),
-            ),
-            (
-                "wall_secs".into(),
-                Value::Array(total_walls.iter().map(|&s| Value::Float(s)).collect()),
-            ),
-            ("best_submit_secs".into(), Value::Float(best_submit)),
-            ("best_secs".into(), Value::Float(best_total)),
-            ("submitted_jobs_per_sec".into(), Value::Float(submitted_jobs_per_sec)),
-            ("subjobs_per_sec".into(), Value::Float(subjobs_per_sec)),
-        ]));
-    }
-
-    Ok(document(o.quick, entries))
+    run_cells(&cells(o.quick), o)
 }

@@ -15,18 +15,26 @@
 //!   [`Gateway`](flowtree_gateway::Gateway), sweeping clients × batch ×
 //!   codec × ack window), produced by [`run_gateway_matrix`].
 //!
+//! Each matrix is a list of cells over one fixed-seed stream generator,
+//! and one timed loop runs them all: per group of cells (a `+telemetry` cell
+//! with its plain twin, any other cell alone) it makes one untimed run
+//! that verifies every schedule and, unless the cell may shed jobs,
+//! requires all work dispatched; then it runs the warmups and the reps,
+//! alternating within the group, and records every wall with the best-of.
+//!
 //! The CLI's `bench` subcommand is a thin argument parser over this crate;
 //! `scripts/bench.sh` regenerates the baselines and `scripts/ci.sh` runs
-//! the `--quick` subset under the [`check_regressions`] gate.
+//! the `--quick` subsets under the [`check_regressions`] gate.
 //!
 //! All documents share the `flowtree-bench-v1` schema: a cell is
-//! identified by `(workload, scheduler, m, total_subjobs)` — serve cells
-//! encode their pool shape (`shards`/`routing`/`policy`/ingest mode) into
-//! the workload name so the same gate logic compares them.
+//! identified by `(workload, scheduler, m, total_subjobs)` — serve and
+//! gateway cells encode their pool or wire shape into the workload name so
+//! the same gate logic compares them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cells;
 mod engine_bench;
 mod gateway_bench;
 mod serve_bench;
@@ -53,28 +61,26 @@ pub struct BenchOpts {
 /// compare the same instances across PRs.
 pub const SEED: u64 = 11;
 
-/// Best-effort short git revision for provenance (benches run from a
-/// checkout; "unknown" outside one).
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Wrap matrix entries into a `flowtree-bench-v1` document.
 pub(crate) fn document(quick: bool, entries: Vec<Value>) -> Value {
     Value::Object(vec![
         ("schema".into(), Value::Str("flowtree-bench-v1".into())),
-        ("git_rev".into(), Value::Str(git_rev())),
+        ("git_rev".into(), Value::Str(flowtree_serve::git_describe())),
         ("quick".into(), Value::Bool(quick)),
         ("workload_seed".into(), Value::UInt(SEED)),
         ("entries".into(), Value::Array(entries)),
     ])
+}
+
+/// The plain twin's workload name of a `+telemetry` cell: the cell the
+/// telemetry gate compares it with, and the timed loop runs it beside.
+pub(crate) fn plain_twin(workload: &str) -> Option<&str> {
+    workload.strip_suffix("+telemetry")
+}
+
+/// The entries of a bench document (none if it has no entries array).
+fn entries(doc: &Value) -> impl Iterator<Item = &Value> {
+    doc.get("entries").and_then(Value::as_array).into_iter().flatten()
 }
 
 /// Identity of one bench cell — entries are comparable across runs iff all
@@ -114,13 +120,36 @@ pub fn load_baseline(path: &str) -> Result<Baseline, String> {
         .collect())
 }
 
+/// Require every cell of `doc` to have a comparable entry in `baseline`:
+/// a renamed or new cell would otherwise drop out of the gate unseen. Like
+/// [`load_baseline`]'s, this failure is a configuration error — the caller
+/// fails at once instead of re-measuring.
+pub fn require_baseline_cells(doc: &Value, baseline: &Baseline, path: &str) -> Result<(), String> {
+    let missing: Vec<String> = entries(doc)
+        .map(cell_key)
+        .filter(|key| !key.as_ref().is_some_and(|k| baseline.iter().any(|(b, _)| b == k)))
+        .map(|key| key.map_or("  an entry without a cell key".into(), |k| format!("  {k:?}")))
+        .collect();
+    if missing.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "bench check: {} cell(s) of this run are missing from the baseline {path} \
+         (workload/scheduler/m/total_subjobs all must agree):\n{}",
+        missing.len(),
+        missing.join("\n")
+    ))
+}
+
 /// Compare `doc` against a loaded baseline; error (nonzero exit) when any
-/// comparable cell's `subjobs_per_sec` regressed by more than 25%, or when
-/// no cell is comparable at all.
+/// cell is missing from the baseline ([`require_baseline_cells`]), when any
+/// cell's `subjobs_per_sec` regressed by more than 25%, or when the run
+/// has no cell at all.
 pub fn check_regressions(doc: &Value, baseline: &Baseline, path: &str) -> Result<(), String> {
+    require_baseline_cells(doc, baseline, path)?;
     let mut compared = 0usize;
     let mut regressions: Vec<String> = Vec::new();
-    for e in doc.get("entries").and_then(Value::as_array).into_iter().flatten() {
+    for e in entries(doc) {
         let (Some(key), Some(cur)) =
             (cell_key(e), e.get("subjobs_per_sec").and_then(Value::as_f64))
         else {
@@ -143,10 +172,7 @@ pub fn check_regressions(doc: &Value, baseline: &Baseline, path: &str) -> Result
         }
     }
     if compared == 0 {
-        return Err(format!(
-            "bench check: no cell in this run matches the baseline {path} \
-             (workload/scheduler/m/total_subjobs all must agree)"
-        ));
+        return Err(format!("bench check: no cell in this run to compare with {path}"));
     }
     if !regressions.is_empty() {
         return Err(format!(
@@ -173,8 +199,7 @@ pub const TELEMETRY_OVERHEAD_CEILING: f64 = 0.05;
 /// document. Errors when a twin is missing or when scraping cost more than
 /// [`TELEMETRY_OVERHEAD_CEILING`]; prints the measured overhead otherwise.
 pub fn check_telemetry_overhead(doc: &Value) -> Result<(), String> {
-    let entries: Vec<&Value> =
-        doc.get("entries").and_then(Value::as_array).into_iter().flatten().collect();
+    let entries: Vec<&Value> = entries(doc).collect();
     let rate = |e: &Value| e.get("subjobs_per_sec").and_then(Value::as_f64);
     let mut failures = Vec::new();
     let mut compared = 0usize;
@@ -182,7 +207,7 @@ pub fn check_telemetry_overhead(doc: &Value) -> Result<(), String> {
         let Some((name, scheduler, m, work)) = cell_key(e) else {
             continue;
         };
-        let Some(plain_name) = name.strip_suffix("+telemetry") else {
+        let Some(plain_name) = plain_twin(&name) else {
             continue;
         };
         let twin = entries.iter().find(|t| {
@@ -222,55 +247,107 @@ pub fn check_telemetry_overhead(doc: &Value) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn quick_opts() -> BenchOpts {
-        BenchOpts { quick: true, reps: 1, warmup: 0 }
+    use crate::cells::Cell;
+    use std::collections::BTreeSet;
+
+    type Key = (String, String, u64, u64);
+
+    /// The committed `BENCH_<matrix>.json` at the repo root.
+    fn committed(matrix: &str) -> Value {
+        let path = format!("{}/../../BENCH_{matrix}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        serde_json::from_str(&text).unwrap()
+    }
+
+    fn doc_keys(doc: &Value) -> BTreeSet<Key> {
+        entries(doc).map(|e| cell_key(e).unwrap()).collect()
+    }
+
+    /// A matrix's cell keys, built without timing anything.
+    fn cell_keys<C: Cell>(cells: &[C]) -> BTreeSet<Key> {
+        cells
+            .iter()
+            .map(|c| {
+                let (workload, scheduler, m) = c.key();
+                (workload, scheduler.to_string(), m as u64, c.stream().instance().total_work())
+            })
+            .collect()
     }
 
     #[test]
-    fn quick_engine_matrix_produces_valid_entries() {
-        let doc = run_engine_matrix(&quick_opts()).unwrap();
-        let entries = doc.get("entries").unwrap().as_array().unwrap();
-        // 2 schedulers x 2 m's on stream + 1 x 1 on sparse.
-        assert_eq!(entries.len(), 5);
-        for e in entries {
-            assert!(e.get("subjobs_per_sec").is_some());
-            let walls = e.get("wall_secs").unwrap().as_array().unwrap();
-            assert_eq!(walls.len(), 1);
+    fn matrices_match_the_committed_baselines() {
+        let matrices = [
+            (
+                "engine",
+                cell_keys(&engine_bench::cells(false)),
+                cell_keys(&engine_bench::cells(true)),
+                25,
+            ),
+            (
+                "serve",
+                cell_keys(&serve_bench::cells(false)),
+                cell_keys(&serve_bench::cells(true)),
+                14,
+            ),
+            (
+                "gateway",
+                cell_keys(&gateway_bench::cells(false)),
+                cell_keys(&gateway_bench::cells(true)),
+                11,
+            ),
+        ];
+        for (matrix, full, quick, n) in matrices {
+            assert_eq!(full.len(), n, "{matrix}");
+            assert_eq!(
+                full,
+                doc_keys(&committed(matrix)),
+                "{matrix}: cells differ from the baseline"
+            );
+            assert!(quick.is_subset(&full), "{matrix}: a quick cell is not in the full matrix");
+            // The quick serve matrix keeps a telemetry twin pair, so its
+            // overhead gate has something to compare.
+            if matrix == "serve" {
+                assert!(quick.iter().any(|(w, s, m, n)| plain_twin(w)
+                    .is_some_and(|p| quick.contains(&(p.to_string(), s.clone(), *m, *n)))));
+            }
         }
-        // The whole document serializes and round-trips.
-        let json = serde_json::to_string_pretty(&doc).unwrap();
-        let back: Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.get("schema").unwrap().as_str(), Some("flowtree-bench-v1"));
     }
 
     #[test]
-    fn quick_serve_matrix_produces_valid_entries() {
-        let doc = run_serve_matrix(&quick_opts()).unwrap();
-        let entries = doc.get("entries").unwrap().as_array().unwrap();
-        assert!(!entries.is_empty());
-        for e in entries {
-            assert!(e.get("subjobs_per_sec").is_some());
-            assert!(e.get("arrivals_per_sec").is_some());
-            let name = e.get("workload").unwrap().as_str().unwrap();
-            assert!(name.starts_with("serve-"), "{name}");
-            assert!(e.get("shards").is_some());
-            assert!(e.get("telemetry").is_some());
+    fn quick_matrices_emit_the_committed_entry_shape() {
+        type Runner = fn(&BenchOpts) -> Result<Value, String>;
+        let runners: [(&str, Runner); 3] = [
+            ("engine", run_engine_matrix),
+            ("serve", run_serve_matrix),
+            ("gateway", run_gateway_matrix),
+        ];
+        let shapes = |doc: &Value| -> BTreeSet<Vec<String>> {
+            entries(doc)
+                .map(|e| match e {
+                    Value::Object(fields) => {
+                        let mut names: Vec<String> =
+                            fields.iter().map(|(k, _)| k.clone()).collect();
+                        names.sort();
+                        names
+                    }
+                    other => panic!("entry is not an object: {other:?}"),
+                })
+                .collect()
+        };
+        for (matrix, run) in runners {
+            let doc = run(&BenchOpts { quick: true, reps: 1, warmup: 0 }).unwrap();
+            assert_eq!(shapes(&doc), shapes(&committed(matrix)), "{matrix}");
+            for e in entries(&doc) {
+                assert_eq!(
+                    e.get("wall_secs").and_then(Value::as_array).map(<[Value]>::len),
+                    Some(1)
+                );
+            }
+            // The whole document serializes and round-trips.
+            let json = serde_json::to_string_pretty(&doc).unwrap();
+            let back: Value = serde_json::from_str(&json).unwrap();
+            assert_eq!(back.get("schema").and_then(Value::as_str), Some("flowtree-bench-v1"));
         }
-        // The quick matrix carries a telemetry cell and its plain twin, so
-        // the overhead gate is computable (though not asserted here — a
-        // 1-rep debug-build run is far too noisy to pin 5% on).
-        assert!(
-            entries.iter().any(|e| e
-                .get("workload")
-                .unwrap()
-                .as_str()
-                .unwrap()
-                .ends_with("+telemetry")),
-            "quick matrix lost its +telemetry cell"
-        );
-        let json = serde_json::to_string_pretty(&doc).unwrap();
-        let back: Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.get("schema").unwrap().as_str(), Some("flowtree-bench-v1"));
     }
 
     /// A two-entry serve document: a plain cell at `plain` subjobs/s and
@@ -351,7 +428,27 @@ mod tests {
         assert!(err.contains("FAILED"), "{err}");
         assert!(err.contains("stream-mini"), "{err}");
 
-        // A run with no comparable cells must also fail loudly.
+        // A cell missing from the baseline fails the gate by name, even
+        // beside a passing cell.
+        let mut renamed = doc_with_rate(1000.0);
+        if let Value::Object(fields) = &mut renamed {
+            if let Some((_, Value::Array(entries))) =
+                fields.iter_mut().find(|(k, _)| k == "entries")
+            {
+                let mut cell = entries[0].clone();
+                if let Value::Object(cell_fields) = &mut cell {
+                    cell_fields[0].1 = Value::Str("stream-renamed".into());
+                }
+                entries.push(cell);
+            }
+        }
+        let err = check_regressions(&renamed, &baseline, path).unwrap_err();
+        assert!(err.contains("missing") && err.contains("stream-renamed"), "{err}");
+        assert!(!err.contains("stream-mini/"), "{err}");
+        assert_eq!(require_baseline_cells(&renamed, &baseline, path).unwrap_err(), err);
+        require_baseline_cells(&doc_with_rate(500.0), &baseline, path).unwrap();
+
+        // A run with no cells must also fail loudly.
         let mut other = doc_with_rate(1000.0);
         if let Value::Object(fields) = &mut other {
             fields.retain(|(k, _)| k.as_str() != "entries");

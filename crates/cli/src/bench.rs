@@ -1,7 +1,8 @@
 //! `flowtree-repro bench` — thin CLI over the [`flowtree_bench`] harness.
 //!
-//! Three matrices live in `flowtree-bench`; this module parses arguments,
-//! picks one, writes the JSON trajectory, and applies the regression gate:
+//! Three matrices live in `flowtree-bench`, all run by its one timed loop;
+//! this module parses arguments, picks a row of its matrix table, writes
+//! the JSON trajectory, and applies the regression gate:
 //!
 //! ```text
 //! flowtree-repro bench                      # engine matrix  -> BENCH_engine.json
@@ -16,101 +17,118 @@
 //! Each entry records every wall time observed; `subjobs_per_sec` uses the
 //! *best* repeat (least interference). Without `--check` no thresholds are
 //! enforced — hardware varies; the trajectory is for human/PR-level
-//! diffing. With `--check BASELINE` the run exits nonzero when any cell
-//! whose (workload, scheduler, m, total_subjobs) identity also appears in
-//! the baseline lost more than 25% throughput; a failing comparison is
+//! diffing. With `--check BASELINE` every cell's (workload, scheduler, m,
+//! total_subjobs) identity must appear in the baseline (a missing one fails
+//! at once), and the run exits nonzero when any cell lost more than 25%
+//! throughput; a failing comparison is
 //! re-measured from scratch up to two more times first, so transient
 //! machine load doesn't fail the gate while a real regression (which
 //! survives every attempt) still does.
 
-use flowtree_bench::BenchOpts;
 use flowtree_bench::{
-    check_regressions, check_telemetry_overhead, load_baseline, run_engine_matrix,
-    run_gateway_matrix, run_serve_matrix,
+    check_regressions, check_telemetry_overhead, load_baseline, require_baseline_cells,
+    run_engine_matrix, run_gateway_matrix, run_serve_matrix, BenchOpts,
 };
 use serde::Value;
 
-/// Which committed baseline a `bench` invocation produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Matrix {
-    Engine,
-    Serve,
-    Gateway,
+/// A check of one run's document.
+type Gate = fn(&Value) -> Result<(), String>;
+
+/// One committed baseline a `bench` invocation can produce.
+struct Matrix {
+    /// Selected by `--<name>`; the first row is the default.
+    name: &'static str,
+    /// Where the document goes without `-o`.
+    out: &'static str,
+    run: fn(&BenchOpts) -> Result<Value, String>,
+    /// A gate beside the regression check, on the same document.
+    gate: Option<Gate>,
 }
+
+static MATRICES: [Matrix; 3] = [
+    Matrix {
+        name: "engine",
+        out: "BENCH_engine.json",
+        run: run_engine_matrix,
+        gate: None,
+    },
+    Matrix {
+        name: "serve",
+        out: "BENCH_serve.json",
+        run: run_serve_matrix,
+        gate: Some(check_telemetry_overhead),
+    },
+    Matrix {
+        name: "gateway",
+        out: "BENCH_gateway.json",
+        run: run_gateway_matrix,
+        gate: None,
+    },
+];
 
 struct Opts {
     bench: BenchOpts,
-    /// Which matrix to run (engine is the default).
-    matrix: Matrix,
+    matrix: &'static Matrix,
     out: String,
     /// Baseline path to compare against; exit nonzero on regression.
     check: Option<String>,
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut o = Opts {
-        bench: BenchOpts { quick: false, reps: 0, warmup: 0 },
-        matrix: Matrix::Engine,
-        out: String::new(),
-        check: None,
-    };
+    let mut quick = false;
+    let mut matrix = &MATRICES[0];
+    let mut out = None;
+    let mut reps = None;
+    let mut warmup = None;
+    let mut check = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => o.bench.quick = true,
-            "--serve" => o.matrix = Matrix::Serve,
-            "--gateway" => o.matrix = Matrix::Gateway,
-            "-o" => o.out = it.next().ok_or("-o needs a path")?.clone(),
-            "--reps" => o.bench.reps = crate::scenario::parse_num(&mut it, "--reps")?,
-            "--warmup" => o.bench.warmup = crate::scenario::parse_num(&mut it, "--warmup")?,
-            "--check" => o.check = Some(it.next().ok_or("--check needs a baseline path")?.clone()),
+            "--quick" => quick = true,
+            "-o" => out = Some(it.next().ok_or("-o needs a path")?.clone()),
+            "--reps" => reps = Some(crate::scenario::parse_num(&mut it, "--reps")?),
+            "--warmup" => warmup = Some(crate::scenario::parse_num(&mut it, "--warmup")?),
+            "--check" => check = Some(it.next().ok_or("--check needs a baseline path")?.clone()),
             other => {
-                return Err(format!(
-                    "unknown bench option '{other}'\n\
-                     usage: flowtree-repro bench [--serve | --gateway] [--quick] [--reps N] \
-                     [--warmup N] [--check BASELINE] [-o FILE]"
-                ))
+                matrix = MATRICES[1..]
+                    .iter()
+                    .find(|m| other.strip_prefix("--") == Some(m.name))
+                    .ok_or_else(|| {
+                        format!(
+                            "unknown bench option '{other}'\n\
+                             usage: flowtree-repro bench [--serve | --gateway] [--quick] \
+                             [--reps N] [--warmup N] [--check BASELINE] [-o FILE]"
+                        )
+                    })?
             }
         }
     }
-    if o.out.is_empty() {
-        o.out = match o.matrix {
-            Matrix::Engine => "BENCH_engine.json",
-            Matrix::Serve => "BENCH_serve.json",
-            Matrix::Gateway => "BENCH_gateway.json",
-        }
-        .to_string();
+    if reps == Some(0) {
+        return Err("--reps must be at least 1 (the best of no runs is undefined)".into());
     }
-    if o.bench.reps == 0 {
-        // Gated runs take more repeats: the 25% regression threshold needs a
-        // stable best-of.
-        o.bench.reps = if o.check.is_some() {
-            15
-        } else if o.bench.quick {
-            2
-        } else {
-            5
-        };
-    }
-    if o.bench.warmup == 0 && (!o.bench.quick || o.check.is_some()) {
-        o.bench.warmup = 1;
-    }
-    Ok(o)
-}
-
-fn run_matrix(o: &Opts) -> Result<Value, String> {
-    match o.matrix {
-        Matrix::Engine => run_engine_matrix(&o.bench),
-        Matrix::Serve => run_serve_matrix(&o.bench),
-        Matrix::Gateway => run_gateway_matrix(&o.bench),
-    }
+    // Gated runs take more repeats: the 25% regression threshold needs a
+    // stable best-of.
+    let reps = reps.unwrap_or(if check.is_some() {
+        15
+    } else if quick {
+        2
+    } else {
+        5
+    });
+    let warmup = warmup.unwrap_or(usize::from(!quick || check.is_some()));
+    Ok(Opts {
+        bench: BenchOpts { quick, reps, warmup },
+        matrix,
+        out: out.unwrap_or_else(|| matrix.out.to_string()),
+        check,
+    })
 }
 
 /// Run `bench [--serve | --gateway] [--quick] [--reps N] [--warmup N]
 /// [--check BASELINE] [-o FILE]`.
 pub fn run(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
-    let doc = run_matrix(&o)?;
+    let doc = (o.matrix.run)(&o.bench)?;
     let json = serde_json::to_string_pretty(&doc).map_err(|e| format!("serialize: {e}"))?;
     std::fs::write(&o.out, &json).map_err(|e| format!("write {}: {e}", o.out))?;
     // Self-validation: the written trajectory must parse back (CI smoke
@@ -127,23 +145,19 @@ pub fn run(args: &[String]) -> Result<(), String> {
     eprintln!("wrote {n} bench entries to {}", o.out);
     if let Some(path) = &o.check {
         let baseline = load_baseline(path)?;
+        require_baseline_cells(&doc, &baseline, path)?;
         // A gate on wall time is at the mercy of transient machine load
         // (CI runs it right after the test suite). Re-measure from scratch
         // before failing: only a regression that survives every fresh
         // attempt is reported. The passing attempt's document is what
         // stays written to `-o`.
         const ATTEMPTS: usize = 3;
-        // Serve runs additionally gate every `+telemetry` cell against its
-        // plain twin from the same document (within-run, so machine speed
-        // cancels); the same re-measure policy applies.
+        // The matrix's own gate (serve: every `+telemetry` cell against its
+        // plain twin, within-run so machine speed cancels) follows the same
+        // re-measure policy.
         let gate = |doc: &Value| {
-            check_regressions(doc, &baseline, path).and_then(|()| {
-                if o.matrix == Matrix::Serve {
-                    check_telemetry_overhead(doc)
-                } else {
-                    Ok(())
-                }
-            })
+            check_regressions(doc, &baseline, path)
+                .and_then(|()| o.matrix.gate.map_or(Ok(()), |gate| gate(doc)))
         };
         let mut verdict = gate(&doc);
         for attempt in 2..=ATTEMPTS {
@@ -154,7 +168,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 "{}\nre-measuring (attempt {attempt}/{ATTEMPTS})…",
                 verdict.as_ref().unwrap_err()
             );
-            let doc = run_matrix(&o)?;
+            let doc = (o.matrix.run)(&o.bench)?;
             let json = serde_json::to_string_pretty(&doc).map_err(|e| format!("serialize: {e}"))?;
             std::fs::write(&o.out, &json).map_err(|e| format!("write {}: {e}", o.out))?;
             verdict = gate(&doc);
@@ -172,21 +186,25 @@ mod tests {
     fn opts_parse_and_reject() {
         let o = parse_opts(&["--quick".into(), "--reps".into(), "3".into()]).unwrap();
         assert!(o.bench.quick);
-        assert_eq!(o.matrix, Matrix::Engine);
+        assert_eq!(o.matrix.name, "engine");
         assert_eq!(o.bench.reps, 3);
         assert_eq!(o.out, "BENCH_engine.json");
         assert!(parse_opts(&["--frobnicate".into()]).is_err());
         assert!(parse_opts(&["--reps".into()]).is_err());
+        // The default matrix has no flag of its own.
+        assert!(parse_opts(&["--engine".into()]).is_err());
     }
 
     #[test]
     fn serve_and_gateway_modes_switch_default_output() {
         let o = parse_opts(&["--serve".into()]).unwrap();
-        assert_eq!(o.matrix, Matrix::Serve);
+        assert_eq!(o.matrix.name, "serve");
         assert_eq!(o.out, "BENCH_serve.json");
+        assert!(o.matrix.gate.is_some());
         let o = parse_opts(&["--gateway".into()]).unwrap();
-        assert_eq!(o.matrix, Matrix::Gateway);
+        assert_eq!(o.matrix.name, "gateway");
         assert_eq!(o.out, "BENCH_gateway.json");
+        assert!(o.matrix.gate.is_none());
         // Explicit -o still wins.
         let o = parse_opts(&["--serve".into(), "-o".into(), "x.json".into()]).unwrap();
         assert_eq!(o.out, "x.json");
@@ -202,5 +220,18 @@ mod tests {
         let o =
             parse_opts(&["--check".into(), "b.json".into(), "--reps".into(), "2".into()]).unwrap();
         assert_eq!(o.bench.reps, 2);
+        // Without --check, full runs warm up once and quick runs do not.
+        assert_eq!(parse_opts(&[]).unwrap().bench.warmup, 1);
+        assert_eq!(parse_opts(&["--quick".into()]).unwrap().bench.warmup, 0);
+    }
+
+    #[test]
+    fn explicit_warmup_zero_is_kept_and_reps_zero_rejected() {
+        for args in [&["--warmup", "0"][..], &["--quick", "--check", "b.json", "--warmup", "0"]] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            assert_eq!(parse_opts(&args).unwrap().bench.warmup, 0, "{args:?}");
+        }
+        let err = parse_opts(&["--reps".into(), "0".into()]).err().unwrap();
+        assert!(err.contains("--reps"), "{err}");
     }
 }

@@ -12,11 +12,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release -p flowtree-cli"
 cargo build --release -p flowtree-cli
 
-echo "==> flowtree-repro bench $* -o BENCH_engine.json"
-target/release/flowtree-repro bench "$@" -o BENCH_engine.json
-
-echo "==> flowtree-repro bench --serve $* -o BENCH_serve.json"
-target/release/flowtree-repro bench --serve "$@" -o BENCH_serve.json
-
-echo "==> flowtree-repro bench --gateway $* -o BENCH_gateway.json"
-target/release/flowtree-repro bench --gateway "$@" -o BENCH_gateway.json
+for m in engine serve gateway; do
+    flag=$([ "$m" = engine ] || echo "--$m")
+    echo "==> flowtree-repro bench $flag $* -o BENCH_$m.json"
+    target/release/flowtree-repro bench $flag "$@" -o "BENCH_$m.json"
+done

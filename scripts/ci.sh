@@ -62,26 +62,21 @@ echo "==> flowbench gateway-open traced smoke (checks + every per-layer metric f
 cargo run --release --quiet --offline --manifest-path flowbench/Cargo.toml -- \
     --workload gateway-open --seed 1 --seconds 1 --trace 1 >/dev/null
 
-echo "==> bench regression gate (--quick --check vs committed baseline)"
-cargo run --release -p flowtree-cli -- bench --quick --check BENCH_engine.json \
-    -o /tmp/flowtree_bench_smoke.json >/dev/null
-rm -f /tmp/flowtree_bench_smoke.json
+echo "==> bench regression gates (--quick --check vs each committed baseline)"
+# The serve gate also holds every +telemetry cell to its plain twin.
+for m in engine serve gateway; do
+    flag=$([ "$m" = engine ] || echo "--$m")
+    cargo run --release -p flowtree-cli -- bench $flag --quick --check "BENCH_$m.json" \
+        -o "/tmp/flowtree_${m}_bench_smoke.json" >/dev/null
+    rm -f "/tmp/flowtree_${m}_bench_smoke.json"
+done
 
-echo "==> serve bench regression gate (--serve --quick --check vs committed baseline)"
-cargo run --release -p flowtree-cli -- bench --serve --quick --check BENCH_serve.json \
-    -o /tmp/flowtree_serve_bench_smoke.json >/dev/null
-rm -f /tmp/flowtree_serve_bench_smoke.json
-
-echo "==> full serve matrix (work-conservation assert on every no-loss cell, no gate)"
-# Every ingest path (per-event, drop, redirect, steal) runs here; the bench
-# asserts dispatched == total work for each cell that cannot shed jobs.
+echo "==> full serve matrix (verified schedules and work conservation on every cell, no gate)"
+# Every ingest path (per-event, drop, redirect, steal) runs here; each
+# cell's untimed run verifies every shard's schedule and, unless the cell
+# may shed jobs, requires dispatched == total work.
 cargo run --release -p flowtree-cli -- bench --serve -o /tmp/flowtree_serve_full.json >/dev/null
 rm -f /tmp/flowtree_serve_full.json
-
-echo "==> gateway bench regression gate (--gateway --quick --check vs committed baseline)"
-cargo run --release -p flowtree-cli -- bench --gateway --quick --check BENCH_gateway.json \
-    -o /tmp/flowtree_gateway_bench_smoke.json >/dev/null
-rm -f /tmp/flowtree_gateway_bench_smoke.json
 
 echo "==> serve smoke (2 shards, fixed seed, bounded horizon, clean drain)"
 SMOKE_STORE=$(mktemp -d)
