@@ -313,14 +313,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn quick_matrices_emit_the_committed_entry_shape() {
-        type Runner = fn(&BenchOpts) -> Result<Value, String>;
-        let runners: [(&str, Runner); 3] = [
-            ("engine", run_engine_matrix),
-            ("serve", run_serve_matrix),
-            ("gateway", run_gateway_matrix),
-        ];
+    /// Runs `matrix`'s quick cells once (`reps: 1, warmup: 0`) and checks
+    /// that every entry has its committed `BENCH_<matrix>.json` key set and
+    /// one wall, and that the document round-trips through JSON.
+    fn run_quick(matrix: &str, run: fn(&BenchOpts) -> Result<Value, String>) -> Value {
         let shapes = |doc: &Value| -> BTreeSet<Vec<String>> {
             entries(doc)
                 .map(|e| match e {
@@ -334,20 +330,46 @@ mod tests {
                 })
                 .collect()
         };
-        for (matrix, run) in runners {
-            let doc = run(&BenchOpts { quick: true, reps: 1, warmup: 0 }).unwrap();
-            assert_eq!(shapes(&doc), shapes(&committed(matrix)), "{matrix}");
-            for e in entries(&doc) {
-                assert_eq!(
-                    e.get("wall_secs").and_then(Value::as_array).map(<[Value]>::len),
-                    Some(1)
-                );
-            }
-            // The whole document serializes and round-trips.
-            let json = serde_json::to_string_pretty(&doc).unwrap();
-            let back: Value = serde_json::from_str(&json).unwrap();
-            assert_eq!(back.get("schema").and_then(Value::as_str), Some("flowtree-bench-v1"));
+        let doc = run(&BenchOpts { quick: true, reps: 1, warmup: 0 }).unwrap();
+        assert_eq!(shapes(&doc), shapes(&committed(matrix)), "{matrix}");
+        for e in entries(&doc) {
+            assert_eq!(e.get("wall_secs").and_then(Value::as_array).map(<[Value]>::len), Some(1));
         }
+        let json = serde_json::to_string_pretty(&doc).unwrap();
+        let back: Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.get("schema").and_then(Value::as_str), Some("flowtree-bench-v1"));
+        doc
+    }
+
+    #[test]
+    fn quick_engine_matrix_produces_valid_entries() {
+        let doc = run_quick("engine", run_engine_matrix);
+        // 2 schedulers x 2 m's on stream + 1 x 1 on sparse.
+        assert_eq!(entries(&doc).count(), 5);
+    }
+
+    #[test]
+    fn quick_serve_matrix_produces_valid_entries() {
+        let doc = run_quick("serve", run_serve_matrix);
+        let names: Vec<&str> =
+            entries(&doc).map(|e| e.get("workload").unwrap().as_str().unwrap()).collect();
+        assert!(names.iter().all(|n| n.starts_with("serve-")), "{names:?}");
+        // The quick matrix carries a telemetry cell and its plain twin, so
+        // the overhead gate is computable (though not asserted here — a
+        // 1-rep debug-build run is far too noisy to pin 5% on).
+        assert!(
+            names.iter().any(|n| plain_twin(n).is_some_and(|p| names.contains(&p))),
+            "quick matrix lost its +telemetry twin pair"
+        );
+    }
+
+    #[test]
+    fn quick_gateway_matrix_produces_valid_entries() {
+        let doc = run_quick("gateway", run_gateway_matrix);
+        assert!(entries(&doc).all(|e| e
+            .get("workload")
+            .and_then(Value::as_str)
+            .is_some_and(|n| n.starts_with("gateway-"))));
     }
 
     /// A two-entry serve document: a plain cell at `plain` subjobs/s and
