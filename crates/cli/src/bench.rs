@@ -8,7 +8,7 @@
 //! flowtree-repro bench                      # engine matrix  -> BENCH_engine.json
 //! flowtree-repro bench --serve              # serve matrix   -> BENCH_serve.json
 //! flowtree-repro bench --gateway            # gateway matrix -> BENCH_gateway.json
-//! flowtree-repro bench --quick -o /tmp/b.json   # CI smoke: small + fast
+//! flowtree-repro bench --quick -o /tmp/b.json   # CI smoke: small + fast (-o required)
 //! flowtree-repro bench --reps 9             # more repeats per cell
 //! flowtree-repro bench --serve --quick --check BENCH_serve.json -o /tmp/b.json
 //!                                           # regression gate vs a baseline
@@ -116,12 +116,36 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         5
     });
     let warmup = warmup.unwrap_or(usize::from(!quick || check.is_some()));
-    Ok(Opts {
-        bench: BenchOpts { quick, reps, warmup },
-        matrix,
-        out: out.unwrap_or_else(|| matrix.out.to_string()),
-        check,
-    })
+    // A quick document must never replace a committed baseline, and a
+    // gate must not compare a run with the file that run just wrote.
+    let out = match out {
+        Some(out) => out,
+        None if quick => {
+            return Err("--quick needs -o FILE (it must not replace the committed baseline)".into())
+        }
+        None => matrix.out.to_string(),
+    };
+    let name = std::path::Path::new(&out).file_name();
+    if quick && MATRICES.iter().any(|m| name == Some(m.out.as_ref())) {
+        return Err(format!(
+            "--quick must not write the committed baseline {out}; pass another -o"
+        ));
+    }
+    if check.as_deref().is_some_and(|check| same_file(check, &out)) {
+        return Err(format!(
+            "-o {out} is the --check baseline; the run would overwrite what it is checked against"
+        ));
+    }
+    Ok(Opts { bench: BenchOpts { quick, reps, warmup }, matrix, out, check })
+}
+
+/// Whether two paths name one file: equal once canonicalized, or, when
+/// either does not exist yet, equal as written.
+fn same_file(a: &str, b: &str) -> bool {
+    match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+        (Ok(a), Ok(b)) => a == b,
+        _ => a == b,
+    }
 }
 
 /// Run `bench [--serve | --gateway] [--quick] [--reps N] [--warmup N]
@@ -184,11 +208,12 @@ mod tests {
 
     #[test]
     fn opts_parse_and_reject() {
-        let o = parse_opts(&["--quick".into(), "--reps".into(), "3".into()]).unwrap();
+        let args = ["--quick", "--reps", "3", "-o", "q.json"].map(String::from);
+        let o = parse_opts(&args).unwrap();
         assert!(o.bench.quick);
         assert_eq!(o.matrix.name, "engine");
         assert_eq!(o.bench.reps, 3);
-        assert_eq!(o.out, "BENCH_engine.json");
+        assert_eq!(o.out, "q.json");
         assert!(parse_opts(&["--frobnicate".into()]).is_err());
         assert!(parse_opts(&["--reps".into()]).is_err());
         // The default matrix has no flag of its own.
@@ -212,7 +237,8 @@ mod tests {
 
     #[test]
     fn check_implies_more_repeats_and_warmup() {
-        let o = parse_opts(&["--quick".into(), "--check".into(), "b.json".into()]).unwrap();
+        let o = parse_opts(&["--quick", "--check", "b.json", "-o", "r.json"].map(String::from))
+            .unwrap();
         assert_eq!(o.check.as_deref(), Some("b.json"));
         assert_eq!(o.bench.reps, 15);
         assert_eq!(o.bench.warmup, 1);
@@ -222,12 +248,34 @@ mod tests {
         assert_eq!(o.bench.reps, 2);
         // Without --check, full runs warm up once and quick runs do not.
         assert_eq!(parse_opts(&[]).unwrap().bench.warmup, 1);
-        assert_eq!(parse_opts(&["--quick".into()]).unwrap().bench.warmup, 0);
+        assert_eq!(
+            parse_opts(&["--quick", "-o", "q.json"].map(String::from)).unwrap().bench.warmup,
+            0
+        );
+    }
+
+    #[test]
+    fn no_run_overwrites_a_committed_baseline_or_its_check_baseline() {
+        let err = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            parse_opts(&args).err().unwrap_or_else(|| panic!("{args:?} must be refused"))
+        };
+        assert!(err(&["--quick"]).contains("-o"));
+        assert!(err(&["--quick", "-o", "BENCH_engine.json"]).contains("BENCH_engine.json"));
+        assert!(err(&["--serve", "--quick", "-o", "./BENCH_serve.json"]).contains("BENCH_serve"));
+        assert!(err(&["--check", "x.json", "-o", "x.json"]).contains("--check"));
+        // A full gated run would write its default output over the baseline.
+        assert!(err(&["--check", "BENCH_engine.json"]).contains("--check"));
+        // A full run still writes its committed baseline by default.
+        assert_eq!(parse_opts(&[]).unwrap().out, "BENCH_engine.json");
     }
 
     #[test]
     fn explicit_warmup_zero_is_kept_and_reps_zero_rejected() {
-        for args in [&["--warmup", "0"][..], &["--quick", "--check", "b.json", "--warmup", "0"]] {
+        for args in [
+            &["--warmup", "0"][..],
+            &["--quick", "--check", "b.json", "-o", "r.json", "--warmup", "0"],
+        ] {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
             assert_eq!(parse_opts(&args).unwrap().bench.warmup, 0, "{args:?}");
         }

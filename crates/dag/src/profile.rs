@@ -96,29 +96,32 @@ impl DepthProfile {
     /// *exactly* the optimal maximum flow of the job (out-forests) released
     /// alone at time 0.
     pub fn opt_single_job(&self, m: u64) -> u64 {
-        lemma_5_1(&self.count, m)
+        Self::opt_of_depth_counts(&self.count, m)
     }
 
     /// [`opt_single_job`](Self::opt_single_job) of `g` without building a
     /// profile: it reads `g`'s cached depth counts and allocates nothing.
     /// The simulator's `LowerBound` probe calls this once per released job.
     pub fn opt_single_job_of(g: &JobGraph, m: u64) -> u64 {
-        lemma_5_1(g.depth_counts(), m)
+        Self::opt_of_depth_counts(g.depth_counts(), m)
     }
-}
 
-/// `max over d in [0, D] of (d + ceil(W(d)/m))` from the per-depth counts
-/// (`count[d]` holds the nodes at depth `d + 1`): walk the depths high to
-/// low, accumulating `W(d)`, the number of nodes strictly deeper than `d`.
-fn lemma_5_1<C: Copy + Into<u64>>(count: &[C], m: u64) -> u64 {
-    assert!(m >= 1, "need at least one processor");
-    let mut best = count.len() as u64;
-    let mut w = 0u64;
-    for d in (0..count.len()).rev() {
-        w += count[d].into();
-        best = best.max(d as u64 + w.div_ceil(m));
+    /// Lemma 5.1's `max over d in [0, D] of (d + ceil(W(d)/m))` from
+    /// per-depth counts alone (`count[d]` holds the nodes at depth `d + 1`,
+    /// the layout of [`JobGraph::depth_counts`]): walk the depths high to
+    /// low, accumulating `W(d)`, the number of nodes strictly deeper than
+    /// `d`. Counts summed per depth over jobs released together give the
+    /// bound of their union without building it.
+    pub fn opt_of_depth_counts<C: Copy + Into<u64>>(count: &[C], m: u64) -> u64 {
+        assert!(m >= 1, "need at least one processor");
+        let mut best = count.len() as u64;
+        let mut w = 0u64;
+        for d in (0..count.len()).rev() {
+            w += count[d].into();
+            best = best.max(d as u64 + w.div_ceil(m));
+        }
+        best
     }
-    best
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ pub use client::{
 };
 pub use server::{Gateway, GatewayConfig, GatewayStats, MAX_WINDOW};
 pub use wire::{
-    decode, decode_reply, decode_request, decode_submit_into, encode, encode_reply_into,
-    encode_request_into, encode_submit_batch_into, read_frame, read_frame_patient_into,
-    write_frame, FrameError, Reply, Request, WireCodec, BINARY_MARKER, MAX_FRAME, PROTOCOL_VERSION,
+    decode, decode_reply, decode_request, encode, encode_reply_into, encode_request_into,
+    encode_submit_batch_into, read_frame, read_frame_patient_into, write_frame, FrameError, Reply,
+    Request, WireCodec, BINARY_MARKER, MAX_FRAME, PROTOCOL_VERSION,
 };

@@ -12,27 +12,31 @@
 //! scheduler quantum), back off to millisecond sleeps only when every
 //! connection has gone quiet.
 //!
-//! Consecutive submit frames on one connection coalesce into a single
-//! pool offer answered by one cumulative `ack{seq,delta,frames}` — the
-//! group closes when the connection's negotiated window fills, a
-//! non-submit frame arrives, or the readable bytes run dry. Workers never
-//! block inside the pool on a client's behalf: when the pool's policy is
-//! `block` (and stealing is off), a group that would block is answered
-//! with [`Reply::Busy`] *before* being offered, so backpressure becomes a
-//! wire-level retry loop instead of a stalled worker, and the ledger
-//! invariant `delivered + dropped + staged == offered` stays exact across
-//! all clients combined.
+//! Each frame is decoded once, by [`decode_request`], and handled by one
+//! dispatch. Consecutive submit frames on one connection coalesce into a
+//! single pool offer answered by one cumulative `ack{seq,delta,frames}` —
+//! the group closes when the connection's negotiated window fills, a
+//! non-submit frame arrives, or the readable bytes run dry. When the
+//! pool's policy is `block` (and stealing is off), the part of a group
+//! that does not fit the pool's free queue slots
+//! ([`PoolHandle::ingress_room`]) is answered with [`Reply::Busy`]
+//! *before* being offered, so a full pool becomes a wire-level retry loop,
+//! and the ledger invariant `delivered + dropped + staged == offered`
+//! stays exact across all clients combined. That room is summed over
+//! every shard, so the check keeps a worker from offering into a pool
+//! without room for the group, not from blocking: routing can still place
+//! a job on one shard whose queue is full, and the worker then waits
+//! inside the offer until that shard takes a command.
 //!
 //! Connection lifecycle (`conn-open` / `conn-close`) and every `Busy`
 //! shed land in shard 0's flight-recorder ring — the router's shard — so
 //! `report --flight` shows the network edge next to steals and swaps.
 
 use crate::wire::{
-    decode_request, decode_submit_into, encode_reply_into, Reply, Request, WireCodec, MAX_FRAME,
-    PROTOCOL_VERSION,
+    decode_request, encode_reply_into, Reply, Request, WireCodec, MAX_FRAME, PROTOCOL_VERSION,
 };
 use flowtree_core::SchedulerSpec;
-use flowtree_serve::{FlightKind, OverloadPolicy, PoolHandle};
+use flowtree_serve::{FlightKind, IngestStats, OverloadPolicy, PoolHandle};
 use flowtree_sim::JobSpec;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -318,6 +322,13 @@ impl WorkerCtx<'_> {
         conn.wbuf.extend_from_slice(&len);
         conn.wbuf.extend_from_slice(&self.scratch);
     }
+
+    /// Acknowledge the connection's next request: `frames` submit frames
+    /// (0 for a control verb) that moved the ingest ledger by `delta`.
+    fn ack(&mut self, conn: &mut Conn, delta: IngestStats, frames: u64) {
+        conn.seq += 1;
+        self.queue_reply(conn, &Reply::Ack { seq: conn.seq, delta, frames });
+    }
 }
 
 /// The event loop: adopt new connections, step each live one, reap the
@@ -516,34 +527,10 @@ fn flush_writes(conn: &mut Conn) -> bool {
     progress
 }
 
-/// Handle the frame at `rbuf[start..end]`.
+/// Handle the frame at `rbuf[start..end]`: one decode, one dispatch.
 fn handle_frame(conn: &mut Conn, start: usize, end: usize, ctx: &mut WorkerCtx<'_>) {
-    if !conn.hello {
-        match decode_request(&conn.rbuf[start..end]) {
-            Ok(Request::Hello { proto, client, codec, window }) => {
-                hello(conn, ctx, proto, client, codec, window)
-            }
-            Ok(_) => {
-                ctx.queue_reply(conn, &Reply::Reject { reason: "say hello first".to_string() })
-            }
-            Err(e) => {
-                ctx.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
-                ctx.queue_reply(conn, &Reply::Reject { reason: format!("bad request: {e}") });
-            }
-        }
-        return;
-    }
-
-    // The hot path: stage submit frames straight into the open group.
-    match decode_submit_into(&conn.rbuf[start..end], &mut conn.pending) {
-        Ok(Some(jobs)) => {
-            conn.pending_lens.push(jobs);
-            if conn.pending_lens.len() as u64 >= conn.window {
-                flush_group(conn, ctx);
-            }
-            return;
-        }
-        Ok(None) => {}
+    let req = match decode_request(&conn.rbuf[start..end]) {
+        Ok(req) => req,
         Err(e) => {
             // Framing held, so the stream is still in sync: close the open
             // group, reject the message, keep serving the connection.
@@ -552,47 +539,44 @@ fn handle_frame(conn: &mut Conn, start: usize, end: usize, ctx: &mut WorkerCtx<'
             ctx.queue_reply(conn, &Reply::Reject { reason: format!("bad request: {e}") });
             return;
         }
-    }
-
-    // A control frame closes the open group first so replies stay in
-    // request order.
-    flush_group(conn, ctx);
-    let req = match decode_request(&conn.rbuf[start..end]) {
-        Ok(r) => r,
-        Err(e) => {
-            ctx.stats.wire_errors.fetch_add(1, Ordering::SeqCst);
-            ctx.queue_reply(conn, &Reply::Reject { reason: format!("bad request: {e}") });
-            return;
-        }
     };
+    if !conn.hello && !matches!(req, Request::Hello { .. }) {
+        ctx.queue_reply(conn, &Reply::Reject { reason: "say hello first".to_string() });
+        return;
+    }
+    // Every frame but a submit closes the open group first so replies stay
+    // in request order.
+    if !matches!(req, Request::SubmitBatch { .. }) {
+        flush_group(conn, ctx);
+    }
     match req {
         Request::Hello { proto, client, codec, window } => {
             hello(conn, ctx, proto, client, codec, window)
         }
-        Request::SubmitBatch { .. } => {
-            unreachable!("submit frames are staged above")
+        // The hot path: stage the frame's jobs into the open group.
+        Request::SubmitBatch { mut jobs } => {
+            conn.pending_lens.push(jobs.len());
+            if conn.pending.is_empty() {
+                conn.pending = jobs;
+            } else {
+                conn.pending.append(&mut jobs);
+            }
+            if conn.pending_lens.len() as u64 >= conn.window {
+                flush_group(conn, ctx);
+            }
         }
         Request::Watermark { t } => match ctx.handle.advance_frontier(t) {
-            Ok(delta) => {
-                conn.seq += 1;
-                ctx.queue_reply(conn, &Reply::Ack { seq: conn.seq, delta, frames: 0 });
-            }
+            Ok(delta) => ctx.ack(conn, delta, 0),
             Err(e) => ctx.queue_reply(conn, &Reply::Reject { reason: String::from(e) }),
         },
         Request::Swap { shard, at, spec } => {
             let target = usize::try_from(shard).ok();
-            match spec.parse::<SchedulerSpec>() {
-                Ok(s) => match ctx.handle.swap(target, at, s) {
-                    Ok(()) => {
-                        conn.seq += 1;
-                        ctx.queue_reply(
-                            conn,
-                            &Reply::Ack { seq: conn.seq, delta: Default::default(), frames: 0 },
-                        );
-                    }
-                    Err(e) => ctx.queue_reply(conn, &Reply::Reject { reason: String::from(e) }),
-                },
-                Err(e) => ctx.queue_reply(conn, &Reply::Reject { reason: e }),
+            let swapped = spec
+                .parse::<SchedulerSpec>()
+                .and_then(|s| ctx.handle.swap(target, at, s).map_err(String::from));
+            match swapped {
+                Ok(()) => ctx.ack(conn, IngestStats::default(), 0),
+                Err(reason) => ctx.queue_reply(conn, &Reply::Reject { reason }),
             }
         }
         Request::Snapshot => {
@@ -615,11 +599,7 @@ fn handle_frame(conn: &mut Conn, start: usize, end: usize, ctx: &mut WorkerCtx<'
             ctx.queue_reply(conn, &Reply::MetricsText { text });
         }
         Request::Drain => {
-            conn.seq += 1;
-            ctx.queue_reply(
-                conn,
-                &Reply::Ack { seq: conn.seq, delta: Default::default(), frames: 0 },
-            );
+            ctx.ack(conn, IngestStats::default(), 0);
             let _ = ctx.drain_tx.send(conn.client.clone());
             conn.close_after_flush = true;
         }
@@ -709,11 +689,7 @@ fn flush_group(conn: &mut Conn, ctx: &mut WorkerCtx<'_>) {
         match ctx.handle.offer_batch_stamped(&mut conn.pending, ctx.handle.now_us()) {
             Ok(delta) => {
                 ctx.stats.remote_jobs.fetch_add(admit_jobs as u64, Ordering::SeqCst);
-                conn.seq += 1;
-                ctx.queue_reply(
-                    conn,
-                    &Reply::Ack { seq: conn.seq, delta, frames: admit_frames as u64 },
-                );
+                ctx.ack(conn, delta, admit_frames as u64);
             }
             Err(e) => {
                 conn.pending.clear();

@@ -621,14 +621,11 @@ impl<'a> BinReader<'a> {
     }
 }
 
-/// Decode a binary submit batch into `out` (appending). The graphs are
-/// rebuilt through [`GraphBuilder`] exactly like the JSON path, so a
-/// hostile payload cannot smuggle in a cyclic "DAG" and a well-formed one
-/// produces structurally identical jobs.
-fn read_submit_batch_binary(
-    r: &mut BinReader<'_>,
-    out: &mut Vec<JobSpec>,
-) -> Result<usize, String> {
+/// Decode a binary submit batch. The graphs are rebuilt through
+/// [`GraphBuilder`] exactly like the JSON path, so a hostile payload
+/// cannot smuggle in a cyclic "DAG" and a well-formed one produces
+/// structurally identical jobs.
+fn read_submit_batch_binary(r: &mut BinReader<'_>) -> Result<Vec<JobSpec>, String> {
     let count = r.u32()? as usize;
     // Each job costs at least 16 bytes on the wire; refuse counts the
     // payload cannot possibly hold before reserving anything.
@@ -649,7 +646,7 @@ fn read_submit_batch_binary(
         scan.pos += edges * 8;
     }
     check_node_budget(nodes)?;
-    out.reserve(count);
+    let mut jobs = Vec::with_capacity(count);
     for _ in 0..count {
         let release = r.u64()?;
         let n = r.u32()? as usize;
@@ -661,9 +658,9 @@ fn read_submit_batch_binary(
             b.edge(u, v);
         }
         let graph = b.build().map_err(|e| e.to_string())?;
-        out.push(JobSpec { graph, release });
+        jobs.push(JobSpec { graph, release });
     }
-    Ok(count)
+    Ok(jobs)
 }
 
 /// Refuse a frame whose jobs declare more than [`FRAME_NODE_BUDGET`]
@@ -751,11 +748,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
         let mut r = BinReader::new(&payload[1..]);
         let op = r.take(1)?[0];
         let req = match op {
-            OP_SUBMIT_BATCH => {
-                let mut jobs = Vec::new();
-                read_submit_batch_binary(&mut r, &mut jobs)?;
-                Request::SubmitBatch { jobs }
-            }
+            OP_SUBMIT_BATCH => Request::SubmitBatch { jobs: read_submit_batch_binary(&mut r)? },
             OP_WATERMARK => Request::Watermark { t: r.u64()? },
             other => return Err(format!("unknown binary request opcode {other}")),
         };
@@ -764,36 +757,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
     } else {
         decode(payload)
     }
-}
-
-/// If `payload` is a submit frame (either codec), decode its jobs
-/// *appending* into `out` and return `Ok(Some(count))`; `Ok(None)` leaves
-/// `out` untouched for a non-submit frame. The gateway's hot loop stages
-/// every submit straight into the connection's pending batch this way —
-/// no intermediate `Vec` per frame.
-pub fn decode_submit_into(payload: &[u8], out: &mut Vec<JobSpec>) -> Result<Option<usize>, String> {
-    if payload.first() == Some(&BINARY_MARKER) {
-        let mut r = BinReader::new(&payload[1..]);
-        if r.take(1)?[0] != OP_SUBMIT_BATCH {
-            return Ok(None);
-        }
-        let count = read_submit_batch_binary(&mut r, out)?;
-        r.finish()?;
-        return Ok(Some(count));
-    }
-    let text =
-        std::str::from_utf8(payload).map_err(|_| "frame payload is not UTF-8".to_string())?;
-    let v: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
-    let tag: String = field(&v, "type").map_err(|e| e.to_string())?;
-    check_json_node_budget(&v)?;
-    let jobs: Vec<JobSpec> = match tag.as_str() {
-        "submit" => vec![field(&v, "job").map_err(|e| e.to_string())?],
-        "submit-batch" => field(&v, "jobs").map_err(|e| e.to_string())?,
-        _ => return Ok(None),
-    };
-    let count = jobs.len();
-    out.extend(jobs);
-    Ok(Some(count))
 }
 
 /// Decode a frame payload into a [`Reply`], sniffing the codec from the
@@ -1006,17 +969,10 @@ mod tests {
         let mut buf = Vec::new();
         encode_submit_batch_into(&jobs, WireCodec::Binary, &mut buf);
         assert_eq!(buf[0], BINARY_MARKER);
-        match decode_request(&buf).unwrap() {
-            Request::SubmitBatch { jobs: back } => assert_eq!(back, jobs),
-            other => panic!("expected submit-batch, got {other:?}"),
-        }
-        let mut staged = Vec::new();
-        assert_eq!(decode_submit_into(&buf, &mut staged).unwrap(), Some(jobs.len()));
-        assert_eq!(staged, jobs);
+        assert_eq!(decode_request(&buf), Ok(Request::SubmitBatch { jobs }));
 
         encode_request_into(&Request::Watermark { t: 99 }, WireCodec::Binary, &mut buf);
         assert_eq!(decode_request(&buf).unwrap(), Request::Watermark { t: 99 });
-        assert_eq!(decode_submit_into(&buf, &mut staged).unwrap(), None);
 
         let replies = vec![
             Reply::Ack {

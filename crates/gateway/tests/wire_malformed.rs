@@ -1,19 +1,21 @@
 //! Hostile-bytes tests: whatever arrives on the socket, the gateway
 //! replies with a typed `Reject` or closes cleanly — it never panics a
 //! shard, and other connections keep being served. Plus the one-job JSON
-//! `submit` message on a live gateway, and property tests over the frame
-//! and submit codecs.
+//! `submit` message on a live gateway, a seeded mutation loop over the
+//! request and reply decoders, and property tests over the frame and
+//! submit codecs.
 
 use flowtree_core::SchedulerSpec;
 use flowtree_gateway::{
-    decode, decode_submit_into, encode, encode_submit_batch_into, read_frame, write_frame, Gateway,
-    GatewayClient, GatewayConfig, Reply, Request, SubmitOutcome, WireCodec, MAX_FRAME,
-    PROTOCOL_VERSION,
+    decode, decode_reply, decode_request, encode, encode_reply_into, encode_request_into,
+    encode_submit_batch_into, read_frame, write_frame, Gateway, GatewayClient, GatewayConfig,
+    Reply, Request, SubmitOutcome, WireCodec, BINARY_MARKER, MAX_FRAME, PROTOCOL_VERSION,
 };
-use flowtree_serve::{ServeConfig, ShardPool};
+use flowtree_serve::{IngestStats, ServeConfig, ShardPool};
 use flowtree_sim::JobSpec;
 use flowtree_workloads::mix::Scenario;
 use proptest::prelude::*;
+use rand::Rng as _;
 use std::io::Write as _;
 use std::net::TcpStream;
 
@@ -207,6 +209,138 @@ fn json_submit_frame_is_acked_as_a_one_job_batch() {
     assert_eq!(jobs, [&JobSpec { graph: flowtree_dag::builder::chain(2), release: 3 }]);
 }
 
+/// A binary submit frame that fails to decode stages none of its jobs:
+/// the well-formed job in front of the trailing byte is never offered,
+/// so the next good frame's ack covers that frame's job alone.
+#[test]
+fn a_rejected_binary_submit_offers_none_of_its_jobs() {
+    let (pool, gw) = launch();
+    let stream = dial(&gw);
+    hello(&stream);
+
+    let job = JobSpec { graph: flowtree_dag::builder::chain(2), release: 3 };
+    let mut bad = Vec::new();
+    encode_submit_batch_into(std::slice::from_ref(&job), WireCodec::Binary, &mut bad);
+    bad.push(0xAB);
+    write_frame(&mut &stream, &bad).expect("send");
+    expect_reject(&stream, "trailing");
+
+    let frame = encode(&Request::SubmitBatch { jobs: vec![job.clone()] });
+    write_frame(&mut &stream, &frame).expect("send");
+    let payload = read_frame(&mut &stream, 1 << 20).expect("reply").expect("frame");
+    match decode::<Reply>(&payload).expect("parse") {
+        Reply::Ack { delta, frames: 1, .. } => assert_eq!(delta.offered, 1),
+        other => panic!("expected a one-frame ack, got {other:?}"),
+    }
+
+    gw.shutdown();
+    let results = pool.drain().expect("drain");
+    let jobs: Vec<&JobSpec> = results.iter().flat_map(|r| r.instance.jobs()).collect();
+    assert_eq!(jobs, [&job]);
+}
+
+/// Mutation test of the decoders: seed frames of every request and reply
+/// kind, in both codecs, garbled by a seeded loop of byte flips,
+/// truncations, splices and insertions. Neither decoder may panic, and
+/// every request that still decodes must come back unchanged from a
+/// re-encode in the codec its first byte names.
+#[test]
+fn mutated_frames_never_panic_a_decoder_and_decoded_requests_roundtrip() {
+    let job = |n, release| JobSpec { graph: flowtree_dag::builder::chain(n), release };
+    let requests = [
+        Request::hello("seed"),
+        Request::Hello {
+            proto: PROTOCOL_VERSION,
+            client: "bin".into(),
+            codec: WireCodec::Binary,
+            window: 32,
+        },
+        Request::SubmitBatch { jobs: vec![job(3, 5)] },
+        Request::SubmitBatch {
+            jobs: vec![job(1, 0), JobSpec { graph: flowtree_dag::builder::star(3), release: 2 }],
+        },
+        Request::Watermark { t: 77 },
+        Request::Swap { shard: -1, at: 10, spec: "lpf".into() },
+        Request::Snapshot,
+        Request::Metrics,
+        Request::Drain,
+    ];
+    let replies = [
+        Reply::Welcome {
+            proto: PROTOCOL_VERSION,
+            shards: 2,
+            scheduler: "fifo".into(),
+            policy: "block".into(),
+            codec: WireCodec::Binary,
+            window: 8,
+        },
+        Reply::Ack {
+            seq: 3,
+            delta: IngestStats { offered: 2, delivered: 2, ..Default::default() },
+            frames: 1,
+        },
+        Reply::Busy { retry_after_ms: 50, frames: 4 },
+        Reply::Reject { reason: "nope".into() },
+        Reply::State {
+            line: "t>=0".into(),
+            offered: 5,
+            delivered: 4,
+            dropped: 0,
+            staged: 1,
+            balanced: true,
+        },
+        Reply::MetricsText { text: "# HELP x\n".into() },
+    ];
+    let mut buf = Vec::new();
+    let mut seeds =
+        vec![br#"{"type":"submit","job":{"graph":{"n":2,"edges":[[0,1]]},"release":3}}"#.to_vec()];
+    for codec in [WireCodec::Json, WireCodec::Binary] {
+        for req in &requests {
+            encode_request_into(req, codec, &mut buf);
+            seeds.push(buf.clone());
+        }
+        for reply in &replies {
+            encode_reply_into(reply, codec, &mut buf);
+            seeds.push(buf.clone());
+        }
+    }
+    seeds.sort();
+    seeds.dedup();
+
+    let mut rng = flowtree_workloads::rng(0x5eed);
+    let mut decoded = 0;
+    for case in 0..4000 {
+        let mut frame = seeds[rng.gen_range(0..seeds.len())].clone();
+        for _ in 0..rng.gen_range(1..=3) {
+            let at = rng.gen_range(0..=frame.len());
+            match rng.gen_range(0..4) {
+                0 if at < frame.len() => frame[at] ^= rng.gen_range(1..=255u8),
+                1 => frame.truncate(at),
+                2 => {
+                    let other = &seeds[rng.gen_range(0..seeds.len())];
+                    frame.truncate(at);
+                    frame.extend_from_slice(&other[rng.gen_range(0..=other.len())..]);
+                }
+                _ => frame.insert(at, rng.gen_range(0..=255u8)),
+            }
+        }
+        let (req, _) = std::panic::catch_unwind(|| (decode_request(&frame), decode_reply(&frame)))
+            .unwrap_or_else(|_| panic!("case {case}: a decoder panicked on {frame:?}"));
+        if let Ok(req) = req {
+            decoded += 1;
+            let codec = if frame[0] == BINARY_MARKER {
+                WireCodec::Binary
+            } else {
+                WireCodec::Json
+            };
+            encode_request_into(&req, codec, &mut buf);
+            assert_eq!(decode_request(&buf), Ok(req), "case {case}: {frame:?}");
+        }
+    }
+    // The loop must reach the accepting paths too (1% of the cases).
+    assert!(decoded >= 40, "only {decoded} of 4000 mutated frames decoded");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -229,8 +363,8 @@ proptest! {
         prop_assert_eq!(read_frame(&mut r, 1 << 20).unwrap(), None);
     }
 
-    /// Any job batch survives the binary codec unchanged, and stages
-    /// exactly the same jobs the JSON encoding of the batch stages —
+    /// Any job batch survives the binary codec unchanged, and decodes to
+    /// exactly the same jobs the JSON encoding of the batch decodes to —
     /// the two codecs are interchangeable on the wire.
     #[test]
     fn binary_codec_roundtrips_any_job_batch(
@@ -247,14 +381,10 @@ proptest! {
             .collect();
         let mut bin = Vec::new();
         encode_submit_batch_into(&jobs, WireCodec::Binary, &mut bin);
-        let mut staged = Vec::new();
-        prop_assert_eq!(decode_submit_into(&bin, &mut staged).unwrap(), Some(jobs.len()));
-        prop_assert_eq!(&staged, &jobs);
-
         let mut json = Vec::new();
         encode_submit_batch_into(&jobs, WireCodec::Json, &mut json);
-        let mut staged_json = Vec::new();
-        prop_assert_eq!(decode_submit_into(&json, &mut staged_json).unwrap(), Some(jobs.len()));
-        prop_assert_eq!(staged_json, staged);
+        let staged = decode_request(&bin).unwrap();
+        prop_assert_eq!(&staged, &Request::SubmitBatch { jobs });
+        prop_assert_eq!(decode_request(&json).unwrap(), staged);
     }
 }

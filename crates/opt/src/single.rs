@@ -26,28 +26,19 @@ pub fn single_group_opt(instance: &Instance, m: u64) -> u64 {
         instance.jobs().iter().all(|j| j.release == r0),
         "single_group_opt requires a common release time"
     );
-    // Union profile without materializing the union: depth profiles add.
+    // The union's depth counts are the members' counts summed per depth,
+    // so no union graph (and no profile per job) is built.
     let mut counts: Vec<u64> = Vec::new();
     for spec in instance.jobs() {
-        let p = DepthProfile::new(&spec.graph);
-        let d = p.max_depth() as usize;
-        if counts.len() < d {
-            counts.resize(d, 0);
+        let c = spec.graph.depth_counts();
+        if counts.len() < c.len() {
+            counts.resize(c.len(), 0);
         }
-        for depth in 1..=p.max_depth() {
-            counts[(depth - 1) as usize] += p.nodes_at_depth(depth);
-        }
-    }
-    let mut best = 0u64;
-    let mut suffix = 0u64;
-    // d runs from max depth down to 0; suffix = W(d).
-    for d in (0..=counts.len()).rev() {
-        best = best.max(d as u64 + suffix.div_ceil(m));
-        if d > 0 {
-            suffix += counts[d - 1];
+        for (sum, &n) in counts.iter_mut().zip(c) {
+            *sum += u64::from(n);
         }
     }
-    best
+    DepthProfile::opt_of_depth_counts(&counts, m)
 }
 
 #[cfg(test)]

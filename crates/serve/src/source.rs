@@ -30,22 +30,26 @@ pub trait ArrivalSource: Send {
     /// The next arrival, or `None` when the stream is exhausted. May block.
     fn next_arrival(&mut self) -> Option<JobSpec>;
 
+    /// The release of the arrival [`next_arrival`](Self::next_arrival)
+    /// would return, without taking it; `None` when the stream is
+    /// exhausted. May block.
+    fn peek_release(&mut self) -> Option<Time>;
+
     /// Append the next ingest batch to `out` (callers pass it empty): up to
     /// `max` arrivals whose releases stay within `span` of the first one.
     /// Returns how many were appended; 0 ends the stream. The frontier is
     /// flushed at the end of each batch, so the span rule bounds how much
-    /// event time a batch can hold that flush back. The default
-    /// forwards a single [`next_arrival`](Self::next_arrival); sources
-    /// override it to hand over bursts without per-job dispatch.
+    /// event time a batch can hold that flush back.
     fn next_batch(&mut self, max: usize, span: Time, out: &mut Vec<JobSpec>) -> usize {
-        let _ = (max, span);
-        match self.next_arrival() {
-            Some(spec) => {
-                out.push(spec);
-                1
-            }
-            None => 0,
+        let Some(first) = self.next_arrival() else {
+            return 0;
+        };
+        let cutoff = first.release.saturating_add(span);
+        out.push(first);
+        while out.len() < max && self.peek_release().is_some_and(|r| r <= cutoff) {
+            out.push(self.next_arrival().expect("a peeked arrival"));
         }
+        out.len()
     }
 }
 
@@ -109,22 +113,8 @@ impl ArrivalSource for ReplaySource {
         self.jobs.pop_front()
     }
 
-    fn next_batch(&mut self, max: usize, span: Time, out: &mut Vec<JobSpec>) -> usize {
-        let Some(first) = self.jobs.pop_front() else {
-            return 0;
-        };
-        let cutoff = first.release.saturating_add(span);
-        out.push(first);
-        while out.len() < max {
-            match self.jobs.front() {
-                Some(job) if job.release <= cutoff => {
-                    let job = self.jobs.pop_front().expect("front peeked");
-                    out.push(job);
-                }
-                _ => break,
-            }
-        }
-        out.len()
+    fn peek_release(&mut self) -> Option<Time> {
+        self.jobs.front().map(|job| job.release)
     }
 }
 
@@ -166,6 +156,13 @@ impl GeneratorSource {
 
 impl ArrivalSource for GeneratorSource {
     fn next_arrival(&mut self) -> Option<JobSpec> {
+        self.peek_release();
+        self.pending.pop_front()
+    }
+
+    /// Samples steps until one yields an arrival (or the budget is spent),
+    /// so a peek draws exactly what the next arrival would have drawn.
+    fn peek_release(&mut self) -> Option<Time> {
         while self.pending.is_empty() && self.remaining > 0 {
             let release = self.t;
             // Rates above 1 split into unit Bernoulli trials per step, so
@@ -182,38 +179,7 @@ impl ArrivalSource for GeneratorSource {
             }
             self.t += 1;
         }
-        self.pending.pop_front()
-    }
-
-    fn next_batch(&mut self, max: usize, span: Time, out: &mut Vec<JobSpec>) -> usize {
-        let Some(first) = self.next_arrival() else {
-            return 0;
-        };
-        let cutoff = first.release.saturating_add(span);
-        out.push(first);
-        while out.len() < max {
-            match self.pending.front() {
-                Some(job) if job.release <= cutoff => {
-                    let job = self.pending.pop_front().expect("front peeked");
-                    out.push(job);
-                }
-                Some(_) => break,
-                None => {
-                    // Sample the next step; an out-of-span arrival goes back
-                    // to the front of the pending queue for the next batch.
-                    let Some(job) = self.next_arrival() else {
-                        break;
-                    };
-                    if job.release <= cutoff {
-                        out.push(job);
-                    } else {
-                        self.pending.push_front(job);
-                        break;
-                    }
-                }
-            }
-        }
-        out.len()
+        self.pending.front().map(|job| job.release)
     }
 }
 

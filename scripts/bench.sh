@@ -4,8 +4,9 @@
 #   BENCH_engine.json  engine matrix (workload x scheduler single-run cells)
 #   BENCH_serve.json   serve matrix  (fixed-seed replay through real ShardPools)
 #   BENCH_gateway.json gateway matrix (loopback replay: clients x batch x codec x window)
-# Extra flags are passed through to `flowtree-repro bench` (e.g. --quick,
-# --reps N).
+# Extra flags are passed through to `flowtree-repro bench` (e.g. --reps N).
+# --quick is refused: a quick run may not overwrite a committed baseline;
+# run `flowtree-repro bench --quick -o FILE` for a smoke instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -18,8 +18,8 @@ cargo build --release --workspace
 echo "==> cargo test -q (default-members: the whole workspace)"
 cargo test -q
 
-echo "==> dag + sim + core + serve + analysis tests in release (graph build, step validation, the serve suites and the E2/E7 plan checks hold without debug assertions)"
-cargo test --release -q -p flowtree-dag -p flowtree-sim -p flowtree-core -p flowtree-serve -p flowtree-analysis
+echo "==> dag + sim + core + serve + analysis + gateway tests in release (graph build, step validation, the serve suites, the E2/E7 plan checks, the wire proptests and the decoder mutation loop hold without debug assertions)"
+cargo test --release -q -p flowtree-dag -p flowtree-sim -p flowtree-core -p flowtree-serve -p flowtree-analysis -p flowtree-gateway
 
 echo "==> examples (each must run to completion; output discarded)"
 # Every file under examples/, so a new example cannot be skipped.
@@ -63,13 +63,18 @@ cargo run --release --quiet --offline --manifest-path flowbench/Cargo.toml -- \
     --workload gateway-open --seed 1 --seconds 1 --trace 1 >/dev/null
 
 echo "==> bench regression gates (--quick --check vs each committed baseline)"
-# The serve gate also holds every +telemetry cell to its plain twin.
+# The serve gate also holds every +telemetry cell to its plain twin. A gate
+# reads the committed baselines and must leave them byte for byte as it
+# found them.
+BENCH_SUMS=$(sha256sum BENCH_*.json)
 for m in engine serve gateway; do
     flag=$([ "$m" = engine ] || echo "--$m")
     cargo run --release -p flowtree-cli -- bench $flag --quick --check "BENCH_$m.json" \
         -o "/tmp/flowtree_${m}_bench_smoke.json" >/dev/null
     rm -f "/tmp/flowtree_${m}_bench_smoke.json"
 done
+[ "$(sha256sum BENCH_*.json)" = "$BENCH_SUMS" ] \
+    || { echo "bench gates: a committed BENCH_*.json changed"; exit 1; }
 
 echo "==> full serve matrix (verified schedules and work conservation on every cell, no gate)"
 # Every ingest path (per-event, drop, redirect, steal) runs here; each
