@@ -147,24 +147,19 @@ impl AlgoA {
         let parts: Vec<(&JobGraph, Option<&[bool]>)> =
             pending.iter().map(|pj| (view.graph(pj.job), pj.remaining.as_deref())).collect();
 
-        // One pass over the members: group ids to (job, node), each node's
-        // parent in group ids, and the out-forest shape MC relies on.
-        let total: usize = parts.iter().map(|(g, _)| g.n()).sum();
-        let mut origin = Vec::with_capacity(total);
-        let mut parent = Vec::with_capacity(total);
-        for (pj, &(g, _)) in pending.iter().zip(&parts) {
-            let off = origin.len() as u32;
-            for v in g.nodes() {
-                let ps = g.parents(v);
-                assert!(ps.len() <= 1, "Algorithm A requires out-forest jobs");
-                origin.push((pj.job, v.0));
-                parent.push(ps.first().map_or(u32::MAX, |&u| off + u));
-            }
-        }
-
-        // S = LPF(group, m/alpha), in group ids.
+        // S = LPF(group, m/alpha), in group ids. The plan's pass over the
+        // members' edges also gives each node's parent in group ids and
+        // checks the out-forest shape MC relies on.
         let mut levels = Levels::new();
-        lpf_levels_forest(&parts, p, &mut self.lpf, &mut levels);
+        let out_forest = lpf_levels_forest(&parts, p, &mut self.lpf, &mut levels);
+        assert!(out_forest, "Algorithm A requires out-forest jobs");
+        let parent = self.lpf.take_parent();
+
+        // Group ids to (job, node).
+        let mut origin = Vec::with_capacity(parent.len());
+        for (pj, (g, _)) in pending.iter().zip(&parts) {
+            origin.extend((0..g.n() as u32).map(|v| (pj.job, v)));
+        }
 
         self.groups.push(Group { start: t, origin, parent, levels, mc: None });
     }

@@ -185,8 +185,25 @@ pub struct LpfScratch {
     head: Vec<usize>,
     /// Remaining included parents per forest node.
     indeg: Vec<u32>,
+    /// Parent of each forest node, in forest ids (`u32::MAX` for a root),
+    /// as the last plan's pass over the edges recorded it.
+    parent: Vec<u32>,
     /// First forest id of each part.
     start: Vec<u32>,
+    /// Per edge of the part being walked, how many nodes' child lists
+    /// start there.
+    marks: Vec<u32>,
+}
+
+impl LpfScratch {
+    /// The last plan's parent array, taken out of the scratch: entry `v`
+    /// is forest node `v`'s parent in forest ids, `u32::MAX` for a root,
+    /// for every node of every part whether masked or not. It is the
+    /// forest's only parent array when [`lpf_levels_forest`] returned
+    /// `true`; otherwise a node with several parents holds its last.
+    pub fn take_parent(&mut self) -> Vec<u32> {
+        std::mem::take(&mut self.parent)
+    }
 }
 
 /// LPF schedule of a *forest of jobs released together*, written into
@@ -198,12 +215,16 @@ pub struct LpfScratch {
 /// are numbered by concatenation: part `i`'s node `v` is `v` plus the node
 /// count of parts `0..i`. Masked-out nodes keep their numbers and appear in
 /// no level.
+///
+/// Returns whether the parts form an out-forest: whether every node, masked
+/// or not, has at most one parent. The pass that finds out also records
+/// each node's parent, which [`LpfScratch::take_parent`] hands over.
 pub fn lpf_levels_forest(
     parts: &[(&JobGraph, Option<&[bool]>)],
     p: usize,
     scratch: &mut LpfScratch,
     out: &mut Levels,
-) {
+) -> bool {
     assert!(p >= 1, "need at least one processor");
     for (g, mask) in parts {
         if let Some(mask) = mask {
@@ -212,7 +233,7 @@ pub fn lpf_levels_forest(
         }
     }
     out.clear();
-    let LpfScratch { buckets, head, indeg, start } = scratch;
+    let LpfScratch { buckets, head, indeg, parent, start, marks } = scratch;
 
     // Per-node state of all parts in one array, indexed by forest id.
     // Heights are read from each part's graph: full-graph heights, which
@@ -231,24 +252,49 @@ pub fn lpf_levels_forest(
     head.resize(max_h + 1, 0);
     indeg.clear();
     indeg.resize(total as usize, 0);
+    parent.clear();
+    parent.resize(total as usize, u32::MAX);
 
     // Buckets of ready nodes by height; cur scans downward. General DAGs
     // are supported: a node becomes ready when its *last* included parent
     // completes (indegree countdown), which degenerates to the
     // single-parent rule on out-forests.
+    let mut out_forest = true;
     let mut total_remaining = 0usize;
     for (&(g, mask), &base) in parts.iter().zip(start.iter()) {
+        let n = g.n();
+        let heads = g.edge_heads();
+        let (par, deg) = (&mut parent[base as usize..][..n], &mut indeg[base as usize..][..n]);
+        // One pass over the edges: each head's included parents are
+        // counted, its parent recorded, and a second parent noticed. An
+        // edge's tail is the running sum of `marks`, which counts the
+        // nodes whose child list starts at each edge. A loop per node over
+        // its child list exits at a random length, and mispredicting that
+        // exit made 𝒜's group plans about 20% slower on random recursive
+        // trees.
+        marks.clear();
+        marks.resize(heads.len() + 1, 0);
+        let mut end = 0;
+        for u in 0..n - 1 {
+            end += g.out_degree(NodeId(u as u32));
+            marks[end] += 1;
+        }
+        let mut u = 0;
+        for (&c, &m) in heads.iter().zip(marks.iter()) {
+            u += m;
+            let c = c as usize;
+            out_forest &= par[c] == u32::MAX;
+            par[c] = base + u;
+            deg[c] += mask.is_none_or(|m| m[u as usize]) as u32;
+        }
         let heights = g.heights();
-        for v in g.nodes() {
-            let d = match mask {
-                None => g.in_degree(v),
-                Some(m) if m[v.index()] => g.parents(v).iter().filter(|&&u| m[u as usize]).count(),
-                Some(_) => continue,
-            };
+        for v in 0..n {
+            if mask.is_some_and(|m| !m[v]) {
+                continue;
+            }
             total_remaining += 1;
-            indeg[(base + v.0) as usize] = d as u32;
-            if d == 0 {
-                buckets[heights[v.index()] as usize].push(base + v.0);
+            if deg[v] == 0 {
+                buckets[heights[v] as usize].push(base + v as u32);
             }
         }
     }
@@ -306,6 +352,7 @@ pub fn lpf_levels_forest(
     for b in &mut buckets[..=max_h] {
         b.clear();
     }
+    out_forest
 }
 
 /// Is `mask` descendant-closed in `g` (every child of a remaining node is
@@ -561,8 +608,11 @@ mod tests {
                     when[v as usize] = i + 1;
                 }
             }
-            let parent_of =
-                |v: u32| -> Option<u32> { g.parents(flowtree_dag::NodeId(v)).first().copied() };
+            let mut parent = vec![None; g.n()];
+            for (u, v) in g.edges() {
+                parent[v as usize] = Some(u);
+            }
+            let parent_of = |v: u32| parent[v as usize];
             for (i, level) in levels.iter().enumerate() {
                 let t = i + 1;
                 if level.len() == p {

@@ -57,14 +57,13 @@ impl McReplay {
     /// ones MC will run; every other node of `graph` is treated as already
     /// executed.
     pub fn new(graph: &JobGraph, levels: Levels, from: usize) -> Self {
-        let parent = graph
-            .nodes()
-            .map(|v| {
-                let ps = graph.parents(v);
-                assert!(ps.len() <= 1, "MC replay requires an out-forest");
-                ps.first().copied().unwrap_or(NO_PARENT)
-            })
-            .collect();
+        let mut parent = vec![NO_PARENT; graph.n()];
+        for u in graph.nodes() {
+            for &c in graph.children(u) {
+                assert!(parent[c as usize] == NO_PARENT, "MC replay requires an out-forest");
+                parent[c as usize] = u.0;
+            }
+        }
         Self::with_parents(parent, levels, from)
     }
 

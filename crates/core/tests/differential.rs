@@ -51,8 +51,9 @@ fn reference_fifo(instance: &Instance, m: usize) -> Vec<Vec<Time>> {
             if spec.release != t {
                 continue;
             }
+            let edges = spec.graph.edges();
             for v in spec.graph.nodes() {
-                if spec.graph.in_degree(v) == 0 {
+                if edges.iter().all(|&(_, w)| w != v.0) {
                     seq[j][v.index()] = *next_seq;
                     *next_seq += 1;
                 }
@@ -71,10 +72,9 @@ fn reference_fifo(instance: &Instance, m: usize) -> Vec<Vec<Time>> {
             for v in spec.graph.nodes() {
                 if complete[j][v.index()] == t {
                     for &c in spec.graph.children(v) {
-                        let all_done =
-                            spec.graph.parents(flowtree_dag::NodeId(c)).iter().all(|&u| {
-                                complete[j][u as usize] != 0 && complete[j][u as usize] <= t
-                            });
+                        let all_done = spec.graph.edges().iter().all(|&(u, w)| {
+                            w != c || complete[j][u as usize] != 0 && complete[j][u as usize] <= t
+                        });
                         if all_done && seq[j][c as usize] == usize::MAX {
                             enabled.push((j, seq[j][v.index()], c));
                         }

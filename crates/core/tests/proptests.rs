@@ -22,6 +22,16 @@ fn arb_tree(max_n: usize) -> impl Strategy<Value = JobGraph> {
     })
 }
 
+/// The parent of each node of out-forest `g`, from `edges()`, numbered
+/// from `off` (`u32::MAX` for a root).
+fn parents_from_edges(g: &JobGraph, off: u32) -> Vec<u32> {
+    let mut parent = vec![u32::MAX; g.n()];
+    for (u, v) in g.edges() {
+        parent[v as usize] = off + u;
+    }
+    parent
+}
+
 /// A tree plus an optional guess-and-double mask: `executed` flags are
 /// kept only where the parent (lower id, as `arb_tree` builds) is also
 /// executed, so the remaining set is descendant-closed. A mask that would
@@ -30,9 +40,11 @@ fn arb_masked_tree(max_n: usize) -> impl Strategy<Value = (JobGraph, Option<Vec<
     arb_tree(max_n).prop_flat_map(|g| {
         let n = g.n();
         (Just(g), 0u8..2, proptest::collection::vec(0u8..2, n)).prop_map(|(g, masked, flips)| {
+            let parent = parents_from_edges(&g, 0);
             let mut executed = vec![false; g.n()];
             for v in g.nodes() {
-                let parent_done = g.parents(v).iter().all(|&u| executed[u as usize]);
+                let parent_done =
+                    parent[v.index()] == u32::MAX || executed[parent[v.index()] as usize];
                 executed[v.index()] = flips[v.index()] == 1 && parent_done;
             }
             let remaining: Vec<bool> = executed.iter().map(|&e| !e).collect();
@@ -180,7 +192,7 @@ proptest! {
         for (g, _) in &parts {
             let off = parent.len() as u32;
             offsets.push(off);
-            parent.extend(g.nodes().map(|v| g.parents(v).first().map_or(u32::MAX, |&u| off + u)));
+            parent.extend(parents_from_edges(g, off));
         }
         let mut forest = Levels::new();
         lpf_levels_forest(&parts, p, &mut LpfScratch::default(), &mut forest);
@@ -220,6 +232,34 @@ proptest! {
             }
         }
         prop_assert_eq!(by_parents.remaining(), by_union.remaining());
+    }
+
+    /// The child walk of `lpf_levels_forest` records each node's parent as
+    /// `edges()` gives it, in concatenated ids and whatever the masks, and
+    /// finds that a forest is one; a member with a join makes the parts
+    /// no out-forest.
+    #[test]
+    fn forest_walk_parents_match_edges(
+        members in proptest::collection::vec(arb_masked_tree(30), 1..=4),
+        p in 1usize..5,
+        at in 0usize..5,
+    ) {
+        let mut parts: Vec<(&JobGraph, Option<&[bool]>)> =
+            members.iter().map(|(g, m)| (g, m.as_deref())).collect();
+        let mut want = Vec::new();
+        for (g, _) in &parts {
+            let off = want.len() as u32;
+            want.extend(parents_from_edges(g, off));
+        }
+        let (mut scratch, mut levels) = (LpfScratch::default(), Levels::new());
+        prop_assert!(lpf_levels_forest(&parts, p, &mut scratch, &mut levels));
+        prop_assert_eq!(scratch.take_parent(), want);
+
+        let mut join = GraphBuilder::new(4);
+        join.edge(0, 1).edge(0, 2).edge(1, 3).edge(2, 3);
+        let join = join.build().unwrap();
+        parts.insert(at.min(parts.len()), (&join, None));
+        prop_assert!(!lpf_levels_forest(&parts, p, &mut scratch, &mut levels));
     }
 
     /// FIFO invariant on random instances: whenever fewer than m subjobs

@@ -10,15 +10,13 @@ use crate::graph::{JobGraph, NodeId};
 /// Is `g` a single chain (each node has <= 1 parent and <= 1 child, one
 /// component)?
 pub fn is_chain(g: &JobGraph) -> bool {
-    g.nodes().all(|v| g.in_degree(v) <= 1 && g.out_degree(v) <= 1)
-        && g.sources().len() == 1
-        && g.num_edges() == g.n() - 1
+    is_out_forest(g) && is_in_forest(g) && g.sources().len() == 1 && g.num_edges() == g.n() - 1
 }
 
 /// Is `g` an out-forest: every node has at most one parent (so each component
 /// is a rooted tree with edges directed away from the root)?
 pub fn is_out_forest(g: &JobGraph) -> bool {
-    g.nodes().all(|v| g.in_degree(v) <= 1)
+    g.in_degrees().iter().all(|&d| d <= 1)
 }
 
 /// Is `g` a single out-tree: an out-forest with exactly one root?
@@ -82,10 +80,16 @@ pub fn num_components(g: &JobGraph) -> usize {
 /// the tree containing `v`. Panics if `g` is not an out-forest.
 pub fn out_forest_roots(g: &JobGraph) -> Vec<u32> {
     assert!(is_out_forest(g), "out_forest_roots requires an out-forest");
+    // Each root's id, pushed along the child lists in topological order.
     let mut root = vec![u32::MAX; g.n()];
     for v in g.topo_order() {
-        let p = g.parents(NodeId(v));
-        root[v as usize] = if p.is_empty() { v } else { root[p[0] as usize] };
+        if root[v as usize] == u32::MAX {
+            root[v as usize] = v;
+        }
+        let r = root[v as usize];
+        for &c in g.children(NodeId(v)) {
+            root[c as usize] = r;
+        }
     }
     root
 }

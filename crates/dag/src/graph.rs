@@ -1,9 +1,11 @@
 //! Compact DAG representation of a single job.
 //!
 //! A [`JobGraph`] stores the precedence DAG of one job in one buffer: the
-//! children and parents adjacency in CSR form, each node's height, and the
-//! number of nodes at each depth. The representation is immutable after
-//! construction via [`GraphBuilder`], which validates acyclicity and
+//! child lists in CSR form, each node's height, and the number of nodes at
+//! each depth. No parent list is stored: the schedulers read heights and
+//! depth counts, and a reader that needs in-degrees or a node's parent
+//! derives them from the child lists. The representation is immutable
+//! after construction via [`GraphBuilder`], which validates acyclicity and
 //! computes the heights and depth counts once.
 
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
@@ -74,19 +76,21 @@ impl std::error::Error for GraphError {}
 /// `u32`s, laid out as
 ///
 /// ```text
-/// child offsets (n+1) | children (e) | parent offsets (n+1) | parents (e)
-///   | heights (n) | depth counts (span)
+/// child offsets (n+1) | children (e) | heights (n) | depth counts (span)
 /// ```
 ///
-/// The offsets index the buffer itself, so a child or parent list is one
-/// slice. Both lists of every node are in ascending id order. The height
-/// and depth-count parts are what LPF (heights, Section 5.1) and the
-/// Lemma 5.1 bound (the depth profile `W(d)`) read on every run; here they
-/// are a slice away instead of a graph walk. A `JobGraph` therefore always
-/// satisfies:
+/// `2n + 1 + e + span` words: 783 for a 256-node tree, 54 for a 16-node
+/// one. The offsets index the buffer itself, so a child list is one slice,
+/// in ascending id order. The height and depth-count parts are what LPF
+/// (heights, Section 5.1) and the Lemma 5.1 bound (the depth profile
+/// `W(d)`) read on every run; here they are a slice away instead of a
+/// graph walk. Parents are not stored: [`in_degrees`](Self::in_degrees)
+/// counts them in one pass over [`edge_heads`](Self::edge_heads), and an
+/// out-forest's parent array is derived from the child lists. A `JobGraph`
+/// therefore always satisfies:
 ///
 /// * `n() >= 1`;
-/// * children/parents adjacency are mutually consistent;
+/// * every child list is strictly ascending;
 /// * heights strictly decrease along every edge, so ordering nodes by
 ///   decreasing height is a topological order ([`topo_order`](Self::topo_order)).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,7 +98,7 @@ pub struct JobGraph {
     n: u32,
     /// Number of edges.
     e: u32,
-    /// The layout above. Its length is `3n + 2 + 2e + span`.
+    /// The layout above. Its length is `2n + 1 + e + span`.
     data: Vec<u32>,
 }
 
@@ -118,34 +122,24 @@ impl JobGraph {
         self.e as usize
     }
 
-    /// Start of the parent offsets in `data`.
-    #[inline]
-    fn parent_base(&self) -> usize {
-        self.n as usize + 1 + self.e as usize
-    }
-
     /// Start of the heights in `data`.
     #[inline]
     fn height_base(&self) -> usize {
-        2 * (self.n as usize + 1 + self.e as usize)
-    }
-
-    /// The adjacency list whose offsets sit at `data[at]` and `data[at + 1]`.
-    #[inline]
-    fn list(&self, at: usize) -> &[u32] {
-        &self.data[self.data[at] as usize..self.data[at + 1] as usize]
+        self.n as usize + 1 + self.e as usize
     }
 
     /// Children (immediate successors) of `v`, in ascending id order.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[u32] {
-        self.list(v.index())
+        let v = v.index();
+        &self.data[self.data[v] as usize..self.data[v + 1] as usize]
     }
 
-    /// Parents (immediate predecessors) of `v`, in ascending id order.
+    /// The head of every edge: the child lists of nodes `0..n`, concatenated.
+    /// A node's in-degree is the number of times it occurs here.
     #[inline]
-    pub fn parents(&self, v: NodeId) -> &[u32] {
-        self.list(self.parent_base() + v.index())
+    pub fn edge_heads(&self) -> &[u32] {
+        &self.data[self.n as usize + 1..self.height_base()]
     }
 
     /// Out-degree of `v`.
@@ -154,10 +148,14 @@ impl JobGraph {
         self.children(v).len()
     }
 
-    /// In-degree of `v`.
-    #[inline]
-    pub fn in_degree(&self, v: NodeId) -> usize {
-        self.parents(v).len()
+    /// In-degree of every node, counted in one pass over
+    /// [`edge_heads`](Self::edge_heads).
+    pub fn in_degrees(&self) -> Vec<u32> {
+        let mut d = vec![0u32; self.n()];
+        for &c in self.edge_heads() {
+            d[c as usize] += 1;
+        }
+        d
     }
 
     /// Iterator over all node ids `0..n`.
@@ -177,7 +175,8 @@ impl JobGraph {
 
     /// Source nodes (in-degree 0). For an out-tree this is the single root.
     pub fn sources(&self) -> Vec<NodeId> {
-        self.nodes().filter(|&v| self.in_degree(v) == 0).collect()
+        let d = self.in_degrees();
+        self.nodes().filter(|&v| d[v.index()] == 0).collect()
     }
 
     /// Sink nodes (out-degree 0), i.e. the leaves of an out-tree.
@@ -208,12 +207,13 @@ impl JobGraph {
     /// path from a source to `v`, so a source has depth 1 (paper, Section 5;
     /// for out-trees this is the usual root distance + 1). Only the count of
     /// nodes per depth is stored ([`depth_counts`](Self::depth_counts)); this
-    /// walks the graph.
+    /// pushes depths along the child lists in topological order.
     pub fn depths(&self) -> Vec<u32> {
         let mut d = vec![1u32; self.n()];
         for v in self.topo_order() {
-            for &p in self.parents(NodeId(v)) {
-                d[v as usize] = d[v as usize].max(d[p as usize] + 1);
+            let dv = d[v as usize] + 1;
+            for &c in self.children(NodeId(v)) {
+                d[c as usize] = d[c as usize].max(dv);
             }
         }
         d
@@ -365,17 +365,15 @@ impl GraphBuilder {
     ///   the counting sort strictly ascending, so the per-node sort and
     ///   duplicate check is skipped.
     ///
-    /// A list with both takes five passes: validate, prefix sums, child
-    /// placement, one back-to-front sweep of the edges that places the
-    /// parent lists and pushes every height to the parent, and depths in id
-    /// order (besides writing the ids out as its order). Any other list has its parent lists placed by a walk over the
-    /// child lists, after the per-node check unless it is canonical, runs
-    /// Kahn's peel unless it is forward, and pulls the heights in reverse
-    /// topological order. On a 2-core host the forward canonical build
-    /// takes about 15–20 ns per node on 4,096 random recursive trees of 256
-    /// nodes and about 0.5 µs per 16-node tree; a forward list in random
-    /// order about 75 ns per node, and a relabelled DAG, through the peel,
-    /// about 110.
+    /// A list with both is built in two sweeps of the edges after the
+    /// validating pass: back to front to place the children and push each
+    /// final height to the parent, and front to back to push depths. Any
+    /// other list gets the per-node check unless it is canonical, then
+    /// Kahn's peel unless it is forward, then heights and depths by passes
+    /// over the child lists in topological order. On a 2-core host
+    /// (`examples/graph_build.rs`), 256-node random recursive trees build
+    /// in about 13 ns per node in canonical order and about 45 with their
+    /// edges shuffled, and relabelled DAGs through the peel in about 63.
     pub fn build(&self) -> Result<JobGraph, GraphError> {
         let n = self.n;
         if n == 0 {
@@ -388,19 +386,17 @@ impl GraphBuilder {
         // never moved while they are counted; the unused `n - span` is
         // handed back at the end.
         let children_at = n + 1;
-        let parent_base = children_at + e;
-        let parents_at = parent_base + n + 1;
-        let height_base = parents_at + e;
+        let height_base = children_at + e;
         let counts_at = height_base + n;
         assert!(counts_at + n <= u32::MAX as usize, "graph too large for u32 offsets");
         let mut data = Vec::with_capacity(counts_at + n);
         data.resize(height_base, 0u32);
         data.resize(counts_at, 1u32);
 
-        // Validate, count each node's children and parents, and record
-        // whether every edge points forward and whether the list is
-        // strictly ascending by `(u, v)` or by `(v, u)`. `prev` starts at
-        // `(0, 0)`, below every edge that is not a self-loop.
+        // Validate, count each node's children, and record whether every
+        // edge points forward and whether the list is strictly ascending
+        // by `(u, v)` or by `(v, u)`. `prev` starts at `(0, 0)`, below
+        // every edge that is not a self-loop.
         let (mut forward, mut by_tail, mut by_head) = (true, true, true);
         let mut prev = (0, 0);
         for &(u, v) in &self.edges {
@@ -418,8 +414,8 @@ impl GraphBuilder {
             by_head &= (prev.1, prev.0) < (v, u);
             prev = (u, v);
             data[u as usize] += 1;
-            data[parent_base + v as usize] += 1;
         }
+        let canonical = by_tail || by_head;
         // Counts to list *ends*; placing an entry decrements its node's
         // end, which leaves the offset at the list's start.
         let mut end = children_at as u32;
@@ -428,42 +424,36 @@ impl GraphBuilder {
             *c = end;
         }
         data[n] = end;
-        let mut end = parents_at as u32;
-        for c in &mut data[parent_base..parent_base + n] {
-            end += *c;
-            *c = end;
-        }
-        data[parent_base + n] = end;
 
-        // Child lists by counting sort: placing the edges back to front
-        // keeps each list in insertion order.
-        for &(u, v) in self.edges.iter().rev() {
-            data[u as usize] -= 1;
-            let slot = data[u as usize] as usize;
-            data[slot] = v;
-        }
-        let sweep = forward && (by_tail || by_head);
-        if sweep {
-            // A forward list in canonical order puts every parent list in
-            // strictly ascending order too, so the parent lists are placed
-            // from the edges, back to front, like the child lists. In
-            // either order, every edge out of `v` comes after every edge
-            // into it, so the same sweep pushes each final height to the
-            // parent.
+        // Each node's depth less one. Zeroed, it also serves as the peel's
+        // in-degree counts, which the peel leaves at zero again.
+        let mut depth = vec![0u32; n];
+        if forward && canonical {
+            // Child lists by counting sort: placing the edges back to front
+            // keeps each list in insertion order. In either canonical order,
+            // every edge out of `v` comes after every edge into it, so the
+            // same sweep pushes each final height to the parent, and a
+            // sweep front to back pushes each final depth to the child.
             for &(u, v) in self.edges.iter().rev() {
                 let (u, v) = (u as usize, v as usize);
-                data[parent_base + v] -= 1;
-                let slot = data[parent_base + v] as usize;
-                data[slot] = u as u32;
+                data[u] -= 1;
+                let slot = data[u] as usize;
+                data[slot] = v as u32;
                 data[height_base + u] = data[height_base + u].max(data[height_base + v] + 1);
             }
+            for &(u, v) in &self.edges {
+                depth[v as usize] = depth[v as usize].max(depth[u as usize] + 1);
+            }
         } else {
+            for &(u, v) in self.edges.iter().rev() {
+                data[u as usize] -= 1;
+                let slot = data[u as usize] as usize;
+                data[slot] = v;
+            }
             // A list in canonical order leaves every child list strictly
             // ascending. Any other is checked node by node, and only an
-            // out-of-order child list is sorted. The parent lists then come
-            // from the sorted child lists, ids walked downward so each
-            // comes out ascending.
-            if !(by_tail || by_head) {
+            // out-of-order child list is sorted.
+            if !canonical {
                 for u in 0..n {
                     let (lo, hi) = (data[u] as usize, data[u + 1] as usize);
                     let list = &mut data[lo..hi];
@@ -475,53 +465,35 @@ impl GraphBuilder {
                     }
                 }
             }
-            for u in (0..n).rev() {
-                for i in (data[u] as usize..data[u + 1] as usize).rev() {
-                    let v = data[i] as usize;
-                    data[parent_base + v] -= 1;
-                    let slot = data[parent_base + v] as usize;
-                    data[slot] = u as u32;
+            // The topological order: a forward list's is the ids, any
+            // other's is Kahn's peel order, over in-degrees counted from
+            // the child lists.
+            let mut order = Vec::with_capacity(n);
+            if forward {
+                order.extend(0..n32);
+            } else {
+                let indeg = &mut depth;
+                for &c in &data[children_at..height_base] {
+                    indeg[c as usize] += 1;
                 }
-            }
-        }
-
-        // The topological order, which `order` receives: a forward list's
-        // is the ids, any other's is Kahn's peel order.
-        let mut scratch = vec![0u32; 2 * n];
-        let (depth, order) = scratch.split_at_mut(n);
-        if forward {
-            for (v, slot) in order.iter_mut().enumerate() {
-                *slot = v as u32;
-            }
-        } else {
-            let indeg = &mut *depth;
-            let mut len = 0;
-            for v in 0..n {
-                indeg[v] = data[parent_base + v + 1] - data[parent_base + v];
-                if indeg[v] == 0 {
-                    order[len] = v as u32;
-                    len += 1;
-                }
-            }
-            let mut head = 0;
-            while head < len {
-                let v = order[head] as usize;
-                head += 1;
-                for &c in &data[data[v] as usize..data[v + 1] as usize] {
-                    indeg[c as usize] -= 1;
-                    if indeg[c as usize] == 0 {
-                        order[len] = c;
-                        len += 1;
+                order.extend((0..n32).filter(|&v| indeg[v as usize] == 0));
+                let mut head = 0;
+                while head < order.len() {
+                    let v = order[head] as usize;
+                    head += 1;
+                    for &c in &data[data[v] as usize..data[v + 1] as usize] {
+                        indeg[c as usize] -= 1;
+                        if indeg[c as usize] == 0 {
+                            order.push(c);
+                        }
                     }
                 }
+                if order.len() != n {
+                    return Err(GraphError::Cyclic);
+                }
             }
-            if len != n {
-                return Err(GraphError::Cyclic);
-            }
-        }
-        // Without the sweep, the heights are pulled from each node's
-        // children in reverse topological order.
-        if !sweep {
+            // Heights pulled from the children in reverse topological
+            // order, depths pushed to them in topological order.
             for &v in order.iter().rev() {
                 let v = v as usize;
                 let mut h = 0;
@@ -530,21 +502,20 @@ impl GraphBuilder {
                 }
                 data[height_base + v] = h + 1;
             }
+            for &v in &order {
+                let v = v as usize;
+                let d = depth[v] + 1;
+                for &c in &data[data[v] as usize..data[v + 1] as usize] {
+                    depth[c as usize] = depth[c as usize].max(d);
+                }
+            }
         }
-        // Depths in topological order, pulled from each node's parents into
-        // `depth` (after a peel, its spent in-degrees), and counted per
-        // depth.
+        // The nodes per depth.
         data.resize(counts_at + n, 0);
         let mut span = 0;
-        for &v in order.iter() {
-            let v = v as usize;
-            let mut d = 1;
-            for &p in &data[data[parent_base + v] as usize..data[parent_base + v + 1] as usize] {
-                d = d.max(depth[p as usize] + 1);
-            }
-            depth[v] = d;
-            data[counts_at + d as usize - 1] += 1;
-            span = span.max(d as usize);
+        for &d in &depth {
+            data[counts_at + d as usize] += 1;
+            span = span.max(d as usize + 1);
         }
 
         data.truncate(counts_at + span);
@@ -622,9 +593,8 @@ mod tests {
         assert_eq!(g.children(NodeId(0)), &[1, 2]);
         assert_eq!(g.children(NodeId(1)), &[3]);
         assert_eq!(g.children(NodeId(3)), &[] as &[u32]);
-        assert_eq!(g.parents(NodeId(3)), &[1, 2]);
-        assert_eq!(g.parents(NodeId(0)), &[] as &[u32]);
-        assert_eq!(g.in_degree(NodeId(3)), 2);
+        assert_eq!(g.edge_heads(), &[1, 2, 3, 3]);
+        assert_eq!(g.in_degrees(), vec![0, 1, 1, 2]);
         assert_eq!(g.out_degree(NodeId(0)), 2);
     }
 
@@ -648,7 +618,7 @@ mod tests {
         // `shrink_to_fit` may leave a little slack, but not the other 62.
         let graphs = [diamond(), crate::builder::star(63), backward.build().unwrap()];
         for g in graphs {
-            assert_eq!(g.data.len(), 3 * g.n() + 2 + 2 * g.num_edges() + g.span() as usize);
+            assert_eq!(g.data.len(), 2 * g.n() + 1 + g.num_edges() + g.span() as usize);
             assert!(g.data.capacity() < g.data.len() + 8);
         }
     }

@@ -140,6 +140,22 @@ fn reference_depths(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
     d
 }
 
+/// `in_degrees()`, `sources()` and `edge_heads()` agree with a count over
+/// the edge list as added.
+fn check_in_degrees(g: &JobGraph, edges: &[(u32, u32)]) {
+    let mut indeg = vec![0u32; g.n()];
+    for &(_, v) in edges {
+        indeg[v as usize] += 1;
+    }
+    let sources: Vec<NodeId> = g.nodes().filter(|v| indeg[v.index()] == 0).collect();
+    prop_assert_eq!(g.sources(), sources);
+    prop_assert_eq!(g.in_degrees(), indeg);
+    let mut heads: Vec<(u32, u32)> = edges.to_vec();
+    heads.sort_unstable();
+    let heads: Vec<u32> = heads.iter().map(|&(_, v)| v).collect();
+    prop_assert_eq!(g.edge_heads(), &heads[..]);
+}
+
 proptest! {
     /// The structure `build` caches agrees with plain walks over the edge
     /// list, whatever the labelling and the order the edges came in.
@@ -174,14 +190,10 @@ proptest! {
         sorted.sort_unstable();
         prop_assert_eq!(g.edges(), sorted.clone());
         prop_assert_eq!(g.num_edges(), edges.len());
-        let mut from_parents = Vec::new();
         for v in g.nodes() {
             prop_assert!(g.children(v).windows(2).all(|w| w[0] < w[1]));
-            prop_assert!(g.parents(v).windows(2).all(|w| w[0] < w[1]));
-            from_parents.extend(g.parents(v).iter().map(|&u| (u, v.0)));
         }
-        from_parents.sort_unstable();
-        prop_assert_eq!(from_parents, sorted);
+        check_in_degrees(&g, &edges);
 
         let json = serde_json::to_string(&g).unwrap();
         let back: JobGraph = serde_json::from_str(&json).unwrap();
@@ -204,15 +216,11 @@ proptest! {
 
         let mut sorted = edges.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(g.edges(), sorted.clone());
-        let mut from_parents = Vec::new();
+        prop_assert_eq!(g.edges(), sorted);
         for v in g.nodes() {
             prop_assert!(g.children(v).windows(2).all(|w| w[0] < w[1]));
-            prop_assert!(g.parents(v).windows(2).all(|w| w[0] < w[1]));
-            from_parents.extend(g.parents(v).iter().map(|&u| (u, v.0)));
         }
-        from_parents.sort_unstable();
-        prop_assert_eq!(from_parents, sorted);
+        check_in_degrees(&g, &edges);
     }
 
     #[test]
@@ -298,14 +306,16 @@ proptest! {
     #[test]
     fn out_forest_roots_are_ancestors(g in arb_out_tree(40)) {
         let roots = classify::out_forest_roots(&g);
+        let mut parent = vec![None; g.n()];
+        for (u, v) in g.edges() {
+            parent[v as usize] = Some(u);
+        }
         // Walk up from every node; must reach its recorded root.
         #[allow(clippy::needless_range_loop)] // v is a node id, not an index
         for v in 0..g.n() {
             let mut cur = v as u32;
-            loop {
-                let ps = g.parents(NodeId(cur));
-                if ps.is_empty() { break; }
-                cur = ps[0];
+            while let Some(p) = parent[cur as usize] {
+                cur = p;
             }
             prop_assert_eq!(cur, roots[v]);
         }

@@ -64,6 +64,9 @@ struct Searcher<'a> {
     /// job): completing a node at time `t` forces its subtree to run until
     /// at least `t + height - 1`.
     heights: Vec<u32>,
+    /// The parents of each node, as a mask of global indices: a node is
+    /// ready once `done` covers its mask.
+    preds: Vec<u64>,
 }
 
 impl<'a> Searcher<'a> {
@@ -76,7 +79,13 @@ impl<'a> Searcher<'a> {
             total += spec.graph.n();
             heights.extend(spec.graph.heights());
         }
-        Searcher { instance, m, base, total, heights }
+        let mut preds = vec![0u64; total];
+        for (spec, &b) in instance.jobs().iter().zip(&base) {
+            for (u, v) in spec.graph.edges() {
+                preds[b + v as usize] |= 1 << (b + u as usize);
+            }
+        }
+        Searcher { instance, m, base, total, heights, preds }
     }
 
     fn feasible(&self, f: u64) -> bool {
@@ -122,12 +131,8 @@ impl<'a> Searcher<'a> {
                     failed.insert((t, done));
                     return false;
                 }
-                if spec.release <= t {
-                    let preds_done =
-                        spec.graph.parents(v).iter().all(|&u| done >> (b + u as usize) & 1 == 1);
-                    if preds_done {
-                        ready.push(g);
-                    }
+                if spec.release <= t && done & self.preds[g] == self.preds[g] {
+                    ready.push(g);
                 }
             }
             if remaining > 0 {

@@ -36,7 +36,10 @@ pub fn bgj_schedule(g: &JobGraph, deadlines: &[i64], m: usize) -> (Vec<Vec<u32>>
     }
 
     // List-schedule by earliest modified deadline among ready nodes.
-    let mut indeg: Vec<u32> = g.nodes().map(|v| g.in_degree(v) as u32).collect();
+    let mut indeg = vec![0u32; g.n()];
+    for (_, v) in g.edges() {
+        indeg[v as usize] += 1;
+    }
     let mut ready: Vec<u32> = g.nodes().filter(|&v| indeg[v.index()] == 0).map(|v| v.0).collect();
     let mut schedule: Vec<Vec<u32>> = Vec::new();
     let mut lmax = i64::MIN;
@@ -97,12 +100,11 @@ mod tests {
                 *best = cur;
                 return;
             }
-            let ready: Vec<u32> = g
-                .nodes()
+            let edges = g.edges();
+            let ready: Vec<u32> = (0..g.n() as u32)
                 .filter(|&v| {
-                    done >> v.0 & 1 == 0 && g.parents(v).iter().all(|&u| done >> u & 1 == 1)
+                    done >> v & 1 == 0 && edges.iter().all(|&(u, w)| w != v || done >> u & 1 == 1)
                 })
-                .map(|v| v.0)
                 .collect();
             let k = m.min(ready.len());
             // Enumerate k-subsets.

@@ -28,7 +28,10 @@ pub fn hu_schedule(g: &JobGraph, m: usize) -> Vec<Vec<u32>> {
     // Bucket the *ready* tasks by level; initial ready = sources.
     let max_l = level.iter().copied().max().unwrap_or(1) as usize;
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_l + 1];
-    let mut indeg: Vec<u32> = g.nodes().map(|v| g.in_degree(v) as u32).collect();
+    let mut indeg = vec![0u32; g.n()];
+    for (_, v) in g.edges() {
+        indeg[v as usize] += 1;
+    }
     for v in g.nodes() {
         if indeg[v.index()] == 0 {
             buckets[level[v.index()] as usize].push(v.0);

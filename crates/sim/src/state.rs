@@ -208,17 +208,17 @@ impl SimState {
             (self.live.len() - 1) as u32
         });
         let lv = &mut self.live[li as usize];
-        lv.nodes.reserve(g.n());
+        lv.nodes.resize(g.n(), NodeSlot { indeg: 0, pos: NOT_READY, stamp: 0 });
         lv.log.reserve(g.n());
-        for v in 0..g.n() as u32 {
-            let indeg = g.in_degree(NodeId(v)) as u32;
-            let mut slot = NodeSlot { indeg, pos: NOT_READY, stamp: 0 };
-            if indeg == 0 {
+        for &c in g.edge_heads() {
+            lv.nodes[c as usize].indeg += 1;
+        }
+        for (v, slot) in lv.nodes.iter_mut().enumerate() {
+            if slot.indeg == 0 {
                 slot.pos = lv.ready.len() as u32;
-                lv.ready.push(v);
-                lv.log.push(v);
+                lv.ready.push(v as u32);
+                lv.log.push(v as u32);
             }
-            lv.nodes.push(slot);
         }
         self.total_ready += lv.ready.len();
         let js = &mut self.jobs[self.next_release];
@@ -481,6 +481,22 @@ mod tests {
         assert_eq!(st.ready(JobId(1)), &[1, 2]);
         assert!(st.is_ready(JobId(1), NodeId(1)));
         assert!(!st.is_ready(JobId(1), NodeId(0)));
+    }
+
+    #[test]
+    fn join_waits_for_every_parent() {
+        // Two sources 0 and 1, both parents of 2: the in-degrees counted
+        // at release make 2 ready only when its second parent completes.
+        let mut b = flowtree_dag::GraphBuilder::new(3);
+        b.edge(1, 2).edge(0, 2);
+        let inst = Instance::single(b.build().unwrap());
+        let mut st = SimState::new(&inst);
+        st.release_due(&inst, 0);
+        assert_eq!(st.ready(JobId(0)), &[0, 1]);
+        st.complete(&inst, JobId(0), NodeId(1), 1);
+        assert!(!st.is_ready(JobId(0), NodeId(2)));
+        st.complete(&inst, JobId(0), NodeId(0), 2);
+        assert_eq!(st.ready(JobId(0)), &[2]);
     }
 
     #[test]

@@ -164,7 +164,8 @@ impl NaiveLog {
 
     fn release(&mut self, inst: &Instance, job: JobId) {
         let g = inst.graph(job);
-        for v in g.nodes().filter(|&v| g.in_degree(v) == 0) {
+        let heads: Vec<u32> = g.edges().iter().map(|&(_, v)| v).collect();
+        for v in g.nodes().filter(|&v| !heads.contains(&v.0)) {
             self.enable(job, v.0);
         }
     }
@@ -172,8 +173,9 @@ impl NaiveLog {
     fn complete(&mut self, inst: &Instance, job: JobId, v: NodeId) {
         let (g, j) = (inst.graph(job), job.index());
         self.done[j][v.index()] = true;
+        let edges = g.edges();
         for &c in g.children(v) {
-            if g.parents(NodeId(c)).iter().all(|&u| self.done[j][u as usize]) {
+            if edges.iter().all(|&(u, w)| w != c || self.done[j][u as usize]) {
                 self.enable(job, c);
             }
         }

@@ -18,8 +18,8 @@ cargo build --release --workspace
 echo "==> cargo test -q (default-members: the whole workspace)"
 cargo test -q
 
-echo "==> dag + sim + core + serve + analysis + gateway + workloads tests in release (graph build, step validation, the serve suites, the E2/E7 plan checks, the wire proptests, the decoder mutation loop, the generator pins and the workload proptests hold without debug assertions)"
-cargo test --release -q -p flowtree-dag -p flowtree-sim -p flowtree-core -p flowtree-serve -p flowtree-analysis -p flowtree-gateway -p flowtree-workloads
+echo "==> dag + sim + core + opt + serve + analysis + gateway + workloads tests in release (graph build, step validation, the exact searcher's parent masks, the serve suites, the E2/E7 plan checks, the wire proptests, the decoder mutation loop, the generator pins and the workload proptests hold without debug assertions)"
+cargo test --release -q -p flowtree-dag -p flowtree-sim -p flowtree-core -p flowtree-opt -p flowtree-serve -p flowtree-analysis -p flowtree-gateway -p flowtree-workloads
 
 echo "==> examples (each must run to completion; output discarded)"
 # Every file under examples/, so a new example cannot be skipped.
