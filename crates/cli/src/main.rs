@@ -31,7 +31,6 @@ mod report;
 mod scenario;
 mod serve;
 mod simulate;
-mod store;
 mod trace;
 
 /// The experiment ids as `first..last`, from [`experiments::ALL`].
@@ -49,6 +48,7 @@ fn usage() -> String {
      \u{20}      flowtree-repro trace <scenario> [--scheduler S] [-m M] [--compact-idle] [-o FILE]\n\
      \u{20}      flowtree-repro stats <scenario> [--scheduler S] [-m M]\n\
      \u{20}      flowtree-repro report <scenario> [--scheduler S] [-m M] [--format json|md]\n\
+     \u{20}                            [--instance FILE] [--store DIR]\n\
      \u{20}      flowtree-repro report --trend <store-dir-or-file>\n\
      \u{20}      flowtree-repro report --flight <flight.jsonl-or-dir>\n\
      \u{20}      flowtree-repro serve <scenario> [--shards N] [--rate R] [--policy P] [--store DIR]\n\
@@ -56,8 +56,6 @@ fn usage() -> String {
      \u{20}      flowtree-repro gateway <scenario> --addr HOST:PORT [serve flags]\n\
      \u{20}      flowtree-repro submit <scenario> --addr HOST:PORT [--replay FILE]\n\
      \u{20}                            [--codec bin|json] [--window N] [--drain]\n\
-     \u{20}      flowtree-repro store ls DIR\n\
-     \u{20}      flowtree-repro store gc DIR [--max-age DAYS] [--max-bytes N] [--dry-run]\n\
      \u{20}      flowtree-repro metrics ADDR [--raw] [--check] [--retry N]\n\
      \u{20}      flowtree-repro bench [--serve | --gateway] [--quick] [--reps N]\n\
      \u{20}                           [--check BASELINE] [-o FILE]\n\
@@ -71,7 +69,7 @@ fn usage() -> String {
 type Verb = fn(&[String]) -> Result<(), String>;
 
 /// Every subcommand, by name.
-const VERBS: [(&str, Verb); 12] = [
+const VERBS: [(&str, Verb); 11] = [
     ("gen", gen::run),
     ("simulate", simulate::run),
     ("trace", trace::run_trace),
@@ -81,7 +79,6 @@ const VERBS: [(&str, Verb); 12] = [
     ("serve", serve::run),
     ("gateway", gateway::run_gateway),
     ("submit", gateway::run_submit),
-    ("store", store::run),
     ("bench", bench::run),
     ("verify", |args| verify_cmd(args).map(|msg| println!("{msg}"))),
 ];

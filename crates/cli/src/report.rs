@@ -1,21 +1,23 @@
 //! `flowtree-repro report` — run one scenario × scheduler with the full
 //! monitor/histogram probe stack attached and render the resulting
-//! [`RunSummary`](flowtree_analysis::RunSummary) as JSON or markdown; or
-//! render cross-run trend tables over the persistent results store.
+//! [`RunSummary`](flowtree_analysis::RunSummary) as JSON or markdown
+//! (`--store DIR` also appends it to the results store); or render
+//! cross-run trend tables over the store (`--trend`), or a flight-recorder
+//! dump (`--flight`). The two render modes take no other argument.
 //!
 //! ```text
 //! flowtree-repro report sort-farm --scheduler lpf --jobs 1 --format json
 //! flowtree-repro report service --scheduler fifo -m 16 -o report.md
 //! flowtree-repro report adversary --instance inst.json --store results/store
 //! flowtree-repro report --trend results/store/
-//! flowtree-repro report --trend results/store/ --plot
 //! flowtree-repro report --flight results/store/flight-run.jsonl
 //! ```
 
 use crate::scenario::ScenarioOpts;
 use flowtree_core::SchedulerSpec;
 use flowtree_serve::{
-    git_describe, load_flight_jsonl, load_records, run_id, FlightEvent, ResultsStore, StoreRecord,
+    git_describe, is_flight_dump, load_flight_jsonl, load_records, run_id, FlightEvent,
+    ResultsStore, StoreRecord,
 };
 use std::io::Write;
 
@@ -23,20 +25,11 @@ use std::io::Write;
 /// `report --flight FILE`.
 pub fn run(args: &[String]) -> Result<(), String> {
     // Trend mode has no scenario/scheduler: it reads the store and renders.
-    if let Some(i) = args.iter().position(|a| a == "--trend") {
-        let path = args.get(i + 1).ok_or("--trend needs a store file or directory")?;
-        if path.starts_with("--") {
-            return Err("--trend needs a store file or directory".to_string());
-        }
-        let plot = args.iter().any(|a| a == "--plot");
-        return trend(path, plot);
+    if let Some(path) = render_mode_path(args, "--trend", "a store file or directory")? {
+        return trend(path);
     }
     // Flight mode renders a recorder dump (or every dump in a directory).
-    if let Some(i) = args.iter().position(|a| a == "--flight") {
-        let path = args.get(i + 1).ok_or("--flight needs a flight.jsonl file or directory")?;
-        if path.starts_with("--") {
-            return Err("--flight needs a flight.jsonl file or directory".to_string());
-        }
+    if let Some(path) = render_mode_path(args, "--flight", "a flight.jsonl file or directory")? {
         return flight(path);
     }
 
@@ -47,7 +40,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         "report",
         args,
         true,
-        " [--format json|md] [--instance FILE] [--store DIR] | --trend STORE [--plot]",
+        " [--format json|md] [--instance FILE] [--store DIR] | --trend STORE | --flight FILE",
         &mut |flag, it| {
             match flag {
                 "--format" => format = it.next().ok_or("--format needs json or md")?.clone(),
@@ -91,18 +84,35 @@ pub fn run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Render the trend tables (and, with `--plot`, the longitudinal ASCII
-/// ratio plots) for a store file or directory.
-fn trend(path: &str, plot: bool) -> Result<(), String> {
+/// The path after `flag` when `args` is exactly `flag PATH`; `None` when
+/// `flag` is absent. A render mode takes no other argument, so an extra
+/// one is an error rather than silently dropped.
+fn render_mode_path<'a>(
+    args: &'a [String],
+    flag: &str,
+    what: &str,
+) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let path = match args.get(i + 1) {
+        Some(p) if !p.starts_with("--") => p,
+        _ => return Err(format!("{flag} needs {what}")),
+    };
+    match args.iter().enumerate().find(|&(j, _)| j != i && j != i + 1) {
+        Some((_, extra)) => Err(format!("unexpected argument '{extra}'")),
+        None => Ok(Some(path)),
+    }
+}
+
+/// Render the trend tables for a store file or directory.
+fn trend(path: &str) -> Result<(), String> {
     let records =
         load_records(std::path::Path::new(path)).map_err(|e| format!("load {path}: {e}"))?;
     if records.is_empty() {
         return Err(format!("no store records under {path}"));
     }
     print!("{}", flowtree_serve::render_trend(&records));
-    if plot {
-        print!("{}", flowtree_serve::render_trend_plots(&records));
-    }
     Ok(())
 }
 
@@ -114,13 +124,11 @@ fn flight(path: &str) -> Result<(), String> {
         let mut all = Vec::new();
         let entries = std::fs::read_dir(p).map_err(|e| format!("read {path}: {e}"))?;
         for entry in entries {
-            let entry = entry.map_err(|e| format!("read {path}: {e}"))?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("flight") && name.ends_with(".jsonl") {
+            let file = entry.map_err(|e| format!("read {path}: {e}"))?.path();
+            if is_flight_dump(&file) {
                 all.extend(
-                    load_flight_jsonl(&entry.path())
-                        .map_err(|e| format!("load {}: {e}", entry.path().display()))?,
+                    load_flight_jsonl(&file)
+                        .map_err(|e| format!("load {}: {e}", file.display()))?,
                 );
             }
         }
@@ -291,10 +299,19 @@ mod tests {
                 swaps: Vec::new(),
             })
             .unwrap();
-        assert!(trend(dir.to_str().unwrap(), false).is_ok());
-        assert!(trend(dir.to_str().unwrap(), true).is_ok());
-        assert!(trend("/nonexistent/store/path", false).is_err());
+        assert!(trend(dir.to_str().unwrap()).is_ok());
+        assert!(trend("/nonexistent/store/path").is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn render_modes_reject_extra_arguments() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = run(&args(&["--trend", "results/store", "--plot"])).unwrap_err();
+        assert_eq!(err, "unexpected argument '--plot'");
+        let err =
+            run(&args(&["--flight", "flight.jsonl", "--trend", "results/store"])).unwrap_err();
+        assert_eq!(err, "unexpected argument '--flight'");
     }
 
     #[test]

@@ -63,14 +63,11 @@ pub use pool::{
 };
 pub use shard::{Arrival, ShardResult, ShardSnapshot, SwapEvent};
 pub use source::{ArrivalSource, GeneratorSource, ReplaySource};
-pub use store::{
-    gc_store, git_describe, load_records, ls_store, prune_history, run_id, GcFileReport, GcReport,
-    LsFileReport, LsReport, PruneLimits, PruneReport, ResultsStore, StoreRecord, HISTORY_FILE,
-    HISTORY_META_FILE,
-};
+pub use store::{git_describe, load_records, run_id, ResultsStore, StoreRecord};
 pub use telemetry::{
-    load_flight_jsonl, scrape_metrics, serve_metrics, serve_metrics_with, write_flight_jsonl,
-    AtomicHisto, FlightEvent, FlightKind, FlightRecorder, LatencyProbe, MetricsExtra,
-    MetricsServer, MetricsSnapshot, ScrapeError, ShardMetrics, ShardTelemetry, Telemetry,
+    is_flight_dump, load_flight_jsonl, scrape_metrics, serve_metrics, serve_metrics_with,
+    write_flight_jsonl, AtomicHisto, FlightEvent, FlightKind, FlightRecorder, LatencyProbe,
+    MetricsExtra, MetricsServer, MetricsSnapshot, ScrapeError, ShardMetrics, ShardTelemetry,
+    Telemetry,
 };
-pub use trend::{render_trend, render_trend_plots, trend_tables};
+pub use trend::{render_trend, trend_tables};

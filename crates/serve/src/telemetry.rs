@@ -865,6 +865,14 @@ pub fn load_flight_jsonl(path: &Path) -> io::Result<Vec<FlightEvent>> {
     Ok(events)
 }
 
+/// Is `path` a flight-recorder dump (`flight*.jsonl`)? The CLI writes
+/// them beside the store records, which a store scan must skip.
+pub fn is_flight_dump(path: &Path) -> bool {
+    path.file_name()
+        .and_then(|n| n.to_str())
+        .is_some_and(|n| n.starts_with("flight") && n.ends_with(".jsonl"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
