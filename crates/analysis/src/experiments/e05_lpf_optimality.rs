@@ -85,4 +85,16 @@ mod tests {
             }
         }
     }
+
+    /// The large cases test something only if each tree has most of its
+    /// target size (a Galton–Watson draw can die out at the root). The
+    /// full-effort draws are checked in `flowtree_workloads::trees`.
+    #[test]
+    fn every_large_case_has_at_least_half_its_target_work() {
+        let big = &run(Effort::Quick).tables[0];
+        for row in 0..big.len() {
+            let work: u64 = big.cell(row, 1).parse().unwrap();
+            assert!(2 * work >= 500, "{} has work {work} < 500/2", big.cell(row, 0));
+        }
+    }
 }

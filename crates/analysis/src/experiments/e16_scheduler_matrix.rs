@@ -51,6 +51,7 @@ pub fn run(effort: Effort) -> Report {
             |spec| {
                 summarize(scenario.name, &inst, m, *spec)
                     .unwrap_or_else(|e| panic!("{}: {e}", spec.name()))
+                    .0
             },
             |_, _| {},
         );
@@ -115,7 +116,7 @@ mod tests {
         for (scenario, t) in Scenario::presets(jobs).iter().zip(&r.tables) {
             let inst = scenario.instantiate(&mut flowtree_workloads::rng(42));
             for (row, spec) in SchedulerSpec::matrix().into_iter().enumerate() {
-                let s = summarize(scenario.name, &inst, m, spec).unwrap();
+                let (s, _) = summarize(scenario.name, &inst, m, spec).unwrap();
                 assert_eq!(t.cell(row, 0), s.scheduler, "row order shifted");
                 assert_eq!(t.cell(row, 1), s.max_flow.to_string());
                 assert_eq!(t.cell(row, 2), f3(s.ratio));

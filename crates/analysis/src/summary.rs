@@ -14,7 +14,7 @@
 use crate::table::f3;
 use flowtree_core::SchedulerSpec;
 use flowtree_sim::monitor::{InvariantMonitor, LowerBound};
-use flowtree_sim::{Engine, Instance, LogHistogram, RunHistograms};
+use flowtree_sim::{Engine, Instance, LogHistogram, RunHistograms, RunReport};
 
 /// Compact histogram summary (count + quantile upper bounds + max).
 #[derive(Debug, Clone, PartialEq)]
@@ -198,13 +198,14 @@ impl RunSummary {
 }
 
 /// Run `spec` on `instance` with the full monitor stack attached and
-/// summarize. `scenario` is a label carried into the summary.
+/// summarize. `scenario` is a label carried into the summary. The verified
+/// run's [`RunReport`] (schedule, stats, counters) comes back beside it.
 pub fn summarize(
     scenario: &str,
     instance: &Instance,
     m: usize,
     spec: SchedulerSpec,
-) -> Result<RunSummary, String> {
+) -> Result<(RunSummary, RunReport), String> {
     let mut sched = spec.build();
     let mut lb = LowerBound::new(instance);
     let mut inv = InvariantMonitor::new(instance, spec.invariants());
@@ -216,20 +217,13 @@ pub fn summarize(
         .map_err(|e| format!("{} on m={m}: {e}", spec.name()))?;
     report.verify(instance).map_err(|e| format!("infeasible schedule: {e}"))?;
 
-    Ok(summary_from_parts(
-        scenario,
-        spec.name(),
-        instance,
-        m,
-        &report,
-        &lb,
-        &inv,
-        &histos,
-    ))
+    let summary =
+        summary_from_parts(scenario, spec.name(), instance, m, &report, &lb, &inv, &histos);
+    Ok((summary, report))
 }
 
 /// Assemble a [`RunSummary`] from an already-completed run's pieces: the
-/// [`RunReport`](flowtree_sim::RunReport) and the monitor/histogram stack
+/// [`RunReport`] and the monitor/histogram stack
 /// that observed it. Shared by [`summarize`] (batch `Engine::run`) and the
 /// streaming serve path (a drained `Session` per shard), so both emit
 /// byte-identical records for the same observed run.
@@ -239,19 +233,19 @@ pub fn summary_from_parts(
     scheduler: &str,
     instance: &Instance,
     m: usize,
-    report: &flowtree_sim::RunReport,
+    report: &RunReport,
     lb: &LowerBound,
     inv: &InvariantMonitor,
     histos: &RunHistograms,
 ) -> RunSummary {
     // On a completed run every job has released, so the tracker's running
-    // max over released jobs *is* `max_job_lower_bound(instance, m)` — no
+    // max over released jobs *is* `instance.per_job_lower_bound(m)` — no
     // need to re-profile every graph at drain time (which dominated the
     // serve drain path). Only the interval-load bound still needs a pass.
     let interval = flowtree_opt::interval::interval_load_lower_bound(instance, m as u64);
     debug_assert_eq!(
         lb.lower_bound(),
-        flowtree_opt::bounds::max_job_lower_bound(instance, m as u64),
+        instance.per_job_lower_bound(m as u64),
         "LowerBound tracker must cover every job of a completed run"
     );
     let lower_bound = interval.max(lb.lower_bound()).max(1);
@@ -295,7 +289,7 @@ mod tests {
         // the Lemma 5.1 bound is exact and LPF achieves it.
         let inst = Instance::single(complete_kary(2, 4));
         let spec = "lpf".parse::<SchedulerSpec>().unwrap();
-        let s = summarize("single", &inst, 4, spec).unwrap();
+        let (s, _) = summarize("single", &inst, 4, spec).unwrap();
         assert_eq!(s.max_flow, s.lower_bound);
         assert_eq!(s.lower_bound, s.job_lower_bound);
         assert_eq!(s.ratio, 1.0);
@@ -308,7 +302,7 @@ mod tests {
     fn summary_serde_roundtrips() {
         let inst = Instance::single(complete_kary(2, 3));
         let spec = "fifo".parse::<SchedulerSpec>().unwrap();
-        let s = summarize("single", &inst, 2, spec).unwrap();
+        let (s, _) = summarize("single", &inst, 2, spec).unwrap();
         let json = serde_json::to_string_pretty(&s).unwrap();
         let back: RunSummary = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
@@ -322,7 +316,7 @@ mod tests {
     fn markdown_report_carries_the_headline_numbers() {
         let inst = Instance::single(complete_kary(2, 3));
         let spec = "lpf".parse::<SchedulerSpec>().unwrap();
-        let s = summarize("single", &inst, 2, spec).unwrap();
+        let (s, _) = summarize("single", &inst, 2, spec).unwrap();
         let md = s.to_markdown();
         assert!(md.contains("competitive ratio"));
         assert!(md.contains("| invariants | clean |"));
@@ -335,7 +329,7 @@ mod tests {
         // genuine AlgoA run with a valid estimate must come out clean.
         let inst = Instance::single(complete_kary(2, 3));
         let spec = SchedulerSpec::from_name_with_half("algo-a", 4).unwrap();
-        let s = summarize("single", &inst, 8, spec).unwrap();
+        let (s, _) = summarize("single", &inst, 8, spec).unwrap();
         assert!(s.invariants_clean, "{:?}", s.violations);
         assert!(s.ratio >= 1.0);
     }

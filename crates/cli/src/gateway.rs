@@ -99,7 +99,7 @@ pub fn run_gateway(args: &[String]) -> Result<(), String> {
             return Err(e.to_string());
         }
     };
-    finish(&o, &s, &results, &handle.ingest(), &handle)
+    finish(&o, &s, &results, &handle)
 }
 
 /// Run `submit <scenario> --addr HOST:PORT [--replay FILE] [flags]`.

@@ -1,106 +1,84 @@
-//! `flowtree-repro gen` — generate an instance and write it as JSON.
+//! `flowtree-repro gen` — generate an instance and write it as JSON. Its
+//! family table, [`generate`], is the one place an instance name resolves:
+//! `report` and `trace` build their instances through it too.
 
+use crate::scenario::{parse_num, preset, scenario_names, ScenarioOpts};
 use flowtree_sim::Instance;
 use flowtree_sim::JobSpec;
-use flowtree_workloads::{adversary, arrivals, batched, mix, rng, trees};
+use flowtree_workloads::{adversary, arrivals, batched, rng, trees};
 
-/// Options parsed from the command line.
-pub struct GenOptions {
-    pub family: String,
-    pub m: usize,
-    pub jobs: usize,
-    pub seed: u64,
-    pub out: Option<String>,
+/// The generated families besides the scenario presets.
+const GENERATED: [&str; 5] =
+    ["adversary", "packed-chains", "packed-caterpillars", "stream", "quicksort-batch"];
+
+/// Every family name: the generated ones, then the scenario presets.
+pub fn families() -> Vec<&'static str> {
+    GENERATED.iter().copied().chain(scenario_names()).collect()
 }
 
-impl Default for GenOptions {
-    fn default() -> Self {
-        GenOptions { family: String::new(), m: 8, jobs: 16, seed: 42, out: None }
-    }
-}
-
-/// Known families (shown by `gen --help` / on errors).
-pub const FAMILIES: &[&str] = &[
-    "adversary",
-    "packed-chains",
-    "packed-caterpillars",
-    "stream",
-    "sort-farm",
-    "service",
-    "analytics",
-    "quicksort-batch",
-];
-
-/// Build the instance for a family.
-pub fn generate(opts: &GenOptions) -> Result<Instance, String> {
-    let mut r = rng(opts.seed);
-    let inst = match opts.family.as_str() {
+/// Build the instance `o.scenario` names from `o.m`, `o.jobs` and `o.seed`.
+pub fn generate(o: &ScenarioOpts) -> Result<Instance, String> {
+    let mut r = rng(o.seed);
+    let inst = match o.scenario.as_str() {
         "adversary" => {
-            let out = adversary::duel(opts.m, opts.m, opts.jobs);
+            let out = adversary::duel(o.m, o.m, o.jobs);
             adversary::materialize(&out)
         }
         "packed-chains" => {
-            let t = (opts.m as u64).max(2);
-            batched::packed_chains(opts.m, t, (opts.m / 2).max(1), opts.jobs.max(1), &mut r)
-                .instance
+            let t = (o.m as u64).max(2);
+            batched::packed_chains(o.m, t, (o.m / 2).max(1), o.jobs.max(1), &mut r).instance
         }
         "packed-caterpillars" => {
-            let t = (opts.m as u64).max(2);
-            batched::packed_caterpillars(opts.m, t, (opts.m / 2).max(1), opts.jobs.max(1), &mut r)
-                .instance
+            let t = (o.m as u64).max(2);
+            batched::packed_caterpillars(o.m, t, (o.m / 2).max(1), o.jobs.max(1), &mut r).instance
         }
         "stream" => arrivals::load_stream(
-            opts.m,
+            o.m,
             0.9,
-            (4 * opts.jobs) as u64,
+            (4 * o.jobs) as u64,
             24.0,
             |r| trees::random_recursive_tree(24, r),
             &mut r,
         ),
-        "sort-farm" => mix::Scenario::sort_farm(opts.jobs).instantiate(&mut r),
-        "service" => mix::Scenario::service(opts.jobs).instantiate(&mut r),
-        "analytics" => mix::Scenario::analytics(opts.jobs).instantiate(&mut r),
         "quicksort-batch" => Instance::new(
-            (0..opts.jobs)
+            (0..o.jobs)
                 .map(|i| JobSpec {
                     graph: trees::random_quicksort_tree(128 + 16 * (i % 9), 2, &mut r),
                     release: 4 * i as u64,
                 })
                 .collect(),
         ),
-        other => return Err(format!("unknown family '{other}'; known: {}", FAMILIES.join(", "))),
+        name => preset(name, o.jobs)
+            .ok_or_else(|| format!("unknown family '{name}'; known: {}", families().join(", ")))?
+            .instantiate(&mut r),
     };
     Ok(inst)
 }
 
 /// Run the `gen` subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let mut opts = GenOptions::default();
+    let mut o = ScenarioOpts::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "-m" => opts.m = it.next().and_then(|v| v.parse().ok()).ok_or("-m needs a number")?,
-            "--jobs" => {
-                opts.jobs = it.next().and_then(|v| v.parse().ok()).ok_or("--jobs needs a number")?
-            }
-            "--seed" => {
-                opts.seed = it.next().and_then(|v| v.parse().ok()).ok_or("--seed needs a number")?
-            }
-            "-o" | "--out" => opts.out = Some(it.next().ok_or("-o needs a path")?.clone()),
-            fam if !fam.starts_with('-') && opts.family.is_empty() => opts.family = fam.to_string(),
+            "-m" => o.m = parse_num(&mut it, "-m")?,
+            "--jobs" => o.jobs = parse_num(&mut it, "--jobs")?,
+            "--seed" => o.seed = parse_num(&mut it, "--seed")?,
+            "-o" | "--out" => o.out = Some(it.next().ok_or("-o needs a path")?.clone()),
+            fam if !fam.starts_with('-') && o.scenario.is_empty() => o.scenario = fam.to_string(),
             other => return Err(format!("unknown gen option '{other}'")),
         }
     }
-    if opts.family.is_empty() {
+    if o.scenario.is_empty() {
         return Err(format!(
             "usage: flowtree-repro gen <family> [-m M] [--jobs N] [--seed S] [-o FILE]\n\
              families: {}",
-            FAMILIES.join(", ")
+            families().join(", ")
         ));
     }
-    let inst = generate(&opts)?;
+    let inst = generate(&o)?;
     let json = serde_json::to_string_pretty(&inst).map_err(|e| e.to_string())?;
-    match &opts.out {
+    match &o.out {
         Some(path) => {
             std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
             eprintln!(
@@ -122,8 +100,14 @@ mod tests {
 
     #[test]
     fn all_families_generate() {
-        for fam in FAMILIES {
-            let opts = GenOptions { family: fam.to_string(), m: 8, jobs: 4, seed: 1, out: None };
+        for fam in families() {
+            let opts = ScenarioOpts {
+                scenario: fam.to_string(),
+                m: 8,
+                jobs: 4,
+                seed: 1,
+                ..Default::default()
+            };
             let inst = generate(&opts).unwrap_or_else(|e| panic!("{fam}: {e}"));
             assert!(inst.num_jobs() >= 1, "{fam}");
             // Round-trips through JSON.
@@ -135,15 +119,15 @@ mod tests {
 
     #[test]
     fn unknown_family_is_an_error() {
-        let opts = GenOptions { family: "nope".into(), ..Default::default() };
+        let opts = ScenarioOpts { scenario: "nope".into(), ..Default::default() };
         assert!(generate(&opts).is_err());
     }
 
     #[test]
     fn deterministic_per_seed() {
         let mk = |seed| {
-            generate(&GenOptions {
-                family: "service".into(),
+            generate(&ScenarioOpts {
+                scenario: "service".into(),
                 seed,
                 jobs: 6,
                 ..Default::default()

@@ -7,10 +7,10 @@
 //! flowtree-repro --csv out/ e3# also dump each table as CSV into out/
 //! flowtree-repro --list       # list experiment ids
 //! flowtree-repro gen adversary -m 16 --jobs 20 -o inst.json
-//! flowtree-repro simulate guess-double inst.json -m 16 --gantt --dump sched.json
+//! flowtree-repro report adversary --instance inst.json --scheduler guess-double -m 16 \
+//!     --gantt --dump sched.json
 //! flowtree-repro verify inst.json sched.json
 //! flowtree-repro trace service --scheduler lpf -m 8 --compact-idle -o run.jsonl
-//! flowtree-repro stats service --scheduler lpf -m 8
 //! flowtree-repro report sort-farm --scheduler lpf --jobs 1 --format json
 //! flowtree-repro report --trend results/store/
 //! flowtree-repro report --flight results/store/flight-run.jsonl
@@ -30,7 +30,6 @@ mod metrics;
 mod report;
 mod scenario;
 mod serve;
-mod simulate;
 mod trace;
 
 /// The experiment ids as `first..last`, from [`experiments::ALL`].
@@ -42,13 +41,11 @@ fn usage() -> String {
     format!(
         "usage: flowtree-repro [--full] [--csv DIR] [--list] [{} | all]...\n\
      \u{20}      flowtree-repro gen <family> [-m M] [--jobs N] [--seed S] [-o FILE]\n\
-     \u{20}      flowtree-repro simulate <scheduler> <instance.json> [-m M] [--half H] [--gantt]\n\
-     \u{20}                              [--dump schedule.json]\n\
+     \u{20}      flowtree-repro report <scenario> [--scheduler S] [-m M] [--format json|md]\n\
+     \u{20}                            [--instance FILE] [--store DIR] [--dump schedule.json]\n\
+     \u{20}                            [--gantt]\n\
      \u{20}      flowtree-repro verify <instance.json> <schedule.json>\n\
      \u{20}      flowtree-repro trace <scenario> [--scheduler S] [-m M] [--compact-idle] [-o FILE]\n\
-     \u{20}      flowtree-repro stats <scenario> [--scheduler S] [-m M]\n\
-     \u{20}      flowtree-repro report <scenario> [--scheduler S] [-m M] [--format json|md]\n\
-     \u{20}                            [--instance FILE] [--store DIR]\n\
      \u{20}      flowtree-repro report --trend <store-dir-or-file>\n\
      \u{20}      flowtree-repro report --flight <flight.jsonl-or-dir>\n\
      \u{20}      flowtree-repro serve <scenario> [--shards N] [--rate R] [--policy P] [--store DIR]\n\
@@ -69,11 +66,9 @@ fn usage() -> String {
 type Verb = fn(&[String]) -> Result<(), String>;
 
 /// Every subcommand, by name.
-const VERBS: [(&str, Verb); 11] = [
+const VERBS: [(&str, Verb); 9] = [
     ("gen", gen::run),
-    ("simulate", simulate::run),
     ("trace", trace::run_trace),
-    ("stats", trace::run_stats),
     ("report", report::run),
     ("metrics", metrics::run),
     ("serve", serve::run),
@@ -178,14 +173,8 @@ fn verify_cmd(args: &[String]) -> Result<String, String> {
     let [inst_path, sched_path] = args else {
         return Err("usage: flowtree-repro verify <instance.json> <schedule.json>".into());
     };
-    let instance: flowtree_sim::Instance = serde_json::from_str(
-        &std::fs::read_to_string(inst_path).map_err(|e| format!("read {inst_path}: {e}"))?,
-    )
-    .map_err(|e| format!("parse {inst_path}: {e}"))?;
-    let schedule: flowtree_sim::Schedule = serde_json::from_str(
-        &std::fs::read_to_string(sched_path).map_err(|e| format!("read {sched_path}: {e}"))?,
-    )
-    .map_err(|e| format!("parse {sched_path}: {e}"))?;
+    let instance: flowtree_sim::Instance = read_json(inst_path)?;
+    let schedule: flowtree_sim::Schedule = read_json(sched_path)?;
     schedule.verify(&instance).map_err(|e| format!("INFEASIBLE: {e}"))?;
     let stats = flowtree_sim::metrics::flow_stats(&instance, &schedule);
     Ok(format!(
@@ -195,6 +184,12 @@ fn verify_cmd(args: &[String]) -> Result<String, String> {
         stats.mean_flow,
         stats.makespan
     ))
+}
+
+/// Read and parse the JSON file at `path`; errors name the path.
+fn read_json<T: serde::Deserialize>(path: &str) -> Result<T, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))
 }
 
 #[cfg(test)]

@@ -1,24 +1,29 @@
-//! `flowtree-repro report` — run one scenario × scheduler with the full
-//! monitor/histogram probe stack attached and render the resulting
-//! [`RunSummary`](flowtree_analysis::RunSummary) as JSON or markdown
-//! (`--store DIR` also appends it to the results store); or render
-//! cross-run trend tables over the store (`--trend`), or a flight-recorder
-//! dump (`--flight`). The two render modes take no other argument.
+//! `flowtree-repro report` — run one scheduler on one instance (any `gen`
+//! family, or an instance file) with the full monitor/histogram probe stack
+//! attached and render the resulting [`RunSummary`] as JSON or markdown
+//! (`--store DIR` also appends it to the results store, `--dump FILE`
+//! writes the verified schedule for `verify`, `--gantt` appends a Gantt
+//! chart to the markdown); or render cross-run trend tables over the store
+//! (`--trend`), or a flight-recorder dump (`--flight`). The two render modes
+//! take no other argument.
 //!
 //! ```text
 //! flowtree-repro report sort-farm --scheduler lpf --jobs 1 --format json
 //! flowtree-repro report service --scheduler fifo -m 16 -o report.md
 //! flowtree-repro report adversary --instance inst.json --store results/store
+//! flowtree-repro report adversary --instance inst.json --dump sched.json --gantt
 //! flowtree-repro report --trend results/store/
 //! flowtree-repro report --flight results/store/flight-run.jsonl
 //! ```
 
 use crate::scenario::ScenarioOpts;
+use flowtree_analysis::RunSummary;
 use flowtree_core::SchedulerSpec;
 use flowtree_serve::{
     git_describe, is_flight_dump, load_flight_jsonl, load_records, run_id, FlightEvent,
     ResultsStore, StoreRecord,
 };
+use flowtree_sim::{gantt, Instance, RunReport};
 use std::io::Write;
 
 /// Run `report <scenario> [--format json|md]`, `report --trend STORE`, or
@@ -36,11 +41,14 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let mut format = "md".to_string();
     let mut instance_path: Option<String> = None;
     let mut store_dir: Option<String> = None;
+    let mut dump: Option<String> = None;
+    let mut with_gantt = false;
     let o = ScenarioOpts::parse_with(
         "report",
         args,
         true,
-        " [--format json|md] [--instance FILE] [--store DIR] | --trend STORE | --flight FILE",
+        " [--format json|md] [--instance FILE] [--store DIR] [--dump FILE] [--gantt] \
+         | --trend STORE | --flight FILE",
         &mut |flag, it| {
             match flag {
                 "--format" => format = it.next().ok_or("--format needs json or md")?.clone(),
@@ -50,12 +58,17 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 "--store" => {
                     store_dir = Some(it.next().ok_or("--store needs a directory")?.clone())
                 }
+                "--dump" => dump = Some(it.next().ok_or("--dump needs a path")?.clone()),
+                "--gantt" => with_gantt = true,
                 _ => return Ok(false),
             }
             Ok(true)
         },
     )?;
-    let summary = build_summary(&o, instance_path.as_deref())?;
+    if with_gantt && format == "json" {
+        return Err("--gantt renders with --format md only".into());
+    }
+    let (summary, report, instance) = build_summary(&o, instance_path.as_deref())?;
     if let Some(dir) = &store_dir {
         let store = ResultsStore::open(dir).map_err(|e| format!("open store {dir}: {e}"))?;
         let record = StoreRecord {
@@ -69,7 +82,16 @@ pub fn run(args: &[String]) -> Result<(), String> {
         let path = store.append(&record).map_err(|e| format!("append to {dir}: {e}"))?;
         eprintln!("appended store record to {}", path.display());
     }
-    let text = render_summary(&summary, &format)?;
+    if let Some(path) = &dump {
+        let json = serde_json::to_string(&report.schedule).map_err(|e| e.to_string())?;
+        std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
+        eprintln!("wrote schedule to {path}");
+    }
+    let mut text = render_summary(&summary, &format)?;
+    if with_gantt {
+        let opts = gantt::GanttOptions { max_steps: 120, ..Default::default() };
+        text.push_str(&format!("\n{}\n", gantt::render(&instance, &report.schedule, &opts)));
+    }
     match &o.out {
         Some(path) => {
             std::fs::write(path, &text).map_err(|e| format!("write {path}: {e}"))?;
@@ -173,25 +195,24 @@ fn render_flight(events: &[FlightEvent]) -> String {
     out
 }
 
-/// Build the monitored summary for `o`, from a serialized instance file if
-/// given (the scenario name then only labels the run) or the named preset.
+/// Run `o` monitored, on a serialized instance file if given (the scenario
+/// name then only labels the run) or the named family: the summary, the
+/// verified run report and the instance it ran on.
 fn build_summary(
     o: &ScenarioOpts,
     instance_path: Option<&str>,
-) -> Result<flowtree_analysis::RunSummary, String> {
+) -> Result<(RunSummary, RunReport, Instance), String> {
     let instance = match instance_path {
-        Some(path) => serde_json::from_str(
-            &std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?,
-        )
-        .map_err(|e| format!("parse {path}: {e}"))?,
+        Some(path) => crate::read_json(path)?,
         None => o.build_instance()?,
     };
     let spec = SchedulerSpec::from_name_with_half(&o.scheduler, o.half)?;
-    flowtree_analysis::summarize(&o.scenario, &instance, o.m, spec)
+    let (summary, report) = flowtree_analysis::summarize(&o.scenario, &instance, o.m, spec)?;
+    Ok((summary, report, instance))
 }
 
 /// Render a built summary in `format`.
-fn render_summary(summary: &flowtree_analysis::RunSummary, format: &str) -> Result<String, String> {
+fn render_summary(summary: &RunSummary, format: &str) -> Result<String, String> {
     match format {
         "json" => {
             let mut json =
@@ -210,7 +231,7 @@ mod tests {
     use serde::Value;
 
     fn render(o: &ScenarioOpts, format: &str) -> Result<String, String> {
-        render_summary(&build_summary(o, None)?, format)
+        render_summary(&build_summary(o, None)?.0, format)
     }
 
     /// The ISSUE's acceptance criterion: LPF on a single-job scenario
@@ -271,11 +292,85 @@ mod tests {
             m: 2,
             ..ScenarioOpts::default()
         };
-        let s = build_summary(&o, path.to_str()).unwrap();
+        let (s, _, _) = build_summary(&o, path.to_str()).unwrap();
         assert_eq!(s.jobs, 1);
         assert_eq!(s.scenario, "adversary");
         assert_eq!(s.max_flow, 4); // chain(4) on any m
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Write `inst` to a per-test temp file and return its path.
+    fn instance_file(tag: &str, inst: &Instance) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("flowtree-report-{tag}-{}.json", std::process::id()));
+        std::fs::write(&path, serde_json::to_string(inst).unwrap()).unwrap();
+        path
+    }
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn every_registry_scheduler_runs_on_an_instance_file() {
+        let path = instance_file("all", &Instance::single(flowtree_dag::builder::star(6)));
+        for &name in flowtree_core::SCHEDULER_NAMES {
+            let o = ScenarioOpts { scheduler: name.into(), half: 4, ..ScenarioOpts::default() };
+            let (s, _, _) =
+                build_summary(&o, path.to_str()).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(s.jobs, 1, "{name}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn unknown_scheduler_is_an_error() {
+        let err = run(&args(&["service", "--scheduler", "sjf-magic"])).unwrap_err();
+        assert!(err.contains("sjf-magic"), "{err}");
+    }
+
+    #[test]
+    fn dumped_schedule_passes_the_independent_checker() {
+        let inst = ScenarioOpts { scenario: "adversary".into(), jobs: 6, ..Default::default() }
+            .build_instance()
+            .unwrap();
+        let inst_path = instance_file("dump-inst", &inst);
+        let tmp = |name: &str| {
+            let p = std::env::temp_dir().join(format!("flowtree-{name}-{}", std::process::id()));
+            p.to_str().unwrap().to_string()
+        };
+        let (sched_path, out_path) = (tmp("dump-sched.json"), tmp("dump-summary.json"));
+        let inst_arg = inst_path.to_str().unwrap().to_string();
+        run(&args(&[
+            "adversary",
+            "--instance",
+            &inst_arg,
+            "--scheduler",
+            "guess-double",
+            "--dump",
+            &sched_path,
+            "--format",
+            "json",
+            "-o",
+            &out_path,
+        ]))
+        .unwrap();
+        let summary: RunSummary =
+            serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+        let verdict = crate::verify_cmd(&[inst_arg, sched_path.clone()]).unwrap();
+        assert!(
+            verdict.starts_with(&format!("feasible: 6 jobs, max flow {},", summary.max_flow)),
+            "{verdict}"
+        );
+        for path in [inst_path.to_str().unwrap(), &sched_path, &out_path] {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+
+    #[test]
+    fn gantt_is_rejected_with_json_output() {
+        let err = run(&args(&["service", "--gantt", "--format", "json"])).unwrap_err();
+        assert_eq!(err, "--gantt renders with --format md only");
     }
 
     #[test]
@@ -288,7 +383,7 @@ mod tests {
             jobs: 2,
             ..ScenarioOpts::default()
         };
-        let summary = build_summary(&o, None).unwrap();
+        let (summary, _, _) = build_summary(&o, None).unwrap();
         store
             .append(&StoreRecord {
                 run_id: "t".into(),

@@ -1,17 +1,17 @@
-//! Shared scenario-preset option parsing for the run-one-scenario
-//! subcommands (`trace`, `stats`, `report`) — one parser, one instance
-//! builder, one usage string, instead of a copy per subcommand. The numeric
-//! flag helper [`parse_num`] is also used by `bench` for its `--reps` /
-//! `--warmup` flags.
+//! Shared option parsing for the run-one-instance subcommands (`trace`,
+//! `report`, and the pool-owning `serve`/`gateway`/`submit`) — one parser,
+//! one instance builder, one usage string, instead of a copy per
+//! subcommand. The numeric flag helper [`parse_num`] is also used by `gen`
+//! and `bench`.
 
 use flowtree_core::SCHEDULER_NAMES;
 use flowtree_sim::Instance;
 use flowtree_workloads::mix::Scenario;
 
-/// Options shared by every scenario-running subcommand.
+/// Options shared by every instance-running subcommand.
 #[derive(Debug)]
 pub struct ScenarioOpts {
-    /// Scenario preset name (positional).
+    /// Instance family or scenario preset name (positional).
     pub scenario: String,
     /// Registry scheduler name.
     pub scheduler: String,
@@ -57,6 +57,11 @@ pub fn scenario_names() -> Vec<&'static str> {
     Scenario::presets(1).iter().map(|s| s.name).collect()
 }
 
+/// The scenario preset called `name`, sized to `jobs` jobs.
+pub fn preset(name: &str, jobs: usize) -> Option<Scenario> {
+    Scenario::presets(jobs).into_iter().find(|s| s.name == name)
+}
+
 /// Subcommand-specific flag hook: tried on each flag the common parser does
 /// not recognize; consumes any value from the iterator and returns whether
 /// it handled the flag.
@@ -94,7 +99,7 @@ impl ScenarioOpts {
             return Err(format!(
                 "usage: flowtree-repro {cmd} <scenario> [--scheduler S] [-m M] [--jobs N] \
                  [--seed S] [--half H]{extra_usage}{out}\n\
-                 scenarios: {}\n\
+                 scenarios: {} (trace and report: any gen family)\n\
                  schedulers: {}",
                 scenario_names().join(", "),
                 SCHEDULER_NAMES.join(", ")
@@ -103,26 +108,21 @@ impl ScenarioOpts {
         Ok(o)
     }
 
-    /// Parse the common flag set with no subcommand-specific flags.
-    pub fn parse(cmd: &str, args: &[String], allow_out: bool) -> Result<ScenarioOpts, String> {
-        Self::parse_with(cmd, args, allow_out, "", &mut |_, _| Ok(false))
-    }
-
-    /// Instantiate the named scenario preset with these options.
+    /// Instantiate the named family or preset with these options, through
+    /// [`gen`](crate::gen::generate)'s family table.
     pub fn build_instance(&self) -> Result<Instance, String> {
-        let scenario = Scenario::presets(self.jobs)
-            .into_iter()
-            .find(|s| s.name == self.scenario)
-            .ok_or_else(|| {
-            format!("unknown scenario '{}'; known: {}", self.scenario, scenario_names().join(", "))
-        })?;
-        Ok(scenario.instantiate(&mut flowtree_workloads::rng(self.seed)))
+        crate::gen::generate(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parse the common flag set with no subcommand-specific flags.
+    fn parse(cmd: &str, args: &[String], allow_out: bool) -> Result<ScenarioOpts, String> {
+        ScenarioOpts::parse_with(cmd, args, allow_out, "", &mut |_, _| Ok(false))
+    }
 
     #[test]
     fn parses_common_flags_and_positional_scenario() {
@@ -131,7 +131,7 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string())
                 .collect();
-        let o = ScenarioOpts::parse("stats", &args, false).unwrap();
+        let o = parse("serve", &args, false).unwrap();
         assert_eq!(o.scenario, "service");
         assert_eq!(o.scheduler, "lpf");
         assert_eq!((o.m, o.jobs, o.seed), (16, 4, 7));
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn missing_scenario_prints_usage_with_presets() {
-        let err = ScenarioOpts::parse("trace", &[], true).unwrap_err();
+        let err = parse("trace", &[], true).unwrap_err();
         assert!(err.contains("usage:"));
         for name in scenario_names() {
             assert!(err.contains(name));
@@ -168,8 +168,8 @@ mod tests {
     #[test]
     fn out_flag_gated_per_subcommand() {
         let args: Vec<String> = ["service", "-o", "x"].iter().map(|s| s.to_string()).collect();
-        assert!(ScenarioOpts::parse("stats", &args, false).is_err());
-        assert!(ScenarioOpts::parse("trace", &args, true).is_ok());
+        assert!(parse("serve", &args, false).is_err());
+        assert!(parse("trace", &args, true).is_ok());
     }
 
     #[test]

@@ -17,17 +17,16 @@
 //! flowtree-repro serve service --shards 2 --swap-at 40:lpf --steal --queue-cap 4
 //! ```
 
-use crate::scenario::{parse_num, ScenarioOpts};
+use crate::scenario::{parse_num, preset, scenario_names, ScenarioOpts};
 use flowtree_analysis::table::f3;
 use flowtree_analysis::Table;
 use flowtree_core::SchedulerSpec;
 use flowtree_dag::Time;
 use flowtree_serve::{
     git_describe, run_id, serve_metrics, write_flight_jsonl, ArrivalSource, GeneratorSource,
-    IngestStats, MetricsSnapshot, OverloadPolicy, PoolHandle, ReplaySource, ResultsStore, Routing,
+    MetricsSnapshot, OverloadPolicy, PoolHandle, PoolSnapshot, ReplaySource, ResultsStore, Routing,
     ServeConfig, ShardPool, ShardResult, ShardSnapshot, StealConfig, StoreRecord,
 };
-use flowtree_workloads::mix::Scenario;
 
 /// Subcommand-specific options on top of [`ScenarioOpts`]. Shared with the
 /// `gateway` verb, which serves the same pool over a socket.
@@ -125,8 +124,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let o = ScenarioOpts::parse_with("serve", args, false, SERVE_FLAG_USAGE, &mut |flag, it| {
         serve_flag(&mut s, flag, it)
     })?;
-    let (results, ingest, handle) = serve(&o, &s, &mut |line| println!("{line}"))?;
-    finish(&o, &s, &results, &ingest, &handle)
+    let (results, handle) = serve(&o, &s, &mut |line| println!("{line}"))?;
+    finish(&o, &s, &results, &handle)
 }
 
 /// The epilogue every pool-owning verb shares: summary table, ledger line,
@@ -135,11 +134,10 @@ pub(crate) fn finish(
     o: &ScenarioOpts,
     s: &ServeOpts,
     results: &[ShardResult],
-    ingest: &IngestStats,
     handle: &PoolHandle,
 ) -> Result<(), String> {
     print!("{}", summary_table(o, s, results, &handle.metrics()));
-    println!("{}", accounting_line(ingest));
+    println!("{}", accounting_line(&handle.snapshot()));
     if let Some(dir) = &s.store {
         let path = persist(o, s, results, dir)?;
         eprintln!("appended {} record(s) to {path}", results.len());
@@ -194,11 +192,12 @@ fn parse_watermarks(arg: &str) -> Result<StealConfig, String> {
     Ok(StealConfig { low_watermark, high_watermark })
 }
 
-/// The post-drain ingest ledger; ends in `(balanced)` exactly when every
-/// offered arrival is accounted for and stolen jobs net to zero.
-pub(crate) fn accounting_line(ingest: &IngestStats) -> String {
-    let balanced = ingest.delivered + ingest.dropped == ingest.offered
-        && ingest.stolen_in == ingest.stolen_out;
+/// The post-drain ingest ledger; ends in `(balanced)` exactly when the
+/// pool's [`PoolSnapshot::accounting_balanced`] holds. Drain empties the
+/// router's staging, so after it that rule reads `delivered + dropped ==
+/// offered` and `stolen_in == stolen_out`.
+pub(crate) fn accounting_line(snap: &PoolSnapshot) -> String {
+    let ingest = &snap.ingest;
     format!(
         "ingest: offered={} delivered={} dropped={} redirected={} reordered={} \
          stolen_in={} stolen_out={} wm_skipped={} {}",
@@ -210,7 +209,7 @@ pub(crate) fn accounting_line(ingest: &IngestStats) -> String {
         ingest.stolen_in,
         ingest.stolen_out,
         ingest.wm_skipped,
-        if balanced {
+        if snap.accounting_balanced() {
             "(balanced)"
         } else {
             "(IMBALANCED)"
@@ -228,7 +227,7 @@ fn serve(
     o: &ScenarioOpts,
     s: &ServeOpts,
     heartbeat: &mut dyn FnMut(&str),
-) -> Result<(Vec<ShardResult>, IngestStats, PoolHandle), String> {
+) -> Result<(Vec<ShardResult>, PoolHandle), String> {
     let (cfg, swaps) = build_config(o, s)?;
     let mut source = build_source(o, &s.replay, s.rate)?;
     let pool = ShardPool::launch(cfg)?;
@@ -253,15 +252,15 @@ fn serve(
             heartbeat(&format!("{} {}", snap.line(), latency_suffix(&beat_handle)))
         })?;
     }
-    let ingest = handle.ingest();
+    let snap = handle.snapshot();
     heartbeat(&format!(
         "stream ended: offered={} delivered={} dropped={} redirected={} staged={} — \
          draining {} shard(s)",
-        ingest.offered,
-        ingest.delivered,
-        ingest.dropped,
-        ingest.redirected,
-        handle.snapshot().in_flight(),
+        snap.ingest.offered,
+        snap.ingest.delivered,
+        snap.ingest.dropped,
+        snap.ingest.redirected,
+        snap.in_flight(),
         s.shards
     ));
     let drained = pool.drain();
@@ -284,7 +283,7 @@ fn serve(
             return Err(e.to_string());
         }
     };
-    Ok((results, handle.ingest(), handle))
+    Ok((results, handle))
 }
 
 /// Turn the parsed CLI options into a validated [`ServeConfig`] plus the
@@ -331,14 +330,11 @@ pub(crate) fn build_source(
             Box::new(ReplaySource::from_json(&text).map_err(|e| format!("{path}: {e}"))?)
         }
         None => {
-            let scenario = Scenario::presets(o.jobs)
-                .into_iter()
-                .find(|sc| sc.name == o.scenario)
-                .ok_or_else(|| {
+            let scenario = preset(&o.scenario, o.jobs).ok_or_else(|| {
                 format!(
                     "unknown scenario '{}'; known: {} (or use --replay FILE)",
                     o.scenario,
-                    crate::scenario::scenario_names().join(", ")
+                    scenario_names().join(", ")
                 )
             })?;
             Box::new(GeneratorSource::new(&scenario, rate, o.jobs, o.seed))
@@ -467,7 +463,7 @@ mod tests {
         let mut s = ServeOpts { shards: 2, stats_every: 4, ..ServeOpts::default() };
         s.rate = 1.0;
         let mut lines = Vec::new();
-        let (results, ingest, handle) =
+        let (results, handle) =
             serve(&opts("service"), &s, &mut |l| lines.push(l.to_string())).unwrap();
         assert_eq!(results.len(), 2);
         assert_eq!(results.iter().map(|r| r.summary.jobs).sum::<usize>(), 10);
@@ -479,7 +475,7 @@ mod tests {
         assert!(table.contains("| swaps |"), "{table}");
         assert!(table.contains("lat p99 µs"), "{table}");
         assert!(table.contains("live ratio"), "{table}");
-        let ledger = accounting_line(&ingest);
+        let ledger = accounting_line(&handle.snapshot());
         assert!(ledger.ends_with("(balanced)"), "{ledger}");
     }
 
@@ -489,7 +485,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let s = ServeOpts { shards: 2, rate: 1.0, ..ServeOpts::default() };
         let o = opts("service");
-        let (results, _, _) = serve(&o, &s, &mut |_| {}).unwrap();
+        let (results, _) = serve(&o, &s, &mut |_| {}).unwrap();
         persist(&o, &s, &results, dir.to_str().unwrap()).unwrap();
         let records = flowtree_serve::load_records(&dir).unwrap();
         assert_eq!(records.len(), 2, "one record per shard");
@@ -508,7 +504,7 @@ mod tests {
             ..ServeOpts::default()
         };
         let o = opts("service");
-        let (results, ingest, _) = serve(&o, &s, &mut |_| {}).unwrap();
+        let (results, handle) = serve(&o, &s, &mut |_| {}).unwrap();
         for r in &results {
             assert_eq!(r.summary.scheduler, "lpf");
             assert_eq!(r.swaps.len(), 1);
@@ -517,7 +513,7 @@ mod tests {
                 ("fifo", "lpf", 0)
             );
         }
-        assert!(accounting_line(&ingest).ends_with("(balanced)"));
+        assert!(accounting_line(&handle.snapshot()).ends_with("(balanced)"));
         persist(&o, &s, &results, dir.to_str().unwrap()).unwrap();
         let records = flowtree_serve::load_records(&dir).unwrap();
         assert!(records.iter().all(|r| r.swaps.len() == 1), "swap events persisted");
@@ -535,10 +531,12 @@ mod tests {
             ..ServeOpts::default()
         };
         let o = ScenarioOpts { jobs: 40, ..opts("service") };
-        let (results, ingest, _) = serve(&o, &s, &mut |_| {}).unwrap();
+        let (results, handle) = serve(&o, &s, &mut |_| {}).unwrap();
+        let snap = handle.snapshot();
+        let ingest = &snap.ingest;
         assert_eq!(results.iter().map(|r| r.summary.jobs).sum::<usize>() as u64, ingest.offered);
         assert_eq!(ingest.stolen_in, ingest.stolen_out);
-        assert!(accounting_line(&ingest).ends_with("(balanced)"), "{ingest:?}");
+        assert!(accounting_line(&snap).ends_with("(balanced)"), "{ingest:?}");
     }
 
     #[test]
@@ -560,7 +558,7 @@ mod tests {
         let mut body: Option<String> = None;
         // Scrape from inside a heartbeat: the endpoint lives exactly as
         // long as the pool, so mid-run is the only window.
-        let (results, _, handle) = serve(&o, &s, &mut |l| {
+        let (results, handle) = serve(&o, &s, &mut |l| {
             if body.is_none() {
                 if let Some(announce) =
                     lines.iter().find(|l| l.contains("metrics endpoint listening"))

@@ -1,29 +1,11 @@
-//! `flowtree-repro trace` / `flowtree-repro stats` — run a scheduler on a
-//! scenario preset and stream a JSONL event trace (or print the aggregate
-//! counters the probe subsystem collects). Option parsing and instance
-//! construction are shared with `report` via [`crate::scenario`].
+//! `flowtree-repro trace` — run a scheduler on one instance and stream its
+//! JSONL event trace. Option parsing and instance construction are shared
+//! with `report` via [`crate::scenario`].
 
 use crate::scenario::ScenarioOpts;
 use flowtree_core::SchedulerSpec;
 use flowtree_sim::{Engine, Instance, JsonlTrace, RunReport};
 use std::io::Write;
-
-/// Run one engine simulation for `o`, optionally traced, and verify it.
-pub fn run_engine(
-    o: &ScenarioOpts,
-    instance: &Instance,
-    trace: Option<&mut JsonlTrace<Vec<u8>>>,
-) -> Result<RunReport, String> {
-    let mut sched = SchedulerSpec::from_name_with_half(&o.scheduler, o.half)?.build();
-    let mut engine = Engine::new(o.m).with_max_horizon(100_000_000);
-    let report = match trace {
-        Some(t) => engine.with_probe(t).run(instance, sched.as_mut()),
-        None => engine.run(instance, sched.as_mut()),
-    }
-    .map_err(|e| format!("simulation failed: {e}"))?;
-    report.verify(instance).map_err(|e| format!("infeasible schedule: {e}"))?;
-    Ok(report)
-}
 
 /// Run `trace <scenario>`: emit the JSONL event stream of one run to stdout
 /// (or `-o FILE`). `--compact-idle` folds fast-forwarded idle gaps into
@@ -52,39 +34,24 @@ pub fn run_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Run one traced simulation, returning the JSONL text and the report.
+/// Run one traced, verified simulation, returning the JSONL text and the
+/// report.
 fn trace_run(
     o: &ScenarioOpts,
     instance: &Instance,
     compact: bool,
 ) -> Result<(String, RunReport), String> {
+    let mut sched = SchedulerSpec::from_name_with_half(&o.scheduler, o.half)?.build();
     let mut trace = JsonlTrace::new(Vec::new()).compact_idle(compact);
-    let report = run_engine(o, instance, Some(&mut trace))?;
+    let report = Engine::new(o.m)
+        .with_max_horizon(100_000_000)
+        .with_probe(&mut trace)
+        .run(instance, sched.as_mut())
+        .map_err(|e| format!("simulation failed: {e}"))?;
+    report.verify(instance).map_err(|e| format!("infeasible schedule: {e}"))?;
     let buf = trace.finish().map_err(|e| format!("trace error: {e}"))?;
     let jsonl = String::from_utf8(buf).expect("trace emits UTF-8");
     Ok((jsonl, report))
-}
-
-/// Run `stats <scenario>`: print the aggregate counters of one run.
-pub fn run_stats(args: &[String]) -> Result<(), String> {
-    let o = ScenarioOpts::parse("stats", args, false)?;
-    let instance = o.build_instance()?;
-    let report = run_engine(&o, &instance, None)?;
-    let c = &report.counters;
-    println!("scenario        : {}", o.scenario);
-    println!("scheduler       : {}", o.scheduler);
-    println!("jobs            : {}", instance.num_jobs());
-    println!("m               : {}", o.m);
-    println!("steps (horizon) : {}", c.steps);
-    println!("dispatched      : {}", c.dispatched);
-    println!("idle slots      : {}", c.idle_slots);
-    println!("idle steps      : {}", c.idle_steps);
-    println!("max ready depth : {}", c.max_ready_depth);
-    println!("utilization     : {:.3}", c.utilization());
-    println!("max flow        : {}", report.stats.max_flow);
-    println!("mean flow       : {:.2}", report.stats.mean_flow);
-    println!("makespan        : {}", report.stats.makespan);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -117,12 +84,6 @@ mod tests {
                 assert_eq!(replay.schedule, report.schedule, "scenario '{name}'");
             }
         }
-    }
-
-    #[test]
-    fn stats_args_reject_output_flag() {
-        let args = vec!["service".to_string(), "-o".to_string(), "x".to_string()];
-        assert!(ScenarioOpts::parse("stats", &args, false).is_err());
     }
 
     #[test]

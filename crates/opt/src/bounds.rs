@@ -15,17 +15,15 @@ pub fn job_lower_bound(g: &JobGraph, m: u64) -> u64 {
     DepthProfile::opt_single_job_of(g, m)
 }
 
-/// The best per-job bound over the whole instance: any schedule must give
-/// each job at least its own single-job optimum of flow.
-pub fn max_job_lower_bound(instance: &Instance, m: u64) -> u64 {
-    instance.jobs().iter().map(|j| job_lower_bound(&j.graph, m)).max().unwrap_or(0)
-}
-
 /// The strongest bound this crate offers without exact search: the max of
-/// the per-job Lemma 5.1 bound and the [`interval
-/// load`](crate::interval::interval_load_lower_bound) bound.
+/// the per-job Lemma 5.1 bound ([`Instance::per_job_lower_bound`]: any
+/// schedule must give each job at least its own single-job optimum of
+/// flow) and the [`interval load`](crate::interval::interval_load_lower_bound)
+/// bound.
 pub fn combined_lower_bound(instance: &Instance, m: u64) -> u64 {
-    max_job_lower_bound(instance, m).max(crate::interval::interval_load_lower_bound(instance, m))
+    instance
+        .per_job_lower_bound(m)
+        .max(crate::interval::interval_load_lower_bound(instance, m))
 }
 
 #[cfg(test)]
@@ -51,7 +49,8 @@ mod tests {
             JobSpec { graph: chain(10), release: 0 },
             JobSpec { graph: star(3), release: 5 },
         ]);
-        assert_eq!(max_job_lower_bound(&inst, 4), 10);
+        assert_eq!(inst.per_job_lower_bound(4), 10);
+        assert_eq!(combined_lower_bound(&inst, 4), 10);
     }
 
     #[test]
@@ -63,7 +62,7 @@ mod tests {
         ]);
         let m = 4;
         let c = combined_lower_bound(&inst, m);
-        assert!(c >= max_job_lower_bound(&inst, m));
+        assert!(c >= inst.per_job_lower_bound(m));
         assert!(c >= crate::interval::interval_load_lower_bound(&inst, m));
         // 63 units released by time 1; they must finish by 1 + F:
         // m(F + 1) >= 63 - (work released at 0 that can run at step 1)...

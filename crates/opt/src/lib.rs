@@ -8,7 +8,8 @@
 //!   work, and the depth-profile bound of **Lemma 5.1**
 //!   (`OPT >= d + ceil(W(d)/m)`).
 //! * [`single`] — **Corollary 5.4**: the exact optimal maximum flow of a
-//!   single out-forest job, `OPT = max_d (d + ceil(W(d)/m))`.
+//!   single out-forest release group, `OPT = max_d (d + ceil(W(d)/m))`; for
+//!   one job that is [`job_lower_bound`] itself.
 //! * [`interval`] — a multi-job *interval load* lower bound: work released
 //!   inside a window must fit between the window start and the last deadline.
 //! * [`exact`] — exact optimal maximum flow for small instances by binary

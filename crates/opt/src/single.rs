@@ -5,16 +5,12 @@
 //! `OPT = max_{d in [0, D]} (d + ceil(W(d)/m))`: the lower bound of
 //! Lemma 5.1 is attained by the LPF schedule (Lemma 5.3 with α = 1). The
 //! same holds for several jobs released *together* by treating their union
-//! as one job (Section 5.3 does exactly this).
+//! as one job (Section 5.3 does exactly this). For one job the exact OPT
+//! is therefore [`job_lower_bound`](crate::bounds::job_lower_bound), the
+//! Lemma 5.1 bound itself.
 
-use flowtree_dag::{DepthProfile, JobGraph};
+use flowtree_dag::DepthProfile;
 use flowtree_sim::Instance;
-
-/// Exact OPT for a single out-forest (or any collection of graphs released
-/// simultaneously, passed as one union graph).
-pub fn single_job_opt(g: &JobGraph, m: u64) -> u64 {
-    DepthProfile::opt_single_job_of(g, m)
-}
 
 /// Exact OPT for an instance in which *all jobs share one release time*
 /// (the union is treated as a single out-forest job). Panics otherwise —
@@ -44,6 +40,7 @@ pub fn single_group_opt(instance: &Instance, m: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::job_lower_bound;
     use flowtree_dag::builder::{caterpillar, chain, complete_kary, star};
     use flowtree_sim::JobSpec;
 
@@ -51,7 +48,7 @@ mod tests {
     fn matches_profile_for_one_job() {
         let g = complete_kary(2, 5);
         for m in 1..=8 {
-            assert_eq!(single_job_opt(&g, m), DepthProfile::new(&g).opt_single_job(m));
+            assert_eq!(job_lower_bound(&g, m), DepthProfile::new(&g).opt_single_job(m));
         }
     }
 
@@ -63,7 +60,7 @@ mod tests {
         let refs: Vec<&flowtree_dag::JobGraph> = parts.iter().collect();
         let (union, _) = flowtree_dag::JobGraph::disjoint_union(&refs);
         for m in 1..=6 {
-            assert_eq!(single_group_opt(&inst, m), single_job_opt(&union, m));
+            assert_eq!(single_group_opt(&inst, m), job_lower_bound(&union, m));
         }
     }
 

@@ -31,7 +31,7 @@ fn one_shard_replay_is_bit_for_bit_identical_to_batch() {
     let fifo = spec("fifo");
 
     // Batch references: the monitored summary and a raw engine report.
-    let batch_summary = summarize("service", &inst, m, fifo).expect("batch run");
+    let (batch_summary, _) = summarize("service", &inst, m, fifo).expect("batch run");
     let mut sched = fifo.build();
     let batch_report = Engine::new(m)
         .with_max_horizon(100_000_000)
@@ -62,7 +62,7 @@ fn swap_at_zero_is_bit_for_bit_identical_to_batch_under_the_new_scheduler() {
     let m = 4;
     let lpf = spec("lpf");
 
-    let batch_summary = summarize("service", &inst, m, lpf).expect("batch run");
+    let (batch_summary, _) = summarize("service", &inst, m, lpf).expect("batch run");
     let mut sched = lpf.build();
     let batch_report = Engine::new(m)
         .with_max_horizon(100_000_000)
@@ -157,7 +157,7 @@ fn one_shard_replay_matches_batch_for_every_matrix_scheduler() {
     let inst = Scenario::analytics(10).instantiate(&mut flowtree_workloads::rng(13));
     let m = 4;
     for s in SchedulerSpec::matrix() {
-        let batch = summarize("analytics", &inst, m, s).expect("batch run");
+        let (batch, _) = summarize("analytics", &inst, m, s).expect("batch run");
         let cfg = ServeConfig::builder(s, m).scenario("analytics").build().expect("valid config");
         let pool = ShardPool::launch(cfg).expect("launch");
         pool.handle()
@@ -267,7 +267,7 @@ fn store_roundtrips_and_trend_renders_across_runs() {
 
     let inst = Scenario::sort_farm(6).instantiate(&mut flowtree_workloads::rng(2));
     for name in ["fifo", "lpf"] {
-        let summary = summarize("sort-farm", &inst, 4, spec(name)).expect("batch run");
+        let (summary, _) = summarize("sort-farm", &inst, 4, spec(name)).expect("batch run");
         let record = StoreRecord {
             run_id: flowtree_serve::run_id("sort-farm", name, 4, 2),
             git: "test".to_string(),

@@ -91,13 +91,37 @@ pub fn random_quicksort_tree(n: usize, cutoff: usize, rng: &mut Rng) -> JobGraph
     b.build().expect("quicksort tree is a DAG")
 }
 
+/// Child weights of the catalogue's Galton–Watson shape (mean 1.4). The
+/// process still dies out with probability 1/2: the extinction probability
+/// solves `q = 0.3 + 0.2q + 0.3q² + 0.2q³`.
+const GW_WEIGHTS: [f64; 4] = [0.3, 0.2, 0.3, 0.2];
+
+/// Draws [`shape_catalogue`] makes for its Galton–Watson shape before it
+/// keeps a tree below half the target size (each draw falls short with
+/// probability about 1/2).
+const GW_TRIES: usize = 32;
+
+/// A [`GW_WEIGHTS`] Galton–Watson tree capped at `n` nodes and conditioned
+/// on reaching half of them: redraw from the same stream until one does,
+/// keeping the last of [`GW_TRIES`] draws if none does.
+fn galton_watson_surviving(n: usize, rng: &mut Rng) -> JobGraph {
+    let mut g = galton_watson(n, &GW_WEIGHTS, rng);
+    for _ in 1..GW_TRIES {
+        if 2 * g.n() >= n {
+            break;
+        }
+        g = galton_watson(n, &GW_WEIGHTS, rng);
+    }
+    g
+}
+
 /// A named catalogue of tree shapes used by experiments ("one of each
-/// flavour"), deterministic in the seed.
+/// flavour"), deterministic in the seed. Every shape has about `n` nodes.
 pub fn shape_catalogue(n: usize, rng: &mut Rng) -> Vec<(&'static str, JobGraph)> {
     vec![
         ("recursive", random_recursive_tree(n, rng)),
         ("preferential", preferential_tree(n, 0.5, rng)),
-        ("galton-watson", galton_watson(n, &[0.3, 0.2, 0.3, 0.2], rng)),
+        ("galton-watson", galton_watson_surviving(n, rng)),
         ("caterpillar", random_caterpillar((n / 4).max(1), 6, rng)),
         ("quicksort", random_quicksort_tree(n * 2, 2, rng)),
         ("chain", builder::chain(n)),
@@ -175,6 +199,20 @@ mod tests {
         assert!(classify::is_out_tree(&g));
         assert!(g.work() <= 500);
         assert!(g.span() >= (500f64.log2() as u64) / 2);
+    }
+
+    #[test]
+    fn catalogue_galton_watson_reaches_half_its_target() {
+        // Unconditioned, about half of these draws die out near the root.
+        for seed in 0..64 {
+            let g = galton_watson_surviving(2000, &mut crate::rng(seed));
+            assert!(g.n() >= 1000, "seed {seed}: {} nodes", g.n());
+            assert!(classify::is_out_tree(&g));
+        }
+        // E5's full-effort catalogue, whose unconditioned draw was 1 node.
+        for (name, g) in shape_catalogue(20_000, &mut crate::rng(7)) {
+            assert!(2 * g.n() >= 20_000, "{name}: {} nodes", g.n());
+        }
     }
 
     #[test]

@@ -112,7 +112,7 @@ const PINNED: &[(&str, bool, [u64; 3])] = &[
     (
         "trees::shape_catalogue",
         true,
-        [0xf059274740999dc5, 0xc8e7e0747bbcc5f4, 0xe1b140388ad27ace],
+        [0xf059274740999dc5, 0x760fccf64f939563, 0xf42f28b86b49ec23],
     ),
     (
         "spdags::random_sp_expr",

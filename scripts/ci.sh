@@ -218,6 +218,30 @@ cmp -s "$MX_STORE/twin/smoke.jsonl" "$MX_STORE/wire/smoke.jsonl" \
     || { echo "mixed-codec smoke: store records differ from in-process serve"; exit 1; }
 rm -rf "$MX_STORE" "$MX_TRACE"
 
+echo "==> instance workbench (gen -> report --instance --dump -> verify; one name resolver)"
+# The independent Section 3 checker must accept the dumped schedule and
+# agree on the max flow report printed; and report's own resolution of a
+# gen family must equal running on the instance gen wrote, byte for byte.
+WB_DIR=$(mktemp -d)
+cargo run --release -q -p flowtree-cli -- gen adversary -m 8 --jobs 16 \
+    -o "$WB_DIR/inst.json" 2>/dev/null
+WB_FLOW=$(cargo run --release -q -p flowtree-cli -- report adversary \
+    --instance "$WB_DIR/inst.json" --scheduler guess-double -m 8 \
+    --dump "$WB_DIR/sched.json" 2>/dev/null | sed -n 's/^| max flow | \([0-9]*\) |$/\1/p')
+[ -n "$WB_FLOW" ] || { echo "workbench: report printed no max flow"; exit 1; }
+WB_VERDICT=$(cargo run --release -q -p flowtree-cli -- verify "$WB_DIR/inst.json" \
+    "$WB_DIR/sched.json")
+case "$WB_VERDICT" in
+    "feasible: "*", max flow $WB_FLOW, "*) ;;
+    *) echo "workbench: verify says '$WB_VERDICT', report said max flow $WB_FLOW"; exit 1 ;;
+esac
+cmp -s <(cargo run --release -q -p flowtree-cli -- report adversary -m 8 --jobs 16 \
+        --format json) \
+    <(cargo run --release -q -p flowtree-cli -- report adversary \
+        --instance "$WB_DIR/inst.json" -m 8 --format json) \
+    || { echo "workbench: report adversary differs from report --instance of gen's file"; exit 1; }
+rm -rf "$WB_DIR"
+
 echo "==> committed adversary corpus reproduces (results/store, git describe and empty swaps masked)"
 # Regenerate the corpus into a temp directory: the same six files, each
 # line equal to its committed twin once the producing revision and the
