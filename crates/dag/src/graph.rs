@@ -9,6 +9,7 @@
 //! computes the heights and depth counts once.
 
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use std::sync::Arc;
 
 /// Identifier of a subjob (vertex) within a single job's DAG.
 ///
@@ -80,14 +81,17 @@ impl std::error::Error for GraphError {}
 /// ```
 ///
 /// `2n + 1 + e + span` words: 783 for a 256-node tree, 54 for a 16-node
-/// one. The offsets index the buffer itself, so a child list is one slice,
-/// in ascending id order. The height and depth-count parts are what LPF
-/// (heights, Section 5.1) and the Lemma 5.1 bound (the depth profile
-/// `W(d)`) read on every run; here they are a slice away instead of a
-/// graph walk. Parents are not stored: [`in_degrees`](Self::in_degrees)
-/// counts them in one pass over [`edge_heads`](Self::edge_heads), and an
-/// out-forest's parent array is derived from the child lists. A `JobGraph`
-/// therefore always satisfies:
+/// one. The buffer is an `Arc<[u32]>` allocated once at exactly that
+/// length. A job's DAG is fixed when it is released and only ever read, so
+/// a clone shares the buffer instead of copying it (O(1), no allocation),
+/// and a `JobGraph` is 24 bytes. The offsets index the buffer itself, so a
+/// child list is one slice, in ascending id order. The height and
+/// depth-count parts are what LPF (heights, Section 5.1) and the Lemma 5.1
+/// bound (the depth profile `W(d)`) read on every run; here they are a
+/// slice away instead of a graph walk. Parents are not stored:
+/// [`in_degrees`](Self::in_degrees) counts them in one pass over
+/// [`edge_heads`](Self::edge_heads), and an out-forest's parent array is
+/// derived from the child lists. A `JobGraph` therefore always satisfies:
 ///
 /// * `n() >= 1`;
 /// * every child list is strictly ascending;
@@ -98,8 +102,9 @@ pub struct JobGraph {
     n: u32,
     /// Number of edges.
     e: u32,
-    /// The layout above. Its length is `2n + 1 + e + span`.
-    data: Vec<u32>,
+    /// The layout above, shared by every clone. Its length is exactly
+    /// `2n + 1 + e + span`.
+    data: Arc<[u32]>,
 }
 
 impl JobGraph {
@@ -323,9 +328,10 @@ pub struct GraphBuilder {
 }
 
 impl GraphBuilder {
-    /// Start a builder for a graph with `n` nodes (ids `0..n`).
+    /// Start a builder for a graph with `n` nodes (ids `0..n`), with room
+    /// for the `n - 1` edges of an out-tree on them.
     pub fn new(n: usize) -> Self {
-        GraphBuilder { n, edges: Vec::new() }
+        GraphBuilder { n, edges: Vec::with_capacity(n.saturating_sub(1)) }
     }
 
     /// Append `k` fresh nodes, returning the id of the first.
@@ -352,7 +358,9 @@ impl GraphBuilder {
     /// for ids in range and no self-loop; then no duplicate edge (the
     /// smallest duplicated `(u, v)` is reported); then no directed cycle.
     /// The same passes compute every node's height and the number of nodes
-    /// at each depth, so a graph's consumers never walk it for them.
+    /// at each depth, so a graph's consumers never walk it for them. They
+    /// fill a working buffer, which is then copied into the graph's shared
+    /// one at its exact length: one retained allocation, and no `realloc`.
     ///
     /// The validating pass also records two facts about the edge list:
     ///
@@ -381,10 +389,9 @@ impl GraphBuilder {
         }
         let n32 = u32::try_from(n).expect("graph too large for u32 node ids");
         let e = self.edges.len();
-        // Layout of `data` (see `JobGraph`). The depth counts come last and
-        // number `span <= n`, so reserving `n` for them means the buffer is
-        // never moved while they are counted; the unused `n - span` is
-        // handed back at the end.
+        // Layout of `data` (see `JobGraph`), the working copy: the depth
+        // counts come last and number `span <= n`, so reserving `n` for
+        // them means it is never moved while they are counted.
         let children_at = n + 1;
         let height_base = children_at + e;
         let counts_at = height_base + n;
@@ -518,9 +525,12 @@ impl GraphBuilder {
             span = span.max(d as usize + 1);
         }
 
-        data.truncate(counts_at + span);
-        data.shrink_to_fit();
-        Ok(JobGraph { n: n32, e: e as u32, data })
+        // Frozen into one allocation of exactly the layout's length.
+        Ok(JobGraph {
+            n: n32,
+            e: e as u32,
+            data: Arc::from(&data[..counts_at + span]),
+        })
     }
 }
 
@@ -611,16 +621,41 @@ mod tests {
     }
 
     #[test]
-    fn buffer_is_shrunk_to_fit() {
+    fn buffer_has_exactly_the_layout_length() {
+        // A forward canonical list, the same edges shuffled, and a list
+        // whose edges all point backward: the three paths through `build`.
+        let mut shuffled = GraphBuilder::new(4);
+        shuffled.edge(2, 3).edge(0, 2).edge(1, 3).edge(0, 1);
         let mut backward = GraphBuilder::new(4);
         backward.edge(3, 1).edge(3, 2).edge(1, 0).edge(2, 0);
-        // A star's depth counts use 2 of the `n` words reserved for them;
-        // `shrink_to_fit` may leave a little slack, but not the other 62.
-        let graphs = [diamond(), crate::builder::star(63), backward.build().unwrap()];
+        // A star's depth counts use 2 of the `n` words reserved for them.
+        let graphs = [
+            diamond(),
+            shuffled.build().unwrap(),
+            backward.build().unwrap(),
+            crate::builder::star(63),
+        ];
         for g in graphs {
             assert_eq!(g.data.len(), 2 * g.n() + 1 + g.num_edges() + g.span() as usize);
-            assert!(g.data.capacity() < g.data.len() + 8);
         }
+    }
+
+    #[test]
+    fn clone_shares_the_buffer() {
+        let g = diamond();
+        let c = g.clone();
+        assert!(Arc::ptr_eq(&g.data, &c.data));
+        assert_eq!(c, g);
+        // Two builds of one list are two buffers that compare equal.
+        let h = diamond();
+        assert!(!Arc::ptr_eq(&g.data, &h.data));
+        assert_eq!(h, g);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn job_graph_is_three_words() {
+        assert_eq!(std::mem::size_of::<JobGraph>(), 24);
     }
 
     #[test]

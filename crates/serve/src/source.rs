@@ -60,7 +60,11 @@ pub struct ReplaySource {
 }
 
 impl ReplaySource {
-    /// Replay the jobs of `instance` in arrival order.
+    /// Replay the jobs of `instance` in arrival order. A [`JobGraph`] clone
+    /// copies no buffer, so this costs O(jobs), and every job a replay
+    /// admits into a pool shares its graph with `instance`.
+    ///
+    /// [`JobGraph`]: flowtree_dag::JobGraph
     pub fn from_instance(instance: &Instance) -> Self {
         ReplaySource { jobs: instance.jobs().iter().cloned().collect() }
     }

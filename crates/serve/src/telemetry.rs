@@ -72,12 +72,16 @@ impl AtomicHisto {
         Self::default()
     }
 
-    /// Record one observation (relaxed; never blocks).
+    /// Record one observation (relaxed; never blocks). The max only
+    /// grows, so a value no larger than one already loaded cannot raise
+    /// it: only a new maximum pays for the read-modify-write.
     #[inline]
     pub fn record(&self, v: u64) {
         self.counts[LogHistogram::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Materialize the current state as a [`LogHistogram`] (for quantiles,
@@ -892,6 +896,29 @@ mod tests {
         assert_eq!(snap.p50(), plain.p50());
         assert_eq!(snap.p99(), plain.p99());
         assert!((snap.mean() - plain.mean()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn atomic_histo_max_survives_concurrent_writers() {
+        // Two writers, released together, interleave rising and falling
+        // values; whichever loses a race on the max must not leave a
+        // smaller one behind.
+        let h = AtomicHisto::new();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for w in 0..2u64 {
+                let (h, start) = (&h, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..20_000u64 {
+                        h.record(if i % 2 == 0 { i * 2 + w } else { 7 });
+                    }
+                });
+            }
+        });
+        let snap = h.snapshot();
+        assert_eq!(snap.count(), 40_000);
+        assert_eq!(snap.max(), 19_998 * 2 + 1);
     }
 
     #[test]

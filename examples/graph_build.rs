@@ -18,10 +18,17 @@
 //!   decoded job arrives: Kahn's peel.
 //!
 //! Each case is timed best of a few repetitions over the same edge lists.
-//! A counting allocator measures the heap the built graphs keep, which is
-//! the buffer words per node that each retained job costs.
+//! A counting allocator measures the heap the built graphs keep: the bytes
+//! per node that each retained job costs, its buffer's shared header
+//! included. The example exits 1 if the graphs keep more than their layout,
+//! `2n + 1 + e + span` words behind the header each.
+//!
+//! It also times cloning an instance of 4,096 16-node jobs, as a replay
+//! source does, in ns and heap bytes per job: a clone shares every graph's
+//! buffer, so it copies only the job records.
 
 use flowtree::dag::{GraphBuilder, JobGraph};
+use flowtree::sim::{Instance, JobSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -61,10 +68,11 @@ const NODES: usize = 256;
 const TREES: usize = 1024;
 const REPS: usize = 5;
 const DRAWS: usize = 1 << 20;
+const CLONE_JOBS: usize = 4096;
 
 /// Each node's parent drawn uniformly from the nodes before it.
-fn recursive_tree(rng: &mut ChaCha8Rng) -> Vec<(u32, u32)> {
-    (1..NODES as u32).map(|v| (rng.gen_range(0..v), v)).collect()
+fn recursive_tree(nodes: usize, rng: &mut ChaCha8Rng) -> Vec<(u32, u32)> {
+    (1..nodes as u32).map(|v| (rng.gen_range(0..v), v)).collect()
 }
 
 /// A random recursive tree with a second, distinct parent on about half of
@@ -94,19 +102,27 @@ fn shuffle<T>(xs: &mut [T], rng: &mut ChaCha8Rng) {
     }
 }
 
-fn builder(edges: &[(u32, u32)]) -> GraphBuilder {
-    let mut b = GraphBuilder::new(NODES);
+fn builder(nodes: usize, edges: &[(u32, u32)]) -> GraphBuilder {
+    let mut b = GraphBuilder::new(nodes);
     for &(u, v) in edges {
         b.edge(u, v);
     }
     b
 }
 
-/// Best time per node over `REPS` builds of every list, and the heap words
-/// per node the last repetition's graphs keep.
-fn time_builds(builders: &[GraphBuilder]) -> (f64, f64) {
+/// Heap bytes a graph's layout needs: `2n + 1 + e + span` words behind an
+/// `Arc`'s two counters.
+fn layout_bytes(g: &JobGraph) -> usize {
+    let words = 2 * g.n() + 1 + g.num_edges() + g.span() as usize;
+    (2 * std::mem::size_of::<usize>() + 4 * words).next_multiple_of(std::mem::align_of::<usize>())
+}
+
+/// Best time per node over `REPS` builds of every list, the heap bytes per
+/// node the last repetition's graphs keep, and the bytes per node their
+/// layouts need.
+fn time_builds(builders: &[GraphBuilder]) -> (f64, f64, f64) {
     let mut best = f64::INFINITY;
-    let mut words = 0.0;
+    let mut kept = 0;
     let mut graphs: Vec<JobGraph> = Vec::with_capacity(builders.len());
     for _ in 0..REPS {
         graphs.clear();
@@ -117,11 +133,29 @@ fn time_builds(builders: &[GraphBuilder]) -> (f64, f64) {
         }
         let ns = t0.elapsed().as_nanos() as f64;
         best = best.min(ns / (builders.len() * NODES) as f64);
-        words =
-            (LIVE.load(Ordering::Relaxed) - before) as f64 / 4.0 / (builders.len() * NODES) as f64;
+        kept = LIVE.load(Ordering::Relaxed) - before;
     }
-    black_box(&graphs);
-    (best, words)
+    let layout: usize = graphs.iter().map(layout_bytes).sum();
+    let nodes = (builders.len() * NODES) as f64;
+    (best, kept as f64 / nodes, layout as f64 / nodes)
+}
+
+/// Best time per job over `REPS` clones of `inst`, and the heap bytes per
+/// job a clone allocates.
+fn time_clone(inst: &Instance) -> (f64, f64) {
+    let jobs = inst.num_jobs();
+    let mut best = f64::INFINITY;
+    let mut bytes = 0;
+    for _ in 0..REPS {
+        let before = LIVE.load(Ordering::Relaxed);
+        let t0 = Instant::now();
+        let copy = black_box(inst.clone());
+        let ns = t0.elapsed().as_nanos() as f64;
+        bytes = LIVE.load(Ordering::Relaxed) - before;
+        drop(copy);
+        best = best.min(ns / jobs as f64);
+    }
+    (best, bytes as f64 / jobs as f64)
 }
 
 /// Best time per `gen_range` draw, with bounds cycling as a recursive tree's
@@ -143,26 +177,49 @@ fn time_gen_range(rng: &mut ChaCha8Rng) -> f64 {
 
 fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(30);
-    let trees: Vec<Vec<(u32, u32)>> = (0..TREES).map(|_| recursive_tree(&mut rng)).collect();
-    let canonical: Vec<GraphBuilder> = trees.iter().map(|e| builder(e)).collect();
+    let trees: Vec<Vec<(u32, u32)>> = (0..TREES).map(|_| recursive_tree(NODES, &mut rng)).collect();
+    let canonical: Vec<GraphBuilder> = trees.iter().map(|e| builder(NODES, e)).collect();
     let shuffled: Vec<GraphBuilder> = trees
         .iter()
         .map(|e| {
             let mut e = e.clone();
             shuffle(&mut e, &mut rng);
-            builder(&e)
+            builder(NODES, &e)
         })
         .collect();
     let relabelled: Vec<GraphBuilder> =
-        (0..TREES).map(|_| builder(&relabelled_dag(&mut rng))).collect();
+        (0..TREES).map(|_| builder(NODES, &relabelled_dag(&mut rng))).collect();
 
     println!("GraphBuilder::build, {TREES} lists of {NODES} nodes, best of {REPS}:");
-    println!("{:<12} {:>8} {:>12}", "edge list", "ns/node", "words/node");
+    println!(
+        "{:<12} {:>8} {:>12} {:>14}",
+        "edge list", "ns/node", "bytes/node", "layout B/node"
+    );
+    let mut over = false;
     for (name, builders) in
         [("canonical", &canonical), ("shuffled", &shuffled), ("relabelled", &relabelled)]
     {
-        let (ns, words) = time_builds(builders);
-        println!("{name:<12} {ns:>8.1} {words:>12.2}");
+        let (ns, kept, layout) = time_builds(builders);
+        println!("{name:<12} {ns:>8.1} {kept:>12.2} {layout:>14.2}");
+        over |= kept > layout;
     }
     println!("ChaCha8 gen_range: {:.1} ns/draw ({DRAWS} draws)", time_gen_range(&mut rng));
+
+    let inst = Instance::new(
+        (0..CLONE_JOBS)
+            .map(|i| JobSpec {
+                graph: builder(16, &recursive_tree(16, &mut rng)).build().expect("a tree"),
+                release: i as u64,
+            })
+            .collect(),
+    );
+    let (ns, bytes) = time_clone(&inst);
+    println!(
+        "Instance::clone, {CLONE_JOBS} jobs of 16 nodes: {ns:.1} ns/job, {bytes:.1} bytes/job"
+    );
+
+    if over {
+        eprintln!("graph_build: built graphs keep more heap than their layout");
+        std::process::exit(1);
+    }
 }
