@@ -401,12 +401,6 @@ impl RectangleTail {
     }
 }
 
-/// The maximum flow of a materialized level schedule (= number of levels,
-/// since the job is released at 0).
-pub fn levels_flow(levels: &Levels) -> Time {
-    levels.len() as Time
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,8 +460,9 @@ mod tests {
             for m in [1usize, 2, 3, 4, 7, 16] {
                 let levels = lpf_levels(&g, m);
                 verify_levels(&g, &levels, m);
+                // A job released at 0 has flow = its number of levels.
                 assert_eq!(
-                    levels_flow(&levels),
+                    levels.len() as Time,
                     p.opt_single_job(m as u64),
                     "LPF flow != formula for m={m}"
                 );
@@ -665,6 +660,6 @@ mod tests {
         let s = Engine::new(4).run(&inst, &mut Fifo::new(TieBreak::HighestHeight)).unwrap();
         s.verify(&inst).unwrap();
         let stats = flowtree_sim::metrics::flow_stats(&inst, &s);
-        assert_eq!(stats.max_flow, levels_flow(&lpf_levels(&g, 4)));
+        assert_eq!(stats.max_flow, lpf_levels(&g, 4).len() as Time);
     }
 }

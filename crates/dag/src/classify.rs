@@ -51,7 +51,8 @@ pub fn reverse(g: &JobGraph) -> JobGraph {
 }
 
 /// Number of connected components of the underlying undirected graph
-/// (union-find). An out-forest with `k` roots has `k` components.
+/// (union-find). An out-forest with `k` roots has `k` components. Public
+/// so the dag proptests can check every generated out-tree is connected.
 pub fn num_components(g: &JobGraph) -> usize {
     let mut parent: Vec<u32> = (0..g.n() as u32).collect();
     fn find(parent: &mut [u32], mut x: u32) -> u32 {

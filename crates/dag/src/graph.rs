@@ -251,8 +251,10 @@ impl JobGraph {
     /// Algorithm 𝒜 on the *unexecuted* portion of each job; since executed
     /// sets are ancestor-closed, the kept set is descendant-closed and the
     /// subgraph of an out-forest is again an out-forest. The scheduler
-    /// passes such sets as masks instead of building the subgraph; tests
-    /// use this materialized form as their reference.
+    /// passes such sets as masks instead of building the subgraph. This
+    /// materialized form stays public as the reference that the core
+    /// proptests check `lpf_levels_restricted` and the masked restarts
+    /// against.
     pub fn induced_subgraph(&self, keep: &[bool]) -> (JobGraph, Vec<u32>) {
         assert_eq!(keep.len(), self.n(), "keep mask length mismatch");
         let mut new_id = vec![u32::MAX; self.n()];

@@ -37,6 +37,8 @@ impl DepthProfile {
     }
 
     /// Build from an explicit per-node depth array (depths are 1-based).
+    /// Public as the graph-free reference the dag proptests compare
+    /// [`new`](Self::new)'s cached counts against.
     pub fn from_depths(depths: &[u32]) -> Self {
         let max_depth = depths.iter().copied().max().unwrap_or(0) as usize;
         let mut count = vec![0u64; max_depth];

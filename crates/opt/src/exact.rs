@@ -45,7 +45,8 @@ pub fn exact_max_flow(instance: &Instance, m: usize, max_nodes: usize) -> Option
 }
 
 /// Decide whether max flow `f` is achievable for `instance` on `m`
-/// processors (exact, exponential).
+/// processors (exact, exponential). Public so tests can check that
+/// [`exact_max_flow`]'s answer is tight: feasible at OPT, not at OPT − 1.
 pub fn feasible_max_flow(instance: &Instance, m: usize, f: u64) -> Option<bool> {
     let total: usize = instance.jobs().iter().map(|j| j.graph.n()).sum();
     if total > 64 {

@@ -25,9 +25,8 @@
 //!   reproduce the paper's Figure 1;
 //! * a [`probe`] subsystem for per-step instrumentation — runs return a
 //!   [`RunReport`] (schedule + stats + counters), and probes like
-//!   [`JsonlTrace`] stream events that [`replay`] parses back into
-//!   schedules, flows, and Gantt charts. Probes compose as tuples
-//!   (`(A, B)`, `(A, B, C)`) with zero dynamic dispatch;
+//!   [`JsonlTrace`] stream every event as JSON Lines. Probes compose as
+//!   tuples (`(A, B)`, `(A, B, C)`) with zero dynamic dispatch;
 //! * theory-aware [`monitor`]s (live Lemma 5.1 lower bound / competitive
 //!   ratio, work-conservation and rectangle-tail invariant checking) and
 //!   bounded-memory run [`histo`]grams for long-horizon observability.
@@ -42,7 +41,6 @@ pub mod instance;
 pub mod metrics;
 pub mod monitor;
 pub mod probe;
-pub mod replay;
 pub mod schedule;
 pub mod scheduler;
 pub mod session;
@@ -58,7 +56,6 @@ pub use monitor::{
     HeadTailChecks, InvariantChecks, InvariantMonitor, InvariantRule, LowerBound, Violation,
 };
 pub use probe::{Counters, JsonlTrace, NullProbe, Probe, StepStat};
-pub use replay::Replay;
 pub use schedule::{FeasibilityError, Schedule};
 pub use scheduler::{Clairvoyance, OnlineScheduler, Selection, SimView};
 pub use session::{Session, SessionError};

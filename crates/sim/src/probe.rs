@@ -31,7 +31,7 @@
 //! * [`Counters`] — O(1)-per-event aggregate counters (steps, idle slots,
 //!   per-job flows, ready-depth high-water mark);
 //! * [`JsonlTrace`] — streams every event as one JSON Lines record to any
-//!   `io::Write`; [`crate::replay`] parses the stream back.
+//!   `io::Write`.
 
 use crate::metrics::FlowStats;
 use flowtree_dag::{JobGraph, JobId, NodeId, Time};
@@ -234,16 +234,6 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Per-job flow `F_i = C_i - r_i`; `None` for jobs not yet complete.
-    pub fn flows(&self) -> Vec<Option<Time>> {
-        self.flows.clone()
-    }
-
-    /// Maximum flow over completed jobs (`None` when no job completed).
-    pub fn max_flow(&self) -> Option<Time> {
-        self.flows.iter().flatten().copied().max()
-    }
-
     /// Fraction of processor-slots busy over the simulated steps.
     pub fn utilization(&self) -> f64 {
         let total = self.steps * self.m as u64;
@@ -343,8 +333,6 @@ impl Probe for Counters {
 ///
 /// `picks` entries are `[job, node]` pairs, so the stream is one line per
 /// step.
-/// [`crate::replay`] parses this format back into events, a
-/// [`Schedule`](crate::Schedule), and per-job flows.
 ///
 /// Write errors are sticky: the first error stops further output and is
 /// surfaced by [`finish`](Self::finish) (or swallowed on drop, matching the
@@ -367,8 +355,7 @@ impl<W: Write> JsonlTrace<W> {
     /// `{"ev":"idle","t0":…,"steps":…}` record instead of one all-idle
     /// `step` line per idle step. Off by default (the default stream is
     /// byte-identical to the pre-fast-forward format); turn on for sparse
-    /// instances where gap replay dominates the trace size. [`crate::replay`]
-    /// accepts both forms.
+    /// instances where gap replay dominates the trace size.
     pub fn compact_idle(mut self, on: bool) -> Self {
         self.compact_idle = on;
         self

@@ -267,20 +267,6 @@ impl Schedule {
         }
         Ok(())
     }
-
-    /// Restrict to the subjobs of jobs released at or before `r`: the
-    /// paper's `S_i` (Section 6) when `r = r_i`. The result is a partial
-    /// schedule (verify() would report missing runs for excluded jobs).
-    pub fn restrict_to_released_by(&self, instance: &Instance, r: Time) -> Schedule {
-        let mut out = Schedule::new(self.m);
-        out.picks.reserve(self.picks.len());
-        for (_, picks) in self.iter() {
-            out.picks
-                .extend(picks.iter().copied().filter(|&(j, _)| instance.release(j) <= r));
-            out.offsets.push(out.picks.len() as u32);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -459,15 +445,5 @@ mod tests {
         assert_eq!(s.load(2), 0);
         assert_eq!(s.at(3), &[(JobId(1), NodeId(1))]);
         assert_eq!(s.horizon(), 3);
-    }
-
-    #[test]
-    fn restriction_filters_late_jobs() {
-        let s = ok_schedule();
-        let r = s.restrict_to_released_by(&inst(), 0);
-        assert_eq!(r.load(2), 1); // star root filtered out
-        assert_eq!(r.load(3), 0);
-        assert_eq!(r.at(2), &[(JobId(0), NodeId(1))]);
-        assert_eq!(r.horizon(), s.horizon());
     }
 }

@@ -231,7 +231,10 @@ impl SimState {
     }
 
     /// Release every job with `release <= t` that is not yet released.
-    /// Returns the ids released now (in arrival order).
+    /// Returns the ids released now (in arrival order). The engine releases
+    /// through [`release_one`](Self::release_one); this batch form stays
+    /// public because the sim, core and facade tests drive a bare
+    /// `SimState` with it.
     pub fn release_due(&mut self, instance: &Instance, t: Time) -> Vec<JobId> {
         let mut out = Vec::new();
         while let Some(id) = self.release_one(instance, t) {

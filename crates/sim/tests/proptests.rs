@@ -111,22 +111,6 @@ proptest! {
     }
 
     #[test]
-    fn restriction_is_monotone(inst in arb_instance(4, 8, 8), seed in 1u64..500) {
-        let mut sched = SeededGreedy { state: seed };
-        let s = Engine::new(2).with_max_horizon(100_000).run(&inst, &mut sched).unwrap();
-        // Restricting to releases <= r keeps loads nonincreasing in r.
-        let r_max = inst.last_release();
-        for r in 0..=r_max {
-            let restricted = s.restrict_to_released_by(&inst, r);
-            for t in 1..=s.horizon() {
-                prop_assert!(restricted.load(t) <= s.load(t));
-            }
-        }
-        // Restriction at the last release is the identity.
-        prop_assert_eq!(s.restrict_to_released_by(&inst, r_max), s.schedule);
-    }
-
-    #[test]
     fn speed_augmentation_invariants(inst in arb_instance(4, 10, 6), s in 1u64..4, seed in 1u64..500) {
         let mut sched = SeededGreedy { state: seed };
         let run = flowtree_sim::speed::run_with_speed(&inst, 2, s, &mut sched, Some(1_000_000)).unwrap();

@@ -218,7 +218,7 @@ cmp -s "$MX_STORE/twin/smoke.jsonl" "$MX_STORE/wire/smoke.jsonl" \
     || { echo "mixed-codec smoke: store records differ from in-process serve"; exit 1; }
 rm -rf "$MX_STORE" "$MX_TRACE"
 
-echo "==> instance workbench (gen -> report --instance --dump -> verify; one name resolver)"
+echo "==> instance workbench (gen -> report --instance --dump -> verify; one name resolver; trace)"
 # The independent Section 3 checker must accept the dumped schedule and
 # agree on the max flow report printed; and report's own resolution of a
 # gen family must equal running on the instance gen wrote, byte for byte.
@@ -240,6 +240,24 @@ cmp -s <(cargo run --release -q -p flowtree-cli -- report adversary -m 8 --jobs 
     <(cargo run --release -q -p flowtree-cli -- report adversary \
         --instance "$WB_DIR/inst.json" -m 8 --format json) \
     || { echo "workbench: report adversary differs from report --instance of gen's file"; exit 1; }
+# The trace verb: a fixed seed prints the same bytes twice, and the
+# --compact-idle dialect ends in the same finish record, whose horizon is
+# report's `steps (horizon)` cell.
+TRACE_RUN=(service --scheduler lpf -m 4 --jobs 8 --seed 7)
+for out in a b; do
+    cargo run --release -q -p flowtree-cli -- trace "${TRACE_RUN[@]}" > "$WB_DIR/$out.jsonl"
+done
+cargo run --release -q -p flowtree-cli -- trace "${TRACE_RUN[@]}" --compact-idle \
+    > "$WB_DIR/compact.jsonl"
+cmp -s "$WB_DIR/a.jsonl" "$WB_DIR/b.jsonl" \
+    || { echo "trace smoke: two runs with one seed differ"; exit 1; }
+WB_HORIZON=$(cargo run --release -q -p flowtree-cli -- report "${TRACE_RUN[@]}" \
+    | grep -o '^| steps (horizon) | [0-9]* |$' | grep -o '[0-9][0-9]*') \
+    || { echo "trace smoke: report printed no horizon"; exit 1; }
+for out in a b compact; do
+    [ "$(tail -n 1 "$WB_DIR/$out.jsonl")" = "{\"ev\":\"finish\",\"horizon\":$WB_HORIZON}" ] \
+        || { echo "trace smoke: $out.jsonl does not finish at report's horizon $WB_HORIZON"; exit 1; }
+done
 rm -rf "$WB_DIR"
 
 echo "==> committed adversary corpus reproduces (results/store, git describe and empty swaps masked)"

@@ -1,20 +1,27 @@
 //! Trace-subsystem integration tests: a golden JSONL trace for a fixed
-//! instance, and property tests checking that the metrics reconstructed
-//! from a [`JsonlTrace`] stream agree with the engine's own [`RunReport`]
-//! counters and with `metrics::flow_stats`.
+//! instance, and property tests checking that the schedule and metrics
+//! rebuilt from a [`JsonlTrace`] stream agree with the engine's own
+//! [`RunReport`] counters and with `metrics::flow_stats`. The tests read
+//! the stream as plain JSON values, so they pin the format itself.
 
 use flowtree::core::{Fifo, TieBreak};
 use flowtree::dag::builder::{chain, star};
 use flowtree::dag::NodeId;
 use flowtree::prelude::*;
 use flowtree::sim::metrics::flow_stats;
-use flowtree::sim::replay::{parse, TraceEvent};
-use flowtree::sim::{JsonlTrace, Replay, RunReport};
+use flowtree::sim::{JsonlTrace, RunReport};
 use proptest::prelude::*;
+use serde_json::Value;
 
-/// Run `sched` with a JSONL trace attached; return the trace text and report.
-fn traced_run(inst: &Instance, m: usize, sched: &mut dyn OnlineScheduler) -> (String, RunReport) {
-    let mut trace = JsonlTrace::new(Vec::new());
+/// Run `sched` with a JSONL trace attached (idle gaps folded into `idle`
+/// records when `compact`); return the trace text and report.
+fn traced_run(
+    inst: &Instance,
+    m: usize,
+    sched: &mut dyn OnlineScheduler,
+    compact: bool,
+) -> (String, RunReport) {
+    let mut trace = JsonlTrace::new(Vec::new()).compact_idle(compact);
     let report = Engine::new(m)
         .with_max_horizon(100_000)
         .with_probe(&mut trace)
@@ -34,7 +41,7 @@ fn golden_trace_for_fixed_instance() {
         JobSpec { graph: chain(3), release: 0 },
         JobSpec { graph: star(3), release: 1 },
     ]);
-    let (jsonl, report) = traced_run(&inst, 2, &mut Fifo::new(TieBreak::BecameReady));
+    let (jsonl, report) = traced_run(&inst, 2, &mut Fifo::new(TieBreak::BecameReady), false);
     let golden = "\
 {\"ev\":\"start\",\"m\":2,\"jobs\":2}
 {\"ev\":\"release\",\"t\":0,\"job\":0}
@@ -49,13 +56,14 @@ fn golden_trace_for_fixed_instance() {
 ";
     assert_eq!(jsonl, golden);
     assert_eq!(report.stats.flows, vec![3, 3]);
+    assert_eq!(rebuild(&jsonl).schedule, report.schedule);
 }
 
 /// The exact event streams — compact and stepwise — for an instance whose
 /// run crosses an idle gap: chain(1) at 0 drains in one step, then nothing
 /// until chain(2) arrives at 5. With `compact_idle` the four empty steps
 /// collapse into a single `idle` record; without it they appear verbatim.
-/// Both streams must replay to the engine's own schedule.
+/// Both streams must rebuild the engine's own schedule and flows.
 #[test]
 fn golden_trace_with_idle_gap_in_both_modes() {
     let inst = Instance::new(vec![
@@ -84,16 +92,11 @@ fn golden_trace_with_idle_gap_in_both_modes() {
     let compact_gap = "{\"ev\":\"idle\",\"t0\":1,\"steps\":4}\n";
 
     for (compact, gap) in [(false, stepwise_gap), (true, compact_gap)] {
-        let mut trace = JsonlTrace::new(Vec::new()).compact_idle(compact);
-        let report = Engine::new(2)
-            .with_max_horizon(100_000)
-            .with_probe(&mut trace)
-            .run(&inst, &mut Fifo::new(TieBreak::BecameReady))
-            .unwrap();
-        let jsonl = String::from_utf8(trace.finish().unwrap()).unwrap();
+        let (jsonl, report) = traced_run(&inst, 2, &mut Fifo::new(TieBreak::BecameReady), compact);
         assert_eq!(jsonl, format!("{common_head}{gap}{common_tail}"), "compact={compact}");
-        let replay = Replay::from_str(&jsonl).unwrap();
-        assert_eq!(replay.schedule, report.schedule, "compact={compact}");
+        let rebuilt = rebuild(&jsonl);
+        assert_eq!(rebuilt.schedule, report.schedule, "compact={compact}");
+        assert_eq!(rebuilt.flows, vec![Some(1), Some(2)], "compact={compact}");
         assert_eq!(report.stats.flows, vec![1, 2]);
     }
 }
@@ -154,10 +157,8 @@ impl OnlineScheduler for SeededGreedy {
     }
 }
 
-/// Counters rebuilt from the parsed event stream alone.
-#[derive(Default, Debug, PartialEq)]
+/// Counters, flows and the schedule rebuilt from the trace text alone.
 struct Rebuilt {
-    m: usize,
     steps: u64,
     dispatched: u64,
     idle_slots: u64,
@@ -165,43 +166,87 @@ struct Rebuilt {
     max_ready_depth: usize,
     makespan: Time,
     flows: Vec<Option<Time>>,
+    schedule: Schedule,
 }
 
-fn rebuild(events: &[TraceEvent]) -> Rebuilt {
-    let mut r = Rebuilt::default();
-    let mut releases = Vec::new();
-    for ev in events {
-        match ev {
-            TraceEvent::Start { m, jobs } => {
-                r.m = *m;
-                releases = vec![None; *jobs];
-                r.flows = vec![None; *jobs];
+fn uint(v: &Value, key: &str) -> u64 {
+    v.get(key)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no `{key}` in {v:?}"))
+}
+
+/// Read every line as a JSON value (each must parse) and rebuild the run:
+/// `step` records extend the schedule in time order, `idle` records add
+/// empty steps, and `release`/`complete` records give each job's flow.
+fn rebuild(jsonl: &str) -> Rebuilt {
+    let mut records = jsonl.lines().map(|l| serde_json::from_str::<Value>(l).unwrap());
+    let start = records.next().expect("empty trace");
+    assert_eq!(start.get("ev").and_then(Value::as_str), Some("start"));
+    let m = uint(&start, "m") as usize;
+    let jobs = uint(&start, "jobs") as usize;
+    let mut r = Rebuilt {
+        steps: 0,
+        dispatched: 0,
+        idle_slots: 0,
+        idle_steps: 0,
+        max_ready_depth: 0,
+        makespan: 0,
+        flows: vec![None; jobs],
+        schedule: Schedule::new(m),
+    };
+    let mut releases = vec![None; jobs];
+    let mut finished = false;
+    for v in records {
+        assert!(!finished, "record after finish: {v:?}");
+        match v.get("ev").and_then(Value::as_str).expect("record without `ev`") {
+            "release" => releases[uint(&v, "job") as usize] = Some(uint(&v, "t")),
+            "complete" => {
+                let (t, job) = (uint(&v, "t"), uint(&v, "job") as usize);
+                let release = releases[job].expect("complete before release");
+                r.flows[job] = Some(t - release);
+                r.makespan = r.makespan.max(t);
             }
-            TraceEvent::Release { t, job } => releases[job.index()] = Some(*t),
-            TraceEvent::Complete { t, job } => {
-                let release = releases[job.index()].expect("complete before release");
-                r.flows[job.index()] = Some(*t - release);
-                r.makespan = r.makespan.max(*t);
-            }
-            TraceEvent::Step { picks, idle, ready, .. } => {
+            "step" => {
+                assert_eq!(uint(&v, "t"), r.steps, "steps out of order");
+                let picks: Vec<(JobId, NodeId)> = v
+                    .get("picks")
+                    .and_then(Value::as_array)
+                    .expect("step without picks")
+                    .iter()
+                    .map(|p| match p.as_array() {
+                        Some([j, n]) => {
+                            (JobId(j.as_u64().unwrap() as u32), NodeId(n.as_u64().unwrap() as u32))
+                        }
+                        _ => panic!("pick is not a [job, node] pair: {p:?}"),
+                    })
+                    .collect();
+                let (idle, ready) = (uint(&v, "idle"), uint(&v, "ready") as usize);
+                assert_eq!(picks.len() as u64 + idle, m as u64);
+                r.schedule.extend_step(&picks);
                 r.steps += 1;
                 r.dispatched += picks.len() as u64;
-                r.idle_slots += *idle as u64;
-                if *idle > 0 {
+                r.idle_slots += idle;
+                if idle > 0 {
                     r.idle_steps += 1;
                 }
-                r.max_ready_depth = r.max_ready_depth.max(*ready);
+                r.max_ready_depth = r.max_ready_depth.max(ready);
             }
-            TraceEvent::IdleGap { steps, .. } => {
-                r.steps += *steps;
-                r.idle_slots += *steps * r.m as u64;
-                if r.m > 0 {
-                    r.idle_steps += steps;
-                }
+            "idle" => {
+                assert_eq!(uint(&v, "t0"), r.steps, "idle gap out of order");
+                let steps = uint(&v, "steps");
+                r.schedule.push_empty_steps(steps);
+                r.steps += steps;
+                r.idle_slots += steps * m as u64;
+                r.idle_steps += steps;
             }
-            TraceEvent::Finish { .. } => {}
+            "finish" => {
+                assert_eq!(uint(&v, "horizon"), r.steps);
+                finished = true;
+            }
+            other => panic!("unknown event `{other}`"),
         }
     }
+    assert!(finished, "trace without finish");
     r
 }
 
@@ -216,12 +261,12 @@ proptest! {
         inst in arb_instance(5, 10, 8),
         m in 1usize..5,
         seed in 1u64..5000,
+        compact in (0u8..2).prop_map(|b| b == 1),
     ) {
-        let (jsonl, report) = traced_run(&inst, m, &mut SeededGreedy { state: seed });
+        let (jsonl, report) = traced_run(&inst, m, &mut SeededGreedy { state: seed }, compact);
 
-        // 1. Trace events vs the engine's internal counters.
-        let events = parse(&jsonl).unwrap();
-        let rebuilt = rebuild(&events);
+        // 1. Trace records vs the engine's internal counters.
+        let rebuilt = rebuild(&jsonl);
         let c = &report.counters;
         prop_assert_eq!(rebuilt.steps, c.steps);
         prop_assert_eq!(rebuilt.dispatched, c.dispatched);
@@ -231,19 +276,16 @@ proptest! {
         prop_assert_eq!(rebuilt.makespan, c.makespan);
         prop_assert_eq!(&rebuilt.flows, &c.flows);
 
-        // 2. Replayed schedule and flows vs the from-scratch metrics.
-        let replay = Replay::from_str(&jsonl).unwrap();
-        prop_assert_eq!(&replay.schedule, &report.schedule);
+        // 2. Rebuilt schedule and flows vs the from-scratch metrics.
+        prop_assert_eq!(&rebuilt.schedule, &report.schedule);
         let stats = flow_stats(&inst, &report.schedule);
-        let replayed: Vec<Time> =
-            replay.flows().into_iter().map(|f| f.unwrap()).collect();
-        prop_assert_eq!(&replayed, &stats.flows);
-        prop_assert_eq!(replay.max_flow(), Some(stats.max_flow));
+        let traced: Vec<Time> = rebuilt.flows.iter().map(|f| f.unwrap()).collect();
+        prop_assert_eq!(&traced, &stats.flows);
+        prop_assert_eq!(traced.iter().max().copied(), Some(stats.max_flow));
 
         // 3. The report's cached stats are that same recomputation.
         prop_assert_eq!(&report.stats.flows, &stats.flows);
-        let counter_flows: Vec<Time> =
-            c.flows().into_iter().map(|f| f.unwrap()).collect();
+        let counter_flows: Vec<Time> = c.flows.iter().map(|f| f.unwrap()).collect();
         prop_assert_eq!(&counter_flows, &stats.flows);
         prop_assert_eq!(c.steps, report.schedule.horizon());
         prop_assert_eq!(c.dispatched, inst.total_work());
@@ -259,7 +301,7 @@ proptest! {
             .with_max_horizon(100_000)
             .run(&inst, &mut SeededGreedy { state: seed })
             .unwrap();
-        let (_, probed) = traced_run(&inst, 3, &mut SeededGreedy { state: seed });
+        let (_, probed) = traced_run(&inst, 3, &mut SeededGreedy { state: seed }, false);
         prop_assert_eq!(bare.schedule, probed.schedule);
         prop_assert_eq!(bare.counters, probed.counters);
     }
