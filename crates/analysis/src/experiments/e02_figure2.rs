@@ -9,7 +9,6 @@
 
 use crate::{table::f3, Effort, Report, Table};
 use flowtree_core::lpf::{lpf_levels, RectangleTail};
-use flowtree_dag::DepthProfile;
 use flowtree_workloads::trees::shape_catalogue;
 
 /// Run E2.
@@ -43,7 +42,7 @@ pub fn run(effort: Effort) -> Report {
         let mut rng = flowtree_workloads::rng(42);
         for (name, g) in shape_catalogue(n, &mut rng) {
             let p = m / alpha;
-            let opt = DepthProfile::new(&g).opt_single_job(*m as u64);
+            let opt = g.opt_single_job(*m as u64);
             let levels = lpf_levels(&g, p);
             let shape = RectangleTail::measure(&levels, opt, p);
             let flow = levels.len() as u64;

@@ -7,7 +7,6 @@
 
 use crate::{Effort, Report, Table};
 use flowtree_core::lpf::lpf_levels;
-use flowtree_dag::DepthProfile;
 use flowtree_sim::Instance;
 use flowtree_workloads::trees::shape_catalogue;
 
@@ -26,7 +25,7 @@ pub fn run(effort: Effort) -> Report {
     for (name, g) in shape_catalogue(n, &mut rng) {
         for m in [2usize, 4, 16, 64] {
             let flow = lpf_levels(&g, m).len() as u64;
-            let formula = DepthProfile::new(&g).opt_single_job(m as u64);
+            let formula = g.opt_single_job(m as u64);
             big.row(vec![
                 name.to_string(),
                 g.work().to_string(),
@@ -50,7 +49,7 @@ pub fn run(effort: Effort) -> Report {
     for i in 0..minis {
         let g = flowtree_workloads::trees::random_recursive_tree(4 + i % 12, &mut rng);
         for m in 1..=3usize {
-            let formula = DepthProfile::new(&g).opt_single_job(m as u64);
+            let formula = g.opt_single_job(m as u64);
             let exact = flowtree_opt::exact_max_flow(&Instance::single(g.clone()), m, 24)
                 .expect("miniature fits");
             small.row(vec![

@@ -7,7 +7,6 @@
 
 use crate::{table::f3, Effort, Report, Table};
 use flowtree_core::lpf::lpf_levels;
-use flowtree_dag::DepthProfile;
 use flowtree_workloads::trees::shape_catalogue;
 
 /// Run E6.
@@ -23,7 +22,7 @@ pub fn run(effort: Effort) -> Report {
     for alpha in [1usize, 2, 4, 8] {
         let mut rng = flowtree_workloads::rng(13);
         for (name, g) in shape_catalogue(n, &mut rng) {
-            let opt = DepthProfile::new(&g).opt_single_job(m as u64);
+            let opt = g.opt_single_job(m as u64);
             let flow = lpf_levels(&g, m / alpha).len() as u64;
             let ratio = flow as f64 / opt as f64;
             worst = worst.max(ratio);

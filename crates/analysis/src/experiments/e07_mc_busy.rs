@@ -10,7 +10,6 @@
 use crate::{table::f3, Effort, Report, Table};
 use flowtree_core::lpf::lpf_levels;
 use flowtree_core::McReplay;
-use flowtree_dag::DepthProfile;
 use flowtree_workloads::trees::shape_catalogue;
 
 /// A named grant-pattern generator: step index -> grant in `1..=p`.
@@ -38,7 +37,7 @@ pub fn run(effort: Effort) -> Report {
     );
     let mut rng = flowtree_workloads::rng(99);
     for (name, g) in shape_catalogue(n, &mut rng) {
-        let opt = DepthProfile::new(&g).opt_single_job(m as u64);
+        let opt = g.opt_single_job(m as u64);
         let levels = lpf_levels(&g, p);
         if levels.len() <= opt as usize {
             continue; // no tail: job fits in its head

@@ -76,6 +76,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             families().join(", ")
         ));
     }
+    o.check_sizes()?;
     let inst = generate(&o)?;
     let json = serde_json::to_string_pretty(&inst).map_err(|e| e.to_string())?;
     match &o.out {
@@ -121,6 +122,16 @@ mod tests {
     fn unknown_family_is_an_error() {
         let opts = ScenarioOpts { scenario: "nope".into(), ..Default::default() };
         assert!(generate(&opts).is_err());
+    }
+
+    #[test]
+    fn zero_sizes_are_errors_not_panics() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            run(&args(&["service", "--jobs", "0"])).unwrap_err(),
+            "--jobs must be at least 1"
+        );
+        assert_eq!(run(&args(&["adversary", "-m", "0"])).unwrap_err(), "-m must be at least 1");
     }
 
     #[test]

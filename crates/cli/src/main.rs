@@ -10,7 +10,7 @@
 //! flowtree-repro report adversary --instance inst.json --scheduler guess-double -m 16 \
 //!     --gantt --dump sched.json
 //! flowtree-repro verify inst.json sched.json
-//! flowtree-repro trace service --scheduler lpf -m 8 --compact-idle -o run.jsonl
+//! flowtree-repro trace service --scheduler lpf -m 8 -o run.jsonl
 //! flowtree-repro report sort-farm --scheduler lpf --jobs 1 --format json
 //! flowtree-repro report --trend results/store/
 //! flowtree-repro report --flight results/store/flight-run.jsonl
@@ -45,7 +45,7 @@ fn usage() -> String {
      \u{20}                            [--instance FILE] [--store DIR] [--dump schedule.json]\n\
      \u{20}                            [--gantt]\n\
      \u{20}      flowtree-repro verify <instance.json> <schedule.json>\n\
-     \u{20}      flowtree-repro trace <scenario> [--scheduler S] [-m M] [--compact-idle] [-o FILE]\n\
+     \u{20}      flowtree-repro trace <scenario> [--scheduler S] [-m M] [-o FILE]\n\
      \u{20}      flowtree-repro report --trend <store-dir-or-file>\n\
      \u{20}      flowtree-repro report --flight <flight.jsonl-or-dir>\n\
      \u{20}      flowtree-repro serve <scenario> [--shards N] [--rate R] [--policy P] [--store DIR]\n\

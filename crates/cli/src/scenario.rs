@@ -105,7 +105,20 @@ impl ScenarioOpts {
                 SCHEDULER_NAMES.join(", ")
             ));
         }
+        o.check_sizes()?;
         Ok(o)
+    }
+
+    /// Reject sizes no run can use: a machine needs a processor, and an
+    /// instance at least one job.
+    pub fn check_sizes(&self) -> Result<(), String> {
+        if self.m == 0 {
+            return Err("-m must be at least 1".into());
+        }
+        if self.jobs == 0 {
+            return Err("--jobs must be at least 1".into());
+        }
+        Ok(())
     }
 
     /// Instantiate the named family or preset with these options, through
@@ -170,6 +183,18 @@ mod tests {
         let args: Vec<String> = ["service", "-o", "x"].iter().map(|s| s.to_string()).collect();
         assert!(parse("serve", &args, false).is_err());
         assert!(parse("trace", &args, true).is_ok());
+    }
+
+    #[test]
+    fn zero_machines_is_an_error() {
+        let args: Vec<String> = ["service", "-m", "0"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(parse("report", &args, true).unwrap_err(), "-m must be at least 1");
+    }
+
+    #[test]
+    fn zero_jobs_is_an_error() {
+        let args: Vec<String> = ["service", "--jobs", "0"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(parse("trace", &args, true).unwrap_err(), "--jobs must be at least 1");
     }
 
     #[test]

@@ -330,6 +330,9 @@ pub(crate) fn build_source(
             Box::new(ReplaySource::from_json(&text).map_err(|e| format!("{path}: {e}"))?)
         }
         None => {
+            if rate.is_nan() || rate <= 0.0 {
+                return Err(format!("--rate must be > 0, got {rate}"));
+            }
             let scenario = preset(&o.scenario, o.jobs).ok_or_else(|| {
                 format!(
                     "unknown scenario '{}'; known: {} (or use --replay FILE)",
@@ -455,6 +458,14 @@ mod tests {
             jobs: 10,
             seed: 3,
             ..ScenarioOpts::default()
+        }
+    }
+
+    #[test]
+    fn non_positive_or_nan_rate_is_an_error() {
+        for rate in [0.0, -1.0, f64::NAN] {
+            let err = build_source(&opts("service"), &None, rate).err().unwrap();
+            assert!(err.starts_with("--rate must be > 0"), "{err}");
         }
     }
 

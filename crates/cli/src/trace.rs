@@ -8,18 +8,11 @@ use flowtree_sim::{Engine, Instance, JsonlTrace, RunReport};
 use std::io::Write;
 
 /// Run `trace <scenario>`: emit the JSONL event stream of one run to stdout
-/// (or `-o FILE`). `--compact-idle` folds fast-forwarded idle gaps into
-/// single `idle` records.
+/// (or `-o FILE`).
 pub fn run_trace(args: &[String]) -> Result<(), String> {
-    let mut compact = false;
-    let o = ScenarioOpts::parse_with("trace", args, true, " [--compact-idle]", &mut |flag, _| {
-        Ok(flag == "--compact-idle" && {
-            compact = true;
-            true
-        })
-    })?;
+    let o = ScenarioOpts::parse_with("trace", args, true, "", &mut |_, _| Ok(false))?;
     let instance = o.build_instance()?;
-    let (jsonl, _report) = trace_run(&o, &instance, compact)?;
+    let (jsonl, _report) = trace_run(&o, &instance)?;
     match &o.out {
         Some(path) => {
             std::fs::write(path, &jsonl).map_err(|e| format!("write {path}: {e}"))?;
@@ -36,13 +29,9 @@ pub fn run_trace(args: &[String]) -> Result<(), String> {
 
 /// Run one traced, verified simulation, returning the JSONL text and the
 /// report.
-fn trace_run(
-    o: &ScenarioOpts,
-    instance: &Instance,
-    compact: bool,
-) -> Result<(String, RunReport), String> {
+fn trace_run(o: &ScenarioOpts, instance: &Instance) -> Result<(String, RunReport), String> {
     let mut sched = SchedulerSpec::from_name_with_half(&o.scheduler, o.half)?.build();
-    let mut trace = JsonlTrace::new(Vec::new()).compact_idle(compact);
+    let mut trace = JsonlTrace::new(Vec::new());
     let report = Engine::new(o.m)
         .with_max_horizon(100_000_000)
         .with_probe(&mut trace)
@@ -62,8 +51,8 @@ mod tests {
     use serde_json::Value;
 
     /// Rebuild the schedule and per-job flows from the JSONL text alone:
-    /// `step` picks and `idle` gaps extend the schedule, and `release` /
-    /// `complete` pairs give the flows.
+    /// `step` picks extend the schedule, and `release` / `complete` pairs
+    /// give the flows.
     fn rebuild(jsonl: &str) -> (Schedule, Vec<Time>) {
         let uint = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64).unwrap();
         let mut schedule = None;
@@ -92,7 +81,6 @@ mod tests {
                         .collect();
                     schedule.as_mut().unwrap().extend_step(&picks);
                 }
-                "idle" => schedule.as_mut().unwrap().push_empty_steps(uint(&v, "steps")),
                 _ => {}
             }
         }
@@ -109,33 +97,16 @@ mod tests {
     }
 
     /// Acceptance check: on every scenario preset, the emitted JSONL rebuilds
-    /// exactly the run's schedule and per-job flows — in both idle-gap modes.
+    /// exactly the run's schedule and per-job flows.
     #[test]
     fn traced_flows_match_flow_stats_on_all_presets() {
         for name in scenario_names() {
-            for compact in [false, true] {
-                let o = opts(name);
-                let instance = o.build_instance().unwrap();
-                let (jsonl, report) = trace_run(&o, &instance, compact).unwrap();
-                let (schedule, flows) = rebuild(&jsonl);
-                assert_eq!(flows, report.stats.flows, "scenario '{name}'");
-                assert_eq!(schedule, report.schedule, "scenario '{name}'");
-            }
+            let o = opts(name);
+            let instance = o.build_instance().unwrap();
+            let (jsonl, report) = trace_run(&o, &instance).unwrap();
+            let (schedule, flows) = rebuild(&jsonl);
+            assert_eq!(flows, report.stats.flows, "scenario '{name}'");
+            assert_eq!(schedule, report.schedule, "scenario '{name}'");
         }
-    }
-
-    #[test]
-    fn trace_accepts_compact_idle_flag() {
-        let args: Vec<String> =
-            ["service", "--compact-idle"].iter().map(|s| s.to_string()).collect();
-        let mut compact = false;
-        ScenarioOpts::parse_with("trace", &args, true, "", &mut |flag, _| {
-            Ok(flag == "--compact-idle" && {
-                compact = true;
-                true
-            })
-        })
-        .unwrap();
-        assert!(compact);
     }
 }

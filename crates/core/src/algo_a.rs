@@ -270,7 +270,6 @@ impl OnlineScheduler for AlgoA {
 mod tests {
     use super::*;
     use flowtree_dag::builder::{caterpillar, chain, complete_kary, star};
-    use flowtree_dag::DepthProfile;
     use flowtree_sim::metrics::flow_stats;
     use flowtree_sim::{Engine, Instance, JobSpec};
 
@@ -279,7 +278,7 @@ mod tests {
     fn union_opt(inst: &Instance, m: u64) -> u64 {
         let graphs: Vec<&JobGraph> = inst.jobs().iter().map(|j| &j.graph).collect();
         let (u, _) = JobGraph::disjoint_union(&graphs);
-        DepthProfile::new(&u).opt_single_job(m)
+        u.opt_single_job(m)
     }
 
     #[test]
@@ -452,7 +451,7 @@ mod tests {
         let m = 8usize;
         let sizes: Vec<usize> = (0..m).map(|i| 1 + (i * 3) % (m + 1)).collect();
         let (g, _) = flowtree_dag::builder::keyed_layers(&sizes);
-        let half = DepthProfile::new(&g).opt_single_job(m as u64).div_ceil(2).max(1);
+        let half = g.opt_single_job(m as u64).div_ceil(2).max(1);
         let mut jobs = Vec::new();
         for i in 0..4u64 {
             jobs.push(JobSpec { graph: g.clone(), release: i * half });

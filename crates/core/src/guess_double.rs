@@ -127,7 +127,6 @@ impl OnlineScheduler for GuessDoubleA {
 mod tests {
     use super::*;
     use flowtree_dag::builder::{chain, complete_kary, star};
-    use flowtree_dag::DepthProfile;
     use flowtree_sim::metrics::flow_stats;
     use flowtree_sim::{Engine, Instance, JobSpec};
 
@@ -150,7 +149,7 @@ mod tests {
         let g = star(64);
         let inst = Instance::single(g.clone());
         let m = 4;
-        let opt = DepthProfile::new(&g).opt_single_job(m as u64);
+        let opt = g.opt_single_job(m as u64);
         let mut sched = GuessDoubleA::new(4, 4);
         let s = Engine::new(m).with_max_horizon(200_000).run(&inst, &mut sched).unwrap();
         s.verify(&inst).unwrap();

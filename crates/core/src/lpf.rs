@@ -150,12 +150,12 @@ impl ExactSizeIterator for LevelIter<'_> {}
 ///
 /// ```
 /// use flowtree_core::lpf::lpf_levels;
-/// use flowtree_dag::{builder, DepthProfile};
+/// use flowtree_dag::builder;
 ///
 /// let g = builder::complete_kary(2, 4); // 15 nodes, span 4
 /// let levels = lpf_levels(&g, 2);
 /// // Corollary 5.4: LPF attains the exact optimum.
-/// assert_eq!(levels.len() as u64, DepthProfile::new(&g).opt_single_job(2));
+/// assert_eq!(levels.len() as u64, g.opt_single_job(2));
 /// ```
 pub fn lpf_levels(g: &JobGraph, p: usize) -> Levels {
     lpf_levels_restricted(g, None, p)
@@ -406,7 +406,7 @@ mod tests {
     use super::*;
     use crate::{Fifo, TieBreak};
     use flowtree_dag::builder::{caterpillar, chain, complete_kary, star};
-    use flowtree_dag::{DepthProfile, JobId};
+    use flowtree_dag::JobId;
     use flowtree_sim::{Engine, Instance};
 
     fn nested(levels: &Levels) -> Vec<Vec<u32>> {
@@ -456,14 +456,13 @@ mod tests {
             complete_kary(3, 4),
             caterpillar(6, &[4, 0, 3, 7, 0, 2]),
         ] {
-            let p = DepthProfile::new(&g);
             for m in [1usize, 2, 3, 4, 7, 16] {
                 let levels = lpf_levels(&g, m);
                 verify_levels(&g, &levels, m);
                 // A job released at 0 has flow = its number of levels.
                 assert_eq!(
                     levels.len() as Time,
-                    p.opt_single_job(m as u64),
+                    g.opt_single_job(m as u64),
                     "LPF flow != formula for m={m}"
                 );
             }
@@ -569,7 +568,7 @@ mod tests {
         let g = caterpillar(8, &[0, 6, 1, 9, 2, 0, 5, 3]);
         let (alpha, p) = (4usize, 3usize);
         let m = alpha * p;
-        let opt = DepthProfile::new(&g).opt_single_job(m as u64);
+        let opt = g.opt_single_job(m as u64);
         let levels = lpf_levels(&g, p);
         let shape = RectangleTail::measure(&levels, opt, p);
         assert!(

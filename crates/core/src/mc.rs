@@ -189,7 +189,7 @@ mod tests {
     use super::*;
     use crate::lpf::{lpf_levels, Levels};
     use flowtree_dag::builder::{caterpillar, chain, complete_kary, star};
-    use flowtree_dag::{DepthProfile, GraphBuilder};
+    use flowtree_dag::GraphBuilder;
 
     /// Levels built by hand.
     fn levels_of(levels: &[&[u32]]) -> Levels {
@@ -274,7 +274,7 @@ mod tests {
         // grants never exceed... head may have narrow steps; Lemma 5.5's
         // precondition is "only idle at the end". Use the tail only.
         let m = 16; // alpha = 4
-        let opt = DepthProfile::new(&g).opt_single_job(m as u64);
+        let opt = g.opt_single_job(m as u64);
         let levels = lpf_levels(&g, p);
         if levels.len() <= opt as usize {
             return; // nothing to replay; fine for this shape
@@ -370,7 +370,7 @@ mod tests {
             for alpha in [2usize, 4] {
                 let p = 4;
                 let m = alpha * p;
-                let opt = DepthProfile::new(&g).opt_single_job(m as u64);
+                let opt = g.opt_single_job(m as u64);
                 let levels = lpf_levels(&g, p);
                 if levels.len() <= opt as usize {
                     continue;

@@ -5,7 +5,7 @@ use flowtree_core::lpf::{
     lpf_levels, lpf_levels_forest, lpf_levels_restricted, Levels, LpfScratch, RectangleTail,
 };
 use flowtree_core::{AlgoA, Fifo, GuessDoubleA, McReplay, TieBreak};
-use flowtree_dag::{DepthProfile, GraphBuilder, JobGraph, NodeId};
+use flowtree_dag::{GraphBuilder, JobGraph, NodeId};
 use flowtree_sim::metrics::flow_stats;
 use flowtree_sim::{Engine, Instance, JobSpec};
 use proptest::prelude::*;
@@ -80,7 +80,7 @@ proptest! {
         assert_levels_feasible(&g, &levels, m);
         prop_assert_eq!(
             levels.len() as u64,
-            DepthProfile::new(&g).opt_single_job(m as u64)
+            g.opt_single_job(m as u64)
         );
     }
 
@@ -88,7 +88,7 @@ proptest! {
     #[test]
     fn lpf_alpha_competitive(g in arb_tree(80), p in 1usize..6, alpha in 1usize..5) {
         let m = p * alpha;
-        let opt = DepthProfile::new(&g).opt_single_job(m as u64);
+        let opt = g.opt_single_job(m as u64);
         let flow = lpf_levels(&g, p).len() as u64;
         prop_assert!(flow <= alpha as u64 * opt, "flow {flow} > {alpha} * {opt}");
     }
@@ -98,7 +98,7 @@ proptest! {
     #[test]
     fn lpf_tail_is_rectangular(g in arb_tree(80), p in 1usize..6, alpha in 2usize..5) {
         let m = p * alpha;
-        let opt = DepthProfile::new(&g).opt_single_job(m as u64);
+        let opt = g.opt_single_job(m as u64);
         let levels = lpf_levels(&g, p);
         let shape = RectangleTail::measure(&levels, opt, p);
         prop_assert!(shape.is_rectangle(), "{shape:?}");
@@ -115,7 +115,7 @@ proptest! {
             return Ok(()); // no processors ever granted: replay cannot progress
         }
         let alpha = 4;
-        let opt = DepthProfile::new(&g).opt_single_job((p * alpha) as u64);
+        let opt = g.opt_single_job((p * alpha) as u64);
         let levels = lpf_levels(&g, p);
         if levels.len() <= opt as usize {
             return Ok(()); // no tail

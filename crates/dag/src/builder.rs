@@ -141,7 +141,6 @@ pub fn forest(parts: &[JobGraph]) -> JobGraph {
 mod tests {
     use super::*;
     use crate::classify;
-    use crate::profile::DepthProfile;
 
     #[test]
     fn chain_shape() {
@@ -181,9 +180,7 @@ mod tests {
         assert_eq!(g.work(), 15);
         assert_eq!(g.span(), 4);
         assert!(classify::is_out_tree(&g));
-        let p = DepthProfile::new(&g);
-        assert_eq!(p.nodes_at_depth(1), 1);
-        assert_eq!(p.nodes_at_depth(4), 8);
+        assert_eq!(g.depth_counts(), &[1, 2, 4, 8]);
     }
 
     #[test]
@@ -206,10 +203,8 @@ mod tests {
         assert_eq!(g.work(), 6);
         assert_eq!(g.span(), 4); // spine 3 + one leg at the end
         assert!(classify::is_out_tree(&g));
-        let p = DepthProfile::new(&g);
         // Depths: spine 1,2,3; legs of spine0 at depth 2 (x2); leg of spine2 at depth 4.
-        assert_eq!(p.nodes_at_depth(2), 3);
-        assert_eq!(p.nodes_at_depth(4), 1);
+        assert_eq!(g.depth_counts(), &[1, 3, 1, 1]);
     }
 
     #[test]

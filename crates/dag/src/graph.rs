@@ -201,7 +201,7 @@ impl JobGraph {
 
     /// `depth_counts()[d - 1]` is the number of nodes of depth exactly `d`,
     /// for `d` in `1..=span`: the depth profile the paper's Lemma 5.1 reads
-    /// (see [`DepthProfile`](crate::DepthProfile)). Computed once by
+    /// (see [`opt_single_job`](Self::opt_single_job)). Computed once by
     /// [`GraphBuilder::build`]; this is a slice of it.
     #[inline]
     pub fn depth_counts(&self) -> &[u32] {
@@ -230,6 +230,16 @@ impl JobGraph {
     #[inline]
     pub fn span(&self) -> u64 {
         self.depth_counts().len() as u64
+    }
+
+    /// The paper's Lemma 5.1 bound on `m` processors,
+    /// `max over d in [0, D] of (d + ceil(W(d)/m))`, which by Corollary 5.4
+    /// is *exactly* the optimal maximum flow of this job (an out-forest)
+    /// released alone. Reads the cached [`depth_counts`](Self::depth_counts)
+    /// through [`profile::opt_of_depth_counts`](crate::profile::opt_of_depth_counts)
+    /// and allocates nothing.
+    pub fn opt_single_job(&self, m: u64) -> u64 {
+        crate::profile::opt_of_depth_counts(self.depth_counts(), m)
     }
 
     /// Collect all edges `(u, v)`, in ascending order.

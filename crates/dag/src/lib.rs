@@ -20,8 +20,8 @@
 //!
 //! * structural metrics — [`JobGraph::work`], [`JobGraph::span`], per-node
 //!   [`heights`](JobGraph::heights) and [`depths`](JobGraph::depths), and the
-//!   depth profile `W(d)` ([`profile::DepthProfile`]) that drives the paper's
-//!   Lemma 5.1 / Corollary 5.4;
+//!   depth profile `W(d)` behind the paper's Lemma 5.1 / Corollary 5.4
+//!   bound ([`JobGraph::opt_single_job`], [`profile::opt_of_depth_counts`]);
 //! * shape constructors for common out-trees ([`builder`]);
 //! * series-parallel composition ([`sp`]);
 //! * classification predicates ([`classify`]): chain, out-forest, in-forest,
@@ -39,7 +39,6 @@ pub mod render;
 pub mod sp;
 
 pub use graph::{GraphBuilder, GraphError, JobGraph, NodeId};
-pub use profile::DepthProfile;
 
 /// Discrete simulation time. Subjobs occupy unit intervals; a subjob
 /// scheduled "at time `t`" runs during `(t-1, t]` in the paper's convention.

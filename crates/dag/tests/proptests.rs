@@ -3,7 +3,6 @@
 use flowtree_dag::builder::{caterpillar, complete_kary, quicksort_tree};
 use flowtree_dag::classify;
 use flowtree_dag::graph::{GraphBuilder, GraphError, JobGraph, NodeId};
-use flowtree_dag::profile::DepthProfile;
 use proptest::prelude::*;
 
 /// Strategy: random DAG via random edge set on `n` nodes where every edge
@@ -174,7 +173,6 @@ proptest! {
         prop_assert_eq!(g.span(), span as u64);
         prop_assert_eq!(*h.iter().max().unwrap(), span);
         prop_assert_eq!(g.depths(), d.clone());
-        prop_assert_eq!(DepthProfile::new(&g), DepthProfile::from_depths(&d));
 
         let order = g.topo_order();
         let mut pos = vec![usize::MAX; n];
@@ -278,29 +276,28 @@ proptest! {
         prop_assert_eq!(g.num_edges(), g.n() - 1);
     }
 
+    /// The one Lemma 5.1 formula against its definition: `W(d)` counted node
+    /// by node over reference depths, for every `d` from 0 to the span.
     #[test]
-    fn depth_profile_sums_to_work(g in arb_out_tree(60)) {
-        let p = DepthProfile::new(&g);
-        let total: u64 = (1..=p.max_depth()).map(|d| p.nodes_at_depth(d)).sum();
-        prop_assert_eq!(total, g.work());
-        prop_assert_eq!(p.total_work(), g.work());
-        // W(d) = sum of counts beyond d.
-        for d in 0..=p.max_depth() {
-            let direct: u64 = ((d + 1)..=p.max_depth()).map(|x| p.nodes_at_depth(x)).sum();
-            prop_assert_eq!(p.work_below(d), direct);
-        }
+    fn opt_single_job_matches_lemma_5_1_definition(g in arb_out_tree(60), m in 1u64..16) {
+        let depths = reference_depths(g.n(), &g.edges());
+        let span = u64::from(*depths.iter().max().unwrap());
+        let naive = (0..=span)
+            .map(|d| d + (depths.iter().filter(|&&x| u64::from(x) > d).count() as u64).div_ceil(m))
+            .max()
+            .unwrap();
+        prop_assert_eq!(g.opt_single_job(m), naive);
     }
 
     #[test]
     fn opt_single_job_bounds(g in arb_out_tree(60), m in 1u64..16) {
-        let p = DepthProfile::new(&g);
-        let opt = p.opt_single_job(m);
+        let opt = g.opt_single_job(m);
         prop_assert!(opt >= g.span());
         prop_assert!(opt >= g.work().div_ceil(m));
         // And OPT is at most span + ceil(work/m) (schedule levels greedily).
         prop_assert!(opt <= g.span() + g.work().div_ceil(m));
         // Monotone in m.
-        prop_assert!(p.opt_single_job(m + 1) <= opt);
+        prop_assert!(g.opt_single_job(m + 1) <= opt);
     }
 
     #[test]

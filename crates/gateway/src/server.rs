@@ -769,4 +769,38 @@ mod tests {
         gw.shutdown();
         pool.drain().expect("drain");
     }
+
+    /// The HTTP endpoint carries the same series as the `Metrics` verb when
+    /// the gateway's exposition rides along as the endpoint's extra.
+    #[test]
+    fn metrics_endpoint_appends_gateway_series() {
+        let spec = SchedulerSpec::from_name_with_half("fifo", 1).expect("registry name");
+        let pool = ShardPool::launch(ServeConfig::new(spec, 2)).expect("launch");
+        let gw = Gateway::launch("127.0.0.1:0", pool.handle(), GatewayConfig::default())
+            .expect("gateway up");
+        let stats = gw.stats();
+        let extra: flowtree_serve::MetricsExtra = Arc::new(move || stats.render_prometheus());
+        let srv = flowtree_serve::serve_metrics_with("127.0.0.1:0", pool.handle(), Some(extra))
+            .expect("metrics endpoint up");
+        let jobs = flowtree_workloads::mix::Scenario::service(12)
+            .instantiate(&mut flowtree_workloads::rng(5))
+            .jobs()
+            .to_vec();
+        let mut client =
+            crate::GatewayClient::with_name(&gw.addr().to_string(), "http").expect("connect");
+        client.submit_all(&jobs, 4).expect("submit");
+        let text = flowtree_serve::scrape_metrics(&srv.addr().to_string()).expect("scrape");
+        for series in [
+            "flowtree_ingest_offered_total 12\n",
+            "flowtree_shard_lower_bound{shard=\"0\"}",
+            "flowtree_gateway_remote_jobs_total 12\n",
+            "flowtree_gateway_connections_open 1\n",
+        ] {
+            assert!(text.contains(series), "missing {series:?} in:\n{text}");
+        }
+        drop(client);
+        srv.shutdown();
+        gw.shutdown();
+        pool.drain().expect("drain");
+    }
 }

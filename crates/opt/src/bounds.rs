@@ -4,16 +4,14 @@
 //! the instance on `m` processors has maximum flow `>= L`. Ratios reported
 //! against lower bounds over-state (never under-state) the true competitive
 //! ratio, so conclusions drawn from them are conservative.
+//!
+//! The per-job bound is Lemma 5.1's, [`JobGraph::opt_single_job`]
+//! (`max_d (d + ceil(W(d)/m))`, which dominates both the span bound
+//! `d = D, W = 0` and the work bound `d = 0`).
+//!
+//! [`JobGraph::opt_single_job`]: flowtree_dag::JobGraph::opt_single_job
 
-use flowtree_dag::{DepthProfile, JobGraph};
 use flowtree_sim::Instance;
-
-/// Lemma 5.1 bound for one job on `m` processors:
-/// `max_d (d + ceil(W(d)/m))`, which dominates both the span bound
-/// (`d = D, W = 0`) and the work bound (`d = 0`).
-pub fn job_lower_bound(g: &JobGraph, m: u64) -> u64 {
-    DepthProfile::opt_single_job_of(g, m)
-}
 
 /// The strongest bound this crate offers without exact search: the max of
 /// the per-job Lemma 5.1 bound ([`Instance::per_job_lower_bound`]: any
@@ -36,7 +34,7 @@ mod tests {
     fn job_bound_dominates_span_and_work() {
         for g in [chain(7), star(12), complete_kary(2, 4)] {
             for m in 1..=6u64 {
-                let b = job_lower_bound(&g, m);
+                let b = g.opt_single_job(m);
                 assert!(b >= g.span());
                 assert!(b >= g.work().div_ceil(m));
             }

@@ -225,7 +225,7 @@ impl<'a> Searcher<'a> {
 mod tests {
     use super::*;
     use flowtree_dag::builder::{caterpillar, chain, star};
-    use flowtree_dag::{DepthProfile, GraphBuilder, JobGraph};
+    use flowtree_dag::{GraphBuilder, JobGraph};
     use flowtree_sim::JobSpec;
 
     #[test]
@@ -239,10 +239,7 @@ mod tests {
         let g = star(7);
         for m in 1..=4usize {
             let inst = Instance::single(g.clone());
-            assert_eq!(
-                exact_max_flow(&inst, m, 64),
-                Some(DepthProfile::new(&g).opt_single_job(m as u64))
-            );
+            assert_eq!(exact_max_flow(&inst, m, 64), Some(g.opt_single_job(m as u64)));
         }
     }
 
@@ -257,7 +254,7 @@ mod tests {
                 let inst = Instance::single(g.clone());
                 assert_eq!(
                     exact_max_flow(&inst, m, 64).unwrap(),
-                    DepthProfile::new(&g).opt_single_job(m as u64),
+                    g.opt_single_job(m as u64),
                     "shape with work {} on m={m}",
                     g.work()
                 );

@@ -9,7 +9,8 @@
 //!   (`OPT >= d + ceil(W(d)/m)`).
 //! * [`single`] — **Corollary 5.4**: the exact optimal maximum flow of a
 //!   single out-forest release group, `OPT = max_d (d + ceil(W(d)/m))`; for
-//!   one job that is [`job_lower_bound`] itself.
+//!   one job that is the Lemma 5.1 bound itself,
+//!   [`JobGraph::opt_single_job`](flowtree_dag::JobGraph::opt_single_job).
 //! * [`interval`] — a multi-job *interval load* lower bound: work released
 //!   inside a window must fit between the window start and the last deadline.
 //! * [`exact`] — exact optimal maximum flow for small instances by binary
@@ -30,6 +31,6 @@ pub mod exact;
 pub mod interval;
 pub mod single;
 
-pub use bounds::{combined_lower_bound, job_lower_bound};
+pub use bounds::combined_lower_bound;
 pub use exact::exact_max_flow;
 pub use single::single_group_opt;

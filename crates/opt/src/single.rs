@@ -6,10 +6,11 @@
 //! Lemma 5.1 is attained by the LPF schedule (Lemma 5.3 with α = 1). The
 //! same holds for several jobs released *together* by treating their union
 //! as one job (Section 5.3 does exactly this). For one job the exact OPT
-//! is therefore [`job_lower_bound`](crate::bounds::job_lower_bound), the
-//! Lemma 5.1 bound itself.
+//! is therefore [`JobGraph::opt_single_job`], the Lemma 5.1 bound itself.
+//!
+//! [`JobGraph::opt_single_job`]: flowtree_dag::JobGraph::opt_single_job
 
-use flowtree_dag::DepthProfile;
+use flowtree_dag::profile::opt_of_depth_counts;
 use flowtree_sim::Instance;
 
 /// Exact OPT for an instance in which *all jobs share one release time*
@@ -34,21 +35,21 @@ pub fn single_group_opt(instance: &Instance, m: u64) -> u64 {
             *sum += u64::from(n);
         }
     }
-    DepthProfile::opt_of_depth_counts(&counts, m)
+    opt_of_depth_counts(&counts, m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::job_lower_bound;
     use flowtree_dag::builder::{caterpillar, chain, complete_kary, star};
     use flowtree_sim::JobSpec;
 
     #[test]
     fn matches_profile_for_one_job() {
         let g = complete_kary(2, 5);
+        let inst = Instance::single(g.clone());
         for m in 1..=8 {
-            assert_eq!(job_lower_bound(&g, m), DepthProfile::new(&g).opt_single_job(m));
+            assert_eq!(single_group_opt(&inst, m), g.opt_single_job(m));
         }
     }
 
@@ -60,7 +61,7 @@ mod tests {
         let refs: Vec<&flowtree_dag::JobGraph> = parts.iter().collect();
         let (union, _) = flowtree_dag::JobGraph::disjoint_union(&refs);
         for m in 1..=6 {
-            assert_eq!(single_group_opt(&inst, m), job_lower_bound(&union, m));
+            assert_eq!(single_group_opt(&inst, m), union.opt_single_job(m));
         }
     }
 

@@ -85,7 +85,6 @@ mod tests {
     use super::*;
     use flowtree_dag::builder::{chain, complete_kary, star};
     use flowtree_dag::classify::reverse;
-    use flowtree_dag::DepthProfile;
     use flowtree_sim::Instance;
 
     fn verify(g: &JobGraph, levels: &[Vec<u32>], m: usize) {
@@ -124,11 +123,10 @@ mod tests {
         ];
         for g in &shapes {
             let out = reverse(g);
-            let profile = DepthProfile::new(&out);
             for m in 1..=8usize {
                 assert_eq!(
                     hu_makespan(g, m),
-                    profile.opt_single_job(m as u64),
+                    out.opt_single_job(m as u64),
                     "duality failed for m={m}"
                 );
                 verify(g, &hu_schedule(g, m), m);

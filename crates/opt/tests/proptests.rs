@@ -56,7 +56,7 @@ proptest! {
     #[test]
     fn corollary_5_4_exact_on_random_minis(g in arb_tree(12), m in 1usize..4) {
         let inst = Instance::single(g.clone());
-        let formula = bounds::job_lower_bound(&g, m as u64);
+        let formula = g.opt_single_job(m as u64);
         let exact = exact::exact_max_flow(&inst, m, 24).unwrap();
         prop_assert_eq!(formula, exact);
     }
@@ -76,7 +76,7 @@ proptest! {
         let it = classify::reverse(&g);
         prop_assert_eq!(
             hu::hu_makespan(&it, m),
-            bounds::job_lower_bound(&g, m as u64)
+            g.opt_single_job(m as u64)
         );
     }
 
@@ -111,7 +111,7 @@ proptest! {
         let (u, _) = JobGraph::disjoint_union(&[&g1, &g2]);
         prop_assert_eq!(
             single::single_group_opt(&inst, m as u64),
-            bounds::job_lower_bound(&u, m as u64)
+            u.opt_single_job(m as u64)
         );
     }
 

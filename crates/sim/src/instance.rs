@@ -1,6 +1,6 @@
 //! Problem instances: a set of jobs with release times.
 
-use flowtree_dag::{classify, DepthProfile, JobGraph, JobId, Time};
+use flowtree_dag::{classify, JobGraph, JobId, Time};
 
 /// One job of an instance: a DAG plus its release (arrival) time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,11 +142,7 @@ impl Instance {
     /// the span and the per-job work bound. See `flowtree-opt` for stronger
     /// multi-job (interval load) bounds.
     pub fn per_job_lower_bound(&self, m: u64) -> u64 {
-        self.jobs
-            .iter()
-            .map(|j| DepthProfile::opt_single_job_of(&j.graph, m))
-            .max()
-            .unwrap_or(0)
+        self.jobs.iter().map(|j| j.graph.opt_single_job(m)).max().unwrap_or(0)
     }
 }
 

@@ -20,7 +20,7 @@
 
 use crate::instance::Instance;
 use crate::probe::{Probe, StepStat};
-use flowtree_dag::{DepthProfile, JobGraph, JobId, NodeId, Time};
+use flowtree_dag::{JobGraph, JobId, NodeId, Time};
 use std::collections::BTreeMap;
 
 /// Live Lemma 5.1 lower-bound tracker.
@@ -76,7 +76,7 @@ impl Probe for LowerBound {
     }
 
     fn on_release(&mut self, _t: Time, _job: JobId, graph: &JobGraph) {
-        self.lb = self.lb.max(DepthProfile::opt_single_job_of(graph, self.m));
+        self.lb = self.lb.max(graph.opt_single_job(self.m));
     }
 
     fn on_complete(&mut self, t: Time, _job: JobId, release: Time) {
@@ -445,7 +445,7 @@ impl Probe for InvariantMonitor {
     fn on_release(&mut self, t: Time, job: JobId, graph: &JobGraph) {
         if let (true, Some(alpha)) = (self.single, self.checks.rectangle_tail_alpha) {
             let p = (alpha.max(1) * self.m.max(1)) as u64;
-            self.tail_start = Some(t + DepthProfile::opt_single_job_of(graph, p));
+            self.tail_start = Some(t + graph.opt_single_job(p));
         }
         if job.index() >= self.releases.len() {
             self.releases.resize(job.index() + 1, None);

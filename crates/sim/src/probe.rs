@@ -332,7 +332,9 @@ impl Probe for Counters {
 /// ```
 ///
 /// `picks` entries are `[job, node]` pairs, so the stream is one line per
-/// step.
+/// step. Fast-forwarded idle gaps arrive through [`Probe::on_idle_gap`]'s
+/// default, so each idle step is an all-idle `step` line, as if the engine
+/// had never skipped it.
 ///
 /// Write errors are sticky: the first error stops further output and is
 /// surfaced by [`finish`](Self::finish) (or swallowed on drop, matching the
@@ -340,7 +342,6 @@ impl Probe for Counters {
 #[derive(Debug)]
 pub struct JsonlTrace<W: Write> {
     out: W,
-    compact_idle: bool,
     error: Option<std::io::Error>,
 }
 
@@ -348,17 +349,7 @@ impl<W: Write> JsonlTrace<W> {
     /// Trace into `out`. Wrap files in a `BufWriter`; the trace writes one
     /// small record per event.
     pub fn new(out: W) -> Self {
-        JsonlTrace { out, compact_idle: false, error: None }
-    }
-
-    /// Emit fast-forwarded idle gaps as a single
-    /// `{"ev":"idle","t0":…,"steps":…}` record instead of one all-idle
-    /// `step` line per idle step. Off by default (the default stream is
-    /// byte-identical to the pre-fast-forward format); turn on for sparse
-    /// instances where gap replay dominates the trace size.
-    pub fn compact_idle(mut self, on: bool) -> Self {
-        self.compact_idle = on;
-        self
+        JsonlTrace { out, error: None }
     }
 
     /// Flush and return the writer, surfacing any write error encountered
@@ -401,18 +392,6 @@ impl<W: Write> Probe for JsonlTrace<W> {
 
     fn on_complete(&mut self, t: Time, job: JobId, _release: Time) {
         self.record(format_args!(r#"{{"ev":"complete","t":{t},"job":{}}}"#, job.0));
-    }
-
-    fn on_idle_gap(&mut self, t0: Time, steps: Time, m: usize) {
-        if self.compact_idle {
-            self.record(format_args!(r#"{{"ev":"idle","t0":{t0},"steps":{steps}}}"#));
-        } else {
-            // Replay the gap stepwise (the default-impl behavior) so the
-            // stream stays byte-identical to the non-fast-forwarding loop.
-            for t in t0..t0 + steps {
-                self.on_step(t, StepStat { picks: &[], idle_procs: m, ready_depth: 0 });
-            }
-        }
     }
 
     fn on_finish(&mut self, horizon: Time) {
@@ -490,23 +469,5 @@ mod tests {
             p.on_finish(1);
         }
         assert_eq!(single, pair.0);
-    }
-
-    #[test]
-    fn compact_idle_emits_one_record_per_gap() {
-        let mut trace = JsonlTrace::new(Vec::new()).compact_idle(true);
-        trace.on_start(3, 1);
-        trace.on_idle_gap(5, 1000, 3);
-        trace.on_finish(1005);
-        let text = String::from_utf8(trace.finish().unwrap()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            lines,
-            vec![
-                r#"{"ev":"start","m":3,"jobs":1}"#,
-                r#"{"ev":"idle","t0":5,"steps":1000}"#,
-                r#"{"ev":"finish","horizon":1005}"#,
-            ]
-        );
     }
 }

@@ -12,7 +12,6 @@
 
 use flowtree::core::lpf::{head_tail, lpf_levels, RectangleTail};
 use flowtree::core::{AlgoA, McReplay};
-use flowtree::dag::DepthProfile;
 use flowtree::prelude::*;
 use flowtree::workloads::batched::packed_chains;
 
@@ -23,7 +22,7 @@ fn main() {
     // --- 1. LPF shape -----------------------------------------------------
     let mut rng = flowtree::workloads::rng(5);
     let g = flowtree::workloads::trees::random_recursive_tree(300, &mut rng);
-    let opt = DepthProfile::new(&g).opt_single_job(m as u64);
+    let opt = g.opt_single_job(m as u64);
     let levels = lpf_levels(&g, p);
     let (head, tail) = head_tail(&levels, opt);
     let shape = RectangleTail::measure(&levels, opt, p);

@@ -240,25 +240,46 @@ cmp -s <(cargo run --release -q -p flowtree-cli -- report adversary -m 8 --jobs 
     <(cargo run --release -q -p flowtree-cli -- report adversary \
         --instance "$WB_DIR/inst.json" -m 8 --format json) \
     || { echo "workbench: report adversary differs from report --instance of gen's file"; exit 1; }
-# The trace verb: a fixed seed prints the same bytes twice, and the
-# --compact-idle dialect ends in the same finish record, whose horizon is
-# report's `steps (horizon)` cell.
+# The trace verb: a fixed seed prints the same bytes twice, ending in a
+# finish record whose horizon is report's `steps (horizon)` cell.
 TRACE_RUN=(service --scheduler lpf -m 4 --jobs 8 --seed 7)
 for out in a b; do
     cargo run --release -q -p flowtree-cli -- trace "${TRACE_RUN[@]}" > "$WB_DIR/$out.jsonl"
 done
-cargo run --release -q -p flowtree-cli -- trace "${TRACE_RUN[@]}" --compact-idle \
-    > "$WB_DIR/compact.jsonl"
 cmp -s "$WB_DIR/a.jsonl" "$WB_DIR/b.jsonl" \
     || { echo "trace smoke: two runs with one seed differ"; exit 1; }
 WB_HORIZON=$(cargo run --release -q -p flowtree-cli -- report "${TRACE_RUN[@]}" \
     | grep -o '^| steps (horizon) | [0-9]* |$' | grep -o '[0-9][0-9]*') \
     || { echo "trace smoke: report printed no horizon"; exit 1; }
-for out in a b compact; do
+for out in a b; do
     [ "$(tail -n 1 "$WB_DIR/$out.jsonl")" = "{\"ev\":\"finish\",\"horizon\":$WB_HORIZON}" ] \
         || { echo "trace smoke: $out.jsonl does not finish at report's horizon $WB_HORIZON"; exit 1; }
 done
 rm -rf "$WB_DIR"
+
+echo "==> out-of-range options exit 1 with a message, never a panic"
+# Exit codes are read unpiped: status exactly 1 (an error), not 101 (a
+# panic), with a non-empty stderr that names no panic.
+BAD_ERR=$(mktemp)
+while read -r -a BAD; do
+    status=0
+    cargo run --release -q -p flowtree-cli -- "${BAD[@]}" </dev/null >/dev/null 2>"$BAD_ERR" \
+        || status=$?
+    [ "$status" = 1 ] || { echo "bad input '${BAD[*]}': exit $status, want 1"; exit 1; }
+    [ -s "$BAD_ERR" ] || { echo "bad input '${BAD[*]}': no error message"; exit 1; }
+    if grep -q panicked "$BAD_ERR"; then
+        echo "bad input '${BAD[*]}' panicked:"; cat "$BAD_ERR"; exit 1
+    fi
+done <<'BAD_INPUTS'
+report service -m 0
+trace service -m 0
+gen service --jobs 0
+report service --jobs 0
+serve service --rate 0
+serve service --rate nan
+submit service --addr 127.0.0.1:9 --rate -1
+BAD_INPUTS
+rm -f "$BAD_ERR"
 
 echo "==> committed adversary corpus reproduces (results/store, git describe and empty swaps masked)"
 # Regenerate the corpus into a temp directory: the same six files, each

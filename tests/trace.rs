@@ -13,15 +13,10 @@ use flowtree::sim::{JsonlTrace, RunReport};
 use proptest::prelude::*;
 use serde_json::Value;
 
-/// Run `sched` with a JSONL trace attached (idle gaps folded into `idle`
-/// records when `compact`); return the trace text and report.
-fn traced_run(
-    inst: &Instance,
-    m: usize,
-    sched: &mut dyn OnlineScheduler,
-    compact: bool,
-) -> (String, RunReport) {
-    let mut trace = JsonlTrace::new(Vec::new()).compact_idle(compact);
+/// Run `sched` with a JSONL trace attached; return the trace text and
+/// report.
+fn traced_run(inst: &Instance, m: usize, sched: &mut dyn OnlineScheduler) -> (String, RunReport) {
+    let mut trace = JsonlTrace::new(Vec::new());
     let report = Engine::new(m)
         .with_max_horizon(100_000)
         .with_probe(&mut trace)
@@ -41,7 +36,7 @@ fn golden_trace_for_fixed_instance() {
         JobSpec { graph: chain(3), release: 0 },
         JobSpec { graph: star(3), release: 1 },
     ]);
-    let (jsonl, report) = traced_run(&inst, 2, &mut Fifo::new(TieBreak::BecameReady), false);
+    let (jsonl, report) = traced_run(&inst, 2, &mut Fifo::new(TieBreak::BecameReady));
     let golden = "\
 {\"ev\":\"start\",\"m\":2,\"jobs\":2}
 {\"ev\":\"release\",\"t\":0,\"job\":0}
@@ -59,13 +54,13 @@ fn golden_trace_for_fixed_instance() {
     assert_eq!(rebuild(&jsonl).schedule, report.schedule);
 }
 
-/// The exact event streams — compact and stepwise — for an instance whose
-/// run crosses an idle gap: chain(1) at 0 drains in one step, then nothing
-/// until chain(2) arrives at 5. With `compact_idle` the four empty steps
-/// collapse into a single `idle` record; without it they appear verbatim.
-/// Both streams must rebuild the engine's own schedule and flows.
+/// The exact event stream for an instance whose run crosses an idle gap:
+/// chain(1) at 0 drains in one step, then nothing until chain(2) arrives
+/// at 5. The engine fast-forwards the gap, and the four empty steps still
+/// appear verbatim as all-idle `step` lines. The stream must rebuild the
+/// engine's own schedule and flows.
 #[test]
-fn golden_trace_with_idle_gap_in_both_modes() {
+fn golden_trace_with_idle_gap() {
     let inst = Instance::new(vec![
         JobSpec { graph: chain(1), release: 0 },
         JobSpec { graph: chain(2), release: 5 },
@@ -89,16 +84,13 @@ fn golden_trace_with_idle_gap_in_both_modes() {
 {\"ev\":\"step\",\"t\":3,\"picks\":[],\"idle\":2,\"ready\":0}
 {\"ev\":\"step\",\"t\":4,\"picks\":[],\"idle\":2,\"ready\":0}
 ";
-    let compact_gap = "{\"ev\":\"idle\",\"t0\":1,\"steps\":4}\n";
 
-    for (compact, gap) in [(false, stepwise_gap), (true, compact_gap)] {
-        let (jsonl, report) = traced_run(&inst, 2, &mut Fifo::new(TieBreak::BecameReady), compact);
-        assert_eq!(jsonl, format!("{common_head}{gap}{common_tail}"), "compact={compact}");
-        let rebuilt = rebuild(&jsonl);
-        assert_eq!(rebuilt.schedule, report.schedule, "compact={compact}");
-        assert_eq!(rebuilt.flows, vec![Some(1), Some(2)], "compact={compact}");
-        assert_eq!(report.stats.flows, vec![1, 2]);
-    }
+    let (jsonl, report) = traced_run(&inst, 2, &mut Fifo::new(TieBreak::BecameReady));
+    assert_eq!(jsonl, format!("{common_head}{stepwise_gap}{common_tail}"));
+    let rebuilt = rebuild(&jsonl);
+    assert_eq!(rebuilt.schedule, report.schedule);
+    assert_eq!(rebuilt.flows, vec![Some(1), Some(2)]);
+    assert_eq!(report.stats.flows, vec![1, 2]);
 }
 
 /// Random out-tree via the recursive-attachment process (mirrors the
@@ -176,8 +168,8 @@ fn uint(v: &Value, key: &str) -> u64 {
 }
 
 /// Read every line as a JSON value (each must parse) and rebuild the run:
-/// `step` records extend the schedule in time order, `idle` records add
-/// empty steps, and `release`/`complete` records give each job's flow.
+/// `step` records extend the schedule in time order, and
+/// `release`/`complete` records give each job's flow.
 fn rebuild(jsonl: &str) -> Rebuilt {
     let mut records = jsonl.lines().map(|l| serde_json::from_str::<Value>(l).unwrap());
     let start = records.next().expect("empty trace");
@@ -231,14 +223,6 @@ fn rebuild(jsonl: &str) -> Rebuilt {
                 }
                 r.max_ready_depth = r.max_ready_depth.max(ready);
             }
-            "idle" => {
-                assert_eq!(uint(&v, "t0"), r.steps, "idle gap out of order");
-                let steps = uint(&v, "steps");
-                r.schedule.push_empty_steps(steps);
-                r.steps += steps;
-                r.idle_slots += steps * m as u64;
-                r.idle_steps += steps;
-            }
             "finish" => {
                 assert_eq!(uint(&v, "horizon"), r.steps);
                 finished = true;
@@ -261,9 +245,8 @@ proptest! {
         inst in arb_instance(5, 10, 8),
         m in 1usize..5,
         seed in 1u64..5000,
-        compact in (0u8..2).prop_map(|b| b == 1),
     ) {
-        let (jsonl, report) = traced_run(&inst, m, &mut SeededGreedy { state: seed }, compact);
+        let (jsonl, report) = traced_run(&inst, m, &mut SeededGreedy { state: seed });
 
         // 1. Trace records vs the engine's internal counters.
         let rebuilt = rebuild(&jsonl);
@@ -301,7 +284,7 @@ proptest! {
             .with_max_horizon(100_000)
             .run(&inst, &mut SeededGreedy { state: seed })
             .unwrap();
-        let (_, probed) = traced_run(&inst, 3, &mut SeededGreedy { state: seed }, false);
+        let (_, probed) = traced_run(&inst, 3, &mut SeededGreedy { state: seed });
         prop_assert_eq!(bare.schedule, probed.schedule);
         prop_assert_eq!(bare.counters, probed.counters);
     }
