@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ab;
 mod cells;
 mod engine_bench;
 mod gateway_bench;

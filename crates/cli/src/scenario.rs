@@ -4,7 +4,7 @@
 //! subcommand. The numeric flag helper [`parse_num`] is also used by `gen`
 //! and `bench`.
 
-use flowtree_core::SCHEDULER_NAMES;
+use flowtree_core::{SchedulerSpec, SCHEDULER_NAMES};
 use flowtree_sim::Instance;
 use flowtree_workloads::mix::Scenario;
 
@@ -109,8 +109,10 @@ impl ScenarioOpts {
         Ok(o)
     }
 
-    /// Reject sizes no run can use: a machine needs a processor, and an
-    /// instance at least one job.
+    /// Reject sizes no run can use: a machine needs a processor, an
+    /// instance at least one job, and a registered scheduler that slices
+    /// the machine a processor count it can slice. An unknown scheduler
+    /// name is left to the subcommand, which reports it.
     pub fn check_sizes(&self) -> Result<(), String> {
         if self.m == 0 {
             return Err("-m must be at least 1".into());
@@ -118,7 +120,10 @@ impl ScenarioOpts {
         if self.jobs == 0 {
             return Err("--jobs must be at least 1".into());
         }
-        Ok(())
+        match SchedulerSpec::from_name_with_half(&self.scheduler, self.half) {
+            Ok(spec) => spec.check_machine(self.m),
+            Err(_) => Ok(()),
+        }
     }
 
     /// Instantiate the named family or preset with these options, through
@@ -189,6 +194,19 @@ mod tests {
     fn zero_machines_is_an_error() {
         let args: Vec<String> = ["service", "-m", "0"].iter().map(|s| s.to_string()).collect();
         assert_eq!(parse("report", &args, true).unwrap_err(), "-m must be at least 1");
+    }
+
+    #[test]
+    fn algo_a_needs_alpha_to_divide_m() {
+        let args = |m: &str| -> Vec<String> {
+            ["service", "--scheduler", "algo-a", "-m", m]
+                .iter()
+                .map(|s| s.to_string())
+                .collect()
+        };
+        let err = parse("report", &args("7"), true).unwrap_err();
+        assert!(err.contains("multiple of 4, got 7"), "{err}");
+        assert!(parse("report", &args("8"), true).is_ok());
     }
 
     #[test]

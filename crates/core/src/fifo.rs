@@ -15,7 +15,7 @@
 //! (Theorem 4.2), while Section 5's Algorithm 𝒜 shows a careful intra-job
 //! policy recovers O(1)-competitiveness for clairvoyant schedulers.
 
-use flowtree_dag::{JobId, NodeId, Time};
+use flowtree_dag::{by_width, JobId, NodeId, Time, Word};
 use flowtree_sim::{Clairvoyance, OnlineScheduler, Selection, SimView};
 use std::cmp::Reverse;
 
@@ -168,12 +168,19 @@ impl Fifo {
                 self.scratch.clear();
                 self.scratch.extend_from_slice(ready);
                 // Stable sorts: priority desc, ties in the engine's
-                // ready-list order (arbitrary, but deterministic).
+                // ready-list order (arbitrary, but deterministic). The
+                // graph's width is tested once per sort.
                 if self.tie == TieBreak::HighestHeight {
-                    let h = g.heights();
-                    self.scratch.sort_by_key(|&v| Reverse(h[v as usize]));
+                    by_width!(g.heights(), |h| {
+                        self.scratch.sort_by_key(|&v| Reverse(h[v as usize].widen()))
+                    });
                 } else {
-                    self.scratch.sort_by_key(|&v| Reverse(g.out_degree(NodeId(v))));
+                    by_width!(g.child_offsets(), |o| {
+                        self.scratch.sort_by_key(|&v| {
+                            let v = v as usize;
+                            Reverse(o[v + 1].widen() - o[v].widen())
+                        })
+                    });
                 }
                 for &v in &self.scratch[..k] {
                     sel.push(job, NodeId(v));

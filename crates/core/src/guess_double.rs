@@ -51,9 +51,12 @@ impl GuessDoubleA {
         }
     }
 
+    /// The paper's α, with which [`paper`](Self::paper) runs Algorithm 𝒜.
+    pub const PAPER_ALPHA: usize = 4;
+
     /// The paper's exact parameters (α = 4, β = 258).
     pub fn paper() -> Self {
-        Self::new(4, 258)
+        Self::new(Self::PAPER_ALPHA, 258)
     }
 
     /// Current guess `AOPT`.

@@ -24,7 +24,7 @@
 //! job, but *not* O(1)-competitive in general — Algorithm 𝒜 exists
 //! precisely because naive FIFO composition is insufficient.
 
-use flowtree_dag::{JobGraph, NodeId, Time};
+use flowtree_dag::{by_width, JobGraph, NodeId, Time, Word};
 use std::ops::Index;
 
 /// A materialized level schedule: level `i` holds the node ids run during
@@ -263,7 +263,6 @@ pub fn lpf_levels_forest(
     let mut total_remaining = 0usize;
     for (&(g, mask), &base) in parts.iter().zip(start.iter()) {
         let n = g.n();
-        let heads = g.edge_heads();
         let (par, deg) = (&mut parent[base as usize..][..n], &mut indeg[base as usize..][..n]);
         // One pass over the edges: each head's included parents are
         // counted, its parent recorded, and a second parent noticed. An
@@ -271,32 +270,33 @@ pub fn lpf_levels_forest(
         // nodes whose child list starts at each edge. A loop per node over
         // its child list exits at a random length, and mispredicting that
         // exit made 𝒜's group plans about 20% slower on random recursive
-        // trees.
+        // trees. Each loop tests the graph's width once.
         marks.clear();
-        marks.resize(heads.len() + 1, 0);
-        let mut end = 0;
-        for u in 0..n - 1 {
-            end += g.out_degree(NodeId(u as u32));
-            marks[end] += 1;
-        }
+        marks.resize(g.num_edges() + 1, 0);
+        by_width!(g.child_offsets(), |ends| {
+            ends[1..n].iter().for_each(|&end| marks[end.widen() as usize] += 1)
+        });
         let mut u = 0;
-        for (&c, &m) in heads.iter().zip(marks.iter()) {
-            u += m;
-            let c = c as usize;
-            out_forest &= par[c] == u32::MAX;
-            par[c] = base + u;
-            deg[c] += mask.is_none_or(|m| m[u as usize]) as u32;
-        }
-        let heights = g.heights();
-        for v in 0..n {
-            if mask.is_some_and(|m| !m[v]) {
-                continue;
+        by_width!(g.edge_heads(), |heads| {
+            for (&c, &m) in heads.iter().zip(marks.iter()) {
+                u += m;
+                let c = c.widen() as usize;
+                out_forest &= par[c] == u32::MAX;
+                par[c] = base + u;
+                deg[c] += mask.is_none_or(|m| m[u as usize]) as u32;
             }
-            total_remaining += 1;
-            if deg[v] == 0 {
-                buckets[heights[v] as usize].push(base + v as u32);
+        });
+        by_width!(g.heights(), |heights| {
+            for v in 0..n {
+                if mask.is_some_and(|m| !m[v]) {
+                    continue;
+                }
+                total_remaining += 1;
+                if deg[v] == 0 {
+                    buckets[heights[v].widen() as usize].push(base + v as u32);
+                }
             }
-        }
+        });
     }
 
     let mut cur = max_h;
@@ -333,19 +333,20 @@ pub fn lpf_levels_forest(
                 start.partition_point(|&s| s <= u) - 1
             };
             let ((g, mask), base) = (parts[pi], start[pi]);
-            let heights = g.heights();
-            for &c in g.children(NodeId(u - base)) {
-                if mask.is_some_and(|m| !m[c as usize]) {
-                    continue;
-                }
-                let d = &mut indeg[(base + c) as usize];
-                *d -= 1;
-                if *d == 0 {
-                    let h = heights[c as usize] as usize;
-                    buckets[h].push(base + c);
-                    cur = cur.max(h);
-                }
-            }
+            by_width!(g.heights(), |heights| {
+                g.children(NodeId(u - base)).iter().for_each(|c| {
+                    if mask.is_some_and(|m| !m[c as usize]) {
+                        return;
+                    }
+                    let d = &mut indeg[(base + c) as usize];
+                    *d -= 1;
+                    if *d == 0 {
+                        let h = heights[c as usize].widen() as usize;
+                        buckets[h].push(base + c);
+                        cur = cur.max(h);
+                    }
+                })
+            });
         }
     }
     // Leave every bucket empty for the next plan.
@@ -359,7 +360,7 @@ pub fn lpf_levels_forest(
 /// remaining)? Debug-checked by the restricted LPF variants.
 pub fn descendant_closed(g: &JobGraph, mask: &[bool]) -> bool {
     g.nodes()
-        .all(|v| !mask[v.index()] || g.children(v).iter().all(|&c| mask[c as usize]))
+        .all(|v| !mask[v.index()] || g.children(v).iter().all(|c| mask[c as usize]))
 }
 
 /// The head/tail split of a materialized LPF schedule (paper, Section 5.3):

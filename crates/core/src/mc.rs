@@ -59,10 +59,10 @@ impl McReplay {
     pub fn new(graph: &JobGraph, levels: Levels, from: usize) -> Self {
         let mut parent = vec![NO_PARENT; graph.n()];
         for u in graph.nodes() {
-            for &c in graph.children(u) {
+            graph.children(u).iter().for_each(|c| {
                 assert!(parent[c as usize] == NO_PARENT, "MC replay requires an out-forest");
                 parent[c as usize] = u.0;
-            }
+            });
         }
         Self::with_parents(parent, levels, from)
     }
@@ -241,7 +241,7 @@ mod tests {
         assert_eq!(total, expected);
         // Precedence: child strictly after parent (when both replayed).
         for v in graph.nodes() {
-            for &c in graph.children(v) {
+            for c in graph.children(v) {
                 if done_step[v.index()] > 0 && done_step[c as usize] > 0 {
                     assert!(done_step[v.index()] < done_step[c as usize]);
                 }

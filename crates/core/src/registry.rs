@@ -125,6 +125,29 @@ impl SchedulerSpec {
         ]
     }
 
+    /// Check that this scheduler can run on `m` processors. Algorithm 𝒜,
+    /// alone or inside the guess-and-double wrapper, runs each release
+    /// group on an `m/α` slice of the machine, so α must divide `m`; every
+    /// other scheduler runs on any `m >= 1`. The CLI, a serve pool's
+    /// configuration and a scheduler swap all check this before a run
+    /// starts (`AlgoA` still asserts it as a backstop).
+    pub fn check_machine(&self, m: usize) -> Result<(), String> {
+        let alpha = match *self {
+            SchedulerSpec::AlgoA { alpha, .. } => alpha,
+            SchedulerSpec::GuessDouble => GuessDoubleA::PAPER_ALPHA,
+            _ => return Ok(()),
+        };
+        if m >= alpha && m.is_multiple_of(alpha) {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} splits the machine into alpha = {alpha} slices: m must be a multiple of \
+                 {alpha}, got {m}",
+                self.name()
+            ))
+        }
+    }
+
     /// Build a fresh scheduler from this spec. The box is `Send`, so built
     /// schedulers can move into worker threads (sweeps, serve shards).
     pub fn build(&self) -> Box<dyn OnlineScheduler + Send> {
@@ -172,7 +195,11 @@ impl SchedulerSpec {
             SchedulerSpec::GuessDouble => InvariantChecks {
                 work_conserving: false,
                 rectangle_tail_alpha: None,
-                head_tail: Some(HeadTailChecks { alpha: 4, half: 1, strict: false }),
+                head_tail: Some(HeadTailChecks {
+                    alpha: GuessDoubleA::PAPER_ALPHA,
+                    half: 1,
+                    strict: false,
+                }),
             },
         }
     }
@@ -363,6 +390,24 @@ mod tests {
             flowtree_sim::monitor::InvariantMonitor,
             flowtree_sim::RunHistograms,
         )>();
+    }
+
+    #[test]
+    fn algo_a_and_guess_double_need_alpha_to_divide_m() {
+        let algo_a = SchedulerSpec::AlgoA { alpha: 4, half: 8 };
+        for spec in [algo_a, SchedulerSpec::GuessDouble] {
+            for m in [4, 8, 64] {
+                assert_eq!(spec.check_machine(m), Ok(()), "{spec} m={m}");
+            }
+            for m in [0, 1, 2, 6, 7] {
+                let err = spec.check_machine(m).unwrap_err();
+                assert!(err.contains("multiple of 4"), "{err}");
+            }
+        }
+        assert!(SchedulerSpec::AlgoA { alpha: 3, half: 1 }.check_machine(9).is_ok());
+        for name in ["fifo", "lpf", "round-robin", "lrwf"] {
+            assert_eq!(name.parse::<SchedulerSpec>().unwrap().check_machine(7), Ok(()));
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn reference_fifo(instance: &Instance, m: usize) -> Vec<Vec<Time>> {
         for (j, spec) in instance.jobs().iter().enumerate() {
             for v in spec.graph.nodes() {
                 if complete[j][v.index()] == t {
-                    for &c in spec.graph.children(v) {
+                    for c in spec.graph.children(v) {
                         let all_done = spec.graph.edges().iter().all(|&(u, w)| {
                             w != c || complete[j][u as usize] != 0 && complete[j][u as usize] <= t
                         });

@@ -88,9 +88,7 @@ pub fn out_forest_roots(g: &JobGraph) -> Vec<u32> {
             root[v as usize] = v;
         }
         let r = root[v as usize];
-        for &c in g.children(NodeId(v)) {
-            root[c as usize] = r;
-        }
+        g.children(NodeId(v)).iter().for_each(|c| root[c as usize] = r);
     }
     root
 }

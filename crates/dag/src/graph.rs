@@ -8,6 +8,7 @@
 //! after construction via [`GraphBuilder`], which validates acyclicity and
 //! computes the heights and depth counts once.
 
+use crate::words::{Word, Words};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::sync::Arc;
 
@@ -73,25 +74,34 @@ impl std::error::Error for GraphError {}
 
 /// An immutable DAG of unit-time subjobs, with its structure computed once.
 ///
-/// [`GraphBuilder::build`] validates the edge list and fills one buffer of
-/// `u32`s, laid out as
+/// [`GraphBuilder::build`] validates the edge list and fills one buffer,
+/// laid out as
 ///
 /// ```text
 /// child offsets (n+1) | children (e) | heights (n) | depth counts (span)
 /// ```
 ///
-/// `2n + 1 + e + span` words: 783 for a 256-node tree, 54 for a 16-node
-/// one. The buffer is an `Arc<[u32]>` allocated once at exactly that
-/// length. A job's DAG is fixed when it is released and only ever read, so
-/// a clone shares the buffer instead of copying it (O(1), no allocation),
-/// and a `JobGraph` is 24 bytes. The offsets index the buffer itself, so a
-/// child list is one slice, in ascending id order. The height and
-/// depth-count parts are what LPF (heights, Section 5.1) and the Lemma 5.1
-/// bound (the depth profile `W(d)`) read on every run; here they are a
-/// slice away instead of a graph walk. Parents are not stored:
-/// [`in_degrees`](Self::in_degrees) counts them in one pass over
-/// [`edge_heads`](Self::edge_heads), and an out-forest's parent array is
-/// derived from the child lists. A `JobGraph` therefore always satisfies:
+/// `2n + 1 + e + span` values: 783 for a 256-node tree, 54 for a 16-node
+/// one. Every value is at most `max(n, e)`, so a graph with
+/// `n <= 65535` and `e <= 65535` is *narrow* and stores each value as one
+/// `u16`; any other is *wide* and stores each as a `[lo, hi]` pair of
+/// `u16`s. The width is a function of `(n, e)` alone, so nothing records
+/// it. The buffer is an `Arc<[u16]>` allocated once at exactly its length:
+/// on a 64-bit host a narrow 256-node tree keeps about 6.2 bytes per node
+/// (its 16-byte `Arc` header included), a 16-node tree about 8, and a wide
+/// graph 4 bytes per value. A job's DAG is fixed when it is released
+/// and only ever read, so a clone shares the buffer instead of copying it
+/// (O(1), no allocation), and a `JobGraph` is 24 bytes.
+///
+/// The offsets index the children part, so a child list is one run of it,
+/// in ascending id order. The height and depth-count parts are what LPF
+/// (heights, Section 5.1) and the Lemma 5.1 bound (the depth profile
+/// `W(d)`) read on every run; here they are a slice away instead of a graph
+/// walk. Each accessor returns a [`Words`] view at the graph's width.
+/// Parents are not stored: [`in_degrees`](Self::in_degrees) counts them in
+/// one pass over [`edge_heads`](Self::edge_heads), and an out-forest's
+/// parent array is derived from the child lists. A `JobGraph` therefore
+/// always satisfies:
 ///
 /// * `n() >= 1`;
 /// * every child list is strictly ascending;
@@ -103,8 +113,26 @@ pub struct JobGraph {
     /// Number of edges.
     e: u32,
     /// The layout above, shared by every clone. Its length is exactly
-    /// `2n + 1 + e + span`.
-    data: Arc<[u32]>,
+    /// `2n + 1 + e + span` values at the graph's width.
+    data: Arc<[u16]>,
+}
+
+/// Whether a graph with `n` nodes and `e` edges stores its values as
+/// `[lo, hi]` pairs: exactly when some value can exceed `u16::MAX`.
+#[inline]
+fn is_wide(n: usize, e: usize) -> bool {
+    n > usize::from(u16::MAX) || e > usize::from(u16::MAX)
+}
+
+/// Re-wraps a sub-slice `$body` of the slice `$s` inside a [`Words`] view
+/// at the view's width.
+macro_rules! rewrap {
+    ($words:expr, |$s:ident| $body:expr) => {
+        match $words {
+            Words::Narrow($s) => Words::Narrow($body),
+            Words::Wide($s) => Words::Wide($body),
+        }
+    };
 }
 
 impl JobGraph {
@@ -127,39 +155,58 @@ impl JobGraph {
         self.e as usize
     }
 
-    /// Start of the heights in `data`.
+    /// The whole buffer at the graph's width.
+    #[inline]
+    fn words(&self) -> Words<'_> {
+        if is_wide(self.n(), self.num_edges()) {
+            Words::Wide(self.data.as_chunks().0)
+        } else {
+            Words::Narrow(&self.data)
+        }
+    }
+
+    /// Start of the heights in the buffer.
     #[inline]
     fn height_base(&self) -> usize {
         self.n as usize + 1 + self.e as usize
     }
 
+    /// The CSR offsets: `child_offsets().get(v)..child_offsets().get(v + 1)`
+    /// is where `v`'s child list lies in [`edge_heads`](Self::edge_heads).
+    /// `n + 1` values, from 0 to `e`.
+    #[inline]
+    pub fn child_offsets(&self) -> Words<'_> {
+        let n = self.n();
+        rewrap!(self.words(), |d| &d[..=n])
+    }
+
     /// Children (immediate successors) of `v`, in ascending id order.
     #[inline]
-    pub fn children(&self, v: NodeId) -> &[u32] {
-        let v = v.index();
-        &self.data[self.data[v] as usize..self.data[v + 1] as usize]
+    pub fn children(&self, v: NodeId) -> Words<'_> {
+        let (v, at) = (v.index(), self.n() + 1);
+        rewrap!(self.words(), |d| &d[at..][d[v].widen() as usize..d[v + 1].widen() as usize])
     }
 
     /// The head of every edge: the child lists of nodes `0..n`, concatenated.
     /// A node's in-degree is the number of times it occurs here.
     #[inline]
-    pub fn edge_heads(&self) -> &[u32] {
-        &self.data[self.n as usize + 1..self.height_base()]
+    pub fn edge_heads(&self) -> Words<'_> {
+        let (at, end) = (self.n() + 1, self.height_base());
+        rewrap!(self.words(), |d| &d[at..end])
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.children(v).len()
+        let v = v.index();
+        crate::by_width!(self.words(), |d| (d[v + 1].widen() - d[v].widen()) as usize)
     }
 
     /// In-degree of every node, counted in one pass over
     /// [`edge_heads`](Self::edge_heads).
     pub fn in_degrees(&self) -> Vec<u32> {
         let mut d = vec![0u32; self.n()];
-        for &c in self.edge_heads() {
-            d[c as usize] += 1;
-        }
+        self.edge_heads().iter().for_each(|c| d[c as usize] += 1);
         d
     }
 
@@ -172,9 +219,10 @@ impl JobGraph {
     /// Heights strictly decrease along every edge, so every edge goes
     /// forward in this order. It is sorted on each call, not stored.
     pub fn topo_order(&self) -> Vec<u32> {
-        let h = self.heights();
         let mut order: Vec<u32> = (0..self.n).collect();
-        order.sort_by_key(|&v| std::cmp::Reverse(h[v as usize]));
+        crate::by_width!(self.heights(), |h| {
+            order.sort_by_key(|&v| std::cmp::Reverse(h[v as usize].widen()))
+        });
         order
     }
 
@@ -192,20 +240,21 @@ impl JobGraph {
     /// Per-node **height** `H(v)`: the number of nodes on the longest
     /// directed path from `v` to a sink, so a sink has height 1
     /// (paper, Section 5). Heights drive the Longest-Path-First priority.
-    /// Computed once by [`GraphBuilder::build`]; this is a slice of it.
+    /// Computed once by [`GraphBuilder::build`]; this is a view of it.
     #[inline]
-    pub fn heights(&self) -> &[u32] {
-        let at = self.height_base();
-        &self.data[at..at + self.n as usize]
+    pub fn heights(&self) -> Words<'_> {
+        let (at, end) = (self.height_base(), self.height_base() + self.n());
+        rewrap!(self.words(), |d| &d[at..end])
     }
 
     /// `depth_counts()[d - 1]` is the number of nodes of depth exactly `d`,
     /// for `d` in `1..=span`: the depth profile the paper's Lemma 5.1 reads
     /// (see [`opt_single_job`](Self::opt_single_job)). Computed once by
-    /// [`GraphBuilder::build`]; this is a slice of it.
+    /// [`GraphBuilder::build`]; this is a view of it.
     #[inline]
-    pub fn depth_counts(&self) -> &[u32] {
-        &self.data[self.height_base() + self.n as usize..]
+    pub fn depth_counts(&self) -> Words<'_> {
+        let at = self.height_base() + self.n();
+        rewrap!(self.words(), |d| &d[at..])
     }
 
     /// Per-node **depth** `D(v)`: the number of nodes on the longest directed
@@ -217,9 +266,9 @@ impl JobGraph {
         let mut d = vec![1u32; self.n()];
         for v in self.topo_order() {
             let dv = d[v as usize] + 1;
-            for &c in self.children(NodeId(v)) {
-                d[c as usize] = d[c as usize].max(dv);
-            }
+            self.children(NodeId(v))
+                .iter()
+                .for_each(|c| d[c as usize] = d[c as usize].max(dv));
         }
         d
     }
@@ -246,9 +295,7 @@ impl JobGraph {
     pub fn edges(&self) -> Vec<(u32, u32)> {
         let mut e = Vec::with_capacity(self.num_edges());
         for v in 0..self.n {
-            for &c in self.children(NodeId(v)) {
-                e.push((v, c));
-            }
+            self.children(NodeId(v)).iter().for_each(|c| e.push((v, c)));
         }
         e
     }
@@ -371,8 +418,11 @@ impl GraphBuilder {
     /// smallest duplicated `(u, v)` is reported); then no directed cycle.
     /// The same passes compute every node's height and the number of nodes
     /// at each depth, so a graph's consumers never walk it for them. They
-    /// fill a working buffer, which is then copied into the graph's shared
-    /// one at its exact length: one retained allocation, and no `realloc`.
+    /// fill a working buffer of `u32`s, which is then written into the
+    /// graph's shared one at its exact length and at the graph's width
+    /// (`u16`s when `n` and `e` are at most 65,535, `[lo, hi]` pairs
+    /// otherwise; see [`JobGraph`]): one retained allocation, and no
+    /// `realloc`.
     ///
     /// The validating pass also records two facts about the edge list:
     ///
@@ -392,8 +442,10 @@ impl GraphBuilder {
     /// Kahn's peel unless it is forward, then heights and depths by passes
     /// over the child lists in topological order. On a 2-core host
     /// (`examples/graph_build.rs`), 256-node random recursive trees build
-    /// in about 13 ns per node in canonical order and about 45 with their
-    /// edges shuffled, and relabelled DAGs through the peel in about 63.
+    /// in about 8 ns per node in canonical order and about 33 with their
+    /// edges shuffled, relabelled DAGs through the peel in about 52, and
+    /// lowered series-parallel jobs, which arrive in canonical order, in
+    /// about 15.
     pub fn build(&self) -> Result<JobGraph, GraphError> {
         let n = self.n;
         if n == 0 {
@@ -537,12 +589,19 @@ impl GraphBuilder {
             span = span.max(d as usize + 1);
         }
 
-        // Frozen into one allocation of exactly the layout's length.
-        Ok(JobGraph {
-            n: n32,
-            e: e as u32,
-            data: Arc::from(&data[..counts_at + span]),
-        })
+        // Frozen into one allocation of exactly the layout's length, with
+        // the offsets made relative to the children part, each value
+        // written at the graph's width.
+        data[..children_at].iter_mut().for_each(|o| *o -= children_at as u32);
+        let values = &data[..counts_at + span];
+        let data: Arc<[u16]> = if is_wide(n, e) {
+            let pairs: Vec<[u16; 2]> =
+                values.iter().map(|&x| [x as u16, (x >> 16) as u16]).collect();
+            Arc::from(pairs.as_flattened())
+        } else {
+            values.iter().map(|&x| x as u16).collect()
+        };
+        Ok(JobGraph { n: n32, e: e as u32, data })
     }
 }
 
@@ -713,7 +772,7 @@ mod tests {
         b.edge(0, 3).edge(0, 1).edge(1, 2).edge(2, 3);
         let g = b.build().unwrap();
         assert_eq!(g.depths()[3], 4);
-        assert_eq!(g.heights()[0], 4);
+        assert_eq!(g.heights().get(0), 4);
     }
 
     #[test]

@@ -37,8 +37,10 @@ pub mod graph;
 pub mod profile;
 pub mod render;
 pub mod sp;
+pub mod words;
 
 pub use graph::{GraphBuilder, GraphError, JobGraph, NodeId};
+pub use words::{Word, Words, WordsIter};
 
 /// Discrete simulation time. Subjobs occupy unit intervals; a subjob
 /// scheduled "at time `t`" runs during `(t-1, t]` in the paper's convention.

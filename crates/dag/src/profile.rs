@@ -7,11 +7,13 @@
 //! `OPT = max_d (d + ceil(W(d)/m))`.
 
 /// Lemma 5.1's `max over d in [0, D] of (d + ceil(W(d)/m))` from per-depth
-/// counts alone (`count[d]` holds the nodes at depth `d + 1`, the layout of
-/// [`JobGraph::depth_counts`](crate::JobGraph::depth_counts)): walk the
-/// depths high to low, accumulating `W(d)`, the number of nodes strictly
-/// deeper than `d`. Counts summed per depth over jobs released together give
-/// the bound of their union without building it. Allocates nothing.
+/// counts alone (the `d`-th count holds the nodes at depth `d + 1`, the
+/// layout of [`JobGraph::depth_counts`](crate::JobGraph::depth_counts)):
+/// walk the depths high to low, accumulating `W(d)`, the number of nodes
+/// strictly deeper than `d`. Counts summed per depth over jobs released
+/// together give the bound of their union without building it. Allocates
+/// nothing; a graph's [`Words`](crate::Words) view is walked in one `rfold`,
+/// so its width is tested once.
 ///
 /// ```
 /// use flowtree_dag::{builder, profile::opt_of_depth_counts};
@@ -23,14 +25,19 @@
 /// assert_eq!(opt_of_depth_counts(g.depth_counts(), 3), 3);
 /// assert_eq!(g.opt_single_job(3), 3);
 /// ```
-pub fn opt_of_depth_counts<C: Copy + Into<u64>>(count: &[C], m: u64) -> u64 {
+pub fn opt_of_depth_counts<I>(counts: I, m: u64) -> u64
+where
+    I: IntoIterator,
+    I::IntoIter: DoubleEndedIterator + ExactSizeIterator,
+    I::Item: Into<u64>,
+{
     assert!(m >= 1, "need at least one processor");
-    let mut best = count.len() as u64;
-    let mut w = 0u64;
-    for d in (0..count.len()).rev() {
-        w += count[d].into();
-        best = best.max(d as u64 + w.div_ceil(m));
-    }
+    let counts = counts.into_iter();
+    let span = counts.len() as u64;
+    let (best, _, _) = counts.rev().fold((span, 0u64, span), |(best, w, d), c| {
+        let (w, d) = (w + c.into(), d - 1);
+        (best.max(d + w.div_ceil(m)), w, d)
+    });
     best
 }
 
@@ -61,7 +68,7 @@ mod tests {
         let g = chain(5);
         assert_eq!(g.depth_counts(), &[1, 1, 1, 1, 1]);
         // W(d) is the sum of the counts deeper than d.
-        let w = |d: usize| g.depth_counts()[d.min(5)..].iter().sum::<u32>();
+        let w = |d: usize| g.depth_counts().iter().skip(d).sum::<u32>();
         assert_eq!((w(0), w(3), w(5), w(99)), (5, 2, 0, 0));
     }
 
@@ -75,7 +82,11 @@ mod tests {
                 counts[d as usize - 1] += 1;
             }
             for m in 1..=9 {
-                assert_eq!(g.opt_single_job(m), opt_of_depth_counts(&counts, m), "m={m}");
+                assert_eq!(
+                    g.opt_single_job(m),
+                    opt_of_depth_counts(counts.iter().copied(), m),
+                    "m={m}"
+                );
             }
         }
     }

@@ -54,18 +54,29 @@ impl SpExpr {
 
     /// Compile to a [`JobGraph`]. The graph has a unique source and a unique
     /// sink (fork-join programs start and end sequentially).
+    ///
+    /// Nodes are numbered in the order the expression is written, and each
+    /// edge is added as soon as its head is numbered, so every edge points
+    /// forward and the list is ascending by `(head, tail)`: one of the
+    /// orders in which [`GraphBuilder::build`] takes its canonical path, two
+    /// edge sweeps without the per-node sort check and node walk.
     pub fn lower(&self) -> JobGraph {
         let mut b = GraphBuilder::new(0);
-        let (_first, _last) = self.emit(&mut b);
+        let (_first, _last) = self.emit(&mut b, &[]);
         b.build().expect("series-parallel lowering is acyclic")
     }
 
-    /// Emit nodes/edges into `b`; returns (entry node, exit node).
-    fn emit(&self, b: &mut GraphBuilder) -> (u32, u32) {
+    /// Emit nodes/edges into `b`, with an edge from each of `preds` to the
+    /// entry node; returns (entry node, exit node). The entry is the first
+    /// node numbered and the exit the last.
+    fn emit(&self, b: &mut GraphBuilder, preds: &[u32]) -> (u32, u32) {
         match self {
             SpExpr::Strand(len) => {
                 assert!(*len >= 1, "strand must have at least one step");
                 let first = b.add_nodes(*len);
+                for &p in preds {
+                    b.edge(p, first);
+                }
                 for i in 0..(*len as u32) - 1 {
                     b.edge(first + i, first + i + 1);
                 }
@@ -73,27 +84,21 @@ impl SpExpr {
             }
             SpExpr::Series(parts) => {
                 assert!(!parts.is_empty(), "empty series");
-                let mut entry = None;
-                let mut prev_exit: Option<u32> = None;
-                for p in parts {
-                    let (e, x) = p.emit(b);
-                    if entry.is_none() {
-                        entry = Some(e);
-                    }
-                    if let Some(px) = prev_exit {
-                        b.edge(px, e);
-                    }
-                    prev_exit = Some(x);
+                let (entry, mut exit) = parts[0].emit(b, preds);
+                for p in &parts[1..] {
+                    exit = p.emit(b, &[exit]).1;
                 }
-                (entry.unwrap(), prev_exit.unwrap())
+                (entry, exit)
             }
             SpExpr::Parallel(parts) => {
                 assert!(!parts.is_empty(), "empty parallel");
                 let fork = b.add_nodes(1);
-                let branch_ends: Vec<(u32, u32)> = parts.iter().map(|p| p.emit(b)).collect();
+                for &p in preds {
+                    b.edge(p, fork);
+                }
+                let exits: Vec<u32> = parts.iter().map(|p| p.emit(b, &[fork]).1).collect();
                 let join = b.add_nodes(1);
-                for (e, x) in branch_ends {
-                    b.edge(fork, e);
+                for x in exits {
                     b.edge(x, join);
                 }
                 (fork, join)

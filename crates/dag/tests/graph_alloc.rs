@@ -1,6 +1,7 @@
 //! Heap accounting of job graphs under a counting allocator: `build`
-//! retains exactly one allocation and never reallocates, and cloning an
-//! instance shares every graph's buffer instead of copying it.
+//! retains exactly one allocation of the layout's length at the graph's
+//! width and never reallocates, and cloning an instance shares every
+//! graph's buffer instead of copying it.
 //!
 //! One `#[test]` in its own binary, so the global allocator's counters see
 //! no other test's allocations. Only the test thread's calls are counted,
@@ -87,11 +88,21 @@ fn builder(n: u32, edges: impl IntoIterator<Item = (u32, u32)>) -> GraphBuilder 
     b
 }
 
-/// `2n + 1 + e + span` words behind an `Arc`'s two counters.
+/// The layout's `2n + 1 + e + span` values.
+fn words(g: &JobGraph) -> usize {
+    2 * g.n() + 1 + g.num_edges() + g.span() as usize
+}
+
+/// The layout's values behind an `Arc`'s two counters: 2 bytes each in a
+/// narrow graph (`n` and `e` at most 65,535), 4 in a wide one.
 fn layout_bytes(g: &JobGraph) -> usize {
-    let words = 2 * g.n() + 1 + g.num_edges() + g.span() as usize;
+    let width = if g.n().max(g.num_edges()) <= usize::from(u16::MAX) {
+        2
+    } else {
+        4
+    };
     let header = 2 * std::mem::size_of::<usize>();
-    (header + 4 * words).next_multiple_of(std::mem::align_of::<usize>())
+    (header + width * words(g)).next_multiple_of(std::mem::align_of::<usize>())
 }
 
 #[test]
@@ -106,11 +117,19 @@ fn build_retains_one_exact_allocation_and_clones_share_it() {
     // Ids reversed: every edge points backward, so `build` peels.
     let backward = tree.iter().map(|&(u, v)| (N - 1 - u, N - 1 - v));
     let builders = [builder(N, tree.clone()), builder(N, shuffled), builder(N, backward)];
-    for b in &builders {
+    // A 65,536-node chain is wide: its values take `[lo, hi]` pairs.
+    let chain = builder(1 << 16, (1..1 << 16).map(|v| (v - 1, v)));
+    for b in builders.iter().chain([&chain]) {
         let (g, [allocs, frees, reallocs, live]) = measure(|| b.build().unwrap());
         assert_eq!(reallocs, 0, "build reallocated");
         assert_eq!(allocs - frees, 1, "build retained {} allocations", allocs - frees);
         assert_eq!(live, layout_bytes(&g), "retained bytes differ from the layout");
+        if g.n() == N as usize {
+            // Narrow: one `u16` per value after the 16-byte header (the
+            // padding rounds to 8 bytes).
+            #[cfg(target_pointer_width = "64")]
+            assert_eq!(live, (16 + 2 * words(&g)).next_multiple_of(8));
+        }
     }
 
     let jobs: Vec<JobSpec> = (0..1000)

@@ -3,7 +3,10 @@
 use flowtree_dag::builder::{caterpillar, complete_kary, quicksort_tree};
 use flowtree_dag::classify;
 use flowtree_dag::graph::{GraphBuilder, GraphError, JobGraph, NodeId};
+use flowtree_dag::Words;
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// Strategy: random DAG via random edge set on `n` nodes where every edge
 /// goes from a lower to a higher id (guaranteeing acyclicity).
@@ -105,20 +108,34 @@ fn arb_ordered_dag(max_n: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)
         })
 }
 
+/// Relax `rule(u, v)` over every edge until nothing changes, sweeping the
+/// list front to back and back to front in turn, so a long path in either
+/// order settles in a few sweeps.
+fn relax(edges: &[(u32, u32)], mut rule: impl FnMut(u32, u32) -> bool) {
+    let mut changed = true;
+    let mut forward = true;
+    while changed {
+        changed = false;
+        if forward {
+            edges.iter().for_each(|&(u, v)| changed |= rule(u, v));
+        } else {
+            edges.iter().rev().for_each(|&(u, v)| changed |= rule(u, v));
+        }
+        forward = !forward;
+    }
+}
+
 /// Reference heights: relax `h(u) >= h(v) + 1` over every edge until
 /// nothing changes.
 fn reference_heights(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
     let mut h = vec![1u32; n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &(u, v) in edges {
-            if h[u as usize] < h[v as usize] + 1 {
-                h[u as usize] = h[v as usize] + 1;
-                changed = true;
-            }
+    relax(edges, |u, v| {
+        let raise = h[u as usize] < h[v as usize] + 1;
+        if raise {
+            h[u as usize] = h[v as usize] + 1;
         }
-    }
+        raise
+    });
     h
 }
 
@@ -126,16 +143,13 @@ fn reference_heights(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
 /// nothing changes.
 fn reference_depths(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
     let mut d = vec![1u32; n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &(u, v) in edges {
-            if d[v as usize] < d[u as usize] + 1 {
-                d[v as usize] = d[u as usize] + 1;
-                changed = true;
-            }
+    relax(edges, |u, v| {
+        let raise = d[v as usize] < d[u as usize] + 1;
+        if raise {
+            d[v as usize] = d[u as usize] + 1;
         }
-    }
+        raise
+    });
     d
 }
 
@@ -189,7 +203,7 @@ proptest! {
         prop_assert_eq!(g.edges(), sorted.clone());
         prop_assert_eq!(g.num_edges(), edges.len());
         for v in g.nodes() {
-            prop_assert!(g.children(v).windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(g.children(v).to_vec().windows(2).all(|w| w[0] < w[1]));
         }
         check_in_degrees(&g, &edges);
 
@@ -216,7 +230,7 @@ proptest! {
         sorted.sort_unstable();
         prop_assert_eq!(g.edges(), sorted);
         for v in g.nodes() {
-            prop_assert!(g.children(v).windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(g.children(v).to_vec().windows(2).all(|w| w[0] < w[1]));
         }
         check_in_degrees(&g, &edges);
     }
@@ -234,7 +248,7 @@ proptest! {
 
     #[test]
     fn heights_depths_consistent(g in arb_dag(40)) {
-        let h = g.heights();
+        let h = g.heights().to_vec();
         let d = g.depths();
         // Edge relations.
         for (u, v) in g.edges() {
@@ -256,7 +270,7 @@ proptest! {
     fn reverse_swaps_heights_depths(g in arb_dag(30)) {
         let r = classify::reverse(&g);
         prop_assert_eq!(r.heights(), g.depths());
-        prop_assert_eq!(r.depths(), g.heights());
+        prop_assert_eq!(g.heights(), r.depths());
         prop_assert_eq!(classify::reverse(&r), g.clone());
     }
 
@@ -378,5 +392,113 @@ fn deterministic_builders_are_out_trees() {
         quicksort_tree(500, 1, 3, 2),
     ] {
         assert!(classify::is_out_tree(&g));
+    }
+}
+
+/// Each node's parent drawn uniformly from the nodes before it.
+fn recursive_tree(n: u32, rng: &mut ChaCha8Rng) -> Vec<(u32, u32)> {
+    (1..n).map(|v| (rng.gen_range(0..v), v)).collect()
+}
+
+/// Every accessor of `g`, built from `edges` on `n` nodes, against the
+/// reference walks, and its width against `wide`.
+fn check_against_reference(n: usize, edges: &[(u32, u32)], g: &JobGraph, wide: bool) {
+    let name = format!("n={n} e={}", edges.len());
+    assert_eq!(matches!(g.heights(), Words::Wide(_)), wide, "{name}: width");
+    assert_eq!((g.n(), g.num_edges()), (n, edges.len()), "{name}");
+    let mut sorted = edges.to_vec();
+    sorted.sort_unstable();
+    assert_eq!(g.edges(), sorted, "{name}: edges");
+
+    let mut offsets = vec![0u32; n + 1];
+    for &(u, _) in &sorted {
+        offsets[u as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let heads: Vec<u32> = sorted.iter().map(|&(_, v)| v).collect();
+    assert_eq!(g.child_offsets(), offsets, "{name}: child offsets");
+    assert_eq!(g.edge_heads(), heads, "{name}: edge heads");
+    assert_eq!(
+        g.edge_heads().iter().rev().collect::<Vec<_>>(),
+        heads.iter().rev().copied().collect::<Vec<_>>()
+    );
+    for v in g.nodes() {
+        let (lo, hi) = (offsets[v.index()] as usize, offsets[v.index() + 1] as usize);
+        assert_eq!(g.children(v), heads[lo..hi], "{name}: children of {v}");
+        assert_eq!(g.out_degree(v), hi - lo, "{name}: out-degree of {v}");
+    }
+    let mut indeg = vec![0u32; n];
+    heads.iter().for_each(|&v| indeg[v as usize] += 1);
+    assert_eq!(g.in_degrees(), indeg, "{name}: in-degrees");
+
+    let h = reference_heights(n, edges);
+    let d = reference_depths(n, edges);
+    assert_eq!(g.heights(), h, "{name}: heights");
+    assert_eq!(g.depths(), d, "{name}: depths");
+    let span = *d.iter().max().unwrap();
+    let mut counts = vec![0u32; span as usize];
+    d.iter().for_each(|&x| counts[x as usize - 1] += 1);
+    assert_eq!(g.depth_counts(), counts, "{name}: depth counts");
+    assert_eq!(g.depth_counts().len(), span as usize);
+    assert_eq!(g.span(), u64::from(span), "{name}: span");
+
+    // Lemma 5.1 from its definition: W(d) is the number of nodes deeper
+    // than d, counted by binary search over the sorted depths.
+    let mut by_depth = d.clone();
+    by_depth.sort_unstable();
+    for m in [1, 3, 64] {
+        let naive = (0..=span)
+            .map(|x| {
+                let deeper = n - by_depth.partition_point(|&y| y <= x);
+                u64::from(x) + (deeper as u64).div_ceil(m)
+            })
+            .max()
+            .unwrap();
+        assert_eq!(g.opt_single_job(m), naive, "{name}: opt on {m} processors");
+    }
+}
+
+fn build(n: usize, edges: &[(u32, u32)]) -> JobGraph {
+    let mut b = GraphBuilder::new(n);
+    for &(u, v) in edges {
+        b.edge(u, v);
+    }
+    b.build().unwrap()
+}
+
+/// A graph is narrow, with one `u16` per value, up to 65,535 nodes and
+/// 65,535 edges, and wide past either.
+#[test]
+fn graphs_at_the_width_boundary_match_reference_walks() {
+    let chain = |n: u32| (1..n).map(|v| (v - 1, v)).collect::<Vec<_>>();
+    for (n, wide) in [(65_535u32, false), (65_536, true)] {
+        let edges = chain(n);
+        check_against_reference(n as usize, &edges, &build(n as usize, &edges), wide);
+    }
+    // 400 nodes, every forward edge: 79,800 edges make it wide.
+    let complete: Vec<(u32, u32)> =
+        (0..400).flat_map(|u| (u + 1..400).map(move |v| (u, v))).collect();
+    assert_eq!(complete.len(), 79_800);
+    check_against_reference(400, &complete, &build(400, &complete), true);
+}
+
+/// Random 16- and 256-node trees are narrow alone and wide once
+/// disjoint-unioned with a 65,536-node chain.
+#[test]
+fn random_trees_alone_and_beside_a_wide_chain_match_reference_walks() {
+    let mut rng = ChaCha8Rng::seed_from_u64(39);
+    let long = (1..65_536u32).map(|v| (v - 1, v)).collect::<Vec<_>>();
+    let chain = build(65_536, &long);
+    for n in [16u32, 256, 16, 256] {
+        let edges = recursive_tree(n, &mut rng);
+        let tree = build(n as usize, &edges);
+        check_against_reference(n as usize, &edges, &tree, false);
+        let (union, offsets) = JobGraph::disjoint_union(&[&tree, &chain]);
+        assert_eq!(offsets, vec![0, n]);
+        let joined: Vec<(u32, u32)> =
+            edges.iter().copied().chain(long.iter().map(|&(u, v)| (u + n, v + n))).collect();
+        check_against_reference(n as usize + 65_536, &joined, &union, true);
     }
 }

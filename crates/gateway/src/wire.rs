@@ -570,10 +570,10 @@ fn push_submit_batch_binary(out: &mut Vec<u8>, jobs: &[JobSpec]) {
         push_u32_le(out, n);
         push_u32_le(out, job.graph.num_edges() as u32);
         for v in 0..n {
-            for &c in job.graph.children(NodeId(v)) {
+            job.graph.children(NodeId(v)).iter().for_each(|c| {
                 push_u32_le(out, v);
                 push_u32_le(out, c);
-            }
+            });
         }
     }
 }

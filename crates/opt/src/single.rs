@@ -31,11 +31,9 @@ pub fn single_group_opt(instance: &Instance, m: u64) -> u64 {
         if counts.len() < c.len() {
             counts.resize(c.len(), 0);
         }
-        for (sum, &n) in counts.iter_mut().zip(c) {
-            *sum += u64::from(n);
-        }
+        c.iter().enumerate().for_each(|(d, n)| counts[d] += u64::from(n));
     }
-    opt_of_depth_counts(&counts, m)
+    opt_of_depth_counts(counts, m)
 }
 
 #[cfg(test)]

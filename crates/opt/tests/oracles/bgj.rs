@@ -30,7 +30,7 @@ pub fn bgj_schedule(g: &JobGraph, deadlines: &[i64], m: usize) -> (Vec<Vec<u32>>
     // Modified deadlines, roots (sinks) first = reverse topological order.
     let mut dmod = deadlines.to_vec();
     for &v in g.topo_order().iter().rev() {
-        if let Some(&succ) = g.children(NodeId(v)).first() {
+        if let Some(succ) = g.children(NodeId(v)).iter().next() {
             dmod[v as usize] = dmod[v as usize].min(dmod[succ as usize] - 1);
         }
     }
@@ -53,7 +53,7 @@ pub fn bgj_schedule(g: &JobGraph, deadlines: &[i64], m: usize) -> (Vec<Vec<u32>>
         let t = schedule.len() as i64 + 1; // completion time of this step
         for &v in &step {
             lmax = lmax.max(t - deadlines[v as usize]);
-            for &c in g.children(NodeId(v)) {
+            for c in g.children(NodeId(v)) {
                 indeg[c as usize] -= 1;
                 if indeg[c as usize] == 0 {
                     ready.push(c);

@@ -23,7 +23,7 @@ pub fn hu_schedule(g: &JobGraph, m: usize) -> Vec<Vec<u32>> {
     // Level of v = longest path from v to its root = our height... in an
     // in-forest each node has <= 1 child, so the path to the root is unique
     // and its length is the node's height in the DAG sense.
-    let level = g.heights();
+    let level = g.heights().to_vec();
 
     // Bucket the *ready* tasks by level; initial ready = sources.
     let max_l = level.iter().copied().max().unwrap_or(1) as usize;
@@ -58,7 +58,7 @@ pub fn hu_schedule(g: &JobGraph, m: usize) -> Vec<Vec<u32>> {
         remaining -= step.len();
         let mut enabled = Vec::new();
         for &v in &step {
-            for &c in g.children(NodeId(v)) {
+            for c in g.children(NodeId(v)) {
                 indeg[c as usize] -= 1;
                 if indeg[c as usize] == 0 {
                     enabled.push(c);

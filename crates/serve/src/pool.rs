@@ -283,6 +283,7 @@ impl ServeConfig {
         if self.m < 1 {
             return Err(ServeError::InvalidConfig("need at least one processor per shard".into()));
         }
+        self.spec.check_machine(self.m).map_err(ServeError::InvalidConfig)?;
         if self.queue_cap < 1 {
             return Err(ServeError::InvalidConfig("queues must hold at least one command".into()));
         }
@@ -1018,6 +1019,7 @@ impl PoolHandle {
         at: Time,
         spec: SchedulerSpec,
     ) -> Result<(), ServeError> {
+        spec.check_machine(self.core.cfg.m).map_err(ServeError::InvalidConfig)?;
         let directive = SwapDirective { at, spec };
         let targets: Vec<usize> = match shard {
             Some(i) if i >= self.core.cfg.shards => {
@@ -1217,6 +1219,7 @@ mod tests {
             ServeConfig::builder(fifo(), 2).queue_cap(0).build(),
             ServeConfig::builder(fifo(), 2).max_horizon(0).build(),
             ServeConfig::builder(fifo(), 2).max_horizon(Time::MAX).build(),
+            ServeConfig::builder(SchedulerSpec::GuessDouble, 6).build(),
             ServeConfig::builder(fifo(), 2)
                 .shards(2)
                 .steal(StealConfig { low_watermark: 4, high_watermark: 4 })
@@ -1317,6 +1320,10 @@ mod tests {
     fn swap_on_out_of_range_shard_is_rejected() {
         let pool = ShardPool::launch(ServeConfig::new(fifo(), 1)).expect("launch");
         let err = pool.handle().swap(Some(7), 0, fifo()).expect_err("out of range");
+        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+        // Algorithm 𝒜's α = 4 slices cannot divide one processor.
+        let algo_a = SchedulerSpec::AlgoA { alpha: 4, half: 1 };
+        let err = pool.handle().swap(None, 0, algo_a).expect_err("alpha does not divide m");
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
         pool.drain().expect("drain");
     }

@@ -210,9 +210,7 @@ impl SimState {
         let lv = &mut self.live[li as usize];
         lv.nodes.resize(g.n(), NodeSlot { indeg: 0, pos: NOT_READY, stamp: 0 });
         lv.log.reserve(g.n());
-        for &c in g.edge_heads() {
-            lv.nodes[c as usize].indeg += 1;
-        }
+        g.edge_heads().iter().for_each(|c| lv.nodes[c as usize].indeg += 1);
         for (v, slot) in lv.nodes.iter_mut().enumerate() {
             if slot.indeg == 0 {
                 slot.pos = lv.ready.len() as u32;
@@ -303,7 +301,7 @@ impl SimState {
         lv.nodes[vi].pos = NOT_READY;
         self.total_ready -= 1;
 
-        for &c in g.children(node) {
+        g.children(node).iter().for_each(|c| {
             let slot = &mut lv.nodes[c as usize];
             slot.indeg -= 1;
             if slot.indeg == 0 {
@@ -312,7 +310,7 @@ impl SimState {
                 lv.log.push(c);
                 self.total_ready += 1;
             }
-        }
+        });
         js.unfinished -= 1;
         if js.unfinished == 0 {
             // The last subjob has no unfinished children, so the ready list

@@ -158,7 +158,7 @@ impl NaiveLog {
         let (g, j) = (inst.graph(job), job.index());
         self.done[j][v.index()] = true;
         let edges = g.edges();
-        for &c in g.children(v) {
+        for c in g.children(v) {
             if edges.iter().all(|&(u, w)| w != c || self.done[j][u as usize]) {
                 self.enable(job, c);
             }
@@ -214,7 +214,7 @@ proptest! {
                 } else {
                     let h = inst.graph(job).heights();
                     let mut tallest = st.ready(job).to_vec();
-                    tallest.sort_by_key(|&v| std::cmp::Reverse(h[v as usize]));
+                    tallest.sort_by_key(|&v| std::cmp::Reverse(h.get(v as usize)));
                     picks.extend(tallest.into_iter().take(room).map(|v| (job, NodeId(v))));
                 }
             }

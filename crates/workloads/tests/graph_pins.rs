@@ -178,9 +178,9 @@ fn digest(graphs: &[JobGraph]) -> u64 {
             eat(u64::from(u));
             eat(u64::from(v));
         }
-        g.heights().iter().for_each(|&x| eat(u64::from(x)));
+        g.heights().iter().for_each(|x| eat(u64::from(x)));
         eat(g.span());
-        g.depth_counts().iter().for_each(|&x| eat(u64::from(x)));
+        g.depth_counts().iter().for_each(|x| eat(u64::from(x)));
     }
     h
 }

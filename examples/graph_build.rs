@@ -1,6 +1,7 @@
 //! Build-kernel timings: `GraphBuilder::build` on 256-node random
-//! recursive trees along each of its paths, and the ChaCha8 `gen_range`
-//! draws a seeded workload spends generating such trees.
+//! recursive trees along each of its paths, series-parallel jobs through
+//! `SpExpr::lower`, and the ChaCha8 `gen_range` draws a seeded workload
+//! spends generating such trees.
 //!
 //! ```sh
 //! cargo run --release --example graph_build
@@ -17,18 +18,27 @@
 //!   with their ids permuted and their edges ascending by `(u, v)`, as a
 //!   decoded job arrives: Kahn's peel.
 //!
-//! Each case is timed best of a few repetitions over the same edge lists.
-//! A counting allocator measures the heap the built graphs keep: the bytes
+//! The `sp` row times `SpExpr::lower` (emitting the edges and building) on
+//! random series-parallel jobs of about 256 nodes, the fork-join shapes of
+//! `spdags::random_sp_expr`. Two more rows give the heap per node at both
+//! graph widths: 16-node trees, as the serve workloads submit them
+//! (narrow, one `u16` per value), and a 65,536-node chain (wide, a
+//! `[lo, hi]` pair of `u16`s per value).
+//!
+//! Each case is timed best of a few repetitions over the same inputs. A
+//! counting allocator measures the heap the built graphs keep: the bytes
 //! per node that each retained job costs, its buffer's shared header
 //! included. The example exits 1 if the graphs keep more than their layout,
-//! `2n + 1 + e + span` words behind the header each.
+//! `2n + 1 + e + span` values at the graph's width behind the header each.
 //!
 //! It also times cloning an instance of 4,096 16-node jobs, as a replay
 //! source does, in ns and heap bytes per job: a clone shares every graph's
 //! buffer, so it copies only the job records.
 
+use flowtree::dag::sp::SpExpr;
 use flowtree::dag::{GraphBuilder, JobGraph};
 use flowtree::sim::{Instance, JobSpec};
+use flowtree::workloads::spdags::random_sp_expr;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -69,6 +79,7 @@ const TREES: usize = 1024;
 const REPS: usize = 5;
 const DRAWS: usize = 1 << 20;
 const CLONE_JOBS: usize = 4096;
+const WIDE_NODES: usize = 1 << 16;
 
 /// Each node's parent drawn uniformly from the nodes before it.
 fn recursive_tree(nodes: usize, rng: &mut ChaCha8Rng) -> Vec<(u32, u32)> {
@@ -110,34 +121,56 @@ fn builder(nodes: usize, edges: &[(u32, u32)]) -> GraphBuilder {
     b
 }
 
-/// Heap bytes a graph's layout needs: `2n + 1 + e + span` words behind an
-/// `Arc`'s two counters.
+/// Heap bytes a graph's layout needs: `2n + 1 + e + span` values behind an
+/// `Arc`'s two counters, 2 bytes each in a narrow graph (`n` and `e` at
+/// most 65,535) and 4 in a wide one.
 fn layout_bytes(g: &JobGraph) -> usize {
     let words = 2 * g.n() + 1 + g.num_edges() + g.span() as usize;
-    (2 * std::mem::size_of::<usize>() + 4 * words).next_multiple_of(std::mem::align_of::<usize>())
+    let width = if is_narrow(g) { 2 } else { 4 };
+    (2 * std::mem::size_of::<usize>() + width * words)
+        .next_multiple_of(std::mem::align_of::<usize>())
 }
 
-/// Best time per node over `REPS` builds of every list, the heap bytes per
-/// node the last repetition's graphs keep, and the bytes per node their
-/// layouts need.
-fn time_builds(builders: &[GraphBuilder]) -> (f64, f64, f64) {
+fn is_narrow(g: &JobGraph) -> bool {
+    g.n().max(g.num_edges()) <= usize::from(u16::MAX)
+}
+
+/// One row of the build table.
+struct Row {
+    /// Best time per node.
+    ns: f64,
+    /// Heap bytes per node that the last repetition's graphs keep.
+    kept: f64,
+    /// Heap bytes per node that their layouts need.
+    layout: f64,
+    /// Whether every graph is narrow.
+    narrow: bool,
+}
+
+/// Times `REPS` rounds of `jobs` calls of `build`.
+fn time_builds(jobs: usize, build: impl Fn(usize) -> JobGraph) -> Row {
     let mut best = f64::INFINITY;
     let mut kept = 0;
-    let mut graphs: Vec<JobGraph> = Vec::with_capacity(builders.len());
+    let mut graphs: Vec<JobGraph> = Vec::with_capacity(jobs);
     for _ in 0..REPS {
         graphs.clear();
         let before = LIVE.load(Ordering::Relaxed);
         let t0 = Instant::now();
-        for b in builders {
-            graphs.push(b.build().expect("generated lists are DAGs"));
+        for i in 0..jobs {
+            graphs.push(build(i));
         }
         let ns = t0.elapsed().as_nanos() as f64;
-        best = best.min(ns / (builders.len() * NODES) as f64);
         kept = LIVE.load(Ordering::Relaxed) - before;
+        best = best.min(ns / graphs.iter().map(JobGraph::n).sum::<usize>() as f64);
     }
+    let nodes = graphs.iter().map(JobGraph::n).sum::<usize>() as f64;
     let layout: usize = graphs.iter().map(layout_bytes).sum();
-    let nodes = (builders.len() * NODES) as f64;
-    (best, kept as f64 / nodes, layout as f64 / nodes)
+    Row {
+        ns: best,
+        kept: kept as f64 / nodes,
+        layout: layout as f64 / nodes,
+        narrow: graphs.iter().all(is_narrow),
+    }
 }
 
 /// Best time per job over `REPS` clones of `inst`, and the heap bytes per
@@ -190,18 +223,34 @@ fn main() {
     let relabelled: Vec<GraphBuilder> =
         (0..TREES).map(|_| builder(NODES, &relabelled_dag(&mut rng))).collect();
 
-    println!("GraphBuilder::build, {TREES} lists of {NODES} nodes, best of {REPS}:");
+    let sp: Vec<SpExpr> = (0..TREES).map(|_| random_sp_expr(NODES, &mut rng)).collect();
+    let small: Vec<GraphBuilder> =
+        (0..CLONE_JOBS).map(|_| builder(16, &recursive_tree(16, &mut rng))).collect();
+    let chain =
+        builder(WIDE_NODES, &(1..WIDE_NODES as u32).map(|v| (v - 1, v)).collect::<Vec<_>>());
+
+    let build = |b: &GraphBuilder| b.build().expect("generated lists are DAGs");
+    let rows = [
+        ("canonical", time_builds(TREES, |i| build(&canonical[i]))),
+        ("shuffled", time_builds(TREES, |i| build(&shuffled[i]))),
+        ("relabelled", time_builds(TREES, |i| build(&relabelled[i]))),
+        ("sp", time_builds(TREES, |i| sp[i].lower())),
+        ("16-node", time_builds(CLONE_JOBS, |i| build(&small[i]))),
+        ("wide chain", time_builds(1, |_| build(&chain))),
+    ];
     println!(
-        "{:<12} {:>8} {:>12} {:>14}",
-        "edge list", "ns/node", "bytes/node", "layout B/node"
+        "GraphBuilder::build, best of {REPS}: {TREES} jobs of about {NODES} nodes per row, \
+         {CLONE_JOBS} of 16, one chain of {WIDE_NODES}"
+    );
+    println!(
+        "{:<12} {:>8} {:>12} {:>14}  width",
+        "graphs", "ns/node", "bytes/node", "layout B/node"
     );
     let mut over = false;
-    for (name, builders) in
-        [("canonical", &canonical), ("shuffled", &shuffled), ("relabelled", &relabelled)]
-    {
-        let (ns, kept, layout) = time_builds(builders);
-        println!("{name:<12} {ns:>8.1} {kept:>12.2} {layout:>14.2}");
-        over |= kept > layout;
+    for (name, r) in &rows {
+        let width = if r.narrow { "narrow" } else { "wide" };
+        println!("{name:<12} {:>8.1} {:>12.2} {:>14.2}  {width}", r.ns, r.kept, r.layout);
+        over |= r.kept > r.layout;
     }
     println!("ChaCha8 gen_range: {:.1} ns/draw ({DRAWS} draws)", time_gen_range(&mut rng));
 

@@ -278,6 +278,10 @@ report service --jobs 0
 serve service --rate 0
 serve service --rate nan
 submit service --addr 127.0.0.1:9 --rate -1
+report service --scheduler algo-a -m 7
+trace service --scheduler guess-double -m 6
+serve service --scheduler algo-a -m 6
+serve service -m 6 --swap-at 5:algo-a
 BAD_INPUTS
 rm -f "$BAD_ERR"
 
@@ -298,5 +302,15 @@ rm -rf "$CORPUS_DIR"
 
 echo "==> report --trend over the committed store corpus"
 cargo run --release -q -p flowtree-cli -- report --trend results/store >/dev/null
+
+echo "==> ab.sh self-test (one revision against itself: no verdict of change)"
+# Exports, builds and runs HEAD twice per pair through the whole A/B
+# pipeline; two pairs are below the rule's minimum, so any verdict of
+# change here is a fault in the script or the summary.
+AB_OUT=$(./scripts/ab.sh HEAD HEAD engine-batch 2 1)
+echo "$AB_OUT" | grep -q '^peak_rss_mb ' || { echo "ab.sh: no peak_rss_mb row"; exit 1; }
+if echo "$AB_OUT" | grep -qE ' (better|worse)$'; then
+    echo "ab.sh HEAD HEAD gave a verdict of change:"; echo "$AB_OUT"; exit 1
+fi
 
 echo "CI OK"
